@@ -10,7 +10,6 @@
      dune exec bench/main.exe -- obs      -- lib/obs instrumentation overhead only
      dune exec bench/main.exe -- obs --smoke -- same, with a short measurement quota
      dune exec bench/main.exe -- trace    -- flight-recorder overhead only
-     dune exec bench/main.exe -- recovery -- lib/recovery lease-wrapper overhead only
      dune exec bench/main.exe -- shootout -- cross-backend shootout only
      dune exec bench/main.exe -- --csv    -- also write results/<id>_<n>.csv
 
@@ -22,10 +21,6 @@
    The trace bench ("trace") does the same for the structural flight
    recorder — BENCH_trace.json, gated at 2x
    bench/trace_baseline.json.
-   The recovery bench ("recovery") writes BENCH_recovery.json (bare vs
-   lease-wrapped ns/cycle plus deterministic simulated reclamation
-   latencies) and fails if the wrapper overhead regresses to more than
-   1.5x the recorded bench/recovery_baseline.json.
    The server bench ("server") drives the sharded name server with
    Zipf churn across 4 client domains (1M+ acquire/release cycles when
    not --smoke), with the full telemetry stack on (registry shards,
@@ -500,153 +495,6 @@ let run_trace_bench ~smoke ~rebaseline () =
     | Some base ->
         (* the raw-arena record path pays for a tighter gate: 1.5x of
            the recorded baseline, down from the pre-paydown 2x *)
-        let ok = Float.is_nan overhead || overhead <= 1.5 *. base in
-        Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base (1.5 *. base)
-          (if ok then "OK" else "REGRESSED");
-        ok
-
-(* ----- lib/recovery wrapper overhead + reclamation latency ----- *)
-
-(* The recorded wrapper overhead ratio the gate allows 1.5x of;
-   regenerate with [bench recovery --rebaseline]. *)
-let recovery_baseline_path = "bench/recovery_baseline.json"
-
-(* Deterministic simulated reclamation latency: 2-process split under
-   the recovery wrapper, round-robin schedule, the first process
-   crashing at its first grant.  Returns the simulated shared accesses
-   between the corpse's grant and its lease's reclamation. *)
-let reclaim_latency_steps ~lease_ttl =
-  let layout = Layout.create () in
-  let sp = Split.create layout ~k:2 in
-  let pids = [| 1; 2 |] in
-  let rc =
-    Recovery.create
-      (module Split)
-      sp ~layout ~pids
-      (Recovery.default_config ~lease_ttl ~capacity:2 ())
-  in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let tref = ref None in
-  let now () = match !tref with Some t -> Sim.Sched.total_steps t | None -> 0 in
-  let crash_step = ref (-1) and reclaim_step = ref (-1) in
-  let worker cycles (ops : Store.ops) =
-    for _ = 1 to cycles do
-      match
-        Recovery.acquire rc ops ~on_grant:(fun n ->
-            if ops.pid = pids.(0) && !crash_step < 0 then crash_step := now ();
-            Sim.Sched.emit (Sim.Event.Acquired n))
-      with
-      | Recovery.Shed -> ()
-      | Recovery.Acquired l ->
-          Recovery.heartbeat rc ops l;
-          ignore
-            (Recovery.release rc ops l ~on_live:(fun n ->
-                 Sim.Sched.emit (Sim.Event.Released n))
-              : bool)
-    done
-  in
-  let stop = ref (fun () -> false) in
-  let reclaimer (ops : Store.ops) =
-    let budget = ref 10_000 in
-    while (not (!stop ()) || Recovery.outstanding rc > 0) && !budget > 0 do
-      decr budget;
-      ignore (ops.read work);
-      ignore
-        (Recovery.scan rc ops ~on_reclaim:(fun ~pid:_ ~name ~latency:_ ->
-             reclaim_step := now ();
-             Sim.Sched.emit (Sim.Event.Note ("reclaimed", name)))
-          : int)
-    done
-  in
-  let ctrl =
-    Sim.Faults.controller (Result.get_ok (Sim.Faults.of_string "crash@p0:acquire"))
-  in
-  let t =
-    Sim.Sched.create ~monitor:(Sim.Faults.monitor ctrl) layout
-      [| (pids.(0), worker 1); (pids.(1), worker 4); (3, reclaimer) |]
-  in
-  tref := Some t;
-  stop :=
-    (fun () ->
-      let frozen = Sim.Faults.parked ctrl in
-      let ok i = Sim.Sched.finished t i || List.mem i frozen in
-      ok 0 && ok 1);
-  ignore (Sim.Faults.run ~max_steps:100_000 ctrl t Sim.Sched.round_robin : Sim.Sched.outcome);
-  Sim.Sched.abort t;
-  !reclaim_step - !crash_step
-
-let run_recovery_bench ~smoke ~rebaseline () =
-  Printf.printf
-    "\n=== lib/recovery wrapper overhead (split k=8, sequential store)%s ===\n"
-    (if smoke then " [smoke]" else "");
-  let quota = if smoke then 0.1 else 0.5 in
-  let layout = Layout.create () in
-  let sp = Split.create layout ~k:8 in
-  let mem = Store.seq_create layout in
-  let pid = 123_456_789 in
-  let bare_ops = Store.seq_ops mem ~pid in
-  let bare () =
-    let lease = Split.get_name sp bare_ops in
-    Split.release_name sp bare_ops lease
-  in
-  (* the wrapper over the same protocol: admission, grant bookkeeping,
-     one heartbeat per hold, epoch-checked release *)
-  let wlayout = Layout.create () in
-  let wsp = Split.create wlayout ~k:8 in
-  let rc =
-    Recovery.create
-      (module Split)
-      wsp ~layout:wlayout ~pids:[| pid |]
-      (Recovery.default_config ~lease_ttl:8 ~capacity:1 ())
-  in
-  let wmem = Store.seq_create wlayout in
-  let wops = Store.seq_ops wmem ~pid in
-  let wrapped () =
-    match Recovery.acquire rc wops with
-    | Recovery.Shed -> failwith "solo acquire shed"
-    | Recovery.Acquired l ->
-        Recovery.heartbeat rc wops l;
-        ignore (Recovery.release rc wops l : bool)
-  in
-  let bare_ns = measure_ns ~quota ~name:"bare" bare in
-  let wrapped_ns = measure_ns ~quota ~name:"wrapped" wrapped in
-  let overhead = wrapped_ns /. bare_ns in
-  Printf.printf "bare          : %8.1f ns/cycle\n" bare_ns;
-  Printf.printf "lease-wrapped : %8.1f ns/cycle\n" wrapped_ns;
-  Printf.printf "overhead      : %8.2fx\n" overhead;
-  let ttls = [ 2; 4; 8 ] in
-  let latencies = List.map (fun ttl -> (ttl, reclaim_latency_steps ~lease_ttl:ttl)) ttls in
-  List.iter
-    (fun (ttl, steps) ->
-      Printf.printf "reclaim ttl=%d : %8d simulated accesses grant -> reclamation\n" ttl
-        steps)
-    latencies;
-  let json =
-    Printf.sprintf
-      "{\"id\":\"recovery\",\"smoke\":%b,\"bare_ns\":%.1f,\"wrapped_ns\":%.1f,\"overhead\":%.3f,\"reclaim_steps\":{%s}}\n"
-      smoke bare_ns wrapped_ns overhead
-      (String.concat ","
-         (List.map
-            (fun (ttl, steps) -> Printf.sprintf "\"ttl%d\":%d" ttl steps)
-            latencies))
-  in
-  let oc = open_out "BENCH_recovery.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_recovery.json";
-  if rebaseline then begin
-    let oc = open_out recovery_baseline_path in
-    Printf.fprintf oc "{\"id\":\"recovery_baseline\",\"overhead\":%.3f}\n" overhead;
-    close_out oc;
-    Printf.printf "recorded new baseline %.3fx in %s\n" overhead recovery_baseline_path;
-    true
-  end
-  else
-    match read_baseline_from recovery_baseline_path with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" recovery_baseline_path;
-        true
-    | Some base ->
         let ok = Float.is_nan overhead || overhead <= 1.5 *. base in
         Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base (1.5 *. base)
           (if ok then "OK" else "REGRESSED");
@@ -1226,9 +1074,6 @@ let () =
       else if String.equal id "trace" then begin
         if not (run_trace_bench ~smoke ~rebaseline ()) then incr failures
       end
-      else if String.equal id "recovery" then begin
-        if not (run_recovery_bench ~smoke ~rebaseline ()) then incr failures
-      end
       else if String.equal id "server" then begin
         if not (run_server_bench ~smoke ~rebaseline ()) then incr failures
       end
@@ -1244,7 +1089,7 @@ let () =
       else
         match Experiments.find id with
         | None ->
-            Printf.eprintf "unknown experiment %S (known: e1..e12, wall, modelcheck, obs, trace, recovery, server, chaos, shootout, trend)\n"
+            Printf.eprintf "unknown experiment %S (known: e1..e12, wall, modelcheck, obs, trace, server, chaos, shootout, trend)\n"
               id
         | Some run ->
             let r = run () in
@@ -1258,7 +1103,6 @@ let () =
     run_modelcheck_bench ();
     if not (run_obs_bench ~smoke ~rebaseline ()) then incr failures;
     if not (run_trace_bench ~smoke ~rebaseline ()) then incr failures;
-    if not (run_recovery_bench ~smoke ~rebaseline ()) then incr failures;
     if not (run_server_bench ~smoke ~rebaseline ()) then incr failures
   end;
   (match !reports with

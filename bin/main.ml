@@ -9,7 +9,6 @@
      domains     run a protocol across real OS domains
      observe     run instrumented and export the metrics snapshot
      faults      adversarial fault campaigns (discrimination matrix)
-     recover     run under the crash-recovery wrapper (leases, reclamation)
      server      the sharded name server under heavy churn (real domains)
 
    simulate/modelcheck/experiment additionally take --metrics FILE to
@@ -704,10 +703,13 @@ let observe_tail shards k s clients requests theta seed plan top json out =
 
 (* Campaign mode (default): run the fixed seed matrix against every
    target (or --target NAME), assert discrimination — mutants die,
-   correct protocols survive.  Reproduction mode (--plan PLAN): one
-   deterministic run of the plan under --seed, optionally --shrink to a
-   minimal replaying schedule.  With --json the human table moves to
-   stderr and stdout carries only the JSON report. *)
+   correct protocols survive.  Without --target the paired crash matrix
+   follows — bare protocols leak, +reset twins reclaim every crash —
+   and its report is nested in the JSON document.  Reproduction mode
+   (--plan PLAN): one deterministic run of the plan under --seed,
+   optionally --shrink to a minimal replaying schedule.  With --json
+   the human table moves to stderr and stdout carries only the JSON
+   report. *)
 let faults target_name plan_str seed matrix shrink json =
   let out = if json then Fmt.epr else Fmt.pr in
   let list_targets ppf () =
@@ -782,156 +784,25 @@ let faults target_name plan_str seed matrix shrink json =
                     shrunk tg f
                 | _ -> ())
               targets outcomes;
-          if json then print_endline (Campaign.report_json ~seeds outcomes);
           let ok = Campaign.ok outcomes in
           out "campaign: %s (%d targets, matrix of %d seeds)@."
             (if ok then "OK — mutants die, correct protocols survive" else "FAILED")
             (List.length outcomes) (List.length seeds);
-          if ok then 0 else 1)
-
-(* ----- recover ----- *)
-
-(* The crash-recovery layer end to end.  Single-run mode wraps one
-   protocol in lib/recovery and runs it on the simulator — optionally
-   under a generated crash plan (processes dying while holding a name)
-   — with a dedicated reclaimer process scanning for expired leases.
-   --campaign instead runs the paired bare-vs-recovered crash matrix
-   from lib/campaign.  With --json the human report moves to stderr
-   and stdout carries only the "renaming.recovery/v1" document; the
-   document is deterministic (no timestamps), so identical invocations
-   produce byte-identical output. *)
-
-let recovery_stats_json (st : Recovery.stats) =
-  Printf.sprintf
-    {|{"acquired":%d,"released":%d,"shed":%d,"retries":%d,"conflicts":%d,"expired":%d,"reclaimed":%d,"stale_releases":%d,"scans":%d,"reclaim_latencies":[%s]}|}
-    st.acquired st.released st.shed st.retries st.conflicts st.expired st.reclaimed
-    st.stale_releases st.scans
-    (String.concat "," (List.map string_of_int st.reclaim_latencies))
-
-let recover protocol k s procs cycles lease_ttl seed crash campaign matrix json metrics =
-  let out = if json then Fmt.epr else Fmt.pr in
-  if campaign then begin
-    let seeds = List.filteri (fun i _ -> i < matrix) Campaign.default_seeds in
-    let outcomes = Campaign.run_all_crash ~seeds () in
-    List.iter (fun o -> out "%a@." Campaign.pp_crash_outcome o) outcomes;
-    let ok = Campaign.crash_ok outcomes in
-    out "crash campaign: %s (%d targets, matrix of %d seeds)@."
-      (if ok then "OK — bare protocols leak, recovered ones reclaim" else "FAILED")
-      (List.length outcomes) (List.length seeds);
-    if json then
-      print_endline
-        (Printf.sprintf {|{"schema":"renaming.recovery/v1","mode":"campaign","report":%s}|}
-           (Campaign.crash_report_json ~seeds outcomes));
-    if ok then 0 else 1
-  end
-  else begin
-    let layout = Layout.create () in
-    let Setup { proto = (module P); inst; label }, pids = build protocol layout ~k ~s ~procs in
-    let rc =
-      Recovery.create
-        (module P)
-        inst ~layout ~pids
-        (Recovery.default_config ~lease_ttl ~seed ~capacity:(Array.length pids) ())
-    in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let spec = Workload.churn ~cycles () in
-    let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
-    let plan =
-      if crash then
-        Sim.Faults.gen_crash
-          (Sim.Rng.make (seed lxor 0x0F_AC_ED))
-          ~nprocs:(Array.length pids)
-          ~max_cycle:(max 1 (min 3 cycles))
-          ()
-      else []
-    in
-    let stop = ref (fun () -> false) in
-    (* never a legal source name, and the reclaimer never acquires *)
-    let reclaimer_pid = 1 + Array.fold_left max 0 pids in
-    let reclaimer (ops : Store.ops) =
-      (* hard budget so a reclamation bug surfaces as a leak in the
-         verdict rather than a hang *)
-      let budget = ref 100_000 in
-      while (not (!stop ()) || Recovery.outstanding rc > 0) && !budget > 0 do
-        decr budget;
-        (* one shared access per iteration so the loop always yields *)
-        ignore (ops.read work);
-        ignore
-          (Recovery.scan rc ops ~on_reclaim:(fun ~pid:_ ~name ~latency:_ ->
-               Sim.Sched.emit (Sim.Event.Note ("reclaimed", name)))
-            : int)
-      done
-    in
-    let ctrl = Sim.Faults.controller plan in
-    let monitor =
-      Sim.Checks.combine [ Sim.Checks.uniqueness_monitor u; Sim.Faults.monitor ctrl ]
-    in
-    let t =
-      Sim.Sched.create ~monitor layout
-        (Array.append
-           (Array.map (fun pid -> (pid, Workload.resilient_body rc ~work spec)) pids)
-           [| (reclaimer_pid, reclaimer) |])
-    in
-    stop :=
-      (fun () ->
-        let frozen = Sim.Faults.parked ctrl in
-        let n = Array.length pids in
-        let rec all i =
-          i >= n || ((Sim.Sched.finished t i || List.mem i frozen) && all (i + 1))
-        in
-        all 0);
-    let failure =
-      match
-        Sim.Faults.run ~max_steps:1_000_000 ctrl t (Sim.Sched.random (Sim.Rng.make seed))
-      with
-      | (o : Sim.Sched.outcome) ->
-          if o.truncated then Some "run did not settle within 1000000 steps" else None
-      | exception Sim.Model_check.Violation m -> Some m
-    in
-    Sim.Sched.abort t;
-    let st = Recovery.stats rc in
-    let leaked = Sim.Checks.held_now u in
-    let crashed = List.length (Sim.Faults.crashed ctrl) in
-    let ok = failure = None && leaked = [] && st.reclaimed >= crashed in
-    out "protocol       : %s + recovery@." label;
-    out "processes      : %d (pids %a) + reclaimer (pid %d)@." (Array.length pids)
-      Fmt.(array ~sep:comma int)
-      pids reclaimer_pid;
-    out "lease ttl      : %d scan(s), capacity %d@." lease_ttl (Array.length pids);
-    out "crash plan     : %s@." (if plan = [] then "none" else Sim.Faults.to_string plan);
-    out "crashes fired  : %d@." crashed;
-    out "leases         : %d acquired, %d released, %d shed@." st.acquired st.released
-      st.shed;
-    out "reclaimed      : %d (of %d expired), %d stale release(s) fenced@." st.reclaimed
-      st.expired st.stale_releases;
-    (match leaked with
-    | [] -> out "leaked         : none@."
-    | l ->
-        out "leaked         : %a@."
-          Fmt.(list ~sep:comma (pair ~sep:(any " held by p") int int))
-          l);
-    (match failure with Some m -> out "FAILURE        : %s@." m | None -> ());
-    out "verdict        : %s@." (if ok then "OK" else "FAILED");
-    if json then
-      print_endline
-        (Printf.sprintf
-           {|{"schema":"renaming.recovery/v1","mode":"run","protocol":%S,"k":%d,"s":%d,"procs":%d,"cycles":%d,"lease_ttl":%d,"seed":%d,"plan":%S,"crashed":%d,"leaked":[%s],"failure":%s,"ok":%b,"stats":%s}|}
-           protocol k s (Array.length pids) cycles lease_ttl seed
-           (Sim.Faults.to_string plan)
-           crashed
-           (String.concat ","
-              (List.map (fun (n, p) -> Printf.sprintf "[%d,%d]" n p) leaked))
-           (match failure with None -> "null" | Some m -> Printf.sprintf "%S" m)
-           ok (recovery_stats_json st));
-    (match metrics with
-    | Some file ->
-        let registry = Obs.Registry.create () in
-        Recovery.publish rc (Obs.Registry.shard registry);
-        write_file file (Obs.Export.to_json (Obs.Registry.snapshot registry));
-        out "metrics        : wrote %s@." file
-    | None -> ());
-    if ok then 0 else 1
-  end
+          let crash =
+            if target_name <> None then None
+            else begin
+              let crash = Campaign.run_all_crash ~seeds () in
+              List.iter (fun o -> out "%a@." Campaign.pp_crash_outcome o) crash;
+              out "crash matrix: %s (%d targets, matrix of %d seeds)@."
+                (if Campaign.crash_ok crash then
+                   "OK — bare protocols leak, +reset twins reclaim every crash"
+                 else "FAILED")
+                (List.length crash) (List.length seeds);
+              Some crash
+            end
+          in
+          if json then print_endline (Campaign.report_json ?crash ~seeds outcomes);
+          if ok && Option.fold ~none:true ~some:Campaign.crash_ok crash then 0 else 1)
 
 (* ----- trace ----- *)
 
@@ -969,10 +840,9 @@ let trace protocol k s procs cycles seed tail =
 
 (* Run a workload with the structural flight recorder installed;
    returns the ring and a human label.  Three run modes mirror the
-   rest of the CLI: the deterministic simulator (default), real OS
-   domains (--domains N), and the crash-recovery wrapper under a
-   generated crash plan (--recover, simulator). *)
-let record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode =
+   rest of the CLI: the deterministic simulator (default) and real OS
+   domains (--domains N). *)
+let record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains =
   let layout = Layout.create () in
   if ndomains > 0 then begin
     let Setup { proto = (module P); inst; label }, pids =
@@ -986,68 +856,6 @@ let record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode =
     if r.violations > 0 then
       Fmt.epr "warning: %d uniqueness violation(s) while recording@." r.violations;
     (ring, Printf.sprintf "%s across %d OS domains" label ndomains)
-  end
-  else if recover_mode then begin
-    let Setup { proto = (module P); inst; label }, pids =
-      build protocol layout ~k ~s ~procs
-    in
-    let rc =
-      Recovery.create
-        (module P)
-        inst ~layout ~pids
-        (Recovery.default_config ~lease_ttl:4 ~seed ~capacity:(Array.length pids) ())
-    in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let spec = Workload.churn ~cycles () in
-    let fr = Sim.Flight_rec.create () in
-    let plan =
-      Sim.Faults.gen_crash
-        (Sim.Rng.make (seed lxor 0x0F_AC_ED))
-        ~nprocs:(Array.length pids)
-        ~max_cycle:(max 1 (min 3 cycles))
-        ()
-    in
-    let stop = ref (fun () -> false) in
-    let reclaimer_pid = 1 + Array.fold_left max 0 pids in
-    let reclaimer (ops : Store.ops) =
-      let budget = ref 100_000 in
-      while (not (!stop ()) || Recovery.outstanding rc > 0) && !budget > 0 do
-        decr budget;
-        ignore (ops.read work);
-        ignore
-          (Recovery.scan rc ops ~on_reclaim:(fun ~pid:_ ~name ~latency:_ ->
-               Sim.Sched.emit (Sim.Event.Note ("reclaimed", name)))
-            : int)
-      done
-    in
-    let ctrl = Sim.Faults.controller plan in
-    let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
-    let monitor =
-      Sim.Flight_rec.monitor
-        ~chain:
-          (Sim.Checks.combine [ Sim.Checks.uniqueness_monitor u; Sim.Faults.monitor ctrl ])
-        fr
-    in
-    let body ops = Workload.resilient_body rc ~work spec (Sim.Flight_rec.wrap fr ops) in
-    let t =
-      Sim.Sched.create ~monitor layout
-        (Array.append
-           (Array.map (fun pid -> (pid, body)) pids)
-           [| (reclaimer_pid, reclaimer) |])
-    in
-    stop :=
-      (fun () ->
-        let frozen = Sim.Faults.parked ctrl in
-        let n = Array.length pids in
-        let rec all i =
-          i >= n || ((Sim.Sched.finished t i || List.mem i frozen) && all (i + 1))
-        in
-        all 0);
-    (match Sim.Faults.run ~max_steps:1_000_000 ctrl t (Sim.Sched.random (Sim.Rng.make seed)) with
-    | (_ : Sim.Sched.outcome) -> ()
-    | exception Sim.Model_check.Violation m -> Fmt.epr "violation: %s@." m);
-    Sim.Sched.abort t;
-    (Sim.Flight_rec.ring fr, Printf.sprintf "%s + recovery on the simulator" label)
   end
   else begin
     let Setup { proto = (module P); inst; label }, pids =
@@ -1077,7 +885,7 @@ let record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode =
 
 (* --file FILE re-analyzes a saved renaming.flight/v1 document instead
    of recording a fresh run. *)
-let load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode =
+let load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains =
   match file with
   | Some path ->
       let ic = open_in_bin path in
@@ -1088,11 +896,11 @@ let load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode =
       | Error e ->
           Fmt.epr "error: %s: %s@." path e;
           exit 2)
-  | None -> record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode
+  | None -> record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains
 
-let trace_record protocol k s procs cycles seed ndomains recover_mode out =
+let trace_record protocol k s procs cycles seed ndomains out =
   let ring, label =
-    record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode
+    record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains
   in
   let doc = Obs.Flight.to_string ring in
   (match out with
@@ -1103,9 +911,9 @@ let trace_record protocol k s procs cycles seed ndomains recover_mode out =
   | None -> print_string doc);
   0
 
-let trace_analyze protocol k s procs cycles seed ndomains recover_mode file bound =
+let trace_analyze protocol k s procs cycles seed ndomains file bound =
   let ring, label =
-    load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode
+    load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains
   in
   let report = Obs.Analyze.analyze (Obs.Flight.items ring) in
   (* The Lemma 9 bound d(k-1) on simultaneously-blocked trees applies
@@ -1138,10 +946,10 @@ let trace_analyze protocol k s procs cycles seed ndomains recover_mode file boun
       List.iter (fun v -> Fmt.pr "VIOLATION      : %s@." v) violations;
       1
 
-let trace_export protocol k s procs cycles seed ndomains recover_mode file
+let trace_export protocol k s procs cycles seed ndomains file
     journeys_file out =
   let ring, _ =
-    load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode
+    load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains
   in
   match
     match journeys_file with
@@ -1173,10 +981,10 @@ let trace_export protocol k s procs cycles seed ndomains recover_mode file
       | None -> print_endline doc);
       0
 
-let trace_provenance protocol k s procs cycles seed ndomains recover_mode file pid_filter
+let trace_provenance protocol k s procs cycles seed ndomains file pid_filter
     name_filter =
   let ring, label =
-    load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains ~recover_mode
+    load_ring file protocol ~k ~s ~procs ~cycles ~seed ~ndomains
   in
   let report = Obs.Analyze.analyze (Obs.Flight.items ring) in
   let keep (a : Obs.Analyze.acquisition) =
@@ -1309,9 +1117,6 @@ let trace_cmd =
   let ndomains = Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N"
                       ~doc:"Record across $(docv) real OS domains instead of the \
                             simulator (per-domain clocks; no cross-pid ordering).") in
-  let recover_flag = Arg.(value & flag & info [ "recover" ]
-                          ~doc:"Record a crash-recovery run: a generated crash plan \
-                                plus a reclaimer (simulator only).") in
   let file_arg = Arg.(value & opt (some string) None
                       & info [ "file" ] ~docv:"FILE"
                         ~doc:"Analyze a saved renaming.flight/v1 document instead of \
@@ -1320,13 +1125,12 @@ let trace_cmd =
                      & info [ "o"; "out" ] ~docv:"FILE"
                        ~doc:"Write to $(docv) instead of stdout.") in
   let with_run f =
-    Term.(f $ protocol_arg $ k_arg 4 $ s_arg 81 $ fprocs $ cycles_arg 3 $ seed $ ndomains
-          $ recover_flag)
+    Term.(f $ protocol_arg $ k_arg 4 $ s_arg 81 $ fprocs $ cycles_arg 3 $ seed $ ndomains)
   in
   let record_cmd =
-    let run protocol k s procs cycles seed ndomains recover out =
+    let run protocol k s procs cycles seed ndomains out =
       trace_record protocol k s (if procs <= 0 then k else procs) cycles seed ndomains
-        recover out
+        out
     in
     Cmd.v
       (Cmd.info "record"
@@ -1338,9 +1142,9 @@ let trace_cmd =
                      & info [ "bound" ] ~docv:"B"
                        ~doc:"Check at most $(docv) simultaneously-blocked trees per \
                              acquisition (default: d(k-1) for inline FILTER runs).") in
-    let run protocol k s procs cycles seed ndomains recover file bound =
+    let run protocol k s procs cycles seed ndomains file bound =
       trace_analyze protocol k s (if procs <= 0 then k else procs) cycles seed ndomains
-        recover file bound
+        file bound
     in
     Cmd.v
       (Cmd.info "analyze"
@@ -1356,9 +1160,9 @@ let trace_cmd =
                    renaming.journeys/v1 document (see $(b,observe tail -o)) \
                    as flow-linked waterfall tracks.")
     in
-    let run protocol k s procs cycles seed ndomains recover file journeys out =
+    let run protocol k s procs cycles seed ndomains file journeys out =
       trace_export protocol k s (if procs <= 0 then k else procs) cycles seed ndomains
-        recover file journeys out
+        file journeys out
     in
     Cmd.v
       (Cmd.info "export"
@@ -1371,9 +1175,9 @@ let trace_cmd =
     let name_f = Arg.(value & opt (some int) None
                       & info [ "name" ] ~docv:"NAME"
                         ~doc:"Only acquisitions of destination name $(docv).") in
-    let run protocol k s procs cycles seed ndomains recover file pid name =
+    let run protocol k s procs cycles seed ndomains file pid name =
       trace_provenance protocol k s (if procs <= 0 then k else procs) cycles seed ndomains
-        recover file pid name
+        file pid name
     in
     Cmd.v
       (Cmd.info "provenance"
@@ -1482,41 +1286,9 @@ let faults_cmd =
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Run adversarial fault campaigns: mutants must die, correct protocols \
-             must survive")
+             must survive; without $(b,--target), bare protocols must leak under \
+             crashes and their +reset twins must reclaim every one")
     Term.(const faults $ target $ plan $ seed $ matrix $ shrink $ json)
-
-let recover_cmd =
-  let procs = Arg.(value & opt int 0 & info [ "procs" ] ~docv:"N"
-                   ~doc:"Concurrent processes (default $(b,k)).") in
-  let lease_ttl = Arg.(value & opt int 4 & info [ "lease-ttl" ] ~docv:"TTL"
-                       ~doc:"Reclaimer scans without a heartbeat change before a lease \
-                             expires.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
-                  ~doc:"Schedule seed; also derives the $(b,--crash) plan and the \
-                        backoff jitter.") in
-  let crash = Arg.(value & flag & info [ "crash" ]
-                   ~doc:"Inject a generated crash plan: some processes die while \
-                         holding a name; their leases must be reclaimed.") in
-  let campaign = Arg.(value & flag & info [ "campaign" ]
-                      ~doc:"Run the paired bare-vs-recovered crash matrix instead of a \
-                            single run: bare protocols must leak, recovered ones must \
-                            reclaim.") in
-  let matrix = Arg.(value & opt int 32 & info [ "matrix" ] ~docv:"N"
-                    ~doc:"Campaign mode: use the first $(docv) seeds of the fixed \
-                          matrix.") in
-  let json = Arg.(value & flag & info [ "json" ]
-                  ~doc:"Print the renaming.recovery/v1 JSON document on stdout (human \
-                        report goes to stderr).") in
-  let run protocol k s procs cycles lease_ttl seed crash campaign matrix json metrics =
-    recover protocol k s (if procs <= 0 then k else procs) cycles lease_ttl seed crash
-      campaign matrix json metrics
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:"Run a protocol under the crash-recovery wrapper: leases, heartbeats, \
-             name reclamation")
-    Term.(const run $ protocol_arg $ k_arg 3 $ s_arg 64 $ procs $ cycles_arg 3
-          $ lease_ttl $ seed $ crash $ campaign $ matrix $ json $ metrics_arg)
 
 (* ----- server ----- *)
 
@@ -1942,4 +1714,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ simulate_cmd; modelcheck_cmd; params_cmd; experiment_cmd; trace_cmd;
-            domains_cmd; observe_cmd; faults_cmd; recover_cmd; server_cmd ]))
+            domains_cmd; observe_cmd; faults_cmd; server_cmd ]))

@@ -504,121 +504,132 @@ let outcome_json o =
     o.target o.correct o.runs expected
     (match o.finding with None -> "null" | Some f -> finding_json f)
 
-let report_json ~seeds outcomes =
-  Printf.sprintf
-    {|{"schema":"renaming.faults/v1","matrix_size":%d,"ok":%b,"targets":[%s]}|}
-    (List.length seeds) (ok outcomes)
-    (String.concat "," (List.map outcome_json outcomes))
-
 (* ----- crash campaigns -----
 
    Discrimination with a different axis than the mutants: the adversary
    is [Faults.gen_crash] — processes dying while holding a name.  A
    correct {e bare} protocol survives in the safety sense but leaks the
-   name forever (that IS the failure mode this PR exists for); the same
-   protocol under the recovery wrapper must reclaim every leaked name
-   and finish with none held.  A matrix where the bare targets don't
-   leak, or the recovered ones do, proves the harness can't tell the
-   difference and the layer is untested. *)
+   name forever; its [+reset] twin adds one reclaimer process that hands
+   every corpse's lease to the protocol's own [reset_footprint] — what
+   [Server.retire_slot] does for a dead client — and must finish with
+   none held.  A matrix where the bare targets don't leak, or the twins
+   do, proves the harness can't tell the difference. *)
 
 type crash_config = {
   ccfg : MC.config;
   held_now : unit -> (int * int) list;
-  recovery_stats : (unit -> Recovery.stats) option;
-  set_stop : (unit -> bool) -> unit;
-      (* inject the reclaimer's termination test once the scheduler
-         exists; a no-op for bare targets *)
+  reclaimed : unit -> int;
 }
 
 type crash_target = {
   c_name : string;
-  recovered : bool;
+  reset : bool;
   c_nprocs : int;  (* worker count; the reclaimer process is extra *)
   c_max_cycle : int;
   c_sched_per_plan : int;
-  c_builder : unit -> crash_config;
+  c_builder : Sim.Faults.t -> crash_config;
 }
 
-let bare_crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
-    (make : Layout.t -> a) ~pids ~cycles () : crash_config =
+(* Both sides of a pair run the same workers: [Workload.run_cycle]'s
+   loop, except that each worker stores its lease in its own slot
+   before emitting [Acquired] — the event crash plans trigger on — so a
+   corpse's lease is always where the reclaimer looks for it. *)
+let crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
+    (make : Layout.t -> a) ~pids ~cycles ~reset ctrl : crash_config =
   let layout = Layout.create () in
   let inst = make layout in
   let work = Layout.alloc layout ~name:"work" 0 in
   let spec = Workload.churn ~cycles () in
   let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
-  {
-    ccfg =
-      {
-        MC.layout;
-        procs =
-          Array.map (fun pid -> (pid, Workload.body (module P) inst ~work spec)) pids;
-        monitor = Sim.Checks.uniqueness_monitor u;
-      };
-    held_now = (fun () -> Sim.Checks.held_now u);
-    recovery_stats = None;
-    set_stop = (fun _ -> ());
-  }
-
-let recovered_crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
-    (make : Layout.t -> a) ~pids ~cycles ~lease_ttl () : crash_config =
-  let layout = Layout.create () in
-  let inst = make layout in
-  let rc =
-    Recovery.create
-      (module P)
-      inst ~layout ~pids
-      (Recovery.default_config ~lease_ttl ~capacity:(Array.length pids) ())
-  in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let spec = Workload.churn ~cycles () in
-  let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
-  let stop = ref (fun () -> false) in
-  (* never a legal source name here, and the reclaimer never acquires *)
-  let reclaimer_pid = 1 + Array.fold_left max 0 pids in
-  let reclaimer (ops : Store.ops) =
-    (* hard budget so a reclamation bug shows up as a leak in the
-       verdict instead of hanging the run *)
-    let budget = ref 10_000 in
-    while (not (!stop ()) || Recovery.outstanding rc > 0) && !budget > 0 do
-      decr budget;
-      (* the idle read guarantees one shared access per iteration, so
-         the loop always yields to the scheduler even when there is
-         nothing to scan *)
-      ignore (ops.read work);
-      ignore
-        (Recovery.scan rc ops ~on_reclaim:(fun ~pid:_ ~name ~latency:_ ->
-             Sim.Sched.emit (Sim.Event.Note ("reclaimed", name)))
-          : int)
+  let n = Array.length pids in
+  let slots = Array.make n None in
+  let finished = Array.make n false in
+  let idle (ops : Store.ops) steps =
+    for _ = 1 to steps do
+      ignore (ops.read work)
     done
   in
+  let run_cycle w i (ops : Store.ops) =
+    Sim.Sched.emit (Sim.Event.Note ("cycle", i));
+    idle ops (spec.delay i);
+    let lease = P.get_name inst ops in
+    slots.(w) <- Some lease;
+    Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
+    idle ops (spec.hold i);
+    Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
+    slots.(w) <- None;
+    P.release_name inst ops lease
+  in
+  let worker w ops =
+    for i = 0 to spec.cycles - 1 do
+      run_cycle w i ops
+    done;
+    finished.(w) <- true
+  in
+  let reclaimed = ref 0 in
+  let workers = Array.mapi (fun w pid -> (pid, worker w)) pids in
+  let procs =
+    if not reset then workers
+    else begin
+      let reset_footprint =
+        match P.reset_footprint with
+        | Some f -> f
+        | None -> invalid_arg "Campaign.crash_config: protocol has no reset_footprint"
+      in
+      (* every worker is finished or frozen: no crash can fire any more *)
+      let settled () =
+        let frozen = Sim.Faults.parked ctrl in
+        let rec all w = w >= n || ((finished.(w) || List.mem w frozen) && all (w + 1)) in
+        all 0
+      in
+      let corpses () = List.filter (fun w -> slots.(w) <> None) (Sim.Faults.crashed ctrl) in
+      let reclaim (ops : Store.ops) w =
+        match slots.(w) with
+        | None -> ()
+        | Some lease ->
+            slots.(w) <- None;
+            incr reclaimed;
+            (* ownership moves before the reset makes the name grantable
+               again *)
+            Sim.Sched.emit (Sim.Event.Note ("reclaimed", P.name_of inst lease));
+            reset_footprint inst { ops with pid = pids.(w) } lease
+      in
+      (* never a legal source name here, and the reclaimer never acquires *)
+      let reclaimer_pid = 1 + Array.fold_left max 0 pids in
+      let reclaimer (ops : Store.ops) =
+        (* hard budget so a reclamation bug shows up as a leak in the
+           verdict instead of hanging the run *)
+        let budget = ref 10_000 in
+        while (not (settled ()) || corpses () <> []) && !budget > 0 do
+          decr budget;
+          (* the idle read guarantees one shared access per iteration,
+             so the loop always yields to the scheduler *)
+          ignore (ops.read work);
+          List.iter (reclaim ops) (corpses ())
+        done
+      in
+      Array.append workers [| (reclaimer_pid, reclaimer) |]
+    end
+  in
   {
-    ccfg =
-      {
-        MC.layout;
-        procs =
-          Array.append
-            (Array.map (fun pid -> (pid, Workload.resilient_body rc ~work spec)) pids)
-            [| (reclaimer_pid, reclaimer) |];
-        monitor = Sim.Checks.uniqueness_monitor u;
-      };
+    ccfg = { MC.layout; procs; monitor = Sim.Checks.uniqueness_monitor u };
     held_now = (fun () -> Sim.Checks.held_now u);
-    recovery_stats = Some (fun () -> Recovery.stats rc);
-    set_stop = (fun f -> stop := f);
+    reclaimed = (fun () -> !reclaimed);
   }
 
 let crash_targets () =
-  let family c_name bare recov ~nprocs =
-    let base recovered c_builder name =
+  let family (type a) c_name (module P : Renaming.Protocol.S with type t = a) make ~pids =
+    let target reset c_name =
       {
-        c_name = name;
-        recovered;
-        c_nprocs = nprocs;
+        c_name;
+        reset;
+        c_nprocs = Array.length pids;
         c_max_cycle = 2;
         c_sched_per_plan = 4;
-        c_builder;
+        c_builder = crash_config (module P) make ~pids ~cycles:2 ~reset;
       }
     in
-    [ base false bare c_name; base true recov (c_name ^ "+recovery") ]
+    [ target false c_name; target true (c_name ^ "+reset") ]
   in
   let filter_make layout =
     let k = 2 and s = 8 in
@@ -626,51 +637,24 @@ let crash_targets () =
     Renaming.Filter.create layout
       { k; d = p.d; z = p.z; s; participants = [| 1; 5 |] }
   in
-  let split_make l = Renaming.Split.create l ~k:3 in
-  let ma_make l = Renaming.Ma.create l ~k:2 ~s:4 in
-  let pipeline_make l = Renaming.Pipeline.create l ~k:2 ~s:16 ~participants:[| 3; 11 |] in
-  let level_make l = Renaming.Level_array.create l ~k:2 in
-  let compact_make l = Renaming.Compact_split.create l ~k:3 in
   List.concat
     [
-      family "split"
-        (bare_crash_config (module Renaming.Split) split_make ~pids:[| 1; 2; 3 |] ~cycles:2)
-        (recovered_crash_config
-           (module Renaming.Split)
-           split_make ~pids:[| 1; 2; 3 |] ~cycles:2 ~lease_ttl:4)
-        ~nprocs:3;
+      family "split" (module Renaming.Split) (fun l -> Renaming.Split.create l ~k:3)
+        ~pids:[| 1; 2; 3 |];
       family "level"
-        (bare_crash_config (module Renaming.Level_array) level_make ~pids:[| 1; 4 |] ~cycles:2)
-        (recovered_crash_config
-           (module Renaming.Level_array)
-           level_make ~pids:[| 1; 4 |] ~cycles:2 ~lease_ttl:4)
-        ~nprocs:2;
+        (module Renaming.Level_array)
+        (fun l -> Renaming.Level_array.create l ~k:2)
+        ~pids:[| 1; 4 |];
       family "compact"
-        (bare_crash_config
-           (module Renaming.Compact_split)
-           compact_make ~pids:[| 1; 2; 3 |] ~cycles:2)
-        (recovered_crash_config
-           (module Renaming.Compact_split)
-           compact_make ~pids:[| 1; 2; 3 |] ~cycles:2 ~lease_ttl:4)
-        ~nprocs:3;
-      family "ma"
-        (bare_crash_config (module Renaming.Ma) ma_make ~pids:[| 0; 2 |] ~cycles:2)
-        (recovered_crash_config
-           (module Renaming.Ma)
-           ma_make ~pids:[| 0; 2 |] ~cycles:2 ~lease_ttl:4)
-        ~nprocs:2;
-      family "filter"
-        (bare_crash_config (module Renaming.Filter) filter_make ~pids:[| 1; 5 |] ~cycles:2)
-        (recovered_crash_config
-           (module Renaming.Filter)
-           filter_make ~pids:[| 1; 5 |] ~cycles:2 ~lease_ttl:4)
-        ~nprocs:2;
+        (module Renaming.Compact_split)
+        (fun l -> Renaming.Compact_split.create l ~k:3)
+        ~pids:[| 1; 2; 3 |];
+      family "ma" (module Renaming.Ma) (fun l -> Renaming.Ma.create l ~k:2 ~s:4) ~pids:[| 0; 2 |];
+      family "filter" (module Renaming.Filter) filter_make ~pids:[| 1; 5 |];
       family "pipeline"
-        (bare_crash_config (module Renaming.Pipeline) pipeline_make ~pids:[| 3; 11 |] ~cycles:2)
-        (recovered_crash_config
-           (module Renaming.Pipeline)
-           pipeline_make ~pids:[| 3; 11 |] ~cycles:2 ~lease_ttl:4)
-        ~nprocs:2;
+        (module Renaming.Pipeline)
+        (fun l -> Renaming.Pipeline.create l ~k:2 ~s:16 ~participants:[| 3; 11 |])
+        ~pids:[| 3; 11 |];
     ]
 
 let find_crash name = List.find_opt (fun t -> t.c_name = name) (crash_targets ())
@@ -684,23 +668,14 @@ type crash_run = {
   crashed : int;  (* crash faults that fired *)
   leaked : (int * int) list;  (* names still held at the end *)
   run_reclaimed : int;
-  run_shed : int;
   failure : (string * int list) option;
 }
 
 let run_crash_once ?(max_steps = 200_000) (tg : crash_target) plan ~sched_seed =
-  let cc = tg.c_builder () in
   let ctrl = Sim.Faults.controller plan in
+  let cc = tg.c_builder ctrl in
   let monitor = Sim.Checks.combine [ cc.ccfg.MC.monitor; Sim.Faults.monitor ctrl ] in
   let t = Sim.Sched.create ~monitor cc.ccfg.MC.layout cc.ccfg.MC.procs in
-  (* the reclaimer drains once every worker is finished or frozen *)
-  cc.set_stop (fun () ->
-      let frozen = Sim.Faults.parked ctrl in
-      let rec all i =
-        i >= tg.c_nprocs
-        || ((Sim.Sched.finished t i || List.mem i frozen) && all (i + 1))
-      in
-      all 0);
   let rng = Sim.Rng.make sched_seed in
   let taken = ref [] in
   let strat _ en =
@@ -720,29 +695,20 @@ let run_crash_once ?(max_steps = 200_000) (tg : crash_target) plan ~sched_seed =
     | exception MC.Violation message -> Some (message, List.rev !taken)
   in
   Sim.Sched.abort t;
-  let run_reclaimed, run_shed =
-    match cc.recovery_stats with
-    | None -> (0, 0)
-    | Some stats ->
-        let (s : Recovery.stats) = stats () in
-        (s.reclaimed, s.shed)
-  in
   {
     crashed = List.length (Sim.Faults.crashed ctrl);
     leaked = cc.held_now ();
-    run_reclaimed;
-    run_shed;
+    run_reclaimed = cc.reclaimed ();
     failure;
   }
 
 type crash_outcome = {
   crash_target_name : string;
-  crash_recovered : bool;
+  crash_reset : bool;
   crash_runs : int;
   crashes_fired : int;
   leak_runs : int;
   total_reclaimed : int;
-  total_shed : int;
   crash_finding : finding option;
 }
 
@@ -751,7 +717,6 @@ let run_crash_target ?(seeds = default_seeds) ?max_steps (tg : crash_target) =
   let crashes_fired = ref 0 in
   let leak_runs = ref 0 in
   let total_reclaimed = ref 0 in
-  let total_shed = ref 0 in
   let finding = ref None in
   List.iter
     (fun seed ->
@@ -763,7 +728,6 @@ let run_crash_target ?(seeds = default_seeds) ?max_steps (tg : crash_target) =
         crashes_fired := !crashes_fired + r.crashed;
         if r.leaked <> [] then incr leak_runs;
         total_reclaimed := !total_reclaimed + r.run_reclaimed;
-        total_shed := !total_shed + r.run_shed;
         let note message schedule =
           if !finding = None then
             finding := Some { seed; sched_seed; plan; message; schedule }
@@ -771,16 +735,18 @@ let run_crash_target ?(seeds = default_seeds) ?max_steps (tg : crash_target) =
         match r.failure with
         | Some (message, schedule) -> note message schedule
         | None ->
-            if tg.recovered then begin
+            if tg.reset then begin
               if r.leaked <> [] then
                 note
                   (Printf.sprintf "%d name(s) still held after the run: reclamation failed"
                      (List.length r.leaked))
                   [];
-              if r.run_reclaimed < r.crashed then
+              (* a direct reset cannot expire a live holder: exactly one
+                 reclamation per corpse *)
+              if r.run_reclaimed <> r.crashed then
                 note
-                  (Printf.sprintf "%d crash(es) fired but only %d lease(s) reclaimed"
-                     r.crashed r.run_reclaimed)
+                  (Printf.sprintf "%d crash(es) fired but %d lease(s) reclaimed" r.crashed
+                     r.run_reclaimed)
                   []
             end
             else if r.crashed > 0 && r.leaked = [] then
@@ -792,12 +758,11 @@ let run_crash_target ?(seeds = default_seeds) ?max_steps (tg : crash_target) =
     seeds;
   {
     crash_target_name = tg.c_name;
-    crash_recovered = tg.recovered;
+    crash_reset = tg.reset;
     crash_runs = !runs;
     crashes_fired = !crashes_fired;
     leak_runs = !leak_runs;
     total_reclaimed = !total_reclaimed;
-    total_shed = !total_shed;
     crash_finding = !finding;
   }
 
@@ -812,10 +777,10 @@ let crash_ok outcomes =
 let pp_crash_outcome ppf o =
   match o.crash_finding with
   | None ->
-      Fmt.pf ppf "%-24s %s  %d runs, %d crashes, %d leak-runs, %d reclaimed, %d shed"
+      Fmt.pf ppf "%-24s %s  %d runs, %d crashes, %d leak-runs, %d reclaimed"
         o.crash_target_name
-        (if o.crash_recovered then "survived " else "leaked   ")
-        o.crash_runs o.crashes_fired o.leak_runs o.total_reclaimed o.total_shed
+        (if o.crash_reset then "survived " else "leaked   ")
+        o.crash_runs o.crashes_fired o.leak_runs o.total_reclaimed
   | Some f ->
       Fmt.pf ppf "%-24s FAILED (seed %d, sched %d, plan %s): %s" o.crash_target_name
         f.seed f.sched_seed
@@ -824,9 +789,9 @@ let pp_crash_outcome ppf o =
 
 let crash_outcome_json o =
   Printf.sprintf
-    {|{"target":%S,"recovered":%b,"runs":%d,"crashes":%d,"leak_runs":%d,"reclaimed":%d,"shed":%d,"as_expected":%b,"finding":%s}|}
-    o.crash_target_name o.crash_recovered o.crash_runs o.crashes_fired o.leak_runs
-    o.total_reclaimed o.total_shed
+    {|{"target":%S,"reset":%b,"runs":%d,"crashes":%d,"leak_runs":%d,"reclaimed":%d,"as_expected":%b,"finding":%s}|}
+    o.crash_target_name o.crash_reset o.crash_runs o.crashes_fired o.leak_runs
+    o.total_reclaimed
     (o.crash_finding = None && o.crashes_fired >= 1)
     (match o.crash_finding with None -> "null" | Some f -> finding_json f)
 
@@ -835,6 +800,16 @@ let crash_report_json ~seeds outcomes =
     {|{"schema":"renaming.crash/v1","matrix_size":%d,"ok":%b,"targets":[%s]}|}
     (List.length seeds) (crash_ok outcomes)
     (String.concat "," (List.map crash_outcome_json outcomes))
+
+let report_json ?crash ~seeds outcomes =
+  Printf.sprintf
+    {|{"schema":"renaming.faults/v1","matrix_size":%d,"ok":%b,"targets":[%s]%s}|}
+    (List.length seeds)
+    (ok outcomes && Option.fold ~none:true ~some:crash_ok crash)
+    (String.concat "," (List.map outcome_json outcomes))
+    (match crash with
+    | None -> ""
+    | Some c -> {|,"crash":|} ^ crash_report_json ~seeds c)
 
 (* ----- chaos campaigns: killing the name server -----
 

@@ -93,58 +93,57 @@ val replay :
 (** Deterministically re-execute a recorded schedule under a plan. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
-val report_json : seeds:int list -> outcome list -> string
-(** One JSON document (["renaming.faults/v1"]) with one entry per
-    target and the overall verdict. *)
 
 (** {1 Crash campaigns}
 
-    Discrimination along the crash-recovery axis.  The adversary is
+    Discrimination along the crash axis.  The adversary is
     {!Sim.Faults.gen_crash}: processes dying while holding a name.
     Expectations are {e paired}: each protocol family appears twice,
-    bare and wrapped in [lib/recovery].
+    bare and as its [<family>+reset] twin.  Both sides run the same
+    workers, each of which stores its lease in a per-process slot
+    before it emits [Acquired].
 
     - A {b bare} target must stay safe (no uniqueness violation) but
       {b leak}: every run in which a crash fired must end with a name
       still held — the crashed holder took it to the grave.  A bare
       target that doesn't leak means the plan never bit, so the matrix
       proves nothing.
-    - A {b recovered} target ([<family>+recovery]) must end every run
-      with {e zero} names held — each crashed holder's lease expired
-      within one TTL and its footprint was reset — with at least as
+    - A [+reset] twin adds one reclaimer process (excluded from the
+      victim pool) that reads the crashed victims from
+      {!Sim.Faults.crashed} and, for each, emits
+      [Note ("reclaimed", name)] and runs the protocol's
+      {!Renaming.Protocol.S.reset_footprint} on the corpse's lease —
+      what the name server's reclaimer does for a dead client.  It
+      must end every run with {e zero} names held, with exactly as
       many reclamations as fired crashes, still no violations, and no
       truncation.
 
-    Recovered harnesses add a dedicated reclaimer process (excluded
-    from the victim pool) that scans until every worker is finished or
-    frozen and no lease is outstanding; workers run
-    {!Workload.resilient_body}.  Everything is derived from the same
-    seed matrix as the fault campaign, so reports are byte-identical
-    across runs. *)
+    Everything is derived from the same seed matrix as the fault
+    campaign, so reports are byte-identical across runs. *)
 
 type crash_config = {
   ccfg : Sim.Model_check.config;
   held_now : unit -> (int * int) list;
       (** Names currently held per the harness's uniqueness monitor. *)
-  recovery_stats : (unit -> Recovery.stats) option;
-      (** [None] for bare targets. *)
-  set_stop : (unit -> bool) -> unit;
-      (** Inject the reclaimer's termination test (true once every
-          worker is finished or frozen); no-op for bare targets. *)
+  reclaimed : unit -> int;
+      (** Corpses reset so far; always [0] for bare targets. *)
 }
 
 type crash_target = {
   c_name : string;
-  recovered : bool;
+  reset : bool;  (** The [+reset] twin, with its reclaimer. *)
   c_nprocs : int;  (** Workers only; the reclaimer process is extra. *)
   c_max_cycle : int;  (** Upper bound for [On_acquire] crash triggers. *)
   c_sched_per_plan : int;
-  c_builder : unit -> crash_config;
+  c_builder : Sim.Faults.t -> crash_config;
+      (** A fresh harness; a [+reset] reclaimer reads its crashed
+          victims from the run's fault controller and stops once every
+          worker is finished or frozen. *)
 }
 
 val crash_targets : unit -> crash_target list
-(** The paired matrix: split, ma, filter, pipeline — each bare and
-    [+recovery]. *)
+(** The paired matrix: split, level, compact, ma, filter, pipeline —
+    each bare and [+reset]. *)
 
 val find_crash : string -> crash_target option
 
@@ -152,7 +151,6 @@ type crash_run = {
   crashed : int;  (** Crash faults that fired during the run. *)
   leaked : (int * int) list;  (** [(name, proc)] still held at the end. *)
   run_reclaimed : int;
-  run_shed : int;
   failure : (string * int list) option;
       (** Violation or truncation, with the taken schedule. *)
 }
@@ -170,12 +168,11 @@ val crash_plan_for : crash_target -> int -> Sim.Faults.plan
 
 type crash_outcome = {
   crash_target_name : string;
-  crash_recovered : bool;
+  crash_reset : bool;
   crash_runs : int;
   crashes_fired : int;
   leak_runs : int;  (** Runs that ended with at least one name held. *)
   total_reclaimed : int;
-  total_shed : int;
   crash_finding : finding option;
 }
 
@@ -194,6 +191,12 @@ val pp_crash_outcome : Format.formatter -> crash_outcome -> unit
 val crash_report_json : seeds:int list -> crash_outcome list -> string
 (** One JSON document (["renaming.crash/v1"]); deterministic, so
     byte-identical across runs of the same matrix. *)
+
+val report_json : ?crash:crash_outcome list -> seeds:int list -> outcome list -> string
+(** One JSON document (["renaming.faults/v1"]) with one entry per
+    target and the overall verdict.  Given [crash], the crash matrix's
+    ["renaming.crash/v1"] document is nested as the ["crash"] member
+    and the verdict covers both matrices. *)
 
 (** {1 Chaos campaigns}
 

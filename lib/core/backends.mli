@@ -4,7 +4,7 @@
     Each entry renames [k] processes with source names in [[0, s)]
     (protocols that don't consume [s] or the participant set ignore
     them), so the differential law suite, the model checker, the fault
-    campaigns, the recovery leases and the shootout bench enumerate
+    campaigns and the shootout bench enumerate
     backends with zero per-backend glue — a backend registered here is
     tested the day it lands. *)
 

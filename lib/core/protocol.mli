@@ -34,10 +34,11 @@ module type S = sig
       bits, grid presence flags), returning the lease's name to
       service.  [None] when the protocol has no recovery path.
 
-      The caller (a reclaimer, see [lib/recovery]) must pass [ops] with
-      [pid] set to the dead process's source name, and must guarantee
-      the holder takes no further step: unlike [release_name] this may
-      be executed by a {e different} process on the corpse's behalf, so
+      The caller (a reclaimer: the name server's, or the crash
+      matrix's in [lib/campaign]) must pass [ops] with [pid] set to the
+      dead process's source name, and must guarantee the holder takes
+      no further step: unlike [release_name] this may be executed by a
+      {e different} process on the corpse's behalf, so
       it reconstructs ownership from the current register contents
       (e.g. dropping a presence bit while preserving the persistent
       turn bit) rather than trusting lease-local state alone. *)

@@ -3,10 +3,9 @@
     One value of {!t} is the cross-domain scoreboard of a run: the
     per-name holder counters behind the on-line uniqueness monitor,
     the concurrency high-water marks, per-worker cycle counts and the
-    first-violation record.  Both {!Domain_runner.run} and
-    {!Domain_runner.run_recovered} build their result from the same
-    constructor — the two entry points can no longer drift — and the
-    name server ([lib/server]) scores its clients through it too.
+    first-violation record.  {!Domain_runner.run} builds its result
+    here, and the name server ([lib/server]) scores its clients
+    through it too.
 
     The hot arrays (per-name holders and maxima, per-worker cycle
     counters) are {!Pad}-spaced so contended updates to different
@@ -34,8 +33,8 @@ type result = {
       (** Names still held when the run ended — what crashed workers
           took to the grave.  [0] on a fully clean run. *)
   reclaimed : int;
-      (** Leases reclaimed by a post-join drain; [0] when the run has
-          no recovery layer. *)
+      (** Leases the name server's reclaimer retired on behalf of dead
+          clients; [0] when the run has no reclaimer. *)
 }
 
 val create : entry:string -> name_space:int -> workers:int -> parked:int -> t
@@ -76,4 +75,5 @@ val cycles_of : t -> int -> int
 
 val result : ?reclaimed:int -> t -> result
 (** Freeze the scoreboard (call after the join).  [leaked] is the sum
-    of holder counts still standing; [reclaimed] defaults to [0]. *)
+    of holder counts still standing; [reclaimed] is the name server's
+    reclaim count ([Churn.run] passes it) and defaults to [0]. *)

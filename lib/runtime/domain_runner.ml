@@ -16,12 +16,6 @@ type result = Agg.result = {
   reclaimed : int;
 }
 
-(* Both entry points build their scoreboard here so the aggregation
-   setup cannot drift between them (it used to be duplicated). *)
-let agg ~entry ~name_space ~pids ~faults =
-  Agg.create ~entry ~name_space ~workers:(Array.length pids)
-    ~parked:(List.length (List.filter (fun (_, f) -> f = Park_holding) faults))
-
 (* Per-domain Obs instrumentation: one [Store.tally] arena on [ops]
    (grouped access counts materialize at snapshot), one span per
    operation clocked by the worker's own access count, and the
@@ -104,7 +98,10 @@ let run (type a) ?registry ?flight ?(faults = [])
   (* parked workers hold their name until every non-parked worker has
      finished all its cycles — so parking cannot hang the run, and the
      others' completion IS the wait-freedom assertion *)
-  let agg = agg ~entry:"Domain_runner.run" ~name_space ~pids ~faults in
+  let agg =
+    Agg.create ~entry:"Domain_runner.run" ~name_space ~workers:(Array.length pids)
+      ~parked:(List.length (List.filter (fun (_, f) -> f = Park_holding) faults))
+  in
   let worker i pid () =
     (* Each domain writes its own registry shard; shards merge on
        snapshot, after the join.  The worker's span clock is its own
@@ -167,8 +164,7 @@ let run (type a) ?registry ?flight ?(faults = [])
           Agg.cycle_done agg i
         done;
         (* die holding: the domain exits without releasing — the name
-           and its register footprint leak unless a recovery layer
-           reclaims them (see [run_recovered]) *)
+           and its register footprint leak ([result.leaked]) *)
         ignore (acquire ());
         Agg.worker_done agg
     | fault ->
@@ -192,85 +188,3 @@ let run (type a) ?registry ?flight ?(faults = [])
   | None -> ()
   | Some ring -> Array.iter (fun r -> Obs.Flight.merge ~into:ring r) worker_rings);
   Agg.result agg
-
-let run_recovered ?registry ?(faults = []) rc ~layout ~pids ~cycles =
-  let name_space = Recovery.name_space rc in
-  let store = Atomic_store.create layout in
-  let agg = agg ~entry:"Domain_runner.run_recovered" ~name_space ~pids ~faults in
-  let worker i pid () =
-    let raw = Atomic_store.ops store ~pid in
-    let shard, t, ops, record = instrument ~registry ~pid raw in
-    let acquire () =
-      Store.tally_mark t;
-      match Recovery.acquire rc ops with
-      | Recovery.Shed ->
-          (match shard with Some sh -> Obs.Registry.inc sh "names.shed" | None -> ());
-          None
-      | Recovery.Acquired lease ->
-          let n = Recovery.name_of lease in
-          (match shard with Some sh -> record sh "get" [ ("name", n) ] | None -> ());
-          let held, conc = Agg.acquired agg ~worker:i ~name:n in
-          gauge_acquired shard ~name:n ~name_space ~held ~conc;
-          Some (lease, n)
-    in
-    let release (lease, n) =
-      Agg.released agg ~name:n;
-      gauge_released shard ~name:n ~name_space;
-      Store.tally_mark t;
-      ignore (Recovery.release rc ops lease : bool);
-      match shard with Some sh -> record sh "release" [] | None -> ()
-    in
-    let full_cycle fault cy =
-      match acquire () with
-      | None -> () (* shed: skip the cycle, the admission bound held *)
-      | Some ((lease, _) as held) ->
-          (match fault with
-          | Some (Stall_holding { cycle; spins }) when cy = cycle -> spin spins
-          | Some (Slow n) -> spin n
-          | _ -> ());
-          Recovery.heartbeat rc ops lease;
-          release held;
-          (match fault with Some (Slow n) -> spin n | _ -> ());
-          Agg.cycle_done agg i
-    in
-    match List.assoc_opt i faults with
-    | Some Park_holding -> (
-        match acquire () with
-        | None -> () (* shed before parking: nothing held, just exit *)
-        | Some ((lease, _) as held) ->
-            while not (Agg.all_normal_done agg) do
-              Recovery.heartbeat rc ops lease
-            done;
-            release held)
-    | Some (Crash_holding { cycle }) ->
-        for cy = 0 to cycle - 1 do
-          full_cycle None cy
-        done;
-        ignore (acquire ());
-        Agg.worker_done agg
-    | fault ->
-        for cy = 0 to cycles - 1 do
-          full_cycle fault cy
-        done;
-        Agg.worker_done agg
-  in
-  let domains = Array.mapi (fun i pid -> Domain.spawn (worker i pid)) pids in
-  Array.iter Domain.join domains;
-  (* Quiescent reclamation: scanning only after the join means a slow
-     live worker can never be falsely expired by real preemption — the
-     only leases left now belong to crashed workers. *)
-  let reclaimed = ref 0 in
-  if Array.length pids > 0 then begin
-    let drain_ops = Atomic_store.ops store ~pid:pids.(0) in
-    let max_rounds = Recovery.lease_ttl rc + Array.length pids + 4 in
-    let rounds = ref 0 in
-    while Recovery.outstanding rc > 0 && !rounds < max_rounds do
-      incr rounds;
-      ignore
-        (Recovery.scan rc drain_ops ~on_reclaim:(fun ~pid:_ ~name ~latency:_ ->
-             incr reclaimed;
-             Agg.released agg ~name)
-          : int)
-    done
-  end;
-  Agg.result ~reclaimed:!reclaimed agg

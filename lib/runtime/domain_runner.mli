@@ -41,9 +41,9 @@ type fault =
   | Crash_holding of { cycle : int }
       (** Complete [cycle] full acquire/release cycles, acquire once
           more, then exit the domain {e without releasing} — process
-          death while holding a name.  Under {!run} the name and its
-          register footprint leak (see [result.leaked]); under
-          {!run_recovered} the post-join drain reclaims them. *)
+          death while holding a name.  The name and its register
+          footprint leak (see [result.leaked]); reclaiming a dead
+          client's lease is the name server's job ([lib/server]). *)
 
 type result = Agg.result = {
   cycles_done : int array;  (** Per worker; equals [cycles] on success. *)
@@ -60,12 +60,9 @@ type result = Agg.result = {
           name was double-held (or out of range) — [None] on a clean
           run. *)
   leaked : int;
-      (** Names still held when the run ended (after reclamation, for
-          {!run_recovered}) — names crashed workers took to the grave.
-          [0] on a fully clean run. *)
-  reclaimed : int;
-      (** Leases reclaimed by the post-join drain; always [0] for
-          {!run} (no recovery layer). *)
+      (** Names still held when the run ended — names crashed workers
+          took to the grave.  [0] on a fully clean run. *)
+  reclaimed : int;  (** Always [0]: {!run} has no reclaimer. *)
 }
 
 val run :
@@ -95,24 +92,3 @@ val run :
     wait forever on an empty set.
     @raise Invalid_argument if [pids] is non-empty and {e every} worker
     is [Park_holding] — each would wait on the others forever. *)
-
-val run_recovered :
-  ?registry:Obs.Registry.t ->
-  ?faults:(int * fault) list ->
-  Recovery.t ->
-  layout:Shared_mem.Layout.t ->
-  pids:int array ->
-  cycles:int ->
-  result
-(** Like {!run} but through a crash-recovery wrapper (created over the
-    same [layout], {e before} this call instantiates the store from
-    it): acquires go through {!Recovery.acquire} — a shed entrant
-    skips the cycle, so [cycles_done] may fall short of [cycles] when
-    capacity is tight — each hold performs a {!Recovery.heartbeat},
-    and releases are epoch-fenced.  Reclamation is {b quiescent}: no
-    scans run while workers do (a preempted live worker can therefore
-    never be falsely expired); after the join, scan rounds drain every
-    lease crashed workers left behind ([result.reclaimed]), so
-    [Crash_holding] leaks end at [0] ([result.leaked]) instead of
-    poisoning the name space.
-    @raise Invalid_argument as {!run}. *)

@@ -16,10 +16,9 @@ let make ?(seed = 0x5EED) ?(retries = 8) ?(base_spins = 64)
 
 let default = make ()
 
-(* The same stateless-jitter shape Recovery uses: a seeded avalanche
-   of (seed, client, attempt), so every spin count is a pure function
-   of its coordinates — replayable, and property-testable without a
-   PRNG object. *)
+(* Stateless jitter: a seeded avalanche of (seed, client, attempt), so
+   every spin count is a pure function of its coordinates — replayable,
+   and property-testable without a PRNG object. *)
 let mix a b c =
   let h = ref ((a * 0x9E3779B9) lxor (b * 0x85EBCA6B) lxor (c * 0xC2B2AE35)) in
   h := !h lxor (!h lsr 16);

@@ -11,8 +11,8 @@
     first attempt rather than queueing behind a burn it cannot win.
 
     Backoff is stateless: spin counts are a pure function of
-    [(seed, client, attempt)] (the same avalanche-hash jitter
-    [lib/recovery] uses), capped at [cap_spins] — so runs replay
+    [(seed, client, attempt)] (an avalanche-hash jitter), capped at
+    [cap_spins] — so runs replay
     identically per seed, which the property tests pin down.
 
     The module is deliberately independent of [Server]: {!drive} takes

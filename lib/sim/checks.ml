@@ -47,7 +47,7 @@ let uniqueness_monitor u =
           | None -> violation "process #%d released name %d it does not hold" i n)
       | Event.Note ("reclaimed", n) ->
           (* crash recovery: a reclaimer took name [n] back from a dead
-             (or lease-expired) holder — ownership transfers, so the
+             holder — ownership transfers, so the
              emitter need not be the holder, and an unheld name is fine
              (holder may have died before Acquired was emitted) *)
           Hashtbl.remove u.holders n

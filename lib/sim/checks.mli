@@ -14,12 +14,11 @@ val combine : Sched.monitor list -> Sched.monitor
     [Event.Acquired n] after [GetName] returns [n] and
     [Event.Released n] after [ReleaseName].
 
-    Crash recovery ([lib/recovery]) extends the discipline: a
-    reclaimer emits [Note ("reclaimed", n)] when it expires a lease,
-    which transfers ownership of [n] away from the (presumed-dead)
-    holder — the name may then be re-acquired without a [Released].
-    A lease-expired holder must consequently {e not} emit [Released]
-    when its release is epoch-fenced (wrapper returned [false]). *)
+    Crash recovery extends the discipline: a reclaimer emits
+    [Note ("reclaimed", n)] before it resets a dead holder's footprint
+    (see the crash matrix in [lib/campaign]), which transfers ownership
+    of [n] away from the corpse — the name may then be re-acquired
+    without a [Released]. *)
 
 type uniqueness
 

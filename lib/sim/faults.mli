@@ -31,7 +31,7 @@
       from an arbitrarily slow one — but recorded separately
       ({!crashed}) so harnesses know the victim will {e never} release
       what it holds: a crash while holding a name leaks it forever
-      unless a recovery layer ([lib/recovery]) reclaims it.
+      unless a reclaimer resets the corpse's footprint.
 
     Timed actions depend on global time, so they are {e not} POR-safe;
     {!Model_check} automatically falls back to unreduced search for
@@ -163,7 +163,7 @@ val gen_crash :
 (** A random {e crash} plan: between [1] and [nprocs - 1] victims (at
     least one process always survives), each crashed while {b holding}
     a name — trigger [On_acquire occ] with [occ] drawn from
-    [\[1, max_cycle\]] (default [3]).  This is the adversary the
-    recovery layer exists for: every fired fault leaks a held name
-    until something reclaims it.  Deterministic in the generator
+    [\[1, max_cycle\]] (default [3]).  This is the adversary a
+    reclaimer exists for: every fired fault leaks a held name until
+    something reclaims it.  Deterministic in the generator
     state. *)

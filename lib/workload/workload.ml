@@ -160,32 +160,3 @@ let rotating_body (type a) (module P : Renaming.Protocol.S with type t = a) (ins
   for i = 0 to spec.cycles - 1 do
     run_cycle (module P) inst ~work spec i { ops with pid = pids.(i mod n) }
   done
-
-let emit_reclaimed ~pid:_ ~name ~latency:_ =
-  Sim.Sched.emit (Sim.Event.Note ("reclaimed", name))
-
-let resilient_body rc ~work ?(drain = 0) spec (ops : Shared_mem.Store.ops) =
-  for i = 0 to spec.cycles - 1 do
-    Sim.Sched.emit (Sim.Event.Note ("cycle", i));
-    idle ops ~work (spec.delay i);
-    (* every participant doubles as a reclaimer: one scan per cycle *)
-    ignore (Recovery.scan ~on_reclaim:emit_reclaimed rc ops : int);
-    match
-      Recovery.acquire rc ops
-        ~on_grant:(fun n -> Sim.Sched.emit (Sim.Event.Acquired n))
-    with
-    | Recovery.Shed -> Sim.Sched.emit (Sim.Event.Note ("shed", i))
-    | Recovery.Acquired lease ->
-        (* the hold is spent heartbeating (writes, so still one shared
-           access per held step), keeping the lease visibly alive *)
-        for _ = 1 to max 1 (spec.hold i) do
-          Recovery.heartbeat rc ops lease
-        done;
-        ignore
-          (Recovery.release rc ops lease
-             ~on_live:(fun n -> Sim.Sched.emit (Sim.Event.Released n))
-            : bool)
-  done;
-  for _ = 1 to drain do
-    ignore (Recovery.scan ~on_reclaim:emit_reclaimed rc ops : int)
-  done

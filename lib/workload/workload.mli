@@ -135,22 +135,3 @@ val rotating_body :
     the paper's introduction (at most [k] concurrent, unboundedly many
     over time).  All pids must be legal source names for the
     protocol. *)
-
-val resilient_body :
-  Recovery.t ->
-  work:Shared_mem.Cell.t ->
-  ?drain:int ->
-  spec ->
-  Shared_mem.Store.ops ->
-  unit
-(** Like {!body} but over a crash-recovery wrapper: each cycle runs
-    one reclaimer {!Recovery.scan} (emitting [Note ("reclaimed", n)]
-    per expired lease), then an admission-controlled
-    {!Recovery.acquire} — [Acquired n] on grant, [Note ("shed", i)]
-    when the entrant is shed; the hold is spent in
-    {!Recovery.heartbeat}s (at least one), and the release emits
-    [Released n] only when it is {e live} (an epoch-fenced stale
-    release emits nothing — the name was reclaimed from us).  After
-    the last cycle the body runs [drain] (default [0]) extra scans so
-    a surviving process can reclaim leases crashed holders left
-    behind. *)

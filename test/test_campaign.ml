@@ -92,15 +92,15 @@ let test_crash_targets_paired () =
   List.iter
     (fun (t : Campaign.crash_target) ->
       Alcotest.(check bool) (t.c_name ^ " nprocs") true (t.c_nprocs >= 2);
-      let suffix = "+recovery" in
+      let suffix = "+reset" in
       let has_suffix =
         let n = String.length suffix and l = String.length t.c_name in
         l >= n && String.sub t.c_name (l - n) n = suffix
       in
-      Alcotest.(check bool) (t.c_name ^ " naming convention") t.recovered has_suffix;
-      (* every bare target has its recovered twin and vice versa *)
+      Alcotest.(check bool) (t.c_name ^ " naming convention") t.reset has_suffix;
+      (* every bare target has its +reset twin and vice versa *)
       let twin =
-        if t.recovered then String.sub t.c_name 0 (String.length t.c_name - String.length suffix)
+        if t.reset then String.sub t.c_name 0 (String.length t.c_name - String.length suffix)
         else t.c_name ^ suffix
       in
       Alcotest.(check bool) (t.c_name ^ " has twin " ^ twin) true
@@ -119,10 +119,10 @@ let test_crash_matrix_discriminates () =
       | None -> ());
       Alcotest.(check bool) (o.crash_target_name ^ " crashes fired") true
         (o.crashes_fired >= 1);
-      if o.crash_recovered then begin
+      if o.crash_reset then begin
         Alcotest.(check int) (o.crash_target_name ^ " leak-free") 0 o.leak_runs;
-        Alcotest.(check bool) (o.crash_target_name ^ " reclaims >= crashes") true
-          (o.total_reclaimed >= o.crashes_fired)
+        Alcotest.(check int) (o.crash_target_name ^ " reclaims = crashes") o.crashes_fired
+          o.total_reclaimed
       end
       else begin
         Alcotest.(check bool) (o.crash_target_name ^ " leaks") true (o.leak_runs >= 1);
@@ -148,7 +148,7 @@ let test_crash_report_byte_identical () =
     Alcotest.(check bool) ("report contains " ^ needle) true (go 0)
   in
   contains "renaming.crash/v1";
-  contains "\"split+recovery\"";
+  contains "\"split+reset\"";
   contains "\"pipeline\""
 
 let () =
@@ -169,7 +169,7 @@ let () =
       ( "crash",
         [
           Alcotest.test_case "targets paired" `Quick test_crash_targets_paired;
-          Alcotest.test_case "bare leaks, recovered reclaims" `Slow
+          Alcotest.test_case "bare leaks, reset reclaims" `Slow
             test_crash_matrix_discriminates;
           Alcotest.test_case "report byte-identical" `Slow
             test_crash_report_byte_identical;

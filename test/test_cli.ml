@@ -56,6 +56,15 @@ let test_faults_json () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "faults --json" out "renaming.faults/v1"
 
+let test_faults_crash_matrix_json () =
+  (* without --target the crash matrix follows the mutant matrix and
+     its report is nested in the JSON document; one seed is too few to
+     kill every mutant, so only the crash half's verdict is checked *)
+  let _, out = run "faults --matrix 1 --json" in
+  check_contains "faults --json" out
+    {|"crash":{"schema":"renaming.crash/v1","matrix_size":1,"ok":true|};
+  check_contains "faults --json" out "\"split+reset\""
+
 let test_faults_reproduction () =
   (* reproduce a known kill: parking the holder breaks the turn-lost
      mutex mutant (found by the campaign, pinned here) *)
@@ -79,27 +88,6 @@ let test_faults_bad_plan () =
 let test_faults_unknown_target () =
   let code, _ = run "faults --target no-such --plan 'park@p0:acc1'" in
   Alcotest.(check int) "unknown target => exit 2" 2 code
-
-(* ----- recover: single run and crash matrix ----- *)
-
-let test_recover_ok () =
-  let code, out = run "recover -p split --crash --seed 5" in
-  Alcotest.(check int) "exit code" 0 code;
-  check_contains "recover" out "reclaimed";
-  check_contains "recover" out "verdict        : OK"
-
-let test_recover_json () =
-  let code, out = run "recover -p ma -k 2 -s 16 --crash --json" in
-  Alcotest.(check int) "exit code" 0 code;
-  check_contains "recover --json" out "renaming.recovery/v1";
-  check_contains "recover --json" out "\"ok\":true"
-
-let test_recover_campaign () =
-  let code, out = run "recover --campaign --matrix 1 --json" in
-  Alcotest.(check int) "exit code" 0 code;
-  check_contains "recover --campaign" out "renaming.recovery/v1";
-  check_contains "recover --campaign" out "renaming.crash/v1";
-  check_contains "recover --campaign" out "split+recovery"
 
 (* ----- trace: the flight-recorder subcommands ----- *)
 
@@ -237,16 +225,11 @@ let () =
           Alcotest.test_case "mutant target" `Quick test_faults_single_target;
           Alcotest.test_case "correct target" `Quick test_faults_correct_target;
           Alcotest.test_case "json report" `Quick test_faults_json;
+          Alcotest.test_case "crash matrix json" `Quick test_faults_crash_matrix_json;
           Alcotest.test_case "reproduction violates" `Quick test_faults_reproduction;
           Alcotest.test_case "reproduction clean" `Quick test_faults_repro_clean;
           Alcotest.test_case "bad plan" `Quick test_faults_bad_plan;
           Alcotest.test_case "unknown target" `Quick test_faults_unknown_target;
-        ] );
-      ( "recover",
-        [
-          Alcotest.test_case "crash run reclaims" `Quick test_recover_ok;
-          Alcotest.test_case "json document" `Quick test_recover_json;
-          Alcotest.test_case "crash campaign" `Quick test_recover_campaign;
         ] );
       ( "trace",
         [

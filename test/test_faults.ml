@@ -1,10 +1,12 @@
 (* The fault-injection subsystem: plan parsing, controller semantics
    (park / timed stall / slow lane / deadlock fast-forward), composition
-   with the model checker, and POR soundness under park-only plans. *)
+   with the model checker, and POR soundness under park-only and crash
+   plans. *)
 
 open Shared_mem
 module F = Sim.Faults
 module MC = Sim.Model_check
+module Split = Renaming.Split
 
 (* ----- textual plans ----- *)
 
@@ -301,6 +303,56 @@ let test_minimize_shrinks () =
           | Error a, Error b -> Alcotest.(check string) "stable replay" a.message b.message
           | _ -> Alcotest.fail "shrunk schedule no longer violates")
 
+(* ----- crash faults through the model checker ----- *)
+
+(* Bare 2-process split, one acquire/release cycle each.  For every
+   access point of the victim, kill it there and explore all
+   interleavings: uniqueness must hold in every one (the bare protocol
+   leaks the crashed name but never double-grants).  Crash freezes a
+   transition, so partial-order reduction stays sound and exploration
+   must report completeness. *)
+let split2_builder () : MC.config =
+  let layout = Layout.create () in
+  let sp = Split.create layout ~k:2 in
+  let work = Layout.alloc layout ~name:"work" 0 in
+  let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
+  {
+    MC.layout;
+    procs =
+      Array.map
+        (fun pid -> (pid, Test_util.protocol_cycles (module Split) sp ~work ~cycles:1))
+        [| 1; 2 |];
+    monitor = Sim.Checks.uniqueness_monitor u;
+  }
+
+let test_modelcheck_crash_every_access () =
+  for acc = 1 to 12 do
+    let faults = Result.get_ok (F.of_string (Printf.sprintf "crash@p1:acc%d" acc)) in
+    let rep = MC.check ~faults split2_builder in
+    Test_util.check_no_violation (Printf.sprintf "crash at access %d" acc) rep.outcome;
+    Alcotest.(check bool)
+      (Printf.sprintf "complete at access %d" acc)
+      true rep.outcome.complete
+  done;
+  (* and right at the grant, where the name is definitely held *)
+  let faults = Result.get_ok (F.of_string "crash@p1:acquire") in
+  let rep = MC.check ~faults split2_builder in
+  Test_util.check_no_violation "crash at acquire" rep.outcome;
+  Alcotest.(check bool) "complete at acquire" true rep.outcome.complete
+
+let test_modelcheck_crash_por_sound () =
+  let faults = Result.get_ok (F.of_string "crash@p1:acc5") in
+  let reduced = MC.check ~faults split2_builder in
+  let plain =
+    MC.check ~options:{ MC.default_options with por = false; cache_bound = 0 } ~faults
+      split2_builder
+  in
+  Test_util.check_no_violation "reduced" reduced.outcome;
+  Test_util.check_no_violation "plain" plain.outcome;
+  Alcotest.(check bool) "same completeness" plain.outcome.complete reduced.outcome.complete;
+  Alcotest.(check bool) "reduction pruned" true
+    (reduced.outcome.paths <= plain.outcome.paths)
+
 let () =
   Alcotest.run "faults"
     [
@@ -328,5 +380,8 @@ let () =
           Alcotest.test_case "park-only keeps POR sound" `Slow test_check_with_faults_clean;
           Alcotest.test_case "faulty sample replays" `Slow test_sample_replay_with_faults;
           Alcotest.test_case "minimize shrinks + replays" `Slow test_minimize_shrinks;
+          Alcotest.test_case "crash at every access point" `Slow
+            test_modelcheck_crash_every_access;
+          Alcotest.test_case "crash keeps POR sound" `Slow test_modelcheck_crash_por_sound;
         ] );
     ]

@@ -1,5 +1,6 @@
 (* Lemma 6 / Figure 3: the two-process Enter/Check/Release mutex block
-   and the tournament trees built from it. *)
+   and the tournament trees built from it, with their resets on behalf
+   of a dead holder. *)
 
 open Shared_mem
 module Pf = Renaming.Pf_mutex
@@ -240,6 +241,38 @@ let test_tournament_exhaustive_2procs () =
   Test_util.check_no_violation "tournament 2-input" r;
   Alcotest.(check bool) "complete" true r.complete
 
+(* ----- reset on behalf of a corpse ----- *)
+
+(* A corpse in the critical section of a PF block wedges the opposite
+   direction forever; reset must free it. *)
+let test_pf_mutex_reset () =
+  let layout = Layout.create () in
+  let b = Renaming.Pf_mutex.create layout in
+  let seq = Store.seq_create layout in
+  let ops0 = Store.seq_ops seq ~pid:0 in
+  let ops1 = Store.seq_ops seq ~pid:1 in
+  let s0 = Renaming.Pf_mutex.enter b ops0 ~dir:0 in
+  Alcotest.(check bool) "corpse won" true (Renaming.Pf_mutex.check b ops0 ~dir:0 s0);
+  let s1 = Renaming.Pf_mutex.enter b ops1 ~dir:1 in
+  Alcotest.(check bool) "opponent blocked" false (Renaming.Pf_mutex.check b ops1 ~dir:1 s1);
+  (* direction 0's holder dies; recover its direction from the register *)
+  Renaming.Pf_mutex.reset b ops0 ~dir:0;
+  Alcotest.(check bool) "opponent freed" true (Renaming.Pf_mutex.check b ops1 ~dir:1 s1)
+
+let test_tournament_reset () =
+  let layout = Layout.create () in
+  let t = Renaming.Tournament.create layout ~inputs:2 in
+  let seq = Store.seq_create layout in
+  let ops0 = Store.seq_ops seq ~pid:0 in
+  let ops1 = Store.seq_ops seq ~pid:1 in
+  let p0 = Renaming.Tournament.position t ~input:0 in
+  Alcotest.(check bool) "corpse owns the tree" true (Renaming.Tournament.try_advance t ops0 p0);
+  let p1 = Renaming.Tournament.position t ~input:1 in
+  Alcotest.(check bool) "challenger blocked" false (Renaming.Tournament.try_advance t ops1 p1);
+  Renaming.Tournament.reset t ops0 p0;
+  Alcotest.(check bool) "challenger wins after reset" true
+    (Renaming.Tournament.try_advance t ops1 p1)
+
 let () =
   Alcotest.run "pf_mutex"
     [
@@ -264,5 +297,10 @@ let () =
           Alcotest.test_case "two contenders" `Quick test_tournament_two_contenders;
           Alcotest.test_case "exhaustive 2-input" `Slow test_tournament_exhaustive_2procs;
           Alcotest.test_case "sampled 4 procs" `Slow test_tournament_sampled;
+        ] );
+      ( "resets",
+        [
+          Alcotest.test_case "pf_mutex" `Quick test_pf_mutex_reset;
+          Alcotest.test_case "tournament" `Quick test_tournament_reset;
         ] );
     ]

@@ -146,7 +146,7 @@ let test_all_park_raises () =
       Alcotest.fail "all-Park_holding run should raise Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* ----- crash recovery across real domains ----- *)
+(* ----- crashes across real domains ----- *)
 
 let test_crash_holding_leaks () =
   (* the bare runner: a worker dying mid-hold takes its name to the
@@ -167,75 +167,29 @@ let test_crash_holding_leaks () =
   Alcotest.(check int) "worker 0 finished" 50 r.cycles_done.(0);
   Alcotest.(check int) "worker 2 finished" 50 r.cycles_done.(2)
 
-let test_run_recovered_reclaims () =
-  (* the same crash under the recovery wrapper: the post-join drain
-     must reclaim every lease the corpse left behind *)
-  let k = 3 in
-  let layout = Layout.create () in
-  let sp = Split.create layout ~k in
-  let pids = [| 1; 2; 3 |] in
-  let rc =
-    Recovery.create
-      (module Split)
-      sp ~layout ~pids
-      (Recovery.default_config ~lease_ttl:4 ~capacity:k ())
-  in
-  let r =
-    Runtime.Domain_runner.run_recovered
-      ~faults:[ (1, Runtime.Domain_runner.Crash_holding { cycle = 2 }) ]
-      rc ~layout ~pids ~cycles:40
-  in
-  Alcotest.(check int) "no violations" 0 r.violations;
-  Alcotest.(check int) "no leak after the drain" 0 r.leaked;
-  Alcotest.(check bool) "the corpse's lease was reclaimed" true (r.reclaimed >= 1);
-  Alcotest.(check int) "victim stopped after 2 cycles" 2 r.cycles_done.(1);
-  Alcotest.(check int) "worker 0 finished" 40 r.cycles_done.(0);
-  Alcotest.(check int) "worker 2 finished" 40 r.cycles_done.(2);
-  Alcotest.(check int) "nothing outstanding" 0 (Recovery.outstanding rc)
-
-let test_run_vs_recovered_schema () =
-  (* Both entry points build their scoreboard from Runtime.Agg — on a
-     crash-free workload the two must report the *same* result, field
-     for field, not merely results of the same shape.  This pins the
-     refactor that removed the duplicated aggregation blocks. *)
+let test_run_per_name_breakdown () =
+  (* a crash-free run's per-name scoreboard: ascending, in range, and
+     every name held by one worker at a time *)
   let k = 3 and cycles = 30 in
   let pids = [| 1; 2; 3 |] in
-  let run_bare () =
-    let layout = Layout.create () in
-    let sp = Split.create layout ~k in
+  let layout = Layout.create () in
+  let sp = Split.create layout ~k in
+  let r =
     Runtime.Domain_runner.run (module Split) sp ~layout ~pids ~cycles
       ~name_space:(Split.name_space sp)
   in
-  let run_rec () =
-    let layout = Layout.create () in
-    let sp = Split.create layout ~k in
-    let rc =
-      Recovery.create
-        (module Split)
-        sp ~layout ~pids
-        (Recovery.default_config ~lease_ttl:4 ~capacity:k ())
-    in
-    Runtime.Domain_runner.run_recovered rc ~layout ~pids ~cycles
-  in
-  let a = run_bare () and b = run_rec () in
-  Alcotest.(check (array int)) "cycles_done agree" a.cycles_done b.cycles_done;
-  Alcotest.(check int) "violations agree" a.violations b.violations;
-  Alcotest.(check int) "no leak either way" 0 (a.leaked + b.leaked);
-  Alcotest.(check int) "nothing reclaimed either way" 0 (a.reclaimed + b.reclaimed);
-  Alcotest.(check bool) "no first violation" true
-    (a.first_violation = None && b.first_violation = None);
-  let names (r : Runtime.Domain_runner.result) = List.map fst r.max_concurrent_by_name in
+  Alcotest.(check (array int)) "every worker finished" [| cycles; cycles; cycles |]
+    r.cycles_done;
+  Alcotest.(check int) "no violations" 0 r.violations;
+  Alcotest.(check int) "no leak" 0 r.leaked;
+  Alcotest.(check int) "nothing reclaimed" 0 r.reclaimed;
+  Alcotest.(check bool) "no first violation" true (r.first_violation = None);
+  let names = List.map fst r.max_concurrent_by_name in
   Alcotest.(check bool) "per-name breakdown sorted and in range" true
-    (List.for_all (fun n -> n >= 0) (names a @ names b)
-    && List.sort compare (names a) = names a
-    && List.sort compare (names b) = names b);
+    (List.for_all (fun n -> n >= 0 && n < Split.name_space sp) names
+    && List.sort compare names = names);
   Alcotest.(check bool) "per-name marks are clean" true
-    (List.for_all (fun (_, m) -> m = 1)
-       (a.max_concurrent_by_name @ b.max_concurrent_by_name));
-  (* and the two are literally the same record type: a result from one
-     entry point type-checks wherever the other's does *)
-  let as_agg (r : Runtime.Domain_runner.result) : Runtime.Agg.result = r in
-  Alcotest.(check int) "shared constructor" (as_agg a).violations (as_agg b).violations
+    (List.for_all (fun (_, m) -> m = 1) r.max_concurrent_by_name)
 
 let () =
   Alcotest.run "runtime"
@@ -256,11 +210,9 @@ let () =
           Alcotest.test_case "two parked of four" `Slow test_park_two_of_four;
           Alcotest.test_case "all parked rejected" `Quick test_all_park_raises;
         ] );
-      ( "recovery",
+      ( "crash",
         [
           Alcotest.test_case "bare crash leaks" `Slow test_crash_holding_leaks;
-          Alcotest.test_case "recovered crash reclaims" `Slow test_run_recovered_reclaims;
-          Alcotest.test_case "run and run_recovered share one schema" `Slow
-            test_run_vs_recovered_schema;
+          Alcotest.test_case "per-name breakdown" `Slow test_run_per_name_breakdown;
         ] );
     ]

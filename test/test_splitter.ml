@@ -1,6 +1,6 @@
 (* Theorem 5: the splitter building block.  Exhaustive model checking
    for 2 processes, randomized schedule sampling for 3-5, plus basic
-   sequential behaviour. *)
+   sequential behaviour and the reset on behalf of a dead holder. *)
 
 open Shared_mem
 module Splitter = Renaming.Splitter
@@ -116,6 +116,24 @@ let prop_sparse_pids =
       let r = Sim.Model_check.sample ~seeds:[ seed; seed + 1; seed + 2 ] build in
       r.violation = None)
 
+(* ----- reset on behalf of a corpse ----- *)
+
+let test_splitter_reset () =
+  let layout = Layout.create () in
+  let s = Renaming.Splitter.create layout in
+  let seq = Store.seq_create layout in
+  let ops0 = Store.seq_ops seq ~pid:0 in
+  let ops1 = Store.seq_ops seq ~pid:1 in
+  let tok0 = Renaming.Splitter.enter s ops0 in
+  Alcotest.(check bool) "solo entry is non-zero" true
+    (Renaming.Splitter.direction tok0 <> 0);
+  (* the holder dies with its LAST claim in place *)
+  Renaming.Splitter.reset s ops0 tok0;
+  let tok1 = Renaming.Splitter.enter s ops1 in
+  Alcotest.(check bool) "next solo entry sees no interference" true
+    (Renaming.Splitter.direction tok1 <> 0);
+  Renaming.Splitter.release s ops1 tok1
+
 let () =
   Alcotest.run "splitter"
     [
@@ -132,4 +150,5 @@ let () =
           Alcotest.test_case "sampled 5 procs" `Slow test_sample_5procs;
         ] );
       ("property", [ prop_sparse_pids ]);
+      ("resets", [ Alcotest.test_case "splitter" `Quick test_splitter_reset ]);
     ]
