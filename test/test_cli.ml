@@ -65,6 +65,17 @@ let test_faults_crash_matrix_json () =
     {|"crash":{"schema":"renaming.crash/v1","matrix_size":1,"ok":true|};
   check_contains "faults --json" out "\"split+reset\""
 
+let test_faults_crash_matrix_table () =
+  (* one seed leaves a mutant alive, so the mutant half fails; the crash
+     table must still be printed after it, and the exit code reflects
+     the failed half *)
+  let code, out = run "faults --matrix 1" in
+  Alcotest.(check int) "a failed half => exit 1" 1 code;
+  check_contains "faults" out "campaign: FAILED";
+  check_contains "faults" out "split+reset              survived";
+  check_contains "faults" out "pipeline                 leaked";
+  check_contains "faults" out "crash matrix: OK"
+
 let test_faults_reproduction () =
   (* reproduce a known kill: parking the holder breaks the turn-lost
      mutex mutant (found by the campaign, pinned here) *)
@@ -226,6 +237,7 @@ let () =
           Alcotest.test_case "correct target" `Quick test_faults_correct_target;
           Alcotest.test_case "json report" `Quick test_faults_json;
           Alcotest.test_case "crash matrix json" `Quick test_faults_crash_matrix_json;
+          Alcotest.test_case "crash matrix table" `Quick test_faults_crash_matrix_table;
           Alcotest.test_case "reproduction violates" `Quick test_faults_reproduction;
           Alcotest.test_case "reproduction clean" `Quick test_faults_repro_clean;
           Alcotest.test_case "bad plan" `Quick test_faults_bad_plan;

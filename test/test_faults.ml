@@ -353,6 +353,83 @@ let test_modelcheck_crash_por_sound () =
   Alcotest.(check bool) "reduction pruned" true
     (reduced.outcome.paths <= plain.outcome.paths)
 
+(* ----- deterministic post-reclamation re-acquisition ----- *)
+
+(* Split for two, round-robin schedule.  The victim is granted a name
+   and crashes on the spot; a reclaimer resets the corpse's footprint
+   on its behalf, as the crash matrix's [+reset] twins and the name
+   server do.  The survivor waits for the reclaim, then cycles twice
+   alone: with the footprint gone the grid is clean again, so it is
+   granted the corpse's name both times.  The event log must show
+   exactly grant(corpse) -> reclaim(corpse's name) -> grants(survivor). *)
+let test_sim_reacquire_after_reclaim () =
+  let layout = Layout.create () in
+  let sp = Split.create layout ~k:2 in
+  let reset = Option.get Split.reset_footprint in
+  let work = Layout.alloc layout ~name:"work" 0 in
+  let ctrl = F.controller (plan "crash@p0:acquire") in
+  let victim_pid = 1 and survivor_pid = 2 in
+  let log = ref [] in
+  let push e = log := e :: !log in
+  let corpse = ref None in
+  let reclaimed = ref false in
+  (* one shared access per iteration, so the spinner always yields;
+     bounded, so a lost crash or reclaim fails the checks below
+     instead of hanging *)
+  let await (ops : Store.ops) cond =
+    let budget = ref 10_000 in
+    while (not (cond ())) && !budget > 0 do
+      decr budget;
+      ignore (ops.read work)
+    done
+  in
+  let cycle (ops : Store.ops) =
+    let lease = Split.get_name sp ops in
+    let n = Split.name_of sp lease in
+    push (`Grant (ops.pid, n));
+    if ops.pid = victim_pid then corpse := Some lease;
+    Sim.Sched.emit (Sim.Event.Acquired n);
+    ignore (ops.read work);
+    Sim.Sched.emit (Sim.Event.Released n);
+    Split.release_name sp ops lease
+  in
+  let survivor ops =
+    await ops (fun () -> !reclaimed);
+    cycle ops;
+    cycle ops
+  in
+  let reclaimer (ops : Store.ops) =
+    await ops (fun () -> F.crashed ctrl <> []);
+    match !corpse with
+    | None -> ()
+    | Some lease ->
+        let n = Split.name_of sp lease in
+        push (`Reclaim n);
+        Sim.Sched.emit (Sim.Event.Note ("reclaimed", n));
+        reset sp { ops with pid = victim_pid } lease;
+        reclaimed := true
+  in
+  let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
+  let t =
+    Sim.Sched.create
+      ~monitor:(Sim.Checks.combine [ Sim.Checks.uniqueness_monitor u; F.monitor ctrl ])
+      layout
+      [| (victim_pid, cycle); (survivor_pid, survivor); (3, reclaimer) |]
+  in
+  let outcome = F.run ~max_steps:100_000 ctrl t Sim.Sched.round_robin in
+  Sim.Sched.abort t;
+  Alcotest.(check bool) "not truncated" false outcome.truncated;
+  Alcotest.(check (list int)) "victim crashed" [ 0 ] (F.crashed ctrl);
+  Alcotest.(check bool) "survivor finished" true outcome.completed.(1);
+  Alcotest.(check bool) "reclaimer finished" true outcome.completed.(2);
+  Alcotest.(check (list (pair int int))) "nothing held at the end" [] (Sim.Checks.held_now u);
+  match List.rev !log with
+  | `Grant (p, n0) :: rest ->
+      Alcotest.(check int) "victim granted first" victim_pid p;
+      Alcotest.(check bool) "log after the corpse's grant" true
+        (rest = [ `Reclaim n0; `Grant (survivor_pid, n0); `Grant (survivor_pid, n0) ])
+  | _ -> Alcotest.fail "the victim was never granted"
+
 let () =
   Alcotest.run "faults"
     [
@@ -383,5 +460,10 @@ let () =
           Alcotest.test_case "crash at every access point" `Slow
             test_modelcheck_crash_every_access;
           Alcotest.test_case "crash keeps POR sound" `Slow test_modelcheck_crash_por_sound;
+        ] );
+      ( "sim",
+        [
+          Alcotest.test_case "re-acquire after reclaim" `Quick
+            test_sim_reacquire_after_reclaim;
         ] );
     ]
