@@ -510,11 +510,13 @@ let run_trace_bench ~smoke ~rebaseline () =
 let server_baseline_path = "bench/server_baseline.json"
 
 (* Ping the same cells from [n] domains: adjacent boxed atomics share
-   cache lines, Pad-spaced ones do not.  The delta is the satellite
-   false-sharing fix made visible — honestly near-zero on a 1-core
-   container (domains timeslice; lines never ping-pong), real on
-   multicore hardware. *)
+   cache lines, Pad cells do not.  The cells are promoted first, so the
+   probe measures the major-heap layout a long-running server works in
+   rather than the minor heap they were allocated in.  The delta needs
+   domains on separate cores to show: with one core they timeslice and
+   no line ever moves between caches. *)
 let hammer_ns ~iters cells =
+  Gc.full_major ();
   let n = Array.length cells in
   let t0 = Unix.gettimeofday () in
   let ds =

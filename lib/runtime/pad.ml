@@ -1,26 +1,25 @@
-(* A 64-byte line is 8 words on 64-bit; an Atomic.t box is 2 words
-   (header + value), so 8 spacer words guarantee two consecutive boxes
-   can never share a line, wherever the GC moves the pair. *)
+(* Each cell is one block of [2 * line_words] words, header included,
+   whose field 0 is the atomic's value and whose other fields are never
+   read.  The spacing lives inside the block, so it moves with it: a
+   minor-heap evacuation copies all 16 words into the major pool of
+   16-word blocks, and compaction never shrinks a block.  Two cells'
+   value words are therefore always at least 128 bytes apart, so they
+   can never share a 64-byte line — wherever the line boundaries fall
+   within the blocks.  This is multicore-magic's [copy_as_padded]
+   construction for OCaml < 5.2, specialised to int cells. *)
 let line_words = 8
 
-type t = {
-  cells : int Atomic.t array;
-  spacers : int array array;
-      (* one spacer block allocated right after each cell; reachable
-         from here so compaction keeps the interleaving *)
-}
+type t = int Atomic.t array
+
+let padded v : int Atomic.t =
+  let b = Obj.new_block 0 ((2 * line_words) - 1) in
+  Obj.set_field b 0 (Obj.repr (v : int));
+  Obj.obj b
 
 let create n v =
   if n < 0 then invalid_arg "Pad.create: negative length";
-  let spacers = Array.make n [||] in
-  let cells =
-    Array.init n (fun i ->
-        let c = Atomic.make v in
-        spacers.(i) <- Array.make line_words 0;
-        c)
-  in
-  { cells; spacers }
+  Array.init n (fun _ -> padded v)
 
-let cells t = t.cells
-let get t i = Atomic.get t.cells.(i)
-let length t = Array.length t.cells
+let cells t = t
+let get t i = Atomic.get t.(i)
+let length = Array.length

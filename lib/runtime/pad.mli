@@ -1,35 +1,40 @@
 (** Cache-line discipline for hot atomic arrays.
 
-    [Atomic.make] allocates a two-word boxed cell; an
-    [Array.init n (fun _ -> Atomic.make 0)] therefore packs up to four
-    unrelated counters into one 64-byte cache line, and contended
-    updates to {e different} names ping-pong the same line between
-    cores (false sharing).  OCaml 5.1 has no [Atomic.make_contended]
-    yet, so this module spaces the boxes the portable way: a spacer
-    block is allocated between consecutive cells {e and kept
-    reachable}, so neither minor-heap evacuation nor major-heap
-    compaction can re-pack the cells onto a shared line.
+    [Atomic.make] allocates a two-word block (header + value).  An
+    [Array.init n (fun _ -> Atomic.make 0)] therefore packs cells
+    next to each other: on OCaml 5 the major heap keeps blocks of one
+    size in segregated pools, so once promoted the cells sit 16 bytes
+    apart, several to a 64-byte line, and contended updates to
+    {e different} cells ping-pong the same line between cores (false
+    sharing).  Spacer blocks allocated between the cells do not help:
+    they keep the cells apart only in the minor heap, and promotion
+    sends cells and spacers to different pools.
 
-    The spacers cost [line_words] extra words per cell — use this for
-    small, hot arrays (per-name holder counters, per-worker cycle
-    counters), not for O(S) bookkeeping tables. *)
+    OCaml 5.1 has no [Atomic.make_contended], so this module pads the
+    cells themselves: each cell is one block of [2 * line_words] words
+    whose field 0 is the atomic's value.  The padding is part of the
+    block, so minor-heap promotion copies it and compaction keeps it;
+    two cells' values are always at least [2 * line_words] words
+    apart.
+
+    Each cell costs [2 * line_words] words instead of two — use this
+    for small, hot arrays (per-shard and per-client counters, per-slot
+    fences, per-name holder counters), not for O(S) tables. *)
 
 type t
-(** A padded array of [int Atomic.t] cells.  The value owns the spacer
-    blocks; keep it alive as long as the cells are in use. *)
+(** A padded array of [int Atomic.t] cells. *)
 
 val create : int -> int -> t
-(** [create n v] — [n] cells initialised to [v], each on its own cache
-    line (best effort; see above).
+(** [create n v] — [n] cells initialised to [v], no two on one cache
+    line.
     @raise Invalid_argument when [n < 0]. *)
 
 val cells : t -> int Atomic.t array
 (** The cells themselves, for hot-loop indexing.  Element [i] is the
-    same cell every call. *)
+    same cell every call; every [Atomic] operation works on it. *)
 
 val get : t -> int -> int
 val length : t -> int
 
 val line_words : int
-(** Words of spacing allocated between consecutive cells (one 64-byte
-    line on 64-bit). *)
+(** Words in one 64-byte cache line on 64-bit; each cell spans two. *)

@@ -76,6 +76,21 @@ let seat_mask = (1 lsl seat_bits) - 1
 let seat_pack ~epoch ~holder = (epoch lsl seat_bits) lor (holder + 1)
 let seat_holder s = (s land seat_mask) - 1
 
+(* A HELD or WARM fence also names the lease's owner and the owner's
+   epoch when it took the lease (granted it, or cached it warm):
+   (epoch lsl lease_shift) lor (owner lsl 3) lor state.  A token is
+   held exactly when its fence is HELD under the caller's id, which is
+   one read of the slot's own line.  A reclaimer CASes from the exact
+   value it read, so it can neither catch a slot re-granted to another
+   client nor a lease its victim took after re-syncing to the epoch
+   that declared it dead — no claimed slot ever has to be handed
+   back. *)
+let lease_shift = 3 + seat_bits
+let leased state ~owner ~epoch = (epoch lsl lease_shift) lor (owner lsl 3) lor state
+let fence_state f = f land 7
+let fence_owner f = (f lsr 3) land seat_mask
+let fence_epoch f = f lsr lease_shift
+
 let failover_salt = 0x5DEECE66D
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
@@ -96,6 +111,8 @@ type client = {
          the per-group store counters, from one store per access *)
   warm_src : int array;
   warm_slot : int array;
+      (* both padded to two lines, so no other client's cache shares
+         a line with this one's hot prefix *)
   mutable warm_n : int;  (* entries live at [0, warm_n), oldest first *)
   mutable my_epoch : int;  (* last epoch this client resynced to *)
   mutable tend_count : int;
@@ -115,6 +132,11 @@ type client = {
   mutable failovers : int;
 }
 
+type outcome =
+  | Granted of { name : int; token : int; warm : bool; accesses : int }
+  | Busy
+  | Shed
+
 type t = {
   cfg : config;
   shard_tbl : shard array;
@@ -127,10 +149,19 @@ type t = {
   slot_shard : int array;
   slot_name : int array;  (* global: shard base + local name *)
   slot_owner : int array;
-  slot_held : bool array;  (* granted and not yet released *)
   slot_lease : Any.lease option array;
-  slot_next : int array;  (* freelist / pending link, -1 terminated *)
+  slot_warm : outcome array;
+      (* the slot's warm grant, built once at cold grant: a warm hit
+         returns it as is and allocates nothing *)
+  free_next : int array;  (* freelist link, -1 terminated *)
+  pend_next : int array;
+      (* pending-list link, -1 terminated.  Apart from [free_next]
+         because a push can land late: a releaser descheduled between
+         its fence CAS into PENDING and the push may find the slot
+         healed by [do_scan] and already back on the freelist, and its
+         link write must not cut the freelist. *)
   fence : int Atomic.t array;
+      (* padded: a client's fence CASes never touch another slot's line *)
   free : int Atomic.t;
   (* liveness + reclamation *)
   hb : Pad.t;  (* per client: heartbeat, bumped by [tend] *)
@@ -171,11 +202,6 @@ type t = {
   flight : Obs.Flight.t option;
 }
 
-type outcome =
-  | Granted of { name : int; token : int; warm : bool; accesses : int }
-  | Busy
-  | Shed
-
 (* Seed-fixed source-to-shard route: a pure function of (src, shards),
    so it is stable across calls, clients and server instances. *)
 let route src shards =
@@ -196,7 +222,7 @@ let health_code = function
 
 let rec free_push t i =
   let h = Atomic.get t.free in
-  t.slot_next.(i) <- (h land idx_mask) - 1;
+  t.free_next.(i) <- (h land idx_mask) - 1;
   let h' = (((h lsr idx_bits) + 1) lsl idx_bits) lor (i + 1) in
   if not (Atomic.compare_and_set t.free h h') then free_push t i
 
@@ -206,7 +232,7 @@ let rec free_pop t =
   if v = 0 then -1
   else begin
     let i = v - 1 in
-    let n = t.slot_next.(i) in
+    let n = t.free_next.(i) in
     let h' = (((h lsr idx_bits) + 1) lsl idx_bits) lor (n + 1) in
     if Atomic.compare_and_set t.free h h' then i else free_pop t
   end
@@ -221,7 +247,7 @@ let rec free_pop t =
 let rec pending_push_link t sh i =
   let head = (Pad.cells t.pending).(sh) in
   let h = Atomic.get head in
-  t.slot_next.(i) <- h - 1;
+  t.pend_next.(i) <- h - 1;
   if not (Atomic.compare_and_set head h (i + 1)) then pending_push_link t sh i
 
 let pending_push t sh i =
@@ -284,10 +310,15 @@ let bump_max a v =
    its behalf, so a later release of one is silently fenced rather
    than double-retired. *)
 
+(* Every entry of [c]'s warm cache carries this fence: entries are
+   cached under the current epoch, and a re-sync drops them all. *)
+let warm_fence (c : client) = leased fence_warm ~owner:c.id ~epoch:c.my_epoch
+
 let resync t (c : client) e =
+  let w = warm_fence c in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
+    if Atomic.compare_and_set t.fence.(slot) w fence_pending then
       pending_push t t.slot_shard.(slot) slot
   done;
   c.warm_n <- 0;
@@ -316,7 +347,6 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
   let owner = t.slot_owner.(slot) in
   let lease = match t.slot_lease.(slot) with Some l -> l | None -> assert false in
   t.slot_lease.(slot) <- None;
-  t.slot_held.(slot) <- false;
   Agg.released t.agg ~name:t.slot_name.(slot);
   (* Run the protocol release under the original source name.  The
      holder has retired (or been fenced off by its epoch), so no step
@@ -344,13 +374,13 @@ let cursor_pack sh slot = ((sh + 1) lsl idx_bits) lor (slot + 1)
    names a link whose retirement has not completed, so a seat adopting
    a dead walker's cursor re-walks the suffix and the fences make the
    overlap exactly-once.  The walk is bounded by the slab size: a
-   stale link (the chain raced a concurrent retirer and now points
-   into the freelist) can wander but not loop us forever, and a stale
+   stale link (the chain raced a concurrent retirer and now points at
+   a recycled slot) can wander but not loop us forever, and a stale
    link that happens to reach some other chain's PENDING slot just
    retires it early — correctly, since retirement reads the slot's own
    shard. *)
 let drain_walk ?(hook = true) t (c : client) head =
-  let cap = Array.length t.slot_next in
+  let cap = Array.length t.fence in
   let cur = (Pad.cells t.cursor).(c.id) in
   let n = ref 0 in
   let i = ref head in
@@ -360,7 +390,7 @@ let drain_walk ?(hook = true) t (c : client) head =
     let slot = !i in
     Atomic.set cur (cursor_pack t.slot_shard.(slot) slot);
     (if hook then match c.chaos with Some f -> f "drain" | None -> ());
-    let next = t.slot_next.(slot) in
+    let next = t.pend_next.(slot) in
     if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then begin
       retire_slot t c slot ~was_pending:true ~reset:false;
       incr n
@@ -406,11 +436,12 @@ let try_admit t sh =
 (* Flush this client's own warm leases that live on shard [sh] —
    reclaiming admission capacity it is hoarding before giving up. *)
 let flush_warm_shard t c sh =
+  let wf = warm_fence c in
   let w = ref 0 in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
     if t.slot_shard.(slot) = sh then begin
-      if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
+      if Atomic.compare_and_set t.fence.(slot) wf fence_pending then
         pending_push t sh slot
       else begin
         (* reclaimed from the cache behind our back — already retired *)
@@ -466,9 +497,8 @@ let slot_take t c sh =
 
 (* ----- warm cache (client-local; shared state only in the fences) ----- *)
 
-let warm_find c src =
-  let rec go r = if r >= c.warm_n then -1 else if c.warm_src.(r) = src then r else go (r + 1) in
-  go 0
+let rec warm_find c src r =
+  if r >= c.warm_n then -1 else if c.warm_src.(r) = src then r else warm_find c src (r + 1)
 
 let warm_remove c r =
   for i = r to c.warm_n - 2 do
@@ -518,11 +548,11 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   t.slot_shard.(slot) <- sh;
   t.slot_name.(slot) <- name;
   t.slot_owner.(slot) <- c.id;
-  t.slot_held.(slot) <- true;
   t.slot_lease.(slot) <- Some lease;
+  t.slot_warm.(slot) <- Granted { name; token = slot; warm = true; accesses = 0 };
   (* publish last: the slot only becomes visible to retirers once its
      fields are in place *)
-  Atomic.set t.fence.(slot) fence_held;
+  Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
   ignore (Agg.acquired t.agg ~worker:c.id ~name : int * int);
   c.acquires <- c.acquires + 1;
   obs_inc c "server.acquired";
@@ -573,7 +603,7 @@ let acquire t c ~src =
   if src < 0 || src >= t.cfg.source_space then
     invalid_arg "Server.acquire: source name out of range";
   ignore (check_epoch t c : bool);
-  let r = warm_find c src in
+  let r = warm_find c src 0 in
   if r >= 0 then begin
     (* Warm hit: the name was never returned to the protocol, so
        re-granting it to the claim holder is uniqueness-trivial — and
@@ -581,8 +611,10 @@ let acquire t c ~src =
        slab-local bookkeeping, invisible to the access tally). *)
     let slot = c.warm_slot.(r) in
     warm_remove c r;
-    if Atomic.compare_and_set t.fence.(slot) fence_warm fence_held then begin
-      t.slot_held.(slot) <- true;
+    if
+      Atomic.compare_and_set t.fence.(slot) (warm_fence c)
+        (leased fence_held ~owner:c.id ~epoch:c.my_epoch)
+    then begin
       c.acquires <- c.acquires + 1;
       c.warm_hits <- c.warm_hits + 1;
       obs_inc c "server.acquired";
@@ -590,7 +622,7 @@ let acquire t c ~src =
       obs_observe c "server.acquire.accesses.warm" 0;
       (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
       mark c "warm" t.slot_name.(slot);
-      Granted { name = t.slot_name.(slot); token = slot; warm = true; accesses = 0 }
+      t.slot_warm.(slot)
     end
     else begin
       (* the lease was reclaimed out of our cache — fall to cold *)
@@ -601,82 +633,86 @@ let acquire t c ~src =
   end
   else acquire_cold t c ~src
 
+(* The fence value of [c]'s hold on [slot], or [-1] when [c] does not
+   hold it. *)
+let held_fence t (c : client) slot =
+  let f = Atomic.get t.fence.(slot) in
+  if fence_state f = fence_held && fence_owner f = c.id then f else -1
+
 let release t c ~token =
-  let cap = Array.length t.slot_next in
+  let cap = Array.length t.fence in
   if token < 0 || token >= cap then
     invalid_arg "Server.release: not a token this client holds";
   (* the Release dwell covers the fence transition and warm-cache
-     bookkeeping only; time spent in [pending_release]/[drain_shard]
-     is stamped by those (Pending/Drain), so the stages partition *)
+     bookkeeping only; it closes before any [pending_release], whose
+     Pending/Drain stamps take over, so the stages partition *)
   let jt0 = jtrack c in
-  let jend = ref 0 in
-  let jdone = ref false in
-  let jrel () =
-    if not !jdone then begin
-      jdone := true;
-      jend := jblame_t c Obs.Journey.Release jt0
-    end
-  in
   if check_epoch t c then begin
     (* Declared dead while holding: if the reclaimer got to the slot
        first it is already retired (the fence CAS below fails); if it
        didn't, retire it through pending ourselves.  Either way the
        caller's token dies silently — it was fenced, not mis-used. *)
-    if t.slot_owner.(token) = c.id && t.slot_held.(token) then begin
-      t.slot_held.(token) <- false;
-      if Atomic.compare_and_set t.fence.(token) fence_held fence_pending then begin
-        jrel ();
-        pending_release ~t0:!jend t c t.slot_shard.(token) token
-      end
-    end;
-    jrel ()
+    let f = held_fence t c token in
+    if f >= 0 && Atomic.compare_and_set t.fence.(token) f fence_pending then
+      pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c
+        t.slot_shard.(token) token
+    else jblame c Obs.Journey.Release jt0
   end
-  else if t.slot_owner.(token) <> c.id || not t.slot_held.(token) then
-    invalid_arg "Server.release: not a token this client holds"
-  else begin
-    t.slot_held.(token) <- false;
-    if Atomic.compare_and_set t.fence.(token) fence_held fence_warm then begin
+  else
+    let f = held_fence t c token in
+    if f < 0 then begin
+      (* declared dead since the check above, and already reclaimed:
+         fenced like the branch above, not a misuse *)
+      if not (check_epoch t c) then
+        invalid_arg "Server.release: not a token this client holds";
+      jblame c Obs.Journey.Release jt0
+    end
+    else if Atomic.compare_and_set t.fence.(token) f (warm_fence c) then begin
       if t.cfg.warm_capacity > 0 then begin
-        if c.warm_n = t.cfg.warm_capacity then begin
+        let evicted =
+          c.warm_n = t.cfg.warm_capacity
+          &&
           let old = c.warm_slot.(0) in
-          let osh = t.slot_shard.(old) in
           warm_remove c 0;
-          if Atomic.compare_and_set t.fence.(old) fence_warm fence_pending then begin
-            jrel ();
-            pending_release ~t0:!jend t c osh old
+          if Atomic.compare_and_set t.fence.(old) (warm_fence c) fence_pending then begin
+            pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c
+              t.slot_shard.(old) old;
+            true
           end
           else begin
             c.fenced <- c.fenced + 1;
-            obs_inc c "server.fenced"
+            obs_inc c "server.fenced";
+            false
           end
-        end;
+        in
         c.warm_src.(c.warm_n) <- t.slot_src.(token);
         c.warm_slot.(c.warm_n) <- token;
-        c.warm_n <- c.warm_n + 1
+        c.warm_n <- c.warm_n + 1;
+        if not evicted then jblame c Obs.Journey.Release jt0
       end
-      else if Atomic.compare_and_set t.fence.(token) fence_warm fence_pending then begin
-        jrel ();
-        pending_release ~t0:!jend t c t.slot_shard.(token) token
-      end
+      else if Atomic.compare_and_set t.fence.(token) (warm_fence c) fence_pending then
+        pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c
+          t.slot_shard.(token) token
       else begin
         c.fenced <- c.fenced + 1;
-        obs_inc c "server.fenced"
+        obs_inc c "server.fenced";
+        jblame c Obs.Journey.Release jt0
       end
     end
     else begin
       (* reclaimed between grant and release (we were falsely expired
          and re-synced meanwhile) — the lease is already retired *)
       c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced"
-    end;
-    jrel ()
-  end
+      obs_inc c "server.fenced";
+      jblame c Obs.Journey.Release jt0
+    end
 
 let flush t c =
   ignore (check_epoch t c : bool);
+  let w = warm_fence c in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
+    if Atomic.compare_and_set t.fence.(slot) w fence_pending then
       pending_push t t.slot_shard.(slot) slot
     else begin
       c.fenced <- c.fenced + 1;
@@ -717,7 +753,7 @@ let adopt_cursor t (c : client) j =
   if v <> 0 then begin
     let slot = (v land idx_mask) - 1 in
     Atomic.set cur 0;
-    if slot >= 0 && slot < Array.length t.slot_next then begin
+    if slot >= 0 && slot < Array.length t.fence then begin
       Atomic.incr t.rs_adopted;
       obs_inc c "server.adopted_drains";
       let t0 = jtrack c in
@@ -727,7 +763,7 @@ let adopt_cursor t (c : client) j =
   end
 
 let reclaim_client t (c : client) j =
-  Atomic.incr (Pad.cells t.epoch).(j);
+  let e = 1 + Atomic.fetch_and_add (Pad.cells t.epoch).(j) 1 in
   (* Double-check liveness after the epoch bump: if j's heartbeat
      moved, it is alive — the bump only costs it one re-sync. *)
   if Pad.get t.hb j <> t.last_hb.(j) then ()
@@ -737,26 +773,24 @@ let reclaim_client t (c : client) j =
     obs_inc c "server.deaths";
     (* finish the walk the corpse may have died inside *)
     adopt_cursor t c j;
-    (* reclaim its held and warm leases *)
-    let cap = Array.length t.slot_next in
+    (* reclaim the held and warm leases it took before epoch [e] *)
+    let cap = Array.length t.fence in
     for slot = 0 to cap - 1 do
       let f = Atomic.get t.fence.(slot) in
-      if (f = fence_held || f = fence_warm) && t.slot_owner.(slot) = j then begin
-        if Atomic.compare_and_set t.fence.(slot) f fence_retiring then begin
-          if t.slot_owner.(slot) <> j then
-            (* the slot was retired and re-granted between our owner
-               read and the CAS — hand it back untouched *)
-            Atomic.set t.fence.(slot) f
-          else begin
-            let ssh = t.slot_shard.(slot) in
-            retire_slot t c slot ~was_pending:false ~reset:true;
-            ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
-            Atomic.incr t.rs_reclaimed;
-            bump_max t.rs_reclaim_max t.stale.(j);
-            obs_inc c "server.reclaimed";
-            mark c "reclaim" slot
-          end
-        end
+      let st = fence_state f in
+      if
+        (st = fence_held || st = fence_warm)
+        && fence_owner f = j
+        && fence_epoch f < e
+        && Atomic.compare_and_set t.fence.(slot) f fence_retiring
+      then begin
+        let ssh = t.slot_shard.(slot) in
+        retire_slot t c slot ~was_pending:false ~reset:true;
+        ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
+        Atomic.incr t.rs_reclaimed;
+        bump_max t.rs_reclaim_max t.stale.(j);
+        obs_inc c "server.reclaimed";
+        mark c "reclaim" slot
       end
     done;
     (* sweep claims with no backing slot: a death inside an admission
@@ -813,7 +847,7 @@ let do_scan t (c : client) ~seat =
      no list head.  Any slot stuck at PENDING for a full TTL is
      retired directly — for a live, merely idle pending slot that is
      just an early drain. *)
-  let cap = Array.length t.slot_next in
+  let cap = Array.length t.fence in
   for slot = 0 to cap - 1 do
     if Atomic.get t.fence.(slot) = fence_pending then begin
       t.pending_seen.(slot) <- t.pending_seen.(slot) + 1;
@@ -1029,7 +1063,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         sd)
   in
   let stores = Array.map (function Some s -> s | None -> assert false) stores in
-  let slot_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
+  let free_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
   let agg =
     Agg.create ~entry:"Server" ~name_space:!base ~workers:cfg.clients ~parked
   in
@@ -1073,8 +1107,8 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           jr = Option.map (fun a -> a.(id)) journeys;
           ops;
           tally;
-          warm_src = Array.make (max 1 cfg.warm_capacity) (-1);
-          warm_slot = Array.make (max 1 cfg.warm_capacity) (-1);
+          warm_src = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
+          warm_slot = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
           warm_n = 0;
           my_epoch = 0;
           tend_count = 0;
@@ -1104,10 +1138,11 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     slot_shard = Array.make cap (-1);
     slot_name = Array.make cap (-1);
     slot_owner = Array.make cap (-1);
-    slot_held = Array.make cap false;
     slot_lease = Array.make cap None;
-    slot_next;
-    fence = Array.init cap (fun _ -> Atomic.make fence_free);
+    slot_warm = Array.make cap Busy;
+    free_next;
+    pend_next = Array.make cap (-1);
+    fence = Pad.cells (Pad.create cap fence_free);
     free = Atomic.make 1 (* slot 0, tag 0 *);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;

@@ -16,6 +16,40 @@ let test_atomic_store () =
   ops.write a 7;
   Alcotest.(check int) "written" 7 (Runtime.Atomic_store.get store a)
 
+(* Padded cells must stay a cache line apart once promoted: the major
+   heap segregates blocks by size, so padding that is not part of the
+   cell's own block does not survive [Gc.full_major].  Major-heap
+   blocks do not move without [Gc.compact], so the addresses read
+   after the collection are stable. *)
+let test_pad_survives_promotion () =
+  let pad = Runtime.Pad.create 4 0 in
+  Gc.full_major ();
+  let cells = Runtime.Pad.cells pad in
+  (* a block pointer read as an int is its byte address halved *)
+  let addr c = 2 * (Obj.magic (c : int Atomic.t) : int) in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          if i < j then
+            Alcotest.(check bool)
+              (Printf.sprintf "cells %d and %d a line apart" i j)
+              true
+              (abs (addr a - addr b) >= 64))
+        cells)
+    cells;
+  Alcotest.(check int) "length" 4 (Runtime.Pad.length pad);
+  let c = cells.(1) in
+  Atomic.set c 5;
+  Alcotest.(check int) "set/get" 5 (Atomic.get c);
+  Alcotest.(check bool) "cas hit" true (Atomic.compare_and_set c 5 6);
+  Alcotest.(check bool) "cas miss" false (Atomic.compare_and_set c 5 7);
+  Alcotest.(check int) "fetch_and_add returns old" 6 (Atomic.fetch_and_add c 10);
+  Alcotest.(check int) "exchange returns old" 16 (Atomic.exchange c 3);
+  Alcotest.(check int) "Pad.get sees the cell" 3 (Runtime.Pad.get pad 1);
+  Alcotest.(check (list int)) "neighbours untouched" [ 0; 0; 0 ]
+    (List.map (Runtime.Pad.get pad) [ 0; 2; 3 ])
+
 let test_split_domains () =
   let k = 4 in
   let layout = Layout.create () in
@@ -194,7 +228,12 @@ let test_run_per_name_breakdown () =
 let () =
   Alcotest.run "runtime"
     [
-      ("store", [ Alcotest.test_case "atomic store" `Quick test_atomic_store ]);
+      ( "store",
+        [
+          Alcotest.test_case "atomic store" `Quick test_atomic_store;
+          Alcotest.test_case "padding survives promotion" `Quick
+            test_pad_survives_promotion;
+        ] );
       ( "domains",
         [
           Alcotest.test_case "split across domains" `Slow test_split_domains;

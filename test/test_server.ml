@@ -106,6 +106,76 @@ let test_double_release_rejected () =
         (fun () -> Server.release t c ~token:g.token)
   | _ -> Alcotest.fail "not granted"
 
+(* A warm cycle allocates nothing: the grant is built once per slot at
+   cold grant, and release, tend and the warm-cache lookup are
+   allocation-free.  The budget of 0.01 words per cycle leaves room
+   only for the measurement itself. *)
+let test_warm_path_allocation_free () =
+  let t = Server.create (Server.default_config ~clients:1 ~source_space:64 ()) in
+  let c = Server.client t 0 in
+  List.iter
+    (fun src ->
+      match Server.acquire t c ~src with
+      | Server.Granted g -> Server.release t c ~token:g.token
+      | _ -> Alcotest.fail "priming acquire not granted")
+    [ 1; 2 ];
+  let cycles = 10_000 in
+  let warm = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to cycles - 1 do
+    Server.tend t c;
+    match Server.acquire t c ~src:(1 + (i land 1)) with
+    | Server.Granted g ->
+        if g.warm && g.accesses = 0 then incr warm;
+        Server.release t c ~token:g.token
+    | Server.Busy | Server.Shed -> ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every grant warm at 0 accesses" cycles !warm;
+  if words /. float_of_int cycles >= 0.01 then
+    Alcotest.failf "warm cycle allocates %.3f minor words" (words /. float_of_int cycles);
+  Server.flush t c;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t)
+
+(* Whether a token is held is read off the slot's owner and fence:
+   another client's token is rejected, and a reclaimed client's late
+   release is fenced, not rejected. *)
+let test_release_fencing () =
+  let config = cfg ~shards:2 ~k:4 ~warm:2 ~clients:2 ~s:64 () in
+  let t = Server.create config in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let token =
+    match Server.acquire t c1 ~src:5 with
+    | Server.Granted g -> g.token
+    | _ -> Alcotest.fail "c1 not granted"
+  in
+  Alcotest.check_raises "another client's token"
+    (Invalid_argument "Server.release: not a token this client holds")
+    (fun () -> Server.release t c0 ~token);
+  (* client 1 goes silent past the lease TTL and is reclaimed *)
+  let ttl = config.Server.resilience.Server.lease_ttl in
+  for _ = 1 to ttl + 2 do
+    Server.scan t c0
+  done;
+  let rs = Server.resilience_stats t in
+  Alcotest.(check int) "one death declared" 1 rs.Server.deaths;
+  Alcotest.(check int) "held lease reclaimed" 1 rs.Server.reclaimed;
+  Alcotest.(check int) "nothing outstanding" 0 (Server.outstanding t);
+  let fenced = (Server.client_stats c1).Server.fenced in
+  Server.release t c1 ~token;
+  Alcotest.(check int) "late release fenced" (fenced + 1)
+    (Server.client_stats c1).Server.fenced;
+  Alcotest.(check int) "fenced release retires nothing" 0 (Server.outstanding t);
+  (match Server.acquire t c1 ~src:5 with
+  | Server.Granted g ->
+      Alcotest.(check bool) "re-granted cold" false g.warm;
+      Server.release t c1 ~token:g.token
+  | _ -> Alcotest.fail "a reclaimed source must be grantable");
+  Server.flush t c1;
+  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
+  Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check int) "no leaks" 0 r.Agg.leaked
+
 (* --- warm-cache uniqueness with a concurrent stealer --- *)
 
 let test_warm_vs_stealer () =
@@ -351,6 +421,8 @@ let () =
           Alcotest.test_case "busy and shed" `Quick test_busy_and_shed;
           Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
+          Alcotest.test_case "warm path allocates nothing" `Quick
+            test_warm_path_allocation_free;
         ] );
       ( "concurrency",
         [
@@ -363,6 +435,7 @@ let () =
         [
           Alcotest.test_case "crashed client reclaimed" `Quick
             test_reclaim_crashed_client;
+          Alcotest.test_case "release fenced after reclaim" `Quick test_release_fencing;
           Alcotest.test_case "drain vs reclaim exactly-once" `Quick
             test_drain_reclaim_race;
           Alcotest.test_case "quarantine, failover, rebuild" `Quick
