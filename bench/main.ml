@@ -1,14 +1,16 @@
 (* Benchmark harness: regenerates every experiment in DESIGN.md §4
    (exact shared-access counts on the simulator) and then runs the
-   Bechamel wall-clock micro-benchmarks (B1–B5) on the sequential
-   store.
+   wall-clock micro-benchmarks (B1–B5) on the sequential store.  Every
+   timing reads Obs.Clock, and every per-op figure (B1–B5, obs, trace,
+   shootout) comes from one method, [measure]: ns and minor words per
+   op, best of N direct timed loops.
 
      dune exec bench/main.exe             -- everything
      dune exec bench/main.exe -- e4 e6    -- selected experiments
      dune exec bench/main.exe -- wall     -- wall-clock benches only
      dune exec bench/main.exe -- modelcheck -- model-checker throughput only
      dune exec bench/main.exe -- obs      -- lib/obs instrumentation overhead only
-     dune exec bench/main.exe -- obs --smoke -- same, with a short measurement quota
+     dune exec bench/main.exe -- obs --smoke -- same, with fewer, shorter loops
      dune exec bench/main.exe -- trace    -- flight-recorder overhead only
      dune exec bench/main.exe -- shootout -- cross-backend shootout only
      dune exec bench/main.exe -- --csv    -- also write results/<id>_<n>.csv
@@ -53,17 +55,50 @@ module Filter = Renaming.Filter
 module Ma = Renaming.Ma
 module Pipeline = Renaming.Pipeline
 
-(* ----- B1–B4: wall-clock get/release cycles (solo, sequential store) ----- *)
+(* ----- the one timing method ----- *)
+
+(* Per-op cost of one thunk: ns on Obs.Clock, and minor-heap words. *)
+type cost = { ns : float; words : float }
+
+(* Best of [reps] direct timed loops per thunk; words come from the
+   best rep.  Each rep times every thunk in turn, so the thunks being
+   compared share machine state (timed back to back, the first read
+   slow), and noise only ever adds time.  No GC stabilisation between
+   samples: with a live sampler domain a forced collection is a
+   stop-the-world stall that would land in the timing. *)
+let measure ~reps ~iters thunks =
+  Array.iter
+    (fun f ->
+      for _ = 1 to iters / 10 do
+        f ()
+      done)
+    thunks;
+  let best = Array.map (fun _ -> { ns = infinity; words = nan }) thunks in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i f ->
+        let w0 = Gc.minor_words () in
+        let t0 = Obs.Clock.now_ns () in
+        for _ = 1 to iters do
+          f ()
+        done;
+        let ns = float_of_int (Obs.Clock.now_ns () - t0) /. float_of_int iters in
+        let words = (Gc.minor_words () -. w0) /. float_of_int iters in
+        if ns < best.(i).ns then best.(i) <- { ns; words })
+      thunks
+  done;
+  best
+
+(* ----- B1–B5: get/release cycles (solo, sequential store) ----- *)
 
 let bench_split () =
   let layout = Layout.create () in
   let sp = Split.create layout ~k:8 in
   let mem = Store.seq_create layout in
   let ops = Store.seq_ops mem ~pid:123_456_789 in
-  Bechamel.Test.make ~name:"B1 split k=8 get+release"
-    (Bechamel.Staged.stage (fun () ->
-         let lease = Split.get_name sp ops in
-         Split.release_name sp ops lease))
+  fun () ->
+    let lease = Split.get_name sp ops in
+    Split.release_name sp ops lease
 
 let bench_filter () =
   let layout = Layout.create () in
@@ -73,73 +108,54 @@ let bench_filter () =
   in
   let mem = Store.seq_create layout in
   let ops = Store.seq_ops mem ~pid:17 in
-  Bechamel.Test.make ~name:"B2 filter k=4 S=512 get+release"
-    (Bechamel.Staged.stage (fun () ->
-         let lease = Filter.get_name f ops in
-         Filter.release_name f ops lease))
+  fun () ->
+    let lease = Filter.get_name f ops in
+    Filter.release_name f ops lease
 
 let bench_ma () =
   let layout = Layout.create () in
   let m = Ma.create layout ~k:4 ~s:1024 in
   let mem = Store.seq_create layout in
   let ops = Store.seq_ops mem ~pid:512 in
-  Bechamel.Test.make ~name:"B3 ma k=4 S=1024 get+release (O(kS))"
-    (Bechamel.Staged.stage (fun () ->
-         let lease = Ma.get_name m ops in
-         Ma.release_name m ops lease))
+  fun () ->
+    let lease = Ma.get_name m ops in
+    Ma.release_name m ops lease
 
 let bench_pipeline () =
   let layout = Layout.create () in
   let p = Pipeline.create layout ~k:4 ~s:1_000_000 ~participants:[| 271_828 |] in
   let mem = Store.seq_create layout in
   let ops = Store.seq_ops mem ~pid:271_828 in
-  Bechamel.Test.make ~name:"B4 pipeline k=4 S=1e6 get+release"
-    (Bechamel.Staged.stage (fun () ->
-         let lease = Pipeline.get_name p ops in
-         Pipeline.release_name p ops lease))
+  fun () ->
+    let lease = Pipeline.get_name p ops in
+    Pipeline.release_name p ops lease
 
 let bench_tas () =
   let layout = Layout.create () in
   let t = Renaming.Tas_baseline.create layout ~k:4 in
   let mem = Store.seq_create layout in
   let ops = Store.seq_ops mem ~pid:2 in
-  Bechamel.Test.make ~name:"B5 tas k=4 get+release (Test&Set)"
-    (Bechamel.Staged.stage (fun () ->
-         let lease = Renaming.Tas_baseline.get_name t ops in
-         Renaming.Tas_baseline.release_name t ops lease))
+  fun () ->
+    let lease = Renaming.Tas_baseline.get_name t ops in
+    Renaming.Tas_baseline.release_name t ops lease
 
 let run_wall_clock () =
-  print_endline "\n=== Wall-clock micro-benchmarks (Bechamel, sequential store) ===";
-  let tests =
-    Bechamel.Test.make_grouped ~name:"renaming"
-      [ bench_split (); bench_filter (); bench_ma (); bench_pipeline (); bench_tas () ]
+  print_endline "\n=== Wall-clock micro-benchmarks (best of 5, sequential store) ===";
+  let benches =
+    [
+      ("B1 split k=8 get+release", 200_000, bench_split ());
+      ("B2 filter k=4 S=512 get+release", 50_000, bench_filter ());
+      ("B3 ma k=4 S=1024 get+release (O(kS))", 20_000, bench_ma ());
+      ("B4 pipeline k=4 S=1e6 get+release", 200_000, bench_pipeline ());
+      ("B5 tas k=4 get+release (Test&Set)", 2_000_000, bench_tas ());
+    ]
   in
-  let cfg =
-    Bechamel.Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.5) ~kde:None ()
-  in
-  let raw =
-    Bechamel.Benchmark.all cfg [ Bechamel.Toolkit.Instance.monotonic_clock ] tests
-  in
-  let ols =
-    Bechamel.Analyze.ols ~r_square:true ~bootstrap:0
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  let results = Bechamel.Analyze.all ols Bechamel.Toolkit.Instance.monotonic_clock raw in
-  let tbl = Stats.table [ "benchmark"; "ns/cycle"; "r^2" ] in
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         let est =
-           match Bechamel.Analyze.OLS.estimates ols with
-           | Some (e :: _) -> Printf.sprintf "%.0f" e
-           | Some [] | None -> "n/a"
-         in
-         let r2 =
-           match Bechamel.Analyze.OLS.r_square ols with
-           | Some r -> Printf.sprintf "%.4f" r
-           | None -> "n/a"
-         in
-         Stats.add_row tbl [ name; est; r2 ]);
+  let tbl = Stats.table [ "benchmark"; "ns/cycle"; "words/cycle" ] in
+  List.iter
+    (fun (name, iters, thunk) ->
+      let c = (measure ~reps:5 ~iters [| thunk |]).(0) in
+      Stats.add_row tbl [ name; Printf.sprintf "%.0f" c.ns; Printf.sprintf "%.0f" c.words ])
+    benches;
   Stats.print tbl
 
 (* ----- model-checker throughput (sleep sets + state cache) ----- *)
@@ -238,45 +254,6 @@ let run_modelcheck_bench () =
 
 (* ----- lib/obs instrumentation overhead ----- *)
 
-(* ns/cycle for one staged thunk, measured like run_wall_clock. *)
-let measure_ns ~quota ~name thunk =
-  let test = Bechamel.Test.make ~name (Bechamel.Staged.stage thunk) in
-  let cfg = Bechamel.Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second quota) ~kde:None () in
-  let raw = Bechamel.Benchmark.all cfg [ Bechamel.Toolkit.Instance.monotonic_clock ] test in
-  let ols =
-    Bechamel.Analyze.ols ~r_square:false ~bootstrap:0
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  let results = Bechamel.Analyze.all ols Bechamel.Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun _ ols acc ->
-      match Bechamel.Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> acc)
-    results nan
-
-(* Direct timed loop, best of [reps].  The obs bench cannot use
-   Bechamel once the sampler domain is live: Bechamel's inter-sample
-   GC stabilization turns into a cross-domain stop-the-world
-   rendezvous with a sleeping domain on every sample, and that
-   millisecond-scale stall lands inside the measured quota — the
-   ratio would price Bechamel's GC discipline, not the probe path
-   (measured ~4x inflation on a 1-core host; a direct loop shows the
-   sampler itself costs ~0).  Scheduler noise only ever adds time, so
-   the minimum over reps is the robust reading. *)
-let measure_direct_ns ~reps ~iters thunk =
-  for _ = 1 to iters / 10 do
-    thunk ()
-  done;
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      thunk ()
-    done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
-    if ns < !best then best := ns
-  done;
-  !best
-
 (* The recorded overhead ratio this machine class is expected to stay
    within 2x of; regenerate with [bench obs --rebaseline]. *)
 let baseline_path = "bench/obs_baseline.json"
@@ -348,9 +325,6 @@ let run_obs_bench ~smoke ~rebaseline () =
     Split.release_name sp inst_ops lease;
     record "release" rel_h rel_c []
   in
-  let reps = if smoke then 1 else 3 in
-  let iters = if smoke then 50_000 else 500_000 in
-  let bare_ns = measure_direct_ns ~reps ~iters bare in
   (* Journey-recorder tax, priced the way the server pays it on a cold
      grant: start, one stage dwell, the access count, finish (the fold
      into reservoir + blame + exemplar-linked histogram).  A synthetic
@@ -372,11 +346,10 @@ let run_obs_bench ~smoke ~rebaseline () =
     jnow := !jnow + 16;
     Obs.Journey.finish jr ~now:!jnow
   in
-  let journey_ns = measure_direct_ns ~reps ~iters journeyed in
-  let journey_overhead = journey_ns /. bare_ns in
-  (* The ratio below is the cost of telemetry as deployed: the live
-     sampler domain polls the arena throughout the instrumented
-     measurement, exactly like the server's always-on sampler. *)
+  (* Telemetry as deployed: the live sampler domain polls the arena
+     throughout, exactly like the server's always-on sampler.  It runs
+     under all three thunks, since [measure] alternates them rep by
+     rep, so the ratios price the per-op probes. *)
   let sampler =
     Obs.Sampler.create ~window_ns:1_000_000
       ~shard:(Obs.Registry.shard registry)
@@ -384,19 +357,19 @@ let run_obs_bench ~smoke ~rebaseline () =
         { Obs.Sampler.name = "tally.total"; read = (fun () -> Store.tally_total tally) };
       ]
   in
-  let handle =
-    Obs.Sampler.start sampler
-      ~now_ns:(fun () -> int_of_float (Unix.gettimeofday () *. 1e9))
-      ~sleep:(fun () -> Unix.sleepf 0.001)
-  in
-  let inst_ns = measure_direct_ns ~reps ~iters instrumented in
+  let handle = Obs.Sampler.start sampler ~sleep:(fun () -> Unix.sleepf 0.001) in
+  let reps = if smoke then 3 else 5 in
+  let iters = if smoke then 20_000 else 300_000 in
+  let costs = measure ~reps ~iters [| bare; instrumented; journeyed |] in
   Obs.Sampler.stop handle;
   let ticks = Obs.Sampler.ticks sampler in
+  let bare_ns = costs.(0).ns and inst_ns = costs.(1).ns and journey_ns = costs.(2).ns in
+  let journey_overhead = journey_ns /. bare_ns in
   let overhead = inst_ns /. bare_ns in
-  Printf.printf "bare          : %8.1f ns/cycle\n" bare_ns;
-  Printf.printf "instrumented  : %8.1f ns/cycle\n" inst_ns;
-  Printf.printf "journeyed     : %8.1f ns/cycle (%.2fx, stamping only)\n" journey_ns
-    journey_overhead;
+  Printf.printf "bare          : %8.1f ns/cycle, %.0f words\n" bare_ns costs.(0).words;
+  Printf.printf "instrumented  : %8.1f ns/cycle, %.0f words\n" inst_ns costs.(1).words;
+  Printf.printf "journeyed     : %8.1f ns/cycle, %.0f words (%.2fx, stamping only)\n"
+    journey_ns costs.(2).words journey_overhead;
   Printf.printf "overhead      : %8.2fx\n" overhead;
   Printf.printf "sampler ticks : %8d\n" ticks;
   let json =
@@ -440,7 +413,6 @@ let trace_baseline_path = "bench/trace_baseline.json"
 let run_trace_bench ~smoke ~rebaseline () =
   Printf.printf "\n=== flight-recorder overhead (split k=8, sequential store)%s ===\n"
     (if smoke then " [smoke]" else "");
-  let quota = if smoke then 0.1 else 0.5 in
   let layout = Layout.create () in
   let sp = Split.create layout ~k:8 in
   let mem = Store.seq_create layout in
@@ -464,12 +436,15 @@ let run_trace_bench ~smoke ~rebaseline () =
     Obs.Flight.record ring ~clock:!clock ~pid
       (Obs.Flight.Released (Split.name_of sp lease))
   in
-  let bare_ns = measure_ns ~quota ~name:"bare" bare in
-  let traced_ns = measure_ns ~quota ~name:"traced" traced in
+  let reps = if smoke then 3 else 5 in
+  let iters = if smoke then 20_000 else 300_000 in
+  let costs = measure ~reps ~iters [| bare; traced |] in
+  let bare_ns = costs.(0).ns and traced_ns = costs.(1).ns in
   let overhead = traced_ns /. bare_ns in
-  Printf.printf "bare          : %8.1f ns/cycle\n" bare_ns;
+  Printf.printf "bare          : %8.1f ns/cycle, %.0f words\n" bare_ns costs.(0).words;
   (* per cycle: 7 splitters x (Enter + Exit + Release) + Acquired + Released *)
-  Printf.printf "traced        : %8.1f ns/cycle (23 ring record(s)/cycle)\n" traced_ns;
+  Printf.printf "traced        : %8.1f ns/cycle, %.0f words (23 ring record(s)/cycle)\n"
+    traced_ns costs.(1).words;
   Printf.printf "overhead      : %8.2fx\n" overhead;
   let json =
     Printf.sprintf
@@ -518,7 +493,7 @@ let server_baseline_path = "bench/server_baseline.json"
 let hammer_ns ~iters cells =
   Gc.full_major ();
   let n = Array.length cells in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let ds =
     Array.init n (fun i ->
         Domain.spawn (fun () ->
@@ -527,7 +502,7 @@ let hammer_ns ~iters cells =
             done))
   in
   Array.iter Domain.join ds;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (iters * n)
+  float_of_int (Obs.Clock.now_ns () - t0) /. float_of_int (iters * n)
 
 let run_server_bench ~smoke ~rebaseline () =
   Printf.printf "\n=== name server under churn (4 shards x k=4, 4 client domains)%s ===\n"
@@ -866,9 +841,11 @@ let run_backends_bench ~smoke () =
       let ops = Store.seq_ops mem ~pid:pids.(0) in
       let reps = if smoke then 1 else 3 in
       let iters = if smoke then 20_000 else 200_000 in
-      measure_direct_ns ~reps ~iters (fun () ->
-          let lease = A.get_name proto ops in
-          A.release_name proto ops lease)
+      let cycle () =
+        let lease = A.get_name proto ops in
+        A.release_name proto ops lease
+      in
+      (measure ~reps ~iters [| cycle |]).(0).ns
     in
     (* --- name server under Zipf churn: warm-hit rate --- *)
     let warm =

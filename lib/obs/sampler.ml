@@ -1,8 +1,8 @@
 (* A sampler turns cheap read-only probes ("how many slots are free
    right now?") into time series by polling them on a schedule.  The
-   clock and the pause are injected thunks so lib/obs stays Unix-free
-   and tests can drive a sampler with a fake clock, one deterministic
-   poll at a time.
+   background loop stamps polls with {!Clock}; the pause is an injected
+   thunk so lib/obs stays Unix-free.  Tests drive a sampler with a fake
+   clock through [poll], one deterministic poll at a time.
 
    Ownership: the polling loop (whether [poll] on the caller's domain
    or the domain spawned by [start]) is the single writer of every
@@ -51,17 +51,17 @@ let ticks t = t.ticks
 
 type handle = { sampler : t; stop_flag : bool Atomic.t; domain : unit Domain.t }
 
-let start t ~now_ns ~sleep =
+let start t ~sleep =
   let stop_flag = Atomic.make false in
   let domain =
     Domain.spawn (fun () ->
         (* poll-then-sleep, plus one final poll after the stop flag is
            seen: even a run shorter than one interval gets sampled *)
         while not (Atomic.get stop_flag) do
-          poll t ~now:(now_ns ());
+          poll t ~now:(Clock.now_ns ());
           sleep ()
         done;
-        poll t ~now:(now_ns ()))
+        poll t ~now:(Clock.now_ns ()))
   in
   { sampler = t; stop_flag; domain }
 

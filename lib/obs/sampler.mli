@@ -3,9 +3,10 @@
     Sources are [unit -> int] probes over someone else's state (e.g.
     {!Server.probe_shard} readouts) — the sampler only ever {e reads}
     through them, so attaching one to a hot structure adds zero shared
-    writes to that structure's fast paths.  The clock and pause are
-    injected thunks, keeping [lib/obs] free of [Unix] and letting
-    tests drive polls deterministically via {!poll}.
+    writes to that structure's fast paths.  The background loop
+    stamps its polls with {!Clock.now_ns}; the pause is an injected
+    thunk, keeping [lib/obs] free of [Unix].  Tests drive polls
+    deterministically, with a time of their choosing, via {!poll}.
 
     Single-writer discipline: whichever loop calls [poll] — the
     caller, or the domain spawned by {!start} — owns every series and
@@ -34,8 +35,8 @@ val ticks : t -> int
 
 type handle
 
-val start : t -> now_ns:(unit -> int) -> sleep:(unit -> unit) -> handle
-(** Spawn a domain that repeats [poll t ~now:(now_ns ()); sleep ()]
+val start : t -> sleep:(unit -> unit) -> handle
+(** Spawn a domain that repeats [poll t ~now:(Clock.now_ns ()); sleep ()]
     until {!stop}, then polls one final time (so even sub-interval
     runs get a sample).  The sampler must not be polled elsewhere
     while the handle is live. *)

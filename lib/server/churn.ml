@@ -86,7 +86,6 @@ type report = {
   journeys : Obs.Journey.t option;
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 let spin n = for _ = 1 to n do Domain.cpu_relax () done
 
 (* One client's private slice of the telemetry (single writer; merged
@@ -207,7 +206,7 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
          live window when the series is young. *)
       let p99_ns () =
         let wns = Obs.Timeseries.window_ns ru.r_latency in
-        let wid = now_ns () / wns in
+        let wid = Obs.Clock.now_ns () / wns in
         let p = Obs.Timeseries.percentile ru.r_latency ~wid:(wid - 1) 0.99 in
         if p > 0 then p else Obs.Timeseries.percentile ru.r_latency ~wid 0.99
       in
@@ -221,22 +220,22 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
       let closed =
         spec.requests = 0 || spec.arrival (max 0 (spec.requests - 1)) <= 0.
       in
-      let t0 = now_ns () in
+      let t0 = Obs.Clock.now_ns () in
       (try
          for r = 0 to spec.requests - 1 do
            if r >= crash_at then raise Crashed;
            Server.tend server c;
            let sched =
-             if closed then now_ns ()
+             if closed then Obs.Clock.now_ns ()
              else begin
                let sched = t0 + int_of_float (spec.arrival r *. 1e9) in
-               while now_ns () < sched do
+               while Obs.Clock.now_ns () < sched do
                  Domain.cpu_relax ()
                done;
                sched
              end
            in
-           let issue = if closed then sched else now_ns () in
+           let issue = if closed then sched else Obs.Clock.now_ns () in
            Obs.Timeseries.observe ru.r_attempts ~now:issue 1;
            counts.o_issued <- counts.o_issued + 1;
            (* one journey per request slot, id unique across clients;
@@ -254,7 +253,8 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
              | Some j when !last_fail <> 0 ->
                  (* time since the previous refusal is backoff wait *)
                  Obs.Journey.retry j;
-                 Obs.Journey.dwell j Obs.Journey.Backoff (now_ns () - !last_fail)
+                 Obs.Journey.dwell j Obs.Journey.Backoff
+                   (Obs.Clock.now_ns () - !last_fail)
              | _ -> ());
              (* heartbeat per attempt, not just per request: a retry
                 storm must not read as a dead client *)
@@ -262,12 +262,12 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
              match Server.acquire server c ~src:(spec.source r) with
              | Server.Granted g -> Ok (g.token, g.warm, g.accesses)
              | Server.Busy ->
-                 let n = now_ns () in
+                 let n = Obs.Clock.now_ns () in
                  last_fail := n;
                  Obs.Timeseries.observe ru.r_failed ~now:n 1;
                  Error `Busy
              | Server.Shed ->
-                 let n = now_ns () in
+                 let n = Obs.Clock.now_ns () in
                  last_fail := n;
                  Obs.Timeseries.observe ru.r_failed ~now:n 1;
                  Obs.Timeseries.observe ru.r_sheds ~now:n 1;
@@ -279,7 +279,7 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
                  match attempt () with Ok g -> Some g | Error _ -> None)
              | Some p -> (
                  match
-                   Policy.drive p ~client:id ~now_ns ~p99_ns ~attempt ()
+                   Policy.drive p ~client:id ~p99_ns ~attempt ()
                  with
                  | Policy.Granted { value; retries } ->
                      counts.o_retried <- counts.o_retried + retries;
@@ -292,7 +292,8 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
                      counts.o_retried <- counts.o_retried + retries;
                      if early then begin
                        counts.o_shed_early <- counts.o_shed_early + 1;
-                       Obs.Timeseries.observe ru.r_sheds ~now:(now_ns ()) 1
+                       Obs.Timeseries.observe ru.r_sheds
+                         ~now:(Obs.Clock.now_ns ()) 1
                      end
                      else counts.o_shed_policy <- counts.o_shed_policy + 1;
                      None)
@@ -300,7 +301,7 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
            (match granted with
            | None -> (
                match jr with
-               | Some j -> Obs.Journey.finish j ~now:(now_ns ())
+               | Some j -> Obs.Journey.finish j ~now:(Obs.Clock.now_ns ())
                | None -> ())
            | Some (token, was_warm, accesses) ->
                counts.o_granted <- counts.o_granted + 1;
@@ -309,7 +310,7 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
                | Some (request, spins) when r = request -> spin spins
                | _ -> ());
                Server.release server c ~token;
-               let fin = now_ns () in
+               let fin = Obs.Clock.now_ns () in
                let d_open = fin - sched and d_closed = fin - issue in
                Obs.Histogram.observe lat_open d_open;
                Obs.Histogram.observe lat_closed d_closed;
@@ -369,12 +370,12 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
   let handle =
     Option.map
       (fun s ->
-        Obs.Sampler.start s ~now_ns
+        Obs.Sampler.start s
           ~sleep:(fun () ->
             Unix.sleepf (float_of_int sampler_interval_ns /. 1e9)))
       sampler
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let domains =
     Array.init config.clients (fun id ->
         Domain.spawn (fun () ->
@@ -386,7 +387,7 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
   Array.iter Domain.join domains;
   let c0 = Server.client server 0 in
   Server.drain_all server c0;
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
   (* Settle: whatever crashed clients leaked is reclaimed here, by
      driving the seat directly from the (now single-threaded) epilogue
      — bounded by the campaign's promise of two lease TTLs' worth of

@@ -105,7 +105,7 @@ type report = {
   shed : int;
   drains : int;
   drained_releases : int;
-  elapsed_s : float;  (** Spawn to post-join drain, wall clock. *)
+  elapsed_s : float;  (** Spawn to post-join drain, on {!Obs.Clock}. *)
   throughput : float;  (** [cycles /. elapsed_s]. *)
   latency : Obs.Histogram.snap;
       (** Open-loop: nanoseconds from scheduled arrival (equals

@@ -49,20 +49,21 @@ let spin n =
    out needs the core we would otherwise be burning. *)
 let wait n = if n <= 512 then spin n else Unix.sleepf (float_of_int n *. 1e-8)
 
-let drive t ~client ~now_ns ?(p99_ns = fun () -> 0) ~attempt () =
+let drive t ~client ?(p99_ns = fun () -> 0) ~attempt () =
   (* Deadline-aware shedding: when the telemetry window's p99 already
      burns the whole deadline, the expected wait exceeds what we are
      prepared to pay — give up before spending a single attempt. *)
   if t.deadline_ns > 0 && p99_ns () >= t.deadline_ns then
     Shed { retries = 0; early = true }
   else begin
-    let start = if t.deadline_ns > 0 then now_ns () else 0 in
+    let start = if t.deadline_ns > 0 then Obs.Clock.now_ns () else 0 in
     let rec go n =
       match attempt () with
       | Ok v -> Granted { value = v; retries = n }
       | Error (`Busy | `Shed) ->
           if n >= t.retries then Shed { retries = n; early = false }
-          else if t.deadline_ns > 0 && now_ns () - start >= t.deadline_ns then
+          else if t.deadline_ns > 0 && Obs.Clock.now_ns () - start >= t.deadline_ns
+          then
             Deadline_exceeded { retries = n }
           else begin
             wait (backoff_spins t ~client ~attempt:n);

@@ -62,16 +62,15 @@ type 'a outcome =
 val drive :
   t ->
   client:int ->
-  now_ns:(unit -> int) ->
   ?p99_ns:(unit -> int) ->
   attempt:(unit -> ('a, [ `Busy | `Shed ]) result) ->
   unit ->
   'a outcome
 (** Run one request under the policy.  [attempt] is called up to
     [1 + retries] times; [`Busy]/[`Shed] refusals back off and retry.
-    [now_ns] is only consulted when a deadline is set; [p99_ns]
-    (default: constant 0, never sheds early) supplies the live
-    latency estimate for deadline-aware shedding. *)
+    The deadline is timed on {!Obs.Clock}, read only when one is set;
+    [p99_ns] (default: constant 0, never sheds early) supplies the
+    live latency estimate for deadline-aware shedding. *)
 
 val of_string : string -> (t, string) result
 (** Parse a policy spec: comma-separated [key=value] over keys

@@ -92,7 +92,6 @@ let fence_owner f = (f lsr 3) land seat_mask
 let fence_epoch f = f lsr lease_shift
 
 let failover_salt = 0x5DEECE66D
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 type shard = { inst : Any.t; base : int }
 
@@ -279,14 +278,14 @@ let mark c tag v =
    reading the clock again.  A chained stamp of [0] means journeys
    are off and the whole chain stays free. *)
 
-let jtrack c = match c.jr with Some _ -> now_ns () | None -> 0
+let jtrack c = match c.jr with Some _ -> Obs.Clock.now_ns () | None -> 0
 
 let jblame_t c stage t0 =
   if t0 = 0 then 0
   else
     match c.jr with
     | Some j ->
-        let n = now_ns () in
+        let n = Obs.Clock.now_ns () in
         (if Obs.Journey.active j then Obs.Journey.dwell j stage (n - t0)
          else Obs.Journey.interfere j stage ~now:n (n - t0));
         n
@@ -913,7 +912,7 @@ let tend t (c : client) =
     ignore (check_epoch t c : bool);
     let s = Atomic.get t.seat in
     if seat_holder s = c.id then begin
-      let now = now_ns () in
+      let now = Obs.Clock.now_ns () in
       if now - Atomic.get t.last_scan_ns >= rz.scan_interval_ns then begin
         Atomic.set t.last_scan_ns now;
         do_scan t c ~seat:s
@@ -922,14 +921,14 @@ let tend t (c : client) =
     else if s = 0 then begin
       let s' = seat_pack ~epoch:1 ~holder:c.id in
       if Atomic.compare_and_set t.seat 0 s' then begin
-        Atomic.set t.last_scan_ns (now_ns ());
+        Atomic.set t.last_scan_ns (Obs.Clock.now_ns ());
         do_scan t c ~seat:s'
       end
     end
     else begin
       (* watch the holder's scan heartbeat at scan cadence; steal the
          seat (epoch+1) after seat_ttl silent intervals *)
-      let now = now_ns () in
+      let now = Obs.Clock.now_ns () in
       if now - c.last_seat_check_ns >= rz.scan_interval_ns then begin
         c.last_seat_check_ns <- now;
         let hb = Atomic.get t.seat_hb in
@@ -945,7 +944,7 @@ let tend t (c : client) =
             if Atomic.compare_and_set t.seat s s' then begin
               Atomic.incr t.rs_seat_steals;
               obs_inc c "server.seat_steals";
-              Atomic.set t.last_scan_ns (now_ns ());
+              Atomic.set t.last_scan_ns (Obs.Clock.now_ns ());
               do_scan t c ~seat:s'
             end
           end
@@ -964,7 +963,7 @@ let rec seize_seat t (c : client) =
 
 let scan t (c : client) =
   let s = seize_seat t c in
-  Atomic.set t.last_scan_ns (now_ns ());
+  Atomic.set t.last_scan_ns (Obs.Clock.now_ns ());
   do_scan t c ~seat:s
 
 let set_chaos (c : client) f = c.chaos <- f

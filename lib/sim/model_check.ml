@@ -119,7 +119,7 @@ let check ?(options = default_options) ?faults builder =
     | _ -> options
   in
   let { por; cache_bound; max_steps; max_paths } = options in
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.now_ns () in
   (* fingerprint -> (sleep mask, remaining budget) of previous visits *)
   let cache : (int, (int * int) list) Hashtbl.t = Hashtbl.create 4096 in
   let states = ref 0
@@ -300,7 +300,7 @@ let check ?(options = default_options) ?faults builder =
           pruned_by_cache = !pruned_cache;
           max_depth = !max_depth;
           truncated_paths = !truncated;
-          elapsed_s = Sys.time () -. t0;
+          elapsed_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9;
         };
     }
   in

@@ -112,8 +112,9 @@ type stats = {
   max_depth : int;  (** Deepest path, in steps. *)
   truncated_paths : int;  (** Paths cut by [max_steps]. *)
   elapsed_s : float;
-      (** Processor time spent exploring ([Sys.time]; the search is
-          single-threaded and compute-bound, so ≈ wall-clock). *)
+      (** Elapsed time spent exploring, on {!Obs.Clock}.  The search
+          is single-threaded and compute-bound, so this is ≈ its
+          processor time. *)
 }
 
 type report = { outcome : result; stats : stats }

@@ -244,6 +244,39 @@ let test_merge_shape_mismatch () =
     (Invalid_argument "Journey.merge: window geometry differs") (fun () ->
       J.merge ~into:a b)
 
+(* ----- a cold journey always carries dwell ----- *)
+
+(* With warm caching off every grant is a cold acquire of a few hundred
+   ns, and the server stamps its stages with Obs.Clock.  A clock too
+   coarse to see those stages rounds whole journeys to zero dwell,
+   leaving a retained tail that no stage can be blamed for. *)
+let test_cold_dwell_resolved () =
+  let config =
+    Server.default_config ~shards:1 ~k_per_shard:2 ~warm_capacity:0 ~batch:1 ~clients:1
+      ~source_space:16 ()
+  in
+  let j = J.create ~seed:3 () in
+  let server = Server.create ~journeys:[| j |] config in
+  let c = Server.client server 0 in
+  for id = 1 to 1000 do
+    J.start j ~id ~now:(Obs.Clock.now_ns ());
+    (match Server.acquire server c ~src:(id mod 16) with
+    | Server.Granted g -> Server.release server c ~token:g.token
+    | Server.Busy | Server.Shed -> Alcotest.fail "a lone client was refused");
+    J.finish j ~now:(Obs.Clock.now_ns ())
+  done;
+  let check_dwell what (v : J.view) =
+    Alcotest.(check bool) (Printf.sprintf "%s journey %d is cold" what v.J.id) false v.J.warm;
+    if Array.fold_left ( + ) 0 v.J.dwells <= 0 then
+      Alcotest.failf "%s journey %d (%d ns total) carries no dwell" what v.J.id v.J.total_ns
+  in
+  List.iter (check_dwell "top") (J.top j);
+  List.iter
+    (fun (w : J.window) ->
+      List.iter (check_dwell "slowest") w.J.slowest;
+      List.iter (check_dwell "exemplar") w.J.exemplars)
+    (J.snapshot j).J.windows
+
 (* ----- integration: a parked holder produces a blamed, exemplar-linked
    tail ----- *)
 
@@ -293,6 +326,8 @@ let () =
           Alcotest.test_case "waterfall rendering" `Quick test_waterfall;
           Alcotest.test_case "unexplained tail guard" `Quick test_unexplained_tail;
           Alcotest.test_case "text form round trip" `Quick test_round_trip;
+          Alcotest.test_case "cold journeys always carry dwell" `Quick
+            test_cold_dwell_resolved;
         ] );
       ( "reservoir",
         [

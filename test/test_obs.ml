@@ -40,6 +40,24 @@ let test_gauge () =
   Alcotest.(check int) "merged current adds" 4 (Obs.Gauge.current g);
   Alcotest.(check int) "merged hwm maxes" 9 (Obs.Gauge.hwm g)
 
+(* ----- the clock ----- *)
+
+(* Every stamp the server and its harness compare comes from
+   Obs.Clock, so it must never step back and must resolve the ~100 ns
+   stages it times.  250 ns is loose enough for a CI runner; a
+   wall-clock reader stepping in 768 ns jumps fails it. *)
+let test_clock () =
+  let prev = ref (Obs.Clock.now_ns ()) and step = ref max_int in
+  for _ = 1 to 100_000 do
+    let t = Obs.Clock.now_ns () in
+    if t < !prev then Alcotest.failf "clock stepped back by %d ns" (!prev - t);
+    if t > !prev then step := min !step (t - !prev);
+    prev := t
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "smallest step %d ns below 250 ns" !step)
+    true (!step < 250)
+
 (* ----- histograms ----- *)
 
 let test_histogram_exact_small () =
@@ -470,6 +488,7 @@ let test_domain_runner_per_name () =
 let () =
   Alcotest.run "obs"
     [
+      ("clock", [ Alcotest.test_case "monotonic and fine-grained" `Quick test_clock ]);
       ( "primitives",
         [
           Alcotest.test_case "counter" `Quick test_counter;
