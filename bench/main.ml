@@ -281,7 +281,16 @@ let read_baseline_key baseline_path key =
       in
       find 0
 
-let read_baseline_from baseline_path = read_baseline_key baseline_path "\"overhead\":"
+(* Gate [check] against the committed baseline's [key].  A missing or
+   unparsable baseline fails: a gate must not pass because there was
+   nothing to compare against.  [--rebaseline] writes a fresh one. *)
+let gate_baseline path key check =
+  match read_baseline_key path key with
+  | None ->
+      Printf.printf "baseline      : FAILED (no %s in %s; run with --rebaseline)\n" key
+        path;
+      false
+  | Some base -> check base
 
 let run_obs_bench ~smoke ~rebaseline () =
   Printf.printf
@@ -294,10 +303,10 @@ let run_obs_bench ~smoke ~rebaseline () =
   let bare_ops = Store.seq_ops mem ~pid in
   let registry = Obs.Registry.create () in
   let sh = Obs.Registry.shard ~span_capacity:4096 registry in
-  (* Mirrors Domain_runner's per-operation instrumentation: the flat
-     tally arena (grouped access counts materialize at snapshot, not
-     per access), a span per op clocked by its own access delta, and
-     op.*.accesses histograms through handles resolved once. *)
+  (* Per-operation instrumentation in the simulator's op.* schema: the
+     flat tally arena (grouped access counts materialize at snapshot,
+     not per access), a span per op clocked by its own access delta,
+     and op.*.accesses histograms through handles resolved once. *)
   let tally = Store.tally () in
   let inst_ops = Store.observed_into tally sh bare_ops in
   let clock = ref 0 in
@@ -389,11 +398,7 @@ let run_obs_bench ~smoke ~rebaseline () =
     true
   end
   else
-    match read_baseline_from baseline_path with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" baseline_path;
-        true
-    | Some base ->
+    gate_baseline baseline_path "\"overhead\":" (fun base ->
         (* full runs also enforce the absolute 2x ceiling from the
            telemetry SLO; smoke quotas are too noisy for an absolute
            bound, so they gate relative to the baseline only *)
@@ -401,7 +406,7 @@ let run_obs_bench ~smoke ~rebaseline () =
         let ok = Float.is_nan overhead || overhead <= ceiling in
         Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base ceiling
           (if ok then "OK" else "REGRESSED");
-        ok
+        ok)
 
 (* ----- flight-recorder overhead ----- *)
 
@@ -463,17 +468,13 @@ let run_trace_bench ~smoke ~rebaseline () =
     true
   end
   else
-    match read_baseline_from trace_baseline_path with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" trace_baseline_path;
-        true
-    | Some base ->
+    gate_baseline trace_baseline_path "\"overhead\":" (fun base ->
         (* the raw-arena record path pays for a tighter gate: 1.5x of
            the recorded baseline, down from the pre-paydown 2x *)
         let ok = Float.is_nan overhead || overhead <= 1.5 *. base in
         Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base (1.5 *. base)
           (if ok then "OK" else "REGRESSED");
-        ok
+        ok)
 
 (* ----- name server under churn ----- *)
 
@@ -633,11 +634,7 @@ let run_server_bench ~smoke ~rebaseline () =
     true
   end
   else
-    match read_baseline_key server_baseline_path "\"acquires_per_sec\":" with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" server_baseline_path;
-        true
-    | Some base ->
+    gate_baseline server_baseline_path "\"acquires_per_sec\":" (fun base ->
         (* full runs must hold 0.9x of the telemetry-on baseline;
            smoke runs are too short for a tight throughput bound *)
         let floor = if smoke then 0.4 *. base else 0.9 *. base in
@@ -645,7 +642,7 @@ let run_server_bench ~smoke ~rebaseline () =
         Printf.printf "baseline      : %8.0f acquires/sec (gate: >= %.0f) -> %s\n" base
           floor
           (if ok then "OK" else "REGRESSED");
-        ok
+        ok)
 
 (* ----- chaos: availability under the fault campaign ----- *)
 
@@ -735,17 +732,13 @@ let run_chaos_bench ~smoke ~rebaseline () =
     true
   end
   else
-    match read_baseline_key chaos_baseline_path "\"availability\":" with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" chaos_baseline_path;
-        true
-    | Some base ->
+    gate_baseline chaos_baseline_path "\"availability\":" (fun base ->
         let floor = 0.9 *. base in
         let ok = avail >= floor in
         Printf.printf "baseline      : %8.4f availability (gate: >= %.4f) -> %s\n"
           base floor
           (if ok then "OK" else "REGRESSED");
-        ok
+        ok)
 
 (* ----- cross-backend shootout ----- *)
 

@@ -30,10 +30,14 @@ type packed_setup =
     }
       -> packed_setup
 
+(* The source names [procs] processes run with: spread over [0, s). *)
+let pids_for ~s ~procs =
+  Array.init procs (fun i -> ((i * (s / max 1 procs)) + (s / 7)) mod s)
+
 (* Build the requested protocol over a fresh layout; returns the pids
    the workload should run with. *)
 let build name layout ~k ~s ~procs =
-  let pids = Array.init procs (fun i -> ((i * (s / max 1 procs)) + (s / 7)) mod s) in
+  let pids = pids_for ~s ~procs in
   match name with
   | "split" ->
       let sp = Split.create layout ~k in
@@ -362,16 +366,25 @@ let experiment ids metrics =
 
 (* ----- domains ----- *)
 
+(* A bare protocol across [ndomains] real OS domains: the degenerate
+   one-shard, cold-only name server of [Churn.run_bare], client [i]
+   asking for [pids_for]'s [i]-th source name. *)
+let run_domains ?registry ?flight protocol ~k ~s ~ndomains ~cycles =
+  let label = ref protocol in
+  let backend layout ~stage:_ ~k =
+    let Setup { proto; inst; label = l }, _ = build protocol layout ~k ~s ~procs:ndomains in
+    label := l;
+    Renaming.Protocol.Any.pack proto inst
+  in
+  let report =
+    Churn.run_bare ?registry ?flight ~backend ~k ~s ~pids:(pids_for ~s ~procs:ndomains)
+      ~cycles ()
+  in
+  (report.Churn.result, Printf.sprintf "%s across %d OS domains" !label ndomains)
+
 let domains protocol k s cycles =
-  let layout = Layout.create () in
-  let Setup { proto = (module P); inst; label }, pids =
-    build protocol layout ~k ~s ~procs:k
-  in
-  Fmt.pr "running %s across %d OS domains, %d cycles each...@." label k cycles;
-  let r =
-    Runtime.Domain_runner.run (module P) inst ~layout ~pids ~cycles
-      ~name_space:(P.name_space inst)
-  in
+  let r, label = run_domains protocol ~k ~s ~ndomains:k ~cycles in
+  Fmt.pr "ran %s, %d cycles each@." label cycles;
   Fmt.pr "cycles done    : %a@." Fmt.(array ~sep:comma int) r.cycles_done;
   Fmt.pr "violations     : %d@." r.violations;
   (match r.first_violation with
@@ -382,7 +395,7 @@ let domains protocol k s cycles =
   if contended <> [] then
     Fmt.pr "double-held    : %a@."
       Fmt.(list ~sep:comma (pair ~sep:(any "x") int int))
-      (List.map (fun (n, m) -> (n, m)) contended);
+      contended;
   if r.violations = 0 then 0 else 1
 
 (* ----- observe ----- *)
@@ -398,23 +411,17 @@ let observe protocol k s procs cycles seed ndomains format metrics_file mutant =
   let bound_protocol = if mutant then "ma" else protocol in
   let protocol = if mutant then "costly" else protocol in
   let registry = Obs.Registry.create () in
-  let layout = Layout.create () in
   let run_ok, label =
     if ndomains > 0 then begin
-      let Setup { proto = (module P); inst; label }, pids =
-        build protocol layout ~k ~s ~procs:ndomains
-      in
-      let r =
-        Runtime.Domain_runner.run ~registry (module P) inst ~layout ~pids ~cycles
-          ~name_space:(P.name_space inst)
-      in
+      let r, label = run_domains ~registry protocol ~k ~s ~ndomains ~cycles in
       (match r.first_violation with
       | Some m -> Fmt.epr "violation: %s@." m
       | None -> ());
-      (r.violations = 0, Printf.sprintf "%s across %d OS domains" label ndomains)
+      (r.violations = 0, label)
     end
     else begin
       let procs = if procs <= 0 then k else procs in
+      let layout = Layout.create () in
       let Setup { proto = (module P); inst; label }, pids =
         build protocol layout ~k ~s ~procs
       in
@@ -451,12 +458,17 @@ let observe protocol k s procs cycles seed ndomains format metrics_file mutant =
     end
   in
   let snap = Obs.Registry.snapshot registry in
+  (* a domain run reports its GetName cost as the server's cold-grant
+     cost: with no warm cache, every grant runs the protocol *)
+  let cost = if ndomains > 0 then "server.acquire.accesses.cold" else "op.get.accesses" in
   let bound_ok =
     match bound_for bound_protocol ~k ~s with
     | None -> true
     | Some (thm, bound) -> (
-        match List.assoc_opt "op.get.accesses" snap.histograms with
-        | None -> true
+        match List.assoc_opt cost snap.histograms with
+        | None ->
+            Fmt.epr "%s bound: no %s histogram in the snapshot: FAILED@." thm cost;
+            false
         | Some (h : Obs.Histogram.snap) ->
             let ok = h.p100 <= bound in
             Fmt.epr "%s bound: worst observed GetName %d accesses <= %d predicted: %s@."
@@ -843,21 +855,15 @@ let trace protocol k s procs cycles seed tail =
    rest of the CLI: the deterministic simulator (default) and real OS
    domains (--domains N). *)
 let record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains =
-  let layout = Layout.create () in
   if ndomains > 0 then begin
-    let Setup { proto = (module P); inst; label }, pids =
-      build protocol layout ~k ~s ~procs:ndomains
-    in
     let ring = Obs.Flight.create () in
-    let r =
-      Runtime.Domain_runner.run ~flight:ring (module P) inst ~layout ~pids ~cycles
-        ~name_space:(P.name_space inst)
-    in
+    let r, label = run_domains ~flight:ring protocol ~k ~s ~ndomains ~cycles in
     if r.violations > 0 then
       Fmt.epr "warning: %d uniqueness violation(s) while recording@." r.violations;
-    (ring, Printf.sprintf "%s across %d OS domains" label ndomains)
+    (ring, label)
   end
   else begin
+    let layout = Layout.create () in
     let Setup { proto = (module P); inst; label }, pids =
       build protocol layout ~k ~s ~procs
     in
@@ -939,6 +945,9 @@ let trace_analyze protocol k s procs cycles seed ndomains file bound =
     | None -> "");
   Fmt.pr "@.%s@." (Obs.Analyze.heatmap report);
   match Obs.Analyze.check ?blocked_bound report with
+  | [] when report.acquisitions = [] ->
+      Fmt.pr "VIOLATION      : no acquisition recorded; nothing was checked@.";
+      1
   | [] ->
       Fmt.pr "occupancy      : OK (all structural bounds hold over the recorded run)@.";
       0

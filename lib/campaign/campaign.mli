@@ -218,8 +218,8 @@ val report_json : ?crash:crash_outcome list -> seeds:int list -> outcome list ->
     {!chaos_ok} — it would prove the reclaimer nothing. *)
 
 type chaos_fault =
-  | Crash_holding  (** Victim crashes at a request boundary, leaking
-                       its warm lease and possibly a claim. *)
+  | Crash_holding  (** Victim crashes holding the name one request
+                       was granted, leaking it with its warm lease. *)
   | Crash_mid_drain  (** Victim crashes inside a drain walk, orphaning
                          the pending chain it was retiring. *)
   | Crash_seat  (** Victim is pre-seated as the reclaimer, then

@@ -8,9 +8,9 @@
     merges every shard into one name-keyed view (counters add, gauge
     currents add / high-water marks max, histograms merge
     element-wise, span rings concatenate), so simulator runs (one
-    shard), [Domain_runner] runs (one shard per domain, merged after
-    join) and model-check counterexample replays all report through the
-    same schema.
+    shard), name-server runs (one shard per client domain, merged after
+    the join) and model-check counterexample replays all report through
+    one registry.
 
     Metric names are dot-separated paths ([store.reads.SLOT],
     [op.get.accesses], [names.held.3]); exporters map them to the

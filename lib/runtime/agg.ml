@@ -21,11 +21,10 @@ type result = {
   reclaimed : int;
 }
 
-let create ~entry ~name_space ~workers ~parked =
+let create ~name_space ~workers ~parked =
   let normal_total = workers - parked in
   if workers > 0 && normal_total = 0 then
-    invalid_arg
-      (entry ^ ": every worker is Park_holding, nothing can make progress");
+    invalid_arg "Agg.create: every worker parks, nothing can make progress";
   {
     name_space;
     holders = Pad.create name_space 0;
@@ -53,25 +52,17 @@ let note_violation (t : t) msg =
   if cur = None then ignore (Atomic.compare_and_set t.first_violation cur (Some msg))
 
 let acquired (t : t) ~worker ~name =
-  let held =
-    if name < 0 || name >= t.name_space then begin
-      note_violation t
-        (Printf.sprintf "worker %d acquired name %d outside [0,%d)" worker name
-           t.name_space);
-      0
-    end
-    else begin
-      let held = 1 + Atomic.fetch_and_add (Pad.cells t.holders).(name) 1 in
-      bump_max (Pad.cells t.name_max).(name) held;
-      if held > 1 then
-        note_violation t
-          (Printf.sprintf "name %d held by %d workers at once" name held);
-      held
-    end
-  in
-  let conc = 1 + Atomic.fetch_and_add t.concurrent 1 in
-  bump_max t.max_concurrent conc;
-  (held, conc)
+  if name < 0 || name >= t.name_space then
+    note_violation t
+      (Printf.sprintf "worker %d acquired name %d outside [0,%d)" worker name
+         t.name_space)
+  else begin
+    let held = 1 + Atomic.fetch_and_add (Pad.cells t.holders).(name) 1 in
+    bump_max (Pad.cells t.name_max).(name) held;
+    if held > 1 then
+      note_violation t (Printf.sprintf "name %d held by %d workers at once" name held)
+  end;
+  bump_max t.max_concurrent (1 + Atomic.fetch_and_add t.concurrent 1)
 
 let released (t : t) ~name =
   Atomic.decr t.concurrent;
@@ -81,7 +72,6 @@ let released (t : t) ~name =
 let cycle_done (t : t) i = Atomic.incr (Pad.cells t.cycles_done).(i)
 let worker_done (t : t) = Atomic.incr t.normal_done
 let all_normal_done (t : t) = Atomic.get t.normal_done >= t.normal_total
-let cycles_of (t : t) i = Pad.get t.cycles_done i
 
 let result ?(reclaimed = 0) (t : t) =
   let max_concurrent_by_name =

@@ -3,9 +3,9 @@
     One value of {!t} is the cross-domain scoreboard of a run: the
     per-name holder counters behind the on-line uniqueness monitor,
     the concurrency high-water marks, per-worker cycle counts and the
-    first-violation record.  {!Domain_runner.run} builds its result
-    here, and the name server ([lib/server]) scores its clients
-    through it too.
+    first-violation record.  The name server ([lib/server]) scores
+    its clients here; every real-domain run, bare protocol runs
+    included, is a name-server run.
 
     The hot arrays (per-name holders and maxima, per-worker cycle
     counters) are {!Pad}-spaced so contended updates to different
@@ -37,23 +37,20 @@ type result = {
           clients; [0] when the run has no reclaimer. *)
 }
 
-val create : entry:string -> name_space:int -> workers:int -> parked:int -> t
-(** [create ~entry ~name_space ~workers ~parked] — fresh scoreboard
-    for [workers] workers of which [parked] will park holding a name.
-    [entry] names the caller in diagnostics.
+val create : name_space:int -> workers:int -> parked:int -> t
+(** [create ~name_space ~workers ~parked] — fresh scoreboard for
+    [workers] workers of which [parked] will park holding a name.
     @raise Invalid_argument if [workers > 0] and every worker is
     parked — each would wait on the others forever. *)
 
 val note_violation : t -> string -> unit
 (** Count a violation, recording the message if it is the first. *)
 
-val acquired : t -> worker:int -> name:int -> int * int
+val acquired : t -> worker:int -> name:int -> unit
 (** Score one acquisition by worker index [worker]: bump the holder
     count and per-name maximum of [name] (flagging double-holds and
     out-of-range names as violations) and the concurrency high-water
-    mark.  Returns [(held, concurrent)] — the number of simultaneous
-    holders of [name] (0 when out of range) and of names overall,
-    both including this one — for gauge feeding. *)
+    mark. *)
 
 val released : t -> name:int -> unit
 (** Score the matching release: drop the holder and concurrency
@@ -69,9 +66,6 @@ val worker_done : t -> unit
 val all_normal_done : t -> bool
 (** Every non-parked worker has called {!worker_done} — the condition
     parked holders spin on before releasing. *)
-
-val cycles_of : t -> int -> int
-(** Cycles completed by one worker index so far. *)
 
 val result : ?reclaimed:int -> t -> result
 (** Freeze the scoreboard (call after the join).  [leaked] is the sum

@@ -223,7 +223,7 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
       let t0 = Obs.Clock.now_ns () in
       (try
          for r = 0 to spec.requests - 1 do
-           if r >= crash_at then raise Crashed;
+           if r > crash_at then raise Crashed;
            Server.tend server c;
            let sched =
              if closed then Obs.Clock.now_ns ()
@@ -305,6 +305,8 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
                | None -> ())
            | Some (token, was_warm, accesses) ->
                counts.o_granted <- counts.o_granted + 1;
+               (* die holding the grant: no release, no flush *)
+               if r = crash_at then raise Crashed;
                spin spec.think;
                (match stall with
                | Some (request, spins) when r = request -> spin spins
@@ -527,3 +529,19 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
     settle_scans = !settle;
     journeys = journeys_merged;
   }
+
+let run_bare ?registry ?flight ?faults ?backend ~k ~s ~pids ~cycles () =
+  let config =
+    Server.default_config ~shards:1 ~k_per_shard:k ~warm_capacity:0 ~batch:1
+      ~resilience:{ Server.default_resilience with scan_interval_ns = max_int }
+      ~clients:(Array.length pids) ~source_space:s ()
+  in
+  let spec i =
+    {
+      Workload.requests = cycles;
+      source = (fun _ -> pids.(i));
+      arrival = (fun _ -> 0.);
+      think = 0;
+    }
+  in
+  run ?registry ?flight ?faults ?backend ~sampler_interval_ns:0 ~config ~spec ()

@@ -22,7 +22,9 @@
 
 (** Client-side fault behaviours, mirroring the {!Sim.Faults} actions
     on real domains (the simulator freezes a victim's scheduler slot;
-    here the victim misbehaves in its own request loop). *)
+    here the victim misbehaves in its own request loop).  This is the
+    one fault vocabulary of every real-domain run, bare protocol runs
+    ({!run_bare}) included. *)
 type fault =
   | Park
       (** Acquire one name and hold it until every normal client has
@@ -33,10 +35,13 @@ type fault =
           request [request]. *)
   | Slow of int  (** Spin this many times after every completed cycle. *)
   | Crash of { request : int }
-      (** Stop dead before issuing request [request]: no release of
-          warm leases, no flush — whatever the client cached leaks
-          until the reclaimer expires its lease (or forever, without
-          scans) and shows up in [outstanding] meanwhile. *)
+      (** Die holding the name granted for request [request] (or, if
+          that request is refused, before issuing the next one): no
+          release, no flush of warm leases — whatever the client holds
+          or caches leaks until the reclaimer expires its lease (or
+          forever, without scans) and shows up in [outstanding]
+          meanwhile.  The victim completes [request] cycles when every
+          earlier request was granted. *)
   | Crash_in_drain of { drain : int }
       (** Crash at the [drain]-th drain-walk slot boundary this client
           reaches: the pending chain it was retiring is orphaned
@@ -167,3 +172,26 @@ val run :
     shared accesses (warm grants stay at 0 protocol accesses).
     @raise Invalid_argument when a fault names a client out of range,
     every client parks, or [window_ns < 1]. *)
+
+val run_bare :
+  ?registry:Obs.Registry.t ->
+  ?flight:Obs.Flight.t ->
+  ?faults:(int * fault) list ->
+  ?backend:(Shared_mem.Layout.t -> stage:int -> k:int -> Renaming.Protocol.Any.t) ->
+  k:int ->
+  s:int ->
+  pids:int array ->
+  cycles:int ->
+  unit ->
+  report
+(** A bare protocol across real domains: {!run} over the degenerate
+    server of one shard of [k], no warm cache and batch 1, so every
+    grant is cold and runs the protocol's [get_name], and every
+    release runs its [release_name] at once ([backend] as in
+    {!Server.create}, {!Renaming.Split} by default).  Client [i] asks for
+    source name [pids.(i)] (in [\[0, s)]) [cycles] times, closed-loop
+    with no think time and no sampler.  The reclaimer does not scan
+    during the run — a parked holder keeps its name until it wakes —
+    so leaks are only reclaimed by {!run}'s post-join settle.  Flight
+    records carry client indices as pids.
+    @raise Invalid_argument as {!run}, e.g. when every client parks. *)

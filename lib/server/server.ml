@@ -344,9 +344,10 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
   let sd = t.shard_tbl.(ssh) in
   let src = t.slot_src.(slot) in
   let owner = t.slot_owner.(slot) in
+  let name = t.slot_name.(slot) in
   let lease = match t.slot_lease.(slot) with Some l -> l | None -> assert false in
   t.slot_lease.(slot) <- None;
-  Agg.released t.agg ~name:t.slot_name.(slot);
+  Agg.released t.agg ~name;
   (* Run the protocol release under the original source name.  The
      holder has retired (or been fenced off by its epoch), so no step
      of pid [src] can overlap this one, and the claim below stays set
@@ -359,6 +360,11 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
   (if reset && Any.reset_available sd.inst then
      (Option.get Any.reset_footprint) sd.inst ops lease
    else Any.release_name sd.inst ops lease);
+  (match c.ring with
+  | Some r ->
+      Obs.Flight.record r ~clock:(Store.tally_total c.tally) ~pid:c.id
+        (Obs.Flight.Released name)
+  | None -> ());
   ignore (Atomic.compare_and_set t.claims.(src) (owner + 1) 0 : bool);
   Atomic.set t.fence.(slot) fence_free;
   free_push t slot;
@@ -412,12 +418,22 @@ let drain_shard ?(hook = true) ?(t0 = 0) t (c : client) sh =
     jblame c Obs.Journey.Drain t0
   end
 
+(* Batch 1 retires the release at once, by the releaser: no other
+   client's drain can be left holding it, so the releaser may re-claim
+   its source the moment [release] returns. *)
 let pending_release ?(t0 = 0) t c sh slot =
   let t0 = if t0 <> 0 then t0 else jtrack c in
-  pending_push t sh slot;
-  let te = jblame_t c Obs.Journey.Pending t0 in
-  if Atomic.get (Pad.cells t.pending_n).(sh) >= t.cfg.batch then
-    drain_shard ~t0:te t c sh
+  if t.cfg.batch = 1 then begin
+    if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then
+      retire_slot t c slot ~was_pending:false ~reset:false;
+    jblame c Obs.Journey.Retire t0
+  end
+  else begin
+    pending_push t sh slot;
+    let te = jblame_t c Obs.Journey.Pending t0 in
+    if Atomic.get (Pad.cells t.pending_n).(sh) >= t.cfg.batch then
+      drain_shard ~t0:te t c sh
+  end
 
 (* ----- admission: cap holders+warm+pending at the shard's k ----- *)
 
@@ -552,7 +568,12 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   (* publish last: the slot only becomes visible to retirers once its
      fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
-  ignore (Agg.acquired t.agg ~worker:c.id ~name : int * int);
+  Agg.acquired t.agg ~worker:c.id ~name;
+  (match c.ring with
+  | Some r ->
+      Obs.Flight.record r ~clock:(Store.tally_total c.tally) ~pid:c.id
+        (Obs.Flight.Acquired name)
+  | None -> ());
   c.acquires <- c.acquires + 1;
   obs_inc c "server.acquired";
   obs_observe c "server.acquire.accesses.cold" accesses;
@@ -1064,7 +1085,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
   let stores = Array.map (function Some s -> s | None -> assert false) stores in
   let free_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
   let agg =
-    Agg.create ~entry:"Server" ~name_space:!base ~workers:cfg.clients ~parked
+    Agg.create ~name_space:!base ~workers:cfg.clients ~parked
   in
   let clients_tbl =
     Array.init cfg.clients (fun id ->

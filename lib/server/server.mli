@@ -53,10 +53,13 @@
        tokens dying silently rather than double-retiring.}}
 
     Uniqueness is monitored on-line through a {!Runtime.Agg}
-    scoreboard exactly as {!Runtime.Domain_runner} does, and when a
-    registry / flight ring is supplied every client writes its own
-    shard, so the whole [lib/obs] stack (occupancy, provenance,
-    Perfetto export) applies to server runs unchanged. *)
+    scoreboard, and when a registry / flight ring is supplied every
+    client writes its own shard / ring — cold grants and protocol
+    releases are recorded as [Acquired] / [Released] under the client
+    index — so the whole [lib/obs] stack (occupancy, provenance,
+    Perfetto export) applies to server runs unchanged.  A bare
+    protocol run is the degenerate config of one shard, no warm cache
+    and batch 1 ({!Churn.run_bare}). *)
 
 module Health = Health
 module Policy = Policy
@@ -85,7 +88,10 @@ type config = {
   k_per_shard : int;  (** Concurrent holders admitted per shard. *)
   source_space : int;  (** Size [S] of the source name space. *)
   warm_capacity : int;  (** Warm leases cached per client ([0] disables). *)
-  batch : int;  (** Pending releases that trip a shard drain. *)
+  batch : int;
+      (** Pending releases that trip a shard drain; [1] skips the
+          pending list and retires each release at once, by the
+          releaser. *)
   clients : int;  (** Registered client handles (one per domain). *)
   resilience : resilience;
 }
@@ -259,8 +265,9 @@ val scoreboard : t -> Runtime.Agg.t
 
 val merge_flight : t -> unit
 (** Concatenate per-client flight rings into the ring passed at
-    {!create} (client order) — call after the join, like
-    {!Runtime.Domain_runner}'s merge. *)
+    {!create} (client order) — call after the join.  Each ring is
+    clocked by its client's own access count, so ordering between
+    records of different clients is not meaningful. *)
 
 (** {1 Per-client counters} — single-writer; read them after the join. *)
 

@@ -2,8 +2,10 @@
 
     One {!monitor} turns a {!Sched} execution — a plain [simulate] run,
     a harness measurement, or a model-check counterexample replay —
-    into registry updates, so the same schema comes out of the
-    simulator as out of a real [Domain_runner] run:
+    into registry updates.  Real-domain runs go through the name
+    server and export its own schema ([server.*]); the per-kind
+    [store.*] totals and one GetName cost per acquisition are what the
+    two share:
 
     - every shared access bumps the per-register-group counters
       ([store.reads.<group>], …) plus the ungrouped totals;

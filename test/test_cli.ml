@@ -154,6 +154,50 @@ let test_trace_bad_file () =
   in
   Alcotest.(check int) "unparsable document => exit 2" 2 code
 
+let test_trace_analyze_no_acquisition () =
+  (* a ring with records but no acquisition checks nothing: fail *)
+  let ring = Obs.Flight.create () in
+  Obs.Flight.record ring ~clock:1 ~pid:0 (Obs.Flight.Mark ("drain", 1));
+  let file = Filename.temp_file "renaming_flight" ".txt" in
+  let oc = open_out file in
+  output_string oc (Obs.Flight.to_string ring);
+  close_out oc;
+  let code, out =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () -> run (Printf.sprintf "trace analyze --file %s" (Filename.quote file)))
+  in
+  Alcotest.(check int) "no acquisition => exit 1" 1 code;
+  check_contains "trace analyze" out "no acquisition recorded"
+
+(* ----- real domains: bare protocol runs through the name server ----- *)
+
+let test_domains_clean () =
+  let code, out = run "domains -p split -k 3" in
+  Alcotest.(check int) "exit code" 0 code;
+  check_contains "domains" out "violations     : 0"
+
+let test_observe_domains () =
+  let code, out = run "observe -p split --domains 3" in
+  Alcotest.(check int) "exit code" 0 code;
+  check_contains "observe --domains" out "Theorem 2 bound: worst observed GetName"
+
+let test_observe_domains_mutant () =
+  let code, out = run "observe --mutant --domains 3" in
+  Alcotest.(check bool) "nonzero exit" true (code <> 0);
+  check_contains "observe --mutant --domains" out "VIOLATED"
+
+let test_trace_analyze_domains () =
+  let code, out = run "trace analyze -p filter --domains 3" in
+  Alcotest.(check int) "exit code" 0 code;
+  let acquisitions =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "acquisitions : %d" Fun.id)
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check bool) "some acquisitions analyzed" true
+    (match acquisitions with Some n -> n > 0 | None -> false)
+
 (* ----- journeys: observe tail and server --journeys ----- *)
 
 let test_observe_tail () =
@@ -252,6 +296,16 @@ let () =
             test_trace_provenance_no_match;
           Alcotest.test_case "bad flight document" `Quick test_trace_bad_file;
           Alcotest.test_case "default dump preserved" `Quick test_trace_default_dump;
+          Alcotest.test_case "no acquisition fails" `Quick
+            test_trace_analyze_no_acquisition;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "domains run clean" `Quick test_domains_clean;
+          Alcotest.test_case "observe --domains bound line" `Quick test_observe_domains;
+          Alcotest.test_case "observe --mutant --domains fails" `Quick
+            test_observe_domains_mutant;
+          Alcotest.test_case "trace analyze --domains" `Quick test_trace_analyze_domains;
         ] );
       ( "journeys",
         [

@@ -1,6 +1,6 @@
 (* The metrics layer: histogram buckets and percentiles, multi-shard
    snapshots, exporters, the grouped store instrumentation, and schema
-   parity between a simulator run and a Domain_runner run. *)
+   parity between a simulator run and a real-domain run. *)
 
 open Shared_mem
 
@@ -105,7 +105,7 @@ let test_histogram_merge () =
 (* Property: merging per-domain shards is *exact* — the quantiles of
    the merged histogram equal, bucket for bucket, what one oracle
    histogram fed every observation reports.  This is the many-writer
-   case Domain_runner and the name server rely on (per-domain shards
+   case the name server relies on (per-domain shards
    merged at the join), and it pins the percentile fix: the rank is
    taken over bucket masses, so no torn count can push a quantile off
    the end of the scan. *)
@@ -395,26 +395,21 @@ let test_counting_cannot_drift () =
   Store.reset cnt;
   Alcotest.(check int) "reset" 0 (Store.accesses cnt)
 
-(* ----- schema parity: simulator vs Domain_runner ----- *)
+(* ----- schema parity: simulator vs real domains ----- *)
 
-let metric_names (snap : Obs.Registry.snapshot) =
-  (* names.held.<n> and store.*.<group> depend on which names/registers
-     a run touches; compare the stable series *)
-  let stable n =
-    List.mem n
-      [
-        "names.acquired";
-        "names.released";
-        "op.get.count";
-        "op.release.count";
-        "store.reads";
-        "store.writes";
-        "store.rmws";
-      ]
-  in
-  ( List.filter stable (List.map fst snap.counters),
-    List.filter (fun n -> n = "names.held") (List.map fst snap.gauges),
-    List.map fst snap.histograms )
+(* A real-domain run exports the name server's schema ([server.*] and
+   [store.*]); the simulator exports the op/names schema.  What both
+   share: the per-kind store access counters, and one GetName cost
+   observation per acquisition. *)
+let store_counters (snap : Obs.Registry.snapshot) =
+  List.filter
+    (fun n -> List.mem n [ "store.reads"; "store.writes"; "store.rmws" ])
+    (List.map fst snap.counters)
+
+let hist_count (snap : Obs.Registry.snapshot) name =
+  match List.assoc_opt name snap.histograms with
+  | Some (h : Obs.Histogram.snap) -> h.count
+  | None -> Alcotest.failf "no %s histogram" name
 
 let sim_snapshot () =
   let layout = Layout.create () in
@@ -444,35 +439,33 @@ let sim_snapshot () =
   Obs.Registry.snapshot registry
 
 let domain_snapshot () =
-  let layout = Layout.create () in
-  let sp = Renaming.Split.create layout ~k:4 in
-  let pids = [| 1; 5; 9; 13 |] in
   let registry = Obs.Registry.create () in
   let r =
-    Runtime.Domain_runner.run ~registry (module Renaming.Split) sp ~layout ~pids
-      ~cycles:3 ~name_space:(Renaming.Split.name_space sp)
+    (Churn.run_bare ~registry ~k:4 ~s:16 ~pids:[| 1; 5; 9; 13 |] ~cycles:3 ())
+      .Churn.result
   in
   Alcotest.(check int) "no violations" 0 r.violations;
   Alcotest.(check int) "four shards" 4 (Obs.Registry.snapshot registry).shards;
   Obs.Registry.snapshot registry
 
 let test_schema_parity () =
-  let sc, sg, sh = metric_names (sim_snapshot ()) in
-  let dc, dg, dh = metric_names (domain_snapshot ()) in
-  Alcotest.(check (list string)) "counter schema" sc dc;
-  Alcotest.(check (list string)) "gauge schema" sg dg;
-  Alcotest.(check (list string)) "histogram schema" sh dh;
-  Alcotest.(check (list string)) "span/op histograms present"
-    [ "op.get.accesses"; "op.release.accesses" ]
-    sh
+  let sim = sim_snapshot () and dom = domain_snapshot () in
+  Alcotest.(check (list string)) "store counter schema" (store_counters sim)
+    (store_counters dom);
+  Alcotest.(check (list string)) "all three access kinds"
+    [ "store.reads"; "store.rmws"; "store.writes" ]
+    (store_counters dom);
+  Alcotest.(check int) "one GetName cost per acquisition"
+    (hist_count sim "op.get.accesses")
+    (hist_count dom "server.acquire.accesses.cold");
+  Alcotest.(check int) "acquisitions counted alike"
+    (List.assoc "names.acquired" sim.counters)
+    (List.assoc "server.acquired" dom.counters)
 
-let test_domain_runner_per_name () =
-  let layout = Layout.create () in
-  let sp = Renaming.Split.create layout ~k:3 in
-  let pids = [| 2; 4; 6 |] in
+let test_domain_per_name () =
   let r =
-    Runtime.Domain_runner.run (module Renaming.Split) sp ~layout ~pids ~cycles:5
-      ~name_space:(Renaming.Split.name_space sp)
+    (Churn.run_bare ~k:3 ~s:8 ~pids:[| 2; 4; 6 |] ~cycles:5 ())
+      .Churn.result
   in
   Alcotest.(check int) "no violations" 0 r.violations;
   Alcotest.(check (option string)) "no violation detail" None r.first_violation;
@@ -481,7 +474,7 @@ let test_domain_runner_per_name () =
   List.iter
     (fun (n, m) ->
       Alcotest.(check bool)
-        (Printf.sprintf "name %d held by at most one worker" n)
+        (Printf.sprintf "name %d held by at most one client" n)
         true (m = 1))
     r.max_concurrent_by_name
 
@@ -523,6 +516,6 @@ let () =
         [
           Alcotest.test_case "schema parity with the simulator" `Quick test_schema_parity;
           Alcotest.test_case "per-name uniqueness breakdown" `Quick
-            test_domain_runner_per_name;
+            test_domain_per_name;
         ] );
     ]

@@ -410,6 +410,45 @@ let test_failover_quarantine () =
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
   Alcotest.(check int) "no violations through failover" 0 r.Agg.violations
 
+(* --- bare protocol runs: the one-shard, cold-only server --- *)
+
+(* The victim dies holding the name of its third request; the settle
+   epilogue's reclaimer must bring that one name back. *)
+let test_bare_crash_reclaimed () =
+  let report =
+    Churn.run_bare
+      ~faults:[ (1, Churn.Crash { request = 2 }) ]
+      ~k:3 ~s:8 ~pids:[| 1; 2; 3 |] ~cycles:50 ()
+  in
+  let r = report.Churn.result in
+  Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check int) "victim completed 2 cycles" 2 r.Agg.cycles_done.(1);
+  Alcotest.(check int) "client 0 finished" 50 r.Agg.cycles_done.(0);
+  Alcotest.(check int) "client 2 finished" 50 r.Agg.cycles_done.(2);
+  Alcotest.(check int) "the held name reclaimed" 1 r.Agg.reclaimed;
+  Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked;
+  Alcotest.(check int) "nothing outstanding" 0 report.Churn.outstanding
+
+(* Server rings record every cold grant as an acquisition, so the
+   structural analysis of a churn run checks real work.  Warm caching
+   is off and batch 1 retires each release by its own client, so every
+   protocol release is recorded under the pid that acquired it. *)
+let test_flight_ring_analyzable () =
+  let ring = Obs.Flight.create () in
+  let config = cfg ~shards:2 ~k:3 ~warm:0 ~batch:1 ~clients:3 ~s:64 () in
+  let report =
+    Churn.run ~flight:ring ~sampler_interval_ns:0 ~config
+      ~spec:(fun client -> Workload.server_churn ~s:64 ~requests:100 ~seed:5 ~client ())
+      ()
+  in
+  Alcotest.(check int) "nothing dropped" 0 (Obs.Flight.dropped ring);
+  let cold = report.Churn.acquires - report.Churn.warm_hits in
+  Alcotest.(check bool) "cold grants happened" true (cold > 0);
+  let a = Obs.Analyze.analyze (Obs.Flight.items ring) in
+  Alcotest.(check int) "one acquisition per cold grant" cold
+    (List.length a.Obs.Analyze.acquisitions);
+  Alcotest.(check (list string)) "structural bounds hold" [] (Obs.Analyze.check a)
+
 let () =
   Alcotest.run "server"
     [
@@ -440,5 +479,10 @@ let () =
             test_drain_reclaim_race;
           Alcotest.test_case "quarantine, failover, rebuild" `Quick
             test_failover_quarantine;
+        ] );
+      ( "bare",
+        [
+          Alcotest.test_case "crash holding is reclaimed" `Quick test_bare_crash_reclaimed;
+          Alcotest.test_case "flight ring analyzable" `Quick test_flight_ring_analyzable;
         ] );
     ]

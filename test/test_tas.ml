@@ -75,15 +75,19 @@ let test_uniqueness_random () =
 
 let test_domains () =
   let k = 4 in
-  let layout = Layout.create () in
-  let t = Tas.create layout ~k in
   let r =
-    Runtime.Domain_runner.run (module Tas) t ~layout
-      ~pids:(Array.init k (fun i -> i * 3))
-      ~cycles:300 ~name_space:k
+    (Churn.run_bare
+       ~backend:(fun layout ~stage:_ ~k ->
+         Renaming.Protocol.Any.pack (module Tas) (Tas.create layout ~k))
+       ~k ~s:(3 * k)
+       ~pids:(Array.init k (fun i -> i * 3))
+       ~cycles:300 ())
+      .Churn.result
   in
   Alcotest.(check int) "no violations" 0 r.violations;
-  Array.iter (fun c -> Alcotest.(check int) "all cycles" 300 c) r.cycles_done
+  Array.iter (fun c -> Alcotest.(check int) "all cycles" 300 c) r.cycles_done;
+  Alcotest.(check bool) "per-name marks are clean" true
+    (List.for_all (fun (_, m) -> m = 1) r.max_concurrent_by_name)
 
 (* Saturation: with exactly k processes and k names, everyone still
    gets a name under fair random schedules, with bounded probing. *)
