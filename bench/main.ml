@@ -2,8 +2,10 @@
    (exact shared-access counts on the simulator) and then runs the
    wall-clock micro-benchmarks (B1–B5) on the sequential store.  Every
    timing reads Obs.Clock, and every per-op figure (B1–B5, obs, trace,
-   shootout) comes from one method, [measure]: ns and minor words per
-   op, best of N direct timed loops.
+   shootout) comes from one method, [rounds]: ns and minor words per
+   op from direct timed loops, the thunks compared timed back to back
+   in each round.  Tables show the best round; the obs and trace gates
+   decide on the median of the per-round paired ratios.
 
      dune exec bench/main.exe             -- everything
      dune exec bench/main.exe -- e4 e6    -- selected experiments
@@ -18,11 +20,13 @@
    The modelcheck bench additionally writes BENCH_modelcheck.json (one
    JSON line per configuration: paths, states, pruning counters,
    paths/sec).  The obs bench writes BENCH_obs.json (bare vs
-   instrumented ns/cycle and their ratio) and fails if the ratio
-   regresses to more than 2x the recorded bench/obs_baseline.json.
-   The trace bench ("trace") does the same for the structural flight
-   recorder — BENCH_trace.json, gated at 2x
-   bench/trace_baseline.json.
+   instrumented ns/cycle, the per-round paired ratios and their
+   median) and fails if the median regresses to more than 2x the
+   recorded bench/obs_baseline.json.  The trace bench ("trace") does
+   the same for the structural flight recorder — BENCH_trace.json,
+   gated at 1.5x bench/trace_baseline.json.  BENCH_obs.json,
+   BENCH_trace.json and BENCH_backends.json record the core count and
+   the OCaml version.
    The server bench ("server") drives the sharded name server with
    Zipf churn across 4 client domains (1M+ acquire/release cycles when
    not --smoke), with the full telemetry stack on (registry shards,
@@ -60,34 +64,69 @@ module Pipeline = Renaming.Pipeline
 (* Per-op cost of one thunk: ns on Obs.Clock, and minor-heap words. *)
 type cost = { ns : float; words : float }
 
-(* Best of [reps] direct timed loops per thunk; words come from the
-   best rep.  Each rep times every thunk in turn, so the thunks being
-   compared share machine state (timed back to back, the first read
-   slow), and noise only ever adds time.  No GC stabilisation between
-   samples: with a live sampler domain a forced collection is a
-   stop-the-world stall that would land in the timing. *)
-let measure ~reps ~iters thunks =
+(* [reps] rounds of direct timed loops: each round times every thunk
+   once for [iters] calls, so the thunks being compared share machine
+   state, and odd rounds run them in reverse order so neither side
+   always goes first.  Returns [costs.(thunk).(round)].  No GC
+   stabilisation between samples: with a live sampler domain a forced
+   collection is a stop-the-world stall that would land in the
+   timing. *)
+let rounds ~reps ~iters thunks =
   Array.iter
     (fun f ->
       for _ = 1 to iters / 10 do
         f ()
       done)
     thunks;
-  let best = Array.map (fun _ -> { ns = infinity; words = nan }) thunks in
-  for _ = 1 to reps do
-    Array.iteri
-      (fun i f ->
-        let w0 = Gc.minor_words () in
-        let t0 = Obs.Clock.now_ns () in
-        for _ = 1 to iters do
-          f ()
-        done;
-        let ns = float_of_int (Obs.Clock.now_ns () - t0) /. float_of_int iters in
-        let words = (Gc.minor_words () -. w0) /. float_of_int iters in
-        if ns < best.(i).ns then best.(i) <- { ns; words })
-      thunks
+  let n = Array.length thunks in
+  let costs = Array.init n (fun _ -> Array.make reps { ns = nan; words = nan }) in
+  for r = 0 to reps - 1 do
+    for j = 0 to n - 1 do
+      let i = if r land 1 = 0 then j else n - 1 - j in
+      let f = thunks.(i) in
+      let w0 = Gc.minor_words () in
+      let t0 = Obs.Clock.now_ns () in
+      for _ = 1 to iters do
+        f ()
+      done;
+      let ns = float_of_int (Obs.Clock.now_ns () - t0) /. float_of_int iters in
+      costs.(i).(r) <- { ns; words = (Gc.minor_words () -. w0) /. float_of_int iters }
+    done
   done;
-  best
+  costs
+
+(* The best of one thunk's rounds (noise only ever adds time); words
+   come from the best round. *)
+let best = Array.fold_left (fun b c -> if c.ns < b.ns then c else b) { ns = infinity; words = nan }
+
+let measure ~reps ~iters thunks = Array.map best (rounds ~reps ~iters thunks)
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* The per-round ratios of thunk [i] over thunk 0 (each ratio compares
+   two loops timed back to back) and their median — the overhead
+   figure the obs and trace gates decide on. *)
+let paired costs i =
+  let ratios = Array.mapi (fun r c -> c.ns /. costs.(0).(r).ns) costs.(i) in
+  (ratios, median ratios)
+
+let print_overhead ratios overhead =
+  Printf.printf "paired ratios : %s\n"
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.2fx") ratios)));
+  Printf.printf "overhead      : %8.2fx (median of %d paired rounds)\n" overhead
+    (Array.length ratios)
+
+let ratios_json ratios =
+  "[" ^ String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.3f") ratios)) ^ "]"
+
+(* Host stamp for every committed BENCH file: core count and compiler. *)
+let host_json () =
+  Printf.sprintf "\"nproc\":%d,\"ocaml\":%S" (Domain.recommended_domain_count ())
+    Sys.ocaml_version
 
 (* ----- B1–B5: get/release cycles (solo, sequential store) ----- *)
 
@@ -303,12 +342,14 @@ let run_obs_bench ~smoke ~rebaseline () =
   let bare_ops = Store.seq_ops mem ~pid in
   let registry = Obs.Registry.create () in
   let sh = Obs.Registry.shard ~span_capacity:4096 registry in
-  (* Per-operation instrumentation in the simulator's op.* schema: the
-     flat tally arena (grouped access counts materialize at snapshot,
-     not per access), a span per op clocked by its own access delta,
-     and op.*.accesses histograms through handles resolved once. *)
-  let tally = Store.tally () in
-  let inst_ops = Store.observed_into tally sh bare_ops in
+  (* Per-operation instrumentation in the simulator's op.* schema,
+     built the way the server builds its ops: the store's own closures
+     count into a tally bound to the shard (grouped access counts
+     materialize at snapshot, not per access), a span per op clocked
+     by its own access delta, and op.*.accesses histograms through
+     handles resolved once. *)
+  let tally = Store.tally ~shard:sh () in
+  let inst_ops = Store.seq_ops ~tally mem ~pid in
   let clock = ref 0 in
   let get_h = Obs.Registry.histogram sh "op.get.accesses" in
   let get_c = Obs.Registry.counter sh "op.get.count" in
@@ -367,24 +408,27 @@ let run_obs_bench ~smoke ~rebaseline () =
       ]
   in
   let handle = Obs.Sampler.start sampler ~sleep:(fun () -> Unix.sleepf 0.001) in
-  let reps = if smoke then 3 else 5 in
+  let reps = if smoke then 5 else 7 in
   let iters = if smoke then 20_000 else 300_000 in
-  let costs = measure ~reps ~iters [| bare; instrumented; journeyed |] in
+  let samples = rounds ~reps ~iters [| bare; instrumented; journeyed |] in
   Obs.Sampler.stop handle;
   let ticks = Obs.Sampler.ticks sampler in
+  let costs = Array.map best samples in
   let bare_ns = costs.(0).ns and inst_ns = costs.(1).ns and journey_ns = costs.(2).ns in
-  let journey_overhead = journey_ns /. bare_ns in
-  let overhead = inst_ns /. bare_ns in
-  Printf.printf "bare          : %8.1f ns/cycle, %.0f words\n" bare_ns costs.(0).words;
+  let ratios, overhead = paired samples 1 in
+  let _, journey_overhead = paired samples 2 in
+  Printf.printf "bare          : %8.1f ns/cycle, %.0f words (best round)\n" bare_ns
+    costs.(0).words;
   Printf.printf "instrumented  : %8.1f ns/cycle, %.0f words\n" inst_ns costs.(1).words;
   Printf.printf "journeyed     : %8.1f ns/cycle, %.0f words (%.2fx, stamping only)\n"
     journey_ns costs.(2).words journey_overhead;
-  Printf.printf "overhead      : %8.2fx\n" overhead;
+  print_overhead ratios overhead;
   Printf.printf "sampler ticks : %8d\n" ticks;
   let json =
     Printf.sprintf
-      "{\"id\":\"obs\",\"smoke\":%b,\"bare_ns\":%.1f,\"instrumented_ns\":%.1f,\"overhead\":%.3f,\"journeyed_ns\":%.1f,\"journey_overhead\":%.3f,\"sampler_ticks\":%d}\n"
-      smoke bare_ns inst_ns overhead journey_ns journey_overhead ticks
+      "{\"id\":\"obs\",\"smoke\":%b,%s,\"bare_ns\":%.1f,\"instrumented_ns\":%.1f,\"overhead\":%.3f,\"ratios\":%s,\"journeyed_ns\":%.1f,\"journey_overhead\":%.3f,\"sampler_ticks\":%d}\n"
+      smoke (host_json ()) bare_ns inst_ns overhead (ratios_json ratios) journey_ns
+      journey_overhead ticks
   in
   let oc = open_out "BENCH_obs.json" in
   output_string oc json;
@@ -441,20 +485,22 @@ let run_trace_bench ~smoke ~rebaseline () =
     Obs.Flight.record ring ~clock:!clock ~pid
       (Obs.Flight.Released (Split.name_of sp lease))
   in
-  let reps = if smoke then 3 else 5 in
+  let reps = if smoke then 5 else 7 in
   let iters = if smoke then 20_000 else 300_000 in
-  let costs = measure ~reps ~iters [| bare; traced |] in
+  let samples = rounds ~reps ~iters [| bare; traced |] in
+  let costs = Array.map best samples in
   let bare_ns = costs.(0).ns and traced_ns = costs.(1).ns in
-  let overhead = traced_ns /. bare_ns in
-  Printf.printf "bare          : %8.1f ns/cycle, %.0f words\n" bare_ns costs.(0).words;
+  let ratios, overhead = paired samples 1 in
+  Printf.printf "bare          : %8.1f ns/cycle, %.0f words (best round)\n" bare_ns
+    costs.(0).words;
   (* per cycle: 7 splitters x (Enter + Exit + Release) + Acquired + Released *)
   Printf.printf "traced        : %8.1f ns/cycle, %.0f words (23 ring record(s)/cycle)\n"
     traced_ns costs.(1).words;
-  Printf.printf "overhead      : %8.2fx\n" overhead;
+  print_overhead ratios overhead;
   let json =
     Printf.sprintf
-      "{\"id\":\"trace\",\"smoke\":%b,\"bare_ns\":%.1f,\"traced_ns\":%.1f,\"overhead\":%.3f}\n"
-      smoke bare_ns traced_ns overhead
+      "{\"id\":\"trace\",\"smoke\":%b,%s,\"bare_ns\":%.1f,\"traced_ns\":%.1f,\"overhead\":%.3f,\"ratios\":%s}\n"
+      smoke (host_json ()) bare_ns traced_ns overhead (ratios_json ratios)
   in
   let oc = open_out "BENCH_trace.json" in
   output_string oc json;
@@ -935,8 +981,8 @@ let run_backends_bench ~smoke () =
   in
   let json =
     Printf.sprintf
-      "{\"id\":\"backends\",\"smoke\":%b,\"k\":%d,\"s\":%d,\"seeds\":%d,\"cycles\":%d,\"worst_get_accesses\":%d,\"best_warm_hit_rate\":%.4f,\"backends\":[%s]}\n"
-      smoke k s (List.length seeds) cycles worst_get best_warm
+      "{\"id\":\"backends\",\"smoke\":%b,%s,\"k\":%d,\"s\":%d,\"seeds\":%d,\"cycles\":%d,\"worst_get_accesses\":%d,\"best_warm_hit_rate\":%.4f,\"backends\":[%s]}\n"
+      smoke (host_json ()) k s (List.length seeds) cycles worst_get best_warm
       (String.concat "," (List.map row_json rows))
   in
   let oc = open_out "BENCH_backends.json" in

@@ -5,7 +5,10 @@ type t = {
          [3i+1], [3i+2], [3i+3]; depths 0..k-2 *)
 }
 
-type lease = { name : int; path : (Splitter.t * Splitter.token) array }
+(* The token of the splitter entered at depth [h] sits in bits
+   [4h .. 4h+3], root first.  The splitter itself is not stored: its
+   heap index follows from the directions above it. *)
+type lease = int
 
 let pow3 n = Numeric.Intmath.pow 3 n
 
@@ -22,44 +25,41 @@ let create ?(stage = 0) layout ~k =
 
 let k t = t.k
 let name_space t = pow3 (t.k - 1)
+let token lease h = (lease lsr (4 * h)) land 15
 
 let get_name t ops =
-  let depth = t.k - 1 in
-  (* descend, recording the splitter and token used at each level *)
-  let acc = Array.make depth (None : (Splitter.t * Splitter.token) option) in
-  let name = ref 0 in
+  let lease = ref 0 in
   let idx = ref 0 in
-  let weight = ref 1 in
-  for h = 0 to depth - 1 do
-    let sp = t.nodes.(!idx) in
-    let tok = Splitter.enter sp ops in
-    let d = Splitter.direction tok in
-    acc.(h) <- Some (sp, tok);
-    name := !name + ((1 + d) * !weight);
-    weight := !weight * 3;
-    idx := (3 * !idx) + (1 + d) + 1
+  for h = 0 to t.k - 2 do
+    let tok = Splitter.enter t.nodes.(!idx) ops in
+    lease := !lease lor (tok lsl (4 * h));
+    idx := (3 * !idx) + Splitter.direction tok + 2
   done;
-  let path =
-    Array.map (function Some e -> e | None -> assert false) acc
-  in
-  { name = !name; path }
+  !lease
 
-let name_of _ lease = lease.name
+(* leaf label [s], read as base 3 with the root symbol least
+   significant: Σ (1+s[i])·3^i *)
+let name_of t lease =
+  let name = ref 0 in
+  for h = t.k - 2 downto 0 do
+    name := (3 * !name) + Splitter.direction (token lease h) + 1
+  done;
+  !name
 
-let release_name _ ops lease =
-  (* deepest splitter first: Using(child) must end before Inside(parent) *)
-  for h = Array.length lease.path - 1 downto 0 do
-    let sp, tok = lease.path.(h) in
-    Splitter.release sp ops tok
+(* Hand each level's token to [step], deepest splitter first:
+   Using(child) must end before Inside(parent).  The descent is
+   replayed once to find the deepest node; the walk back up uses
+   parent = (i-1)/3. *)
+let unwind step t ops lease =
+  let idx = ref 0 in
+  for h = 0 to t.k - 3 do
+    idx := (3 * !idx) + Splitter.direction (token lease h) + 2
+  done;
+  for h = t.k - 2 downto 0 do
+    step t.nodes.(!idx) ops (token lease h);
+    idx := (!idx - 1) / 3
   done
 
-let reset_footprint =
-  Some
-    (fun _ ops (lease : lease) ->
-      (* deepest-first, like release *)
-      for h = Array.length lease.path - 1 downto 0 do
-        let sp, tok = lease.path.(h) in
-        Splitter.reset sp ops tok
-      done)
-
-let path_string _ lease = Array.map (fun (_, tok) -> Splitter.direction tok) lease.path
+let release_name t ops lease = unwind Splitter.release t ops lease
+let reset_footprint = Some (fun t ops lease -> unwind Splitter.reset t ops lease)
+let path_string t lease = Array.init (t.k - 1) (fun h -> Splitter.direction (token lease h))

@@ -18,7 +18,15 @@
     the first stage of the Theorem 11 pipeline (it reduces [S] to
     [3^(k-1)] so that FILTER's polynomial-space instances apply). *)
 
-include Protocol.S
+include Protocol.S with type lease = int
+(** A lease is one immediate int, so a get/release cycle allocates
+    nothing.  The {!Splitter.token} taken at depth [h] occupies bits
+    [4h .. 4h+3], root first; [k ≤ 12] uses at most 44 bits.  The
+    splitters themselves are not stored: the node entered at depth
+    [h+1] is [3i + 2 + dir] for the depth-[h] node [i], so
+    [release_name] replays the descent to the deepest node and walks
+    back up through parents [(i-1)/3].  [name_of] recomputes the name
+    from the directions. *)
 
 val create : ?stage:int -> Shared_mem.Layout.t -> k:int -> t
 (** Allocates the [(3^(k-1) - 1) / 2] interior splitters, each

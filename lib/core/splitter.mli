@@ -21,8 +21,17 @@
 
 type t
 
-type token
-(** Per-entry bookkeeping ([advice], [adv2]) needed by [release]. *)
+type token = int
+(** Per-entry bookkeeping needed by [release], packed into 4 bits of
+    one immediate int so that entering allocates nothing:
+    - bits 0–1: [direction + 1] (0, 1 or 2);
+    - bit 2: set when the advice read on entry was [-1] (clear: [1]);
+    - bit 3: [adv2], whether this entry wrote [ADVICE[2]].
+
+    The advice is never ⊥ once read: [ADVICE[2]] starts at [1] and is
+    only written with the negation of a non-⊥ value.  The encoding is
+    public so that {!Renaming.Split} can store one token per level in
+    a packed lease; any other int is not a token. *)
 
 val create : ?loc:Obs.Loc.t -> Shared_mem.Layout.t -> t
 (** Allocates [LAST], [ADVICE[1]], [ADVICE[2]].  [loc] is the stable

@@ -38,13 +38,9 @@ let create ~name_space ~workers ~parked =
     normal_total;
   }
 
-(* monotone CAS loop *)
-let bump_max a c =
-  let rec go () =
-    let m = Atomic.get a in
-    if c > m && not (Atomic.compare_and_set a m c) then go ()
-  in
-  go ()
+let rec bump_max a c =
+  let m = Atomic.get a in
+  if c > m && not (Atomic.compare_and_set a m c) then bump_max a c
 
 let note_violation (t : t) msg =
   Atomic.incr t.violations;

@@ -43,6 +43,10 @@ val create : name_space:int -> workers:int -> parked:int -> t
     @raise Invalid_argument if [workers > 0] and every worker is
     parked — each would wait on the others forever. *)
 
+val bump_max : int Atomic.t -> int -> unit
+(** [bump_max a v] raises [a] to [v] if [v] is larger: a monotone CAS
+    loop, allocation-free. *)
+
 val note_violation : t -> string -> unit
 (** Count a violation, recording the message if it is the first. *)
 

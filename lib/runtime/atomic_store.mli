@@ -13,8 +13,11 @@ val create : Shared_mem.Layout.t -> t
 (** Storage initialised from the layout.  Call after all allocation is
     done and before spawning domains. *)
 
-val ops : t -> pid:int -> Shared_mem.Store.ops
-(** Capability for one worker; safe to use from any domain. *)
+val ops : ?tally:Shared_mem.Store.tally -> t -> pid:int -> Shared_mem.Store.ops
+(** Capability for one worker; safe to use from any domain.  With
+    [tally], each access is counted into it inside the same closure
+    that touches the register — one indirect call per access either
+    way.  The tally is single-writer: give each domain its own. *)
 
 val get : t -> Shared_mem.Cell.t -> int
 (** Direct read (monitoring; itself atomic). *)

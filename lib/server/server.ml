@@ -98,6 +98,8 @@ type shard = { inst : Any.t; base : int }
 type client = {
   id : int;
   obs : Obs.Registry.shard option;
+  hot_counters : Obs.Counter.t array;  (* see [hot_count] *)
+  hot_hists : Obs.Histogram.t array;
   ring : Obs.Flight.t option;
   jr : Obs.Journey.t option;
       (* per-request journey recorder (single writer: this domain);
@@ -254,8 +256,59 @@ let pending_push t sh i =
   ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(sh) 1)
 
 let obs_inc c name = match c.obs with Some o -> Obs.Registry.inc o name | None -> ()
-let obs_count c name n = match c.obs with Some o -> Obs.Registry.count o name n | None -> ()
-let obs_observe c name v = match c.obs with Some o -> Obs.Registry.observe o name v | None -> ()
+
+(* The request path's metrics go through handles each client resolves
+   on first use: a by-name update hashes the name and allocates.
+   Resolving lazily keeps a metric that is never updated out of the
+   registry, as a by-name update would. *)
+let h_acquired = 0
+let h_warm_hits = 1
+let h_busy = 2
+let h_shed = 3
+let h_drains = 4
+let h_drained = 5
+
+let hot_counter_names =
+  [| "server.acquired"; "server.warm_hits"; "server.busy"; "server.shed";
+     "server.drains"; "server.drained" |]
+
+let h_cold_accesses = 0
+let h_warm_accesses = 1
+let hot_hist_names = [| "server.acquire.accesses.cold"; "server.acquire.accesses.warm" |]
+
+(* placeholders for a handle not resolved yet, compared physically *)
+let unresolved_counter = Obs.Counter.create ()
+let unresolved_hist = Obs.Histogram.create ()
+
+let hot_count c h n =
+  match c.obs with
+  | None -> ()
+  | Some o ->
+      let x = c.hot_counters.(h) in
+      let x =
+        if x != unresolved_counter then x
+        else begin
+          let x = Obs.Registry.counter o hot_counter_names.(h) in
+          c.hot_counters.(h) <- x;
+          x
+        end
+      in
+      Obs.Counter.add x n
+
+let hot_observe c h v =
+  match c.obs with
+  | None -> ()
+  | Some o ->
+      let x = c.hot_hists.(h) in
+      let x =
+        if x != unresolved_hist then x
+        else begin
+          let x = Obs.Registry.histogram o hot_hist_names.(h) in
+          c.hot_hists.(h) <- x;
+          x
+        end
+      in
+      Obs.Histogram.observe x v
 
 let mark c tag v =
   match c.ring with
@@ -292,13 +345,6 @@ let jblame_t c stage t0 =
     | None -> 0
 
 let jblame c stage t0 = ignore (jblame_t c stage t0 : int)
-
-let bump_max a v =
-  let rec go () =
-    let m = Atomic.get a in
-    if v > m && not (Atomic.compare_and_set a m v) then go ()
-  in
-  go ()
 
 (* ----- epoch fencing -----
 
@@ -355,8 +401,8 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
      get_name that would overlap its own release.  That any agent may
      execute the register operations on the holder's behalf is the
      same handoff long-lived reclamation relies on. *)
-  let base : Store.ops = c.ops.(ssh) in
-  let ops = { base with Store.pid = src } in
+  let ops = c.ops.(ssh) in
+  ops.pid <- src;
   (if reset && Any.reset_available sd.inst then
      (Option.get Any.reset_footprint) sd.inst ops lease
    else Any.release_name sd.inst ops lease);
@@ -410,10 +456,10 @@ let drain_shard ?(hook = true) ?(t0 = 0) t (c : client) sh =
   if h <> 0 then begin
     let t0 = if t0 <> 0 then t0 else jtrack c in
     c.drains <- c.drains + 1;
-    obs_inc c "server.drains";
+    hot_count c h_drains 1;
     let n = drain_walk ~hook t c (h - 1) in
     c.drained <- c.drained + n;
-    obs_count c "server.drained" n;
+    hot_count c h_drained n;
     mark c "drain" n;
     jblame c Obs.Journey.Drain t0
   end
@@ -437,16 +483,11 @@ let pending_release ?(t0 = 0) t c sh slot =
 
 (* ----- admission: cap holders+warm+pending at the shard's k ----- *)
 
-let try_admit t sh =
+let rec try_admit t sh =
   let a = (Pad.cells t.admitted).(sh) in
-  let k = t.cfg.k_per_shard in
-  let rec go () =
-    let cur = Atomic.get a in
-    if cur >= k then false
-    else if Atomic.compare_and_set a cur (cur + 1) then true
-    else go ()
-  in
-  go ()
+  let cur = Atomic.get a in
+  if cur >= t.cfg.k_per_shard then false
+  else Atomic.compare_and_set a cur (cur + 1) || try_admit t sh
 
 (* Flush this client's own warm leases that live on shard [sh] —
    reclaiming admission capacity it is hoarding before giving up. *)
@@ -479,36 +520,32 @@ let flush_warm_shard t c sh =
 (* Returns the chained journey stamp ([0] when journeys are off), or
    [-1] when no admission slot could be won — an int rather than a
    tuple so the uncontended cold path stays allocation-free. *)
-let admit t c sh tc =
-  let rec attempt tries tc =
-    if try_admit t sh then tc
-    else if tries = 0 then -1
-    else begin
-      let t0 = if tc <> 0 then tc else jtrack c in
-      flush_warm_shard t c sh;
-      let te = jblame_t c Obs.Journey.Admission t0 in
-      drain_shard ~t0:te t c sh;
-      attempt (tries - 1) (if te <> 0 then jtrack c else 0)
-    end
-  in
-  attempt 3 tc
+let rec admit_attempt t c sh tries tc =
+  if try_admit t sh then tc
+  else if tries = 0 then -1
+  else begin
+    let t0 = if tc <> 0 then tc else jtrack c in
+    flush_warm_shard t c sh;
+    let te = jblame_t c Obs.Journey.Admission t0 in
+    drain_shard ~t0:te t c sh;
+    admit_attempt t c sh (tries - 1) (if te <> 0 then jtrack c else 0)
+  end
 
-let slot_take t c sh =
-  (* Admission guarantees at most cap-1 slots are bound or pending, so
-     a slot is free or frees as soon as pending drains; spin + help.
-     The chaos hook is suppressed in this one drain: admission is
-     already charged here and the slot not yet bound, so a crash at
-     this boundary would leak an [admitted] count no reclaim can see —
-     the one window the fault model promises does not exist. *)
-  let rec go () =
-    match free_pop t with
-    | -1 ->
-        drain_shard ~hook:false t c sh;
-        Domain.cpu_relax ();
-        go ()
-    | i -> i
-  in
-  go ()
+let admit t c sh tc = admit_attempt t c sh 3 tc
+
+(* Admission guarantees at most cap-1 slots are bound or pending, so a
+   slot is free or frees as soon as pending drains; spin + help.  The
+   chaos hook is suppressed in this one drain: admission is already
+   charged here and the slot not yet bound, so a crash at this
+   boundary would leak an [admitted] count no reclaim can see — the
+   one window the fault model promises does not exist. *)
+let rec slot_take t c sh =
+  match free_pop t with
+  | -1 ->
+      drain_shard ~hook:false t c sh;
+      Domain.cpu_relax ();
+      slot_take t c sh
+  | i -> i
 
 (* ----- warm cache (client-local; shared state only in the fences) ----- *)
 
@@ -553,8 +590,9 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   let sd = t.shard_tbl.(sh) in
   Store.tally_mark c.tally;
   let t0 = if t0 <> 0 then t0 else jtrack c in
-  let base : Store.ops = c.ops.(sh) in
-  let lease = Any.get_name sd.inst { base with pid = src } in
+  let ops = c.ops.(sh) in
+  ops.pid <- src;
+  let lease = Any.get_name sd.inst ops in
   jblame c Obs.Journey.Acquire t0;
   let accesses = Store.tally_since c.tally in
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
@@ -575,8 +613,8 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
         (Obs.Flight.Acquired name)
   | None -> ());
   c.acquires <- c.acquires + 1;
-  obs_inc c "server.acquired";
-  obs_observe c "server.acquire.accesses.cold" accesses;
+  hot_count c h_acquired 1;
+  hot_observe c h_cold_accesses accesses;
   Granted { name; token = slot; warm = false; accesses }
 
 let acquire_cold t c ~src =
@@ -591,7 +629,7 @@ let acquire_cold t c ~src =
   let tc = jblame_t c Obs.Journey.Claim t0 in
   if not claimed then begin
     c.busy <- c.busy + 1;
-    obs_inc c "server.busy";
+    hot_count c h_busy 1;
     Busy
   end
   else
@@ -603,7 +641,7 @@ let acquire_cold t c ~src =
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (Atomic.fetch_and_add (Pad.cells t.shard_sheds).(sh) 1);
       c.shed <- c.shed + 1;
-      obs_inc c "server.shed";
+      hot_count c h_shed 1;
       Shed
     end
     else if Pad.get t.epoch c.id <> c.my_epoch then begin
@@ -614,7 +652,7 @@ let acquire_cold t c ~src =
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (check_epoch t c : bool);
       c.busy <- c.busy + 1;
-      obs_inc c "server.busy";
+      hot_count c h_busy 1;
       Busy
     end
     else cold_grant ~t0:tc t c ~src ~sh
@@ -637,9 +675,9 @@ let acquire t c ~src =
     then begin
       c.acquires <- c.acquires + 1;
       c.warm_hits <- c.warm_hits + 1;
-      obs_inc c "server.acquired";
-      obs_inc c "server.warm_hits";
-      obs_observe c "server.acquire.accesses.warm" 0;
+      hot_count c h_acquired 1;
+      hot_count c h_warm_hits 1;
+      hot_observe c h_warm_accesses 0;
       (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
       mark c "warm" t.slot_name.(slot);
       t.slot_warm.(slot)
@@ -808,7 +846,7 @@ let reclaim_client t (c : client) j =
         retire_slot t c slot ~was_pending:false ~reset:true;
         ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
         Atomic.incr t.rs_reclaimed;
-        bump_max t.rs_reclaim_max t.stale.(j);
+        Agg.bump_max t.rs_reclaim_max t.stale.(j);
         obs_inc c "server.reclaimed";
         mark c "reclaim" slot
       end
@@ -1098,19 +1136,14 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
                 ())
             flight
         in
-        let tally = Store.tally () in
+        (* one tally across all shard stores: it serves the cost and
+           flight paths, and with a registry also the per-group
+           counters *)
+        let tally = Store.tally ?shard:obs () in
         let ops =
           Array.map
             (fun store ->
-              let o = Atomic_store.ops store ~pid:0 in
-              (* one tally across all shard stores: with a registry it
-                 also feeds the per-group counters, without one it
-                 only keeps the totals the cost/flight paths need *)
-              let o =
-                match obs with
-                | Some s -> Store.observed_into tally s o
-                | None -> Store.tallying tally o
-              in
+              let o = Atomic_store.ops ~tally store ~pid:0 in
               match ring with
               | Some r ->
                   Store.probed
@@ -1123,6 +1156,8 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         {
           id;
           obs;
+          hot_counters = Array.make (Array.length hot_counter_names) unresolved_counter;
+          hot_hists = Array.make (Array.length hot_hist_names) unresolved_hist;
           ring;
           jr = Option.map (fun a -> a.(id)) journeys;
           ops;

@@ -10,7 +10,13 @@
     [{0, …, S-1}] that the renaming protocols reduce. *)
 
 type ops = {
-  pid : int;  (** Source name of the executing process. *)
+  mutable pid : int;
+      (** Source name of the executing process.  Mutable so that an
+          agent running protocol steps on behalf of several sources (the
+          name server, one client's ops per shard) can re-bind it per
+          request without copying the record.  Only the owner of an
+          [ops] value may set it, and never while a protocol call on it
+          is in flight. *)
   read : Cell.t -> int;  (** Atomic read of a register. *)
   write : Cell.t -> int -> unit;  (** Atomic write of a register. *)
   rmw : Cell.t -> (int -> int) -> int;
@@ -28,6 +34,56 @@ type ops = {
           access. *)
 }
 
+(** {1:arena The access arena}
+
+    A {!tally} is one process's flat, preallocated access ledger:
+    per-register-kind counts indexed by dense {!Cell.id} plus a
+    running total, all plain int-array stores.  It is not a wrapper:
+    a store's own [ops] closures count into it ({!seq_ops},
+    [Runtime.Atomic_store.ops] with [?tally]), so a counted access
+    costs one indirect call, as a bare one does.  One arena serves
+    per-group registry metrics ({e deferred}: deltas are pushed only
+    when a snapshot runs), per-operation access counts
+    ([tally_mark]/[tally_since]) and the flight recorder's logical
+    clock ([tally_total]).  Several [ops] may share one tally (e.g. one
+    per server shard store).  Single-writer, like every registry
+    shard. *)
+
+type tally
+
+val tally : ?shard:Obs.Registry.shard -> unit -> tally
+(** A fresh arena; each cell is registered on its first counted
+    access.  With [shard], the arena is bound to it: group counters
+    ([store.reads.<group>], …; a register's {e group} is its
+    {!Cell.name} up to the first ['[']) plus the ungrouped totals
+    [store.reads] / [store.writes] / [store.rmws] (present in [shard]
+    from creation on) are materialized into [shard] as deltas when
+    {!Obs.Registry.snapshot} runs, or on {!tally_flush}.  Without
+    [shard], the counts serve {!tally_total} and {!tally_since}
+    only. *)
+
+val tally_count : tally -> Cell.t -> int -> int -> unit
+(** [tally_count t cell id kind] counts one access of [kind] ([0]
+    read, [1] write, [2] rmw) to [cell], whose {!Cell.id} is [id],
+    registering [cell] on its first access.  For store
+    implementations: call it from the closure that performs the
+    access, passing the id that closure indexes its storage with. *)
+
+val tally_total : tally -> int
+(** Every access since creation — never reset; the flight recorder's
+    logical clock. *)
+
+val tally_mark : tally -> unit
+(** Mark the current total; {!tally_since} reports accesses since. *)
+
+val tally_since : tally -> int
+
+val tally_flush : tally -> unit
+(** Push unpushed deltas into the bound registry shard now (no-op for
+    an unbound tally).  Registered automatically via
+    {!Obs.Registry.on_snapshot}, so explicit calls are rarely
+    needed. *)
+
 (** {1 Sequential store}
 
     Backing for single-threaded tests: a plain array.  All processes
@@ -39,8 +95,10 @@ type seq
 val seq_create : Layout.t -> seq
 (** Instantiate register storage from a layout's initial values. *)
 
-val seq_ops : seq -> pid:int -> ops
-(** Capability for process [pid] over the sequential store. *)
+val seq_ops : ?tally:tally -> seq -> pid:int -> ops
+(** Capability for process [pid] over the sequential store.  With
+    [tally], every access is counted into it by the same closure that
+    touches the array (see {!section:arena}). *)
 
 val seq_get : seq -> Cell.t -> int
 (** Direct inspection of a register (test helper, not a protocol step). *)
@@ -73,8 +131,8 @@ val accesses : counter -> int
 val reset : counter -> unit
 
 val group : Cell.t -> string
-(** The register-group key used by {!observed}: the cell's name up to
-    the first ['[']. *)
+(** The register-group key used by a bound {!tally}: the cell's name
+    up to the first ['[']. *)
 
 val probed : Obs.Probe.t -> ops -> ops
 (** [probed p ops] is [ops] with [p] installed as the structural
@@ -82,55 +140,3 @@ val probed : Obs.Probe.t -> ops -> ops
     attributes events to at wrap time — [{ ops with pid }] re-labelling
     (pipeline chaining, crash recovery) carries the probe along
     unchanged, so attribution stays with the original process. *)
-
-(** {1 The access arena}
-
-    A {!tally} is one process's flat, preallocated access ledger:
-    per-register-kind counts indexed by dense {!Cell.id} plus a
-    running total, all plain int-array stores on the hot path.  It
-    replaces stacking [counting] layers on top of [observed] — one
-    arena serves per-group registry metrics ({e deferred}: deltas are
-    pushed only when a snapshot runs), per-operation access counts
-    ([tally_mark]/[tally_since]) and the flight recorder's logical
-    clock ([tally_total]) from a single branch + store per access.
-    Single-writer, like every registry shard. *)
-
-type tally
-
-val tally : unit -> tally
-
-val observed_into : tally -> Obs.Registry.shard -> ops -> ops
-(** [observed_into t shard ops] forwards to [ops], recording each
-    access in [t].  Group counters ([store.reads.<group>], …, plus the
-    ungrouped totals [store.reads] / [store.writes] / [store.rmws]; a
-    register's {e group} is its {!Cell.name} up to the first ['[']) are
-    materialized into [shard] as deltas when {!Obs.Registry.snapshot}
-    runs, or on {!tally_flush}.  Several [ops] may share one tally
-    (e.g. one per server shard store) but a tally binds to a single
-    registry shard: a second [observed_into] with a different shard
-    raises [Invalid_argument]. *)
-
-val tallying : tally -> ops -> ops
-(** Total-only variant for runs without a registry: bumps the running
-    total (so [tally_total]/[tally_since] work) but skips per-register
-    bookkeeping. *)
-
-val tally_total : tally -> int
-(** Every access since creation — never reset; the flight recorder's
-    logical clock. *)
-
-val tally_mark : tally -> unit
-(** Mark the current total; {!tally_since} reports accesses since. *)
-
-val tally_since : tally -> int
-
-val tally_flush : tally -> unit
-(** Push unpushed deltas into the bound registry shard now (no-op for
-    an unbound tally).  Registered automatically via
-    {!Obs.Registry.on_snapshot}, so explicit calls are rarely
-    needed. *)
-
-val observed : Obs.Registry.shard -> ops -> ops
-(** [observed shard ops] = [observed_into (tally ()) shard ops] — the
-    per-register-group counters land in [shard] with the same names as
-    always, just deferred until snapshot. *)

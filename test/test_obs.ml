@@ -352,7 +352,7 @@ let test_export_text () =
     (fun sub -> Alcotest.(check bool) ("text has " ^ sub) true (contains sub t))
     [ "store.reads"; "op.get.accesses"; "names.held" ]
 
-(* ----- Store.observed: per-register-group counters ----- *)
+(* ----- a bound Store.tally: per-register-group counters ----- *)
 
 let test_observed_groups () =
   let layout = Layout.create () in
@@ -361,7 +361,7 @@ let test_observed_groups () =
   let mem = Store.seq_create layout in
   let r = Obs.Registry.create () in
   let sh = Obs.Registry.shard r in
-  let ops = Store.observed sh (Store.seq_ops mem ~pid:1) in
+  let ops = Store.seq_ops ~tally:(Store.tally ~shard:sh ()) mem ~pid:1 in
   ignore (ops.read a.(0));
   ignore (ops.read a.(3));
   ops.write a.(1) 5;

@@ -137,6 +137,39 @@ let test_warm_path_allocation_free () =
   Server.flush t c;
   Alcotest.(check int) "all names returned" 0 (Server.outstanding t)
 
+(* A cold cycle allocates only its outcome values: the [Any] lease box
+   (4 words), the slot's [Some lease] (2) and two [Granted] records (5
+   each: the one returned and the warm one kept for the slot).  The
+   protocol lease is an int, the per-request ops are re-bound rather
+   than copied, and the registry handles are resolved once — all with
+   the registry on. *)
+let test_cold_path_allocation () =
+  let registry = Obs.Registry.create () in
+  let t =
+    Server.create ~registry
+      (Server.default_config ~warm_capacity:0 ~clients:1 ~source_space:4096 ())
+  in
+  let c = Server.client t 0 in
+  let cycle i =
+    match Server.acquire t c ~src:(i land 4095) with
+    | Server.Granted g ->
+        if g.warm then Alcotest.fail "warm grant with the warm cache off";
+        Server.release t c ~token:g.token
+    | Server.Busy | Server.Shed -> Alcotest.fail "solo cold acquire refused"
+  in
+  for i = 0 to 4095 do
+    cycle i
+  done;
+  let cycles = 20_000 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to cycles - 1 do
+    cycle i
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int cycles in
+  if words > 16. then Alcotest.failf "cold cycle allocates %.2f minor words" words;
+  Server.flush t c;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t)
+
 (* Whether a token is held is read off the slot's owner and fence:
    another client's token is rejected, and a reclaimed client's late
    release is fenced, not rejected. *)
@@ -462,6 +495,8 @@ let () =
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
           Alcotest.test_case "warm path allocates nothing" `Quick
             test_warm_path_allocation_free;
+          Alcotest.test_case "cold path allocates <= 16 words per cycle" `Quick
+            test_cold_path_allocation;
         ] );
       ( "concurrency",
         [

@@ -176,6 +176,96 @@ let test_crash_tolerance () =
   Alcotest.(check bool) "survivor done" true outcome.completed.(0);
   Alcotest.(check bool) "crashed not done" false outcome.completed.(1)
 
+(* A get/release cycle over the sequential store allocates nothing:
+   the lease and every splitter token are immediate ints.  The budget
+   of 0.01 words per cycle leaves room only for the measurement. *)
+let test_cycle_allocation_free () =
+  List.iter
+    (fun k ->
+      let layout, sp, _ = make ~k in
+      let ops = Store.seq_ops (Store.seq_create layout) ~pid:123_456_789 in
+      Split.release_name sp ops (Split.get_name sp ops);
+      let cycles = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to cycles do
+        Split.release_name sp ops (Split.get_name sp ops)
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int cycles in
+      if words >= 0.01 then Alcotest.failf "k=%d: %.2f minor words per cycle" k words)
+    [ 2; 4; 8; 12 ]
+
+(* The packed lease, checked against what the splitters themselves
+   reported.  Under a random schedule every process records the probe's
+   [Exit (node, dir)] events of its GetName and the [Release node]
+   events of its ReleaseName.  The lease must decode to the reported
+   directions (4 bits per level, root first), the reported nodes must
+   be the heap path those directions select, release must visit them
+   deepest first, and the name must be Σ (1+s[i])·3^i over the path
+   string, below 3^(k-1).  A failed check is counted, not raised, so
+   the scheduler never sees an exception. *)
+let lease_matches ~k sp lease reported =
+  let path = Split.path_string sp lease in
+  let name = Split.name_of sp lease in
+  let rec level h node sum weight =
+    if h = k - 1 then name = sum
+    else
+      let n, d = reported.(h) in
+      n = node
+      && path.(h) = d
+      && ((lease lsr (4 * h)) land 3) - 1 = d
+      && level (h + 1) ((3 * node) + 2 + d) (sum + ((1 + d) * weight)) (3 * weight)
+  in
+  Array.length reported = k - 1
+  && Array.length path = k - 1
+  && lease < 1 lsl (4 * (k - 1))
+  && name < pow3 (k - 1)
+  && level 0 0 0 1
+
+let packing_run ~k ~seed =
+  let layout, sp, work = make ~k in
+  let bad = ref 0 in
+  let body (ops : Store.ops) =
+    let exits = ref [] and releases = ref [] in
+    let ops =
+      Store.probed
+        (function
+          | Obs.Probe.Exit (Obs.Loc.Splitter { node; _ }, d) -> exits := (node, d) :: !exits
+          | Obs.Probe.Release (Obs.Loc.Splitter { node; _ }) -> releases := node :: !releases
+          | _ -> ())
+        ops
+    in
+    for _ = 1 to 2 do
+      exits := [];
+      releases := [];
+      let lease = Split.get_name sp ops in
+      let reported = Array.of_list (List.rev !exits) in
+      if not (lease_matches ~k sp lease reported) then incr bad;
+      let name = Split.name_of sp lease in
+      Sim.Sched.emit (Sim.Event.Acquired name);
+      ignore (ops.read work);
+      Sim.Sched.emit (Sim.Event.Released name);
+      Split.release_name sp ops lease;
+      if !releases <> Array.to_list (Array.map fst reported) then incr bad
+    done
+  in
+  let procs = Array.init (min k 4) (fun i -> ((i * 1_000_003) + 17, body)) in
+  let outcome, _ =
+    Test_util.run_random ~seed ~name_space:(Split.name_space sp) layout procs
+  in
+  Test_util.all_completed outcome && !bad = 0
+
+let prop_packing =
+  Test_util.qtest ~count:40 "packed lease decodes to the probed path"
+    QCheck2.Gen.(pair (int_range 2 12) int)
+    (fun (k, seed) -> packing_run ~k ~seed)
+
+(* k = 12 fills all 44 lease bits; the generator need not draw it *)
+let test_packing_k12 () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "k=12 seed=%d" seed) true (packing_run ~k:12 ~seed))
+    (Test_util.seeds 3)
+
 (* qcheck: across random seeds and k, max simultaneous distinct holders
    never exceeds k and names stay unique (monitor enforces). *)
 let prop_random_schedules =
@@ -194,6 +284,8 @@ let () =
           Alcotest.test_case "register count" `Quick test_register_count;
           Alcotest.test_case "solo acquire/release" `Quick test_solo;
           Alcotest.test_case "k=1 trivial" `Quick test_k1_trivial;
+          Alcotest.test_case "cycle allocates nothing" `Quick test_cycle_allocation_free;
+          Alcotest.test_case "packing at k=12" `Quick test_packing_k12;
         ] );
       ( "concurrent",
         [
@@ -206,5 +298,5 @@ let () =
           Alcotest.test_case "exhaustive k=2" `Slow test_exhaustive_k2;
           Alcotest.test_case "bounded k=3" `Slow test_bounded_k3;
         ] );
-      ("property", [ prop_random_schedules ]);
+      ("property", [ prop_random_schedules; prop_packing ]);
     ]

@@ -226,10 +226,8 @@ let test_tally_groups () =
   let mem = Shared_mem.Store.seq_create layout in
   let registry = Obs.Registry.create () in
   let sh = Obs.Registry.shard registry in
-  let t = Shared_mem.Store.tally () in
-  let ops =
-    Shared_mem.Store.observed_into t sh (Shared_mem.Store.seq_ops mem ~pid:1)
-  in
+  let t = Shared_mem.Store.tally ~shard:sh () in
+  let ops = Shared_mem.Store.seq_ops ~tally:t mem ~pid:1 in
   ignore (ops.read a);
   ignore (ops.read b);
   ops.write a 1;
@@ -254,34 +252,55 @@ let test_tally_groups () =
   Alcotest.(check int) "delta flush" 4
     (List.assoc "store.reads" snap2.Obs.Registry.counters)
 
-let test_tally_rebind_rejected () =
-  let layout, a, _, _ = tally_layout () in
-  let mem = Shared_mem.Store.seq_create layout in
+(* One arena behind two stores: the sequential array and an atomic
+   store each count into it from their own closures, and the grouped
+   counts merge at snapshot. *)
+let test_tally_shared_stores () =
+  let layout, a, b, _ = tally_layout () in
   let registry = Obs.Registry.create () in
-  let t = Shared_mem.Store.tally () in
-  let ops =
-    Shared_mem.Store.observed_into t
-      (Obs.Registry.shard registry)
-      (Shared_mem.Store.seq_ops mem ~pid:1)
+  let t = Shared_mem.Store.tally ~shard:(Obs.Registry.shard registry) () in
+  let seq =
+    Shared_mem.Store.seq_ops ~tally:t (Shared_mem.Store.seq_create layout) ~pid:1
   in
-  ignore (ops.read a);
-  Alcotest.check_raises "rebind to another shard"
-    (Invalid_argument "Store.observed_into: tally already bound to another shard")
-    (fun () ->
-      ignore
-        (Shared_mem.Store.observed_into t
-           (Obs.Registry.shard registry)
-           (Shared_mem.Store.seq_ops mem ~pid:1)))
+  let atomic =
+    Runtime.Atomic_store.ops ~tally:t (Runtime.Atomic_store.create layout) ~pid:1
+  in
+  ignore (seq.read a);
+  atomic.write b 3;
+  ignore (atomic.read b);
+  ignore (atomic.rmw a (fun v -> v + 1));
+  Alcotest.(check int) "atomic store value" 3 (atomic.read b);
+  Alcotest.(check int) "running total" 5 (Shared_mem.Store.tally_total t);
+  let snap = Obs.Registry.snapshot registry in
+  let counter n = List.assoc n snap.Obs.Registry.counters in
+  Alcotest.(check int) "reads from both stores" 3 (counter "store.reads.reg");
+  Alcotest.(check int) "writes" 1 (counter "store.writes.reg");
+  Alcotest.(check int) "rmws" 1 (counter "store.rmws.reg")
 
-let test_tallying_total_only () =
+(* Without a shard the arena still counts for [tally_total], and a
+   fresh bound arena puts the ungrouped totals in the registry before
+   any access. *)
+let test_tally_unbound () =
   let layout, a, b, _ = tally_layout () in
   let mem = Shared_mem.Store.seq_create layout in
   let t = Shared_mem.Store.tally () in
-  let ops = Shared_mem.Store.tallying t (Shared_mem.Store.seq_ops mem ~pid:1) in
+  let ops = Shared_mem.Store.seq_ops ~tally:t mem ~pid:1 in
   ignore (ops.read a);
   ops.write b 5;
   ignore (ops.rmw a (fun v -> v));
-  Alcotest.(check int) "total only" 3 (Shared_mem.Store.tally_total t)
+  Alcotest.(check int) "total only" 3 (Shared_mem.Store.tally_total t);
+  let atomic =
+    Runtime.Atomic_store.ops ~tally:t (Runtime.Atomic_store.create layout) ~pid:1
+  in
+  ignore (atomic.read a);
+  Alcotest.(check int) "atomic total only" 4 (Shared_mem.Store.tally_total t);
+  let registry = Obs.Registry.create () in
+  ignore (Shared_mem.Store.tally ~shard:(Obs.Registry.shard registry) ());
+  let snap = Obs.Registry.snapshot registry in
+  Alcotest.(check (list (pair string int)))
+    "totals present from creation"
+    [ ("store.reads", 0); ("store.rmws", 0); ("store.writes", 0) ]
+    snap.Obs.Registry.counters
 
 let () =
   Alcotest.run "timeseries"
@@ -308,7 +327,7 @@ let () =
       ( "tally",
         [
           Alcotest.test_case "groups + totals + mark" `Quick test_tally_groups;
-          Alcotest.test_case "rebind rejected" `Quick test_tally_rebind_rejected;
-          Alcotest.test_case "tallying total-only" `Quick test_tallying_total_only;
+          Alcotest.test_case "shared by two stores" `Quick test_tally_shared_stores;
+          Alcotest.test_case "unbound tally total-only" `Quick test_tally_unbound;
         ] );
     ]
