@@ -24,9 +24,9 @@
    median) and fails if the median regresses to more than 2x the
    recorded bench/obs_baseline.json.  The trace bench ("trace") does
    the same for the structural flight recorder — BENCH_trace.json,
-   gated at 1.5x bench/trace_baseline.json.  BENCH_obs.json,
-   BENCH_trace.json and BENCH_backends.json record the core count and
-   the OCaml version.
+   gated at 1.5x bench/trace_baseline.json.  Every BENCH_*.json but
+   BENCH_modelcheck.json records the core count and the OCaml
+   version.
    The server bench ("server") drives the sharded name server with
    Zipf churn across 4 client domains (1M+ acquire/release cycles when
    not --smoke), with the full telemetry stack on (registry shards,
@@ -199,64 +199,6 @@ let run_wall_clock () =
 
 (* ----- model-checker throughput (sleep sets + state cache) ----- *)
 
-let splitter_builder ~procs ~cycles () : Sim.Model_check.config =
-  let layout = Layout.create () in
-  let sp = Renaming.Splitter.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let o = Sim.Checks.occupancy () in
-  let body (ops : Store.ops) =
-    for _ = 1 to cycles do
-      Sim.Sched.emit (Sim.Event.Note ("begin", 0));
-      let tok = Renaming.Splitter.enter sp ops in
-      let d = Renaming.Splitter.direction tok in
-      Sim.Sched.emit (Sim.Event.Note ("in", d));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Note ("out", d));
-      Renaming.Splitter.release sp ops tok;
-      Sim.Sched.emit (Sim.Event.Note ("end", 0))
-    done
-  in
-  {
-    layout;
-    procs = Array.init procs (fun p -> (p + 1, body));
-    monitor = Sim.Checks.occupancy_monitor o;
-  }
-
-let pf_mutex_builder ~cycles () : Sim.Model_check.config =
-  let layout = Layout.create () in
-  let b = Renaming.Pf_mutex.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let in_cs = ref 0 in
-  let body dir (ops : Store.ops) =
-    for _ = 1 to cycles do
-      let slot = Renaming.Pf_mutex.enter b ops ~dir in
-      let rec spin n =
-        if Renaming.Pf_mutex.check b ops ~dir slot then begin
-          Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-        end
-        else if n > 0 then spin (n - 1)
-      in
-      spin 6;
-      Renaming.Pf_mutex.release b ops ~dir slot
-    done
-  in
-  {
-    layout;
-    procs = [| (0, body 0); (1, body 1) |];
-    monitor =
-      Sim.Sched.monitor
-        ~on_event:(fun _ _ ev ->
-          match ev with
-          | Sim.Event.Note ("cs", _) ->
-              incr in_cs;
-              if !in_cs > 1 then raise (Sim.Model_check.Violation "double CS")
-          | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-          | _ -> ())
-        ();
-  }
-
 let run_modelcheck_bench () =
   print_endline "\n=== Model checker (sleep-set POR + state cache) ===";
   let oc = open_out "BENCH_modelcheck.json" in
@@ -283,10 +225,17 @@ let run_modelcheck_bench () =
   in
   let reduced = Sim.Model_check.default_options in
   let plain = { reduced with Sim.Model_check.por = false; cache_bound = 0 } in
-  run "splitter_l2_plain" plain (splitter_builder ~procs:2 ~cycles:1);
-  run "splitter_l2_reduced" reduced (splitter_builder ~procs:2 ~cycles:1);
-  run "splitter_l3_reduced" reduced (splitter_builder ~procs:3 ~cycles:1);
-  run "pf_mutex_reduced" reduced (pf_mutex_builder ~cycles:2);
+  let splitter ~procs =
+    Workload.splitter_config (module Renaming.Splitter) Renaming.Splitter.create
+      ~pids:(Array.init procs (fun p -> p + 1))
+      ~cycles:1
+  in
+  run "splitter_l2_plain" plain (splitter ~procs:2);
+  run "splitter_l2_reduced" reduced (splitter ~procs:2);
+  run "splitter_l3_reduced" reduced (splitter ~procs:3);
+  run "pf_mutex_reduced" reduced
+    (Workload.mutex_config ~retries:6 (module Renaming.Pf_mutex) Renaming.Pf_mutex.create
+       ~cycles:2);
   close_out oc;
   Stats.print tbl;
   print_endline "wrote BENCH_modelcheck.json"
@@ -636,8 +585,9 @@ let run_server_bench ~smoke ~rebaseline () =
   Printf.printf "violations    : %d   leaked: %d\n" r.violations r.leaked;
   let json =
     Printf.sprintf
-      "{\"id\":\"server\",\"smoke\":%b,\"clients\":%d,\"shards\":%d,\"k_per_shard\":%d,\"source_space\":%d,\"requests_per_client\":%d,\"cycles\":%d,\"elapsed_s\":%.3f,\"acquires_per_sec\":%.0f,\"latency_ns\":{\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p100\":%d},\"warm_hits\":%d,\"warm_hit_rate\":%.4f,\"warm_accesses_p100\":%d,\"cold_accesses_mean\":%.1f,\"cold_accesses_p99\":%d,\"busy\":%d,\"shed\":%d,\"drains\":%d,\"drained_releases\":%d,\"false_sharing_ns\":{\"adjacent\":%.1f,\"padded\":%.1f},\"violations\":%d,\"leaked\":%d,\"sampler_ticks\":%d,\"tail_blame\":{\"top_blame_stage\":\"%s\",\"tail_p999_ns\":%d,\"journey_overhead\":%.3f,\"completed\":%d,\"flagged\":%d,\"unexplained\":%b}}\n"
-      smoke clients 4 4 s requests report.Churn.cycles report.Churn.elapsed_s
+      "{\"id\":\"server\",\"smoke\":%b,%s,\"clients\":%d,\"shards\":%d,\"k_per_shard\":%d,\"source_space\":%d,\"requests_per_client\":%d,\"cycles\":%d,\"elapsed_s\":%.3f,\"acquires_per_sec\":%.0f,\"latency_ns\":{\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p100\":%d},\"warm_hits\":%d,\"warm_hit_rate\":%.4f,\"warm_accesses_p100\":%d,\"cold_accesses_mean\":%.1f,\"cold_accesses_p99\":%d,\"busy\":%d,\"shed\":%d,\"drains\":%d,\"drained_releases\":%d,\"false_sharing_ns\":{\"adjacent\":%.1f,\"padded\":%.1f},\"violations\":%d,\"leaked\":%d,\"sampler_ticks\":%d,\"tail_blame\":{\"top_blame_stage\":\"%s\",\"tail_p999_ns\":%d,\"journey_overhead\":%.3f,\"completed\":%d,\"flagged\":%d,\"unexplained\":%b}}\n"
+      smoke (host_json ()) clients 4 4 s requests report.Churn.cycles
+      report.Churn.elapsed_s
       report.Churn.throughput lat.p50 lat.p95 lat.p99 lat.p100 report.Churn.warm_hits
       hit_rate warm.p100 cold.mean cold.p99 report.Churn.busy report.Churn.shed
       report.Churn.drains report.Churn.drained_releases adj_ns pad_ns r.violations
@@ -750,8 +700,9 @@ let run_chaos_bench ~smoke ~rebaseline () =
   Printf.printf "availability  : %.4f (matrix minimum)\n" avail;
   let json =
     Printf.sprintf
-      "{\"id\":\"chaos\",\"smoke\":%b,\"seeds\":%d,\"requests_per_client\":%d,\"cells\":%d,\"matrix_ok\":%b,\"deaths\":%d,\"worst_reclaim_scans\":%d,\"clean_availability\":%.4f,\"warm_accesses_p100\":%d,\"clean_tail_unexplained\":%b,\"chaos_availability\":%.4f}\n"
-      smoke (List.length seeds) requests (List.length outcomes) matrix_ok deaths
+      "{\"id\":\"chaos\",\"smoke\":%b,%s,\"seeds\":%d,\"requests_per_client\":%d,\"cells\":%d,\"matrix_ok\":%b,\"deaths\":%d,\"worst_reclaim_scans\":%d,\"clean_availability\":%.4f,\"warm_accesses_p100\":%d,\"clean_tail_unexplained\":%b,\"chaos_availability\":%.4f}\n"
+      smoke (host_json ()) (List.length seeds) requests (List.length outcomes) matrix_ok
+      deaths
       worst_reclaim clean_avail warm_p100 clean_unexplained avail
   in
   let oc = open_out "BENCH_chaos.json" in
@@ -828,7 +779,7 @@ let run_backends_bench ~smoke () =
     (* --- seeded concurrent runs: names used, access costs, uniqueness --- *)
     let name_space = ref 0 in
     let names_used = ref 0 and max_name = ref (-1) in
-    let get_costs = ref [] and rel_costs = ref [] in
+    let costs = Workload.costs () in
     let violations = ref 0 and truncated = ref 0 in
     List.iter
       (fun seed ->
@@ -836,21 +787,7 @@ let run_backends_bench ~smoke () =
         let proto = spec.build layout ~k ~s ~participants:pids in
         name_space := A.name_space proto;
         let work = Layout.alloc layout ~name:"work" 0 in
-        let body (ops : Store.ops) =
-          let c = Store.counter () in
-          let counted = Store.counting c ops in
-          for _ = 1 to cycles do
-            Store.reset c;
-            let lease = A.get_name proto counted in
-            get_costs := Store.accesses c :: !get_costs;
-            Sim.Sched.emit (Sim.Event.Acquired (A.name_of proto lease));
-            ignore (ops.read work);
-            Sim.Sched.emit (Sim.Event.Released (A.name_of proto lease));
-            Store.reset c;
-            A.release_name proto counted lease;
-            rel_costs := Store.accesses c :: !rel_costs
-          done
-        in
+        let body = Workload.protocol_body ~costs (module A) proto ~work ~cycles in
         let u = Sim.Checks.uniqueness ~name_space:!name_space () in
         let t =
           Sim.Sched.create
@@ -924,9 +861,9 @@ let run_backends_bench ~smoke () =
       b_name_space = !name_space;
       b_names_used = !names_used;
       b_max_name = !max_name;
-      b_get_mean = mean !get_costs;
-      b_get_max = maxi !get_costs;
-      b_rel_mean = mean !rel_costs;
+      b_get_mean = mean costs.get;
+      b_get_max = maxi costs.get;
+      b_rel_mean = mean costs.release;
       b_wall_ns = wall_ns;
       b_warm = warm;
       b_violations = !violations;
@@ -1107,7 +1044,7 @@ let () =
       else
         match Experiments.find id with
         | None ->
-            Printf.eprintf "unknown experiment %S (known: e1..e12, wall, modelcheck, obs, trace, server, chaos, shootout, trend)\n"
+            Printf.eprintf "unknown experiment %S (known: e1..e13, wall, modelcheck, obs, trace, server, chaos, shootout, trend)\n"
               id
         | Some run ->
             let r = run () in

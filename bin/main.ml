@@ -4,7 +4,7 @@
      simulate    acquire/release cycles under a seeded random schedule
      modelcheck  bounded-exhaustive interleaving exploration
      params      show chosen FILTER parameters and pipeline stages
-     experiment  run reproduction experiments (e1..e12)
+     experiment  run reproduction experiments (e1..e13)
      trace       print an access-by-access execution trace
      domains     run a protocol across real OS domains
      observe     run instrumented and export the metrics snapshot
@@ -145,24 +145,8 @@ let simulate protocol k s procs cycles seed crash metrics =
         in
         Some (Sim.Observe.create shard)
   in
-  let get_costs = ref [] and rel_costs = ref [] in
-  let body (ops : Store.ops) =
-    let c = Store.counter () in
-    let counted = Store.counting c ops in
-    for _ = 1 to cycles do
-      Store.reset c;
-      Sim.Observe.op_begin "get";
-      let lease = P.get_name inst counted in
-      get_costs := Store.accesses c :: !get_costs;
-      Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-      Store.reset c;
-      Sim.Observe.op_begin "release";
-      P.release_name inst counted lease;
-      rel_costs := Store.accesses c :: !rel_costs
-    done
-  in
+  let costs = Workload.costs () in
+  let body = Workload.protocol_body ~markers:true ~costs (module P) inst ~work ~cycles in
   let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
   let monitor =
     Sim.Checks.combine
@@ -192,12 +176,12 @@ let simulate protocol k s procs cycles seed crash metrics =
     procs outcome.total;
   Fmt.pr "distinct names : %d (max concurrent %d, largest %d)@." (Sim.Checks.names_used u)
     (Sim.Checks.max_concurrent u) (Sim.Checks.max_name u);
-  (match !get_costs with
+  (match costs.get with
   | [] -> ()
   | costs ->
       let s = Stats.summarize_ints costs in
       Fmt.pr "GetName cost   : mean %.1f, p95 %.0f, max %.0f accesses@." s.mean s.p95 s.max);
-  (match !rel_costs with
+  (match costs.release with
   | [] -> ()
   | costs ->
       let s = Stats.summarize_ints costs in
@@ -220,27 +204,13 @@ let modelcheck protocol k s procs cycles max_paths shortest por cache_bound stat
      partial-order reduction sees as few event-emitting steps as
      possible, and a schedule found here replays identically against
      the marker-bearing bodies (markers cost no shared access). *)
-  let mk_builder ?(markers = false) ?(extra = []) () : Sim.Model_check.config =
-    let layout = Layout.create () in
-    let Setup { proto = (module P); inst; _ }, pids = build protocol layout ~k ~s ~procs in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let body (ops : Store.ops) =
-      for _ = 1 to cycles do
-        if markers then Sim.Observe.op_begin "get";
-        let lease = P.get_name inst ops in
-        Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-        if markers then Sim.Observe.op_begin "release";
-        P.release_name inst ops lease
-      done
-    in
-    let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
-    {
-      layout;
-      procs = Array.map (fun pid -> (pid, body)) pids;
-      monitor = Sim.Checks.combine (Sim.Checks.uniqueness_monitor u :: extra);
-    }
+  let mk_builder ?markers ?(extra = []) () =
+    Workload.protocol_config ?markers ~monitors:extra
+      (module Renaming.Protocol.Any)
+      (fun layout ->
+        let Setup { proto; inst; _ }, _ = build protocol layout ~k ~s ~procs in
+        Renaming.Protocol.Any.pack proto inst)
+      ~pids:(pids_for ~s ~procs) ~cycles ()
   in
   let builder () = mk_builder () in
   (* Exploration counters plus a profile of one schedule — the
@@ -430,17 +400,7 @@ let observe protocol k s procs cycles seed ndomains format metrics_file mutant =
         Obs.Registry.shard ~span_capacity:(max 4096 (2 * cycles * procs)) registry
       in
       let obs = Sim.Observe.create shard in
-      let body (ops : Store.ops) =
-        for _ = 1 to cycles do
-          Sim.Observe.op_begin "get";
-          let lease = P.get_name inst ops in
-          Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-          Sim.Observe.op_begin "release";
-          P.release_name inst ops lease
-        done
-      in
+      let body = Workload.protocol_body ~markers:true (module P) inst ~work ~cycles in
       let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
       let t =
         Sim.Sched.create
@@ -822,15 +782,7 @@ let trace protocol k s procs cycles seed tail =
   let layout = Layout.create () in
   let Setup { proto = (module P); inst; label }, pids = build protocol layout ~k ~s ~procs in
   let work = Layout.alloc layout ~name:"work" 0 in
-  let body (ops : Store.ops) =
-    for _ = 1 to cycles do
-      let lease = P.get_name inst ops in
-      Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-      P.release_name inst ops lease
-    done
-  in
+  let body = Workload.protocol_body (module P) inst ~work ~cycles in
   let tr = Sim.Trace.create ~capacity:tail () in
   let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
   let t =
@@ -869,15 +821,8 @@ let record_ring protocol ~k ~s ~procs ~cycles ~seed ~ndomains =
     in
     let work = Layout.alloc layout ~name:"work" 0 in
     let fr = Sim.Flight_rec.create () in
-    let body (ops : Store.ops) =
-      let ops = Sim.Flight_rec.wrap fr ops in
-      for _ = 1 to cycles do
-        let lease = P.get_name inst ops in
-        Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-        P.release_name inst ops lease
-      done
+    let body ops =
+      Workload.protocol_body (module P) inst ~work ~cycles (Sim.Flight_rec.wrap fr ops)
     in
     let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
     let monitor = Sim.Flight_rec.monitor ~chain:(Sim.Checks.uniqueness_monitor u) fr in
@@ -1106,7 +1051,7 @@ let params_cmd =
 
 let experiment_cmd =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID"
-                 ~doc:"Experiment ids (e1..e10); all when omitted.") in
+                 ~doc:"Experiment ids (e1..e13); all when omitted.") in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run the paper-reproduction experiments")
     Term.(const experiment $ ids $ metrics_arg)

@@ -27,107 +27,18 @@ type outcome = {
   finding : finding option;
 }
 
-(* ----- harness builders (mirror the mutation-test harnesses) ----- *)
+(* ----- harness builders ----- *)
 
-(* Two processes racing a mutex block; the [cs]/[cs_exit] notes feed an
-   exclusion monitor.  [make layout] returns one full enter/spin/release
-   cycle for a direction — the only protocol-specific part. *)
-let mutex_config ~cycles make () : MC.config =
-  let layout = Layout.create () in
-  let cycle = make layout in
-  let in_cs = ref 0 in
-  let body dir ops =
-    for _ = 1 to cycles do
-      cycle dir ops
-    done
-  in
-  {
-    MC.layout;
-    procs = [| (0, body 0); (1, body 1) |];
-    monitor =
-      Sim.Sched.monitor
-        ~on_event:(fun _ _ ev ->
-          match ev with
-          | Sim.Event.Note ("cs", _) ->
-              incr in_cs;
-              if !in_cs > 1 then
-                raise (MC.Violation "two processes in the critical section")
-          | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-          | _ -> ())
-        ();
-  }
+(* The mutants go through the very harnesses their correct originals
+   run in: [Workload]'s mutex and splitter configurations. *)
+let mutant_mutex variant =
+  Workload.mutex_config ~retries:6 (module Mut.Mutant_mutex) (fun l ->
+      Mut.Mutant_mutex.create l variant)
 
-let pf_mutex_cycle layout =
-  let b = Renaming.Pf_mutex.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  fun dir (ops : Store.ops) ->
-    let slot = Renaming.Pf_mutex.enter b ops ~dir in
-    let rec spin n =
-      if Renaming.Pf_mutex.check b ops ~dir slot then begin
-        Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-      end
-      else if n > 0 then spin (n - 1)
-    in
-    spin 6;
-    Renaming.Pf_mutex.release b ops ~dir slot
-
-let mutant_mutex_cycle variant layout =
-  let b = Mut.Mutant_mutex.create layout variant in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  fun dir (ops : Store.ops) ->
-    let slot = Mut.Mutant_mutex.enter b ops ~dir in
-    let rec spin n =
-      if Mut.Mutant_mutex.check b ops ~dir slot then begin
-        Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-      end
-      else if n > 0 then spin (n - 1)
-    in
-    spin 6;
-    Mut.Mutant_mutex.release b ops ~dir slot
-
-(* Splitter occupancy harness (Theorem 5's prefix-closed bound). *)
-let splitter_config ?(mutant : Mut.Mutant_splitter.variant option) ~procs ~cycles ()
-    : MC.config =
-  let layout = Layout.create () in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let o = Sim.Checks.occupancy () in
-  let cycle =
-    match mutant with
-    | None ->
-        let sp = Renaming.Splitter.create layout in
-        fun (ops : Store.ops) ->
-          Sim.Sched.emit (Sim.Event.Note ("begin", 0));
-          let tok = Renaming.Splitter.enter sp ops in
-          Sim.Sched.emit (Sim.Event.Note ("in", Renaming.Splitter.direction tok));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Note ("out", Renaming.Splitter.direction tok));
-          Renaming.Splitter.release sp ops tok;
-          Sim.Sched.emit (Sim.Event.Note ("end", 0))
-    | Some variant ->
-        let sp = Mut.Mutant_splitter.create layout variant in
-        fun (ops : Store.ops) ->
-          Sim.Sched.emit (Sim.Event.Note ("begin", 0));
-          let tok = Mut.Mutant_splitter.enter sp ops in
-          Sim.Sched.emit (Sim.Event.Note ("in", Mut.Mutant_splitter.direction tok));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Note ("out", Mut.Mutant_splitter.direction tok));
-          Mut.Mutant_splitter.release sp ops tok;
-          Sim.Sched.emit (Sim.Event.Note ("end", 0))
-  in
-  let body ops =
-    for _ = 1 to cycles do
-      cycle ops
-    done
-  in
-  {
-    MC.layout;
-    procs = Array.init procs (fun p -> (p + 1, body));
-    monitor = Sim.Checks.occupancy_monitor o;
-  }
+let mutant_splitter variant =
+  Workload.splitter_config (module Mut.Mutant_splitter)
+    (fun l -> Mut.Mutant_splitter.create l variant)
+    ~pids:[| 1; 2 |]
 
 (* Uniqueness harness over any Protocol.S instance, bodies from the
    workload generators so they emit the [cycle] notes plans can target. *)
@@ -155,19 +66,9 @@ let costly_config ~k ~s ~pids ~cycles () : MC.config =
   let work = Layout.alloc layout ~name:"work" 0 in
   let bound = (k * (s + 4)) + 1 in
   let u = Sim.Checks.uniqueness ~name_space:(M.name_space m) () in
-  let body (ops : Store.ops) =
-    let c = Store.counter () in
-    let counted = Store.counting c ops in
-    for _ = 1 to cycles do
-      Store.reset c;
-      let lease = M.get_name m counted in
-      Sim.Sched.emit (Sim.Event.Note ("get_cost", Store.accesses c));
-      Sim.Sched.emit (Sim.Event.Acquired (M.name_of m lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (M.name_of m lease));
-      M.release_name m counted lease
-    done
-  in
+  let costs = Workload.costs () in
+  (* the cost of the GetName that just returned *)
+  let note_cost _ = Sim.Sched.emit (Sim.Event.Note ("get_cost", List.hd costs.get)) in
   let cost_monitor =
     Sim.Sched.monitor
       ~on_event:(fun _ _ ev ->
@@ -181,7 +82,12 @@ let costly_config ~k ~s ~pids ~cycles () : MC.config =
   in
   {
     MC.layout;
-    procs = Array.map (fun pid -> (pid, body)) pids;
+    procs =
+      Array.map
+        (fun pid ->
+          ( pid,
+            Workload.protocol_body ~costs ~on_get:note_cost (module M) m ~work ~cycles ))
+        pids;
     monitor = Sim.Checks.combine [ Sim.Checks.uniqueness_monitor u; cost_monitor ];
   }
 
@@ -206,7 +112,9 @@ let targets () =
       tags = splitter_tags;
       max_access = 16;
       sched_per_plan = 4;
-      builder = splitter_config ~procs:3 ~cycles:2;
+      builder =
+        Workload.splitter_config (module Renaming.Splitter) Renaming.Splitter.create
+          ~pids:[| 1; 2; 3 |] ~cycles:2;
     };
     {
       name = "split";
@@ -228,7 +136,10 @@ let targets () =
       tags = mutex_tags;
       max_access = 24;
       sched_per_plan = 8;
-      builder = mutex_config ~cycles:3 pf_mutex_cycle;
+      builder =
+        Workload.mutex_config ~retries:6
+          (module Renaming.Pf_mutex)
+          Renaming.Pf_mutex.create ~cycles:3;
     };
     {
       name = "ma";
@@ -299,7 +210,7 @@ let targets () =
       tags = mutex_tags;
       max_access = 12;
       sched_per_plan = 8;
-      builder = mutex_config ~cycles:1 (mutant_mutex_cycle Mut.Mutant_mutex.Read_before_write);
+      builder = mutant_mutex Mut.Mutant_mutex.Read_before_write ~cycles:1;
     };
     {
       name = "mutant:mutex-no-yield";
@@ -308,7 +219,7 @@ let targets () =
       tags = mutex_tags;
       max_access = 12;
       sched_per_plan = 8;
-      builder = mutex_config ~cycles:1 (mutant_mutex_cycle Mut.Mutant_mutex.No_yield);
+      builder = mutant_mutex Mut.Mutant_mutex.No_yield ~cycles:1;
     };
     {
       name = "mutant:mutex-turn-lost";
@@ -317,7 +228,7 @@ let targets () =
       tags = mutex_tags;
       max_access = 48;
       sched_per_plan = 192;
-      builder = mutex_config ~cycles:15 (mutant_mutex_cycle Mut.Mutant_mutex.Turn_lost_on_release);
+      builder = mutant_mutex Mut.Mutant_mutex.Turn_lost_on_release ~cycles:15;
     };
     {
       name = "mutant:splitter-no-interference";
@@ -326,9 +237,7 @@ let targets () =
       tags = splitter_tags;
       max_access = 12;
       sched_per_plan = 8;
-      builder =
-        splitter_config ~mutant:Mut.Mutant_splitter.No_interference_check ~procs:2
-          ~cycles:1;
+      builder = mutant_splitter Mut.Mutant_splitter.No_interference_check ~cycles:1;
     };
     {
       name = "mutant:splitter-no-advice-flip";
@@ -337,8 +246,7 @@ let targets () =
       tags = splitter_tags;
       max_access = 16;
       sched_per_plan = 8;
-      builder =
-        splitter_config ~mutant:Mut.Mutant_splitter.No_advice_flip ~procs:2 ~cycles:2;
+      builder = mutant_splitter Mut.Mutant_splitter.No_advice_flip ~cycles:2;
     };
     {
       name = "mutant:ma-no-recheck";
@@ -530,10 +438,11 @@ type crash_target = {
   c_builder : Sim.Faults.t -> crash_config;
 }
 
-(* Both sides of a pair run the same workers: [Workload.run_cycle]'s
-   loop, except that each worker stores its lease in its own slot
-   before emitting [Acquired] — the event crash plans trigger on — so a
-   corpse's lease is always where the reclaimer looks for it. *)
+(* Both sides of a pair run the same workers: [Workload.body], with
+   each worker's lease kept in its own slot from [get_name]'s return
+   until it emits [Released] — [Acquired] is the event crash plans
+   trigger on, so a corpse's lease is always where the reclaimer looks
+   for it. *)
 let crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
     (make : Layout.t -> a) ~pids ~cycles ~reset ctrl : crash_config =
   let layout = Layout.create () in
@@ -544,27 +453,16 @@ let crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
   let n = Array.length pids in
   let slots = Array.make n None in
   let finished = Array.make n false in
-  let idle (ops : Store.ops) steps =
-    for _ = 1 to steps do
-      ignore (ops.read work)
-    done
-  in
-  let run_cycle w i (ops : Store.ops) =
-    Sim.Sched.emit (Sim.Event.Note ("cycle", i));
-    idle ops (spec.delay i);
-    let lease = P.get_name inst ops in
-    slots.(w) <- Some lease;
-    Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-    idle ops (spec.hold i);
-    Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-    slots.(w) <- None;
-    P.release_name inst ops lease
-  in
   let worker w ops =
-    for i = 0 to spec.cycles - 1 do
-      run_cycle w i ops
-    done;
+    Workload.body ~on_get:(fun l -> slots.(w) <- Some l) (module P) inst ~work spec ops;
     finished.(w) <- true
+  in
+  (* workers are process indices [0, n) *)
+  let slot_clearer =
+    Sim.Sched.monitor
+      ~on_event:(fun _ w ev ->
+        match ev with Sim.Event.Released _ when w < n -> slots.(w) <- None | _ -> ())
+      ()
   in
   let reclaimed = ref 0 in
   let workers = Array.mapi (fun w pid -> (pid, worker w)) pids in
@@ -612,7 +510,12 @@ let crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
     end
   in
   {
-    ccfg = { MC.layout; procs; monitor = Sim.Checks.uniqueness_monitor u };
+    ccfg =
+      {
+        MC.layout;
+        procs;
+        monitor = Sim.Checks.combine [ Sim.Checks.uniqueness_monitor u; slot_clearer ];
+      };
     held_now = (fun () -> Sim.Checks.held_now u);
     reclaimed = (fun () -> !reclaimed);
   }

@@ -32,18 +32,6 @@ let f2 v = spf "%.2f" v
 (* E1: splitter occupancy (Theorem 5)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let splitter_body sp ~work ~cycles (ops : Store.ops) =
-  for _ = 1 to cycles do
-    Sim.Sched.emit (Sim.Event.Note ("begin", 0));
-    let tok = Splitter.enter sp ops in
-    let d = Splitter.direction tok in
-    Sim.Sched.emit (Sim.Event.Note ("in", d));
-    ignore (ops.read work);
-    Sim.Sched.emit (Sim.Event.Note ("out", d));
-    Splitter.release sp ops tok;
-    Sim.Sched.emit (Sim.Event.Note ("end", 0))
-  done
-
 let e1_splitter_occupancy () =
   let occs = ref [] in
   let builder ~procs ~cycles () : Sim.Model_check.config =
@@ -54,7 +42,9 @@ let e1_splitter_occupancy () =
     occs := o :: !occs;
     {
       layout;
-      procs = Array.init procs (fun p -> ((p * 7919) + 1, splitter_body sp ~work ~cycles));
+      procs =
+        Array.init procs (fun p ->
+            ((p * 7919) + 1, Workload.splitter_body (module Splitter) sp ~work ~cycles));
       monitor = Sim.Checks.occupancy_monitor o;
     }
   in
@@ -174,31 +164,6 @@ let e2_split_costs () =
 (* E3: two-process mutex and tournament trees (Lemma 6)                *)
 (* ------------------------------------------------------------------ *)
 
-let mutex_contender b ~work ~dir ~retries (ops : Store.ops) =
-  let slot = Pf_mutex.enter b ops ~dir in
-  let rec go n =
-    if Pf_mutex.check b ops ~dir slot then begin
-      Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-    end
-    else if n > 0 then go (n - 1)
-  in
-  go retries;
-  Pf_mutex.release b ops ~dir slot
-
-let exclusion_monitor () =
-  let in_cs = ref 0 in
-  Sim.Sched.monitor
-    ~on_event:(fun _ _ ev ->
-      match ev with
-      | Sim.Event.Note ("cs", _) ->
-          incr in_cs;
-          if !in_cs > 1 then raise (Sim.Model_check.Violation "two processes in the CS")
-      | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-      | _ -> ())
-    ()
-
 let e3_mutex () =
   let tbl = Stats.table [ "scenario"; "schedules"; "result" ] in
   let all_ok = ref true in
@@ -209,40 +174,14 @@ let e3_mutex () =
         all_ok := false;
         Stats.add_row tbl [ label; istr result.paths; spf "VIOLATION: %s" v.message ])
   in
-  let builder ~retries ~cycles () : Sim.Model_check.config =
-    let layout = Layout.create () in
-    let b = Pf_mutex.create layout in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let body dir ops =
-      for _ = 1 to cycles do
-        mutex_contender b ~work ~dir ~retries ops
-      done
-    in
-    { layout; procs = [| (0, body 0); (1, body 1) |]; monitor = exclusion_monitor () }
+  let builder ?retries ~cycles () =
+    Workload.mutex_config ?retries (module Pf_mutex) Pf_mutex.create ~cycles ()
   in
   mc "exhaustive, 1 cycle, <=3 retries" (Sim.Model_check.explore (builder ~retries:3 ~cycles:1));
   mc "DFS corner, 2 cycles (500k paths)"
     (Sim.Model_check.explore ~max_paths:500_000 (builder ~retries:2 ~cycles:2));
-  let spinning () : Sim.Model_check.config =
-    let layout = Layout.create () in
-    let b = Pf_mutex.create layout in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let body dir (ops : Store.ops) =
-      for _ = 1 to 25 do
-        let slot = Pf_mutex.enter b ops ~dir in
-        while not (Pf_mutex.check b ops ~dir slot) do
-          ()
-        done;
-        Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir));
-        Pf_mutex.release b ops ~dir slot
-      done
-    in
-    { layout; procs = [| (0, body 0); (1, body 1) |]; monitor = exclusion_monitor () }
-  in
   mc "spinning, 25 cycles, 3000 random schedules"
-    (Sim.Model_check.sample ~seeds:(Harness.seeds 3000) spinning);
+    (Sim.Model_check.sample ~seeds:(Harness.seeds 3000) (builder ~cycles:25));
   let tournament () : Sim.Model_check.config =
     let layout = Layout.create () in
     let t = Tournament.create layout ~inputs:8 in
@@ -262,7 +201,7 @@ let e3_mutex () =
     {
       layout;
       procs = Array.of_list (List.map (fun i -> (i, body i)) [ 0; 3; 5; 6 ]);
-      monitor = exclusion_monitor ();
+      monitor = Sim.Checks.exclusion ();
     }
   in
   mc "8-input tournament, 4 procs, 1000 random schedules"
@@ -713,21 +652,13 @@ let e9_crash_tolerance () =
   let crash_run (type a) (module P : Renaming.Protocol.S with type t = a) label (inst : a)
       ~layout ~work ~pids ~name_space =
     let cycles = 3 in
-    let done_cycles = Array.make (Array.length pids) 0 in
-    let gets = ref [] in
-    let body i (ops : Store.ops) =
-      let c = Store.counter () in
-      let counted = Store.counting c ops in
-      for _ = 1 to cycles do
-        Store.reset c;
-        let lease = P.get_name inst counted in
-        if i = 0 then gets := Store.accesses c :: !gets;
-        Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-        P.release_name inst counted lease;
-        done_cycles.(i) <- done_cycles.(i) + 1
-      done
+    (* the survivor's own costs; its release count is its completed
+       cycles *)
+    let survivor = Workload.costs () in
+    let body i =
+      Workload.protocol_body
+        ?costs:(if i = 0 then Some survivor else None)
+        (module P) inst ~work ~cycles
     in
     let u = Sim.Checks.uniqueness ~name_space () in
     let t =
@@ -750,15 +681,16 @@ let e9_crash_tolerance () =
       Array.length (Array.of_list (List.filter (fun i -> not outcome.completed.(i))
            (List.init (Array.length pids) Fun.id)))
     in
-    let ok = outcome.completed.(0) && done_cycles.(0) = cycles && not outcome.truncated in
+    let done_cycles = List.length survivor.release in
+    let ok = outcome.completed.(0) && done_cycles = cycles && not outcome.truncated in
     if not ok then all_ok := false;
     Stats.add_row tbl
       [
         label;
         istr (Array.length pids);
         istr crashed;
-        spf "%d/%d" done_cycles.(0) cycles;
-        istr (Harness.imax !gets);
+        spf "%d/%d" done_cycles cycles;
+        istr (Harness.imax survivor.get);
         yn ok;
       ]
   in
@@ -828,17 +760,13 @@ let e10_filter_rounds () =
   let work = Layout.alloc layout ~name:"work" 0 in
   let victim_done = Layout.alloc layout ~name:"victim_done" 0 in
   let rounds = ref [] and checks = ref [] and advances = ref [] in
-  let victim_body (ops : Store.ops) =
-    for _ = 1 to 6 do
-      let lease = Filter.get_name f ops in
-      rounds := Filter.rounds lease :: !rounds;
-      checks := Filter.checks lease :: !checks;
-      advances := Filter.advances lease :: !advances;
-      Sim.Sched.emit (Sim.Event.Acquired (Filter.name_of f lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Filter.name_of f lease));
-      Filter.release_name f ops lease
-    done;
+  let victim_body ops =
+    Workload.protocol_body
+      ~on_get:(fun lease ->
+        rounds := Filter.rounds lease :: !rounds;
+        checks := Filter.checks lease :: !checks;
+        advances := Filter.advances lease :: !advances)
+      (module Filter) f ~work ~cycles:6 ops;
     ops.write victim_done 1
   in
   let opponent_body pool (ops : Store.ops) =
@@ -888,17 +816,15 @@ let e10_filter_rounds () =
     let layout = Layout.create () in
     let f = Filter.create layout { k = 2; d = 1; z = 2; s = 4; participants = [| 0; 2; 3 |] } in
     let work = Layout.alloc layout ~name:"work" 0 in
+    let second_round lease =
+      if Filter.rounds lease > 1 then
+        raise (Sim.Model_check.Violation "second round reached")
+    in
     let body rotate pid0 (ops : Store.ops) =
       List.iter
         (fun pid ->
-          let ops = { ops with pid } in
-          let lease = Filter.get_name f ops in
-          if Filter.rounds lease > 1 then
-            raise (Sim.Model_check.Violation "second round reached");
-          Sim.Sched.emit (Sim.Event.Acquired (Filter.name_of f lease));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Released (Filter.name_of f lease));
-          Filter.release_name f ops lease)
+          Workload.protocol_body ~on_get:second_round (module Filter) f ~work ~cycles:1
+            { ops with pid })
         (if rotate then [ pid0; (if pid0 = 2 then 3 else 2) ] else [ pid0; pid0 ])
     in
     {

@@ -1,22 +1,6 @@
-open Shared_mem
-
 type costs = { get : int list; release : int list }
 
 let seeds n = List.init n (fun i -> 0xCAFE + (i * 104729))
-
-let instrumented_body (type a l)
-    (module P : Renaming.Protocol.S with type t = a and type lease = l) (inst : a) ~work
-    ~cycles ~on_get (ops : Store.ops) =
-  for _ = 1 to cycles do
-    Sim.Observe.op_begin "get";
-    let lease = P.get_name inst ops in
-    on_get lease;
-    Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-    ignore (ops.read work);
-    Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-    Sim.Observe.op_begin "release";
-    P.release_name inst ops lease
-  done
 
 (* Per-operation costs are read back from the span ring rather than
    tallied by ad-hoc counters: the Observe monitor counts every shared
@@ -56,7 +40,7 @@ let measure_protocol (type a) ?registry
     (module P : Renaming.Protocol.S with type t = a) (inst : a) ~layout ~work ~pids
     ~cycles ~seeds ~name_space =
   run_seeds ?registry ~layout ~pids ~cycles ~seeds ~name_space
-    (instrumented_body (module P) inst ~work ~cycles ~on_get:(fun _ -> ()))
+    (Workload.protocol_body ~markers:true (module P) inst ~work ~cycles)
 
 let imax = List.fold_left max 0
 let imean l = float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (max 1 (List.length l))
@@ -67,7 +51,7 @@ let measure_filter ?registry f ~layout ~work ~pids ~cycles ~seeds =
   let module F = Renaming.Filter in
   let rounds = ref [] and checks = ref [] and advances = ref [] in
   let body =
-    instrumented_body (module F) f ~work ~cycles ~on_get:(fun lease ->
+    Workload.protocol_body ~markers:true (module F) f ~work ~cycles ~on_get:(fun lease ->
         rounds := F.rounds lease :: !rounds;
         checks := F.checks lease :: !checks;
         advances := F.advances lease :: !advances)

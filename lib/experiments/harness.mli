@@ -57,4 +57,6 @@ val measure_filter :
     the Theorem 10 instrumentation. *)
 
 val seeds : int -> int list
-(** Deterministic seed list (same convention as the test suite). *)
+(** Deterministic seed list: [0xCAFE + i·104729].  The test suite uses
+    its own list ([0x5EED + i·7919]); the two are kept apart so that
+    neither changes the schedules the other samples. *)

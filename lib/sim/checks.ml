@@ -123,6 +123,18 @@ let occupancy_monitor o =
       | Event.Note _ | Event.Acquired _ | Event.Released _ -> ())
     ()
 
+let exclusion () =
+  let inside = ref 0 in
+  Sched.monitor
+    ~on_event:(fun _ _ ev ->
+      match ev with
+      | Event.Note ("cs", _) ->
+          incr inside;
+          if !inside > 1 then violation "two processes in the critical section"
+      | Event.Note ("cs_exit", _) -> decr inside
+      | Event.Note _ | Event.Acquired _ | Event.Released _ -> ())
+    ()
+
 let revalidate_intervals items =
   let holders = Hashtbl.create 16 in
   let acquisitions = ref 0 in

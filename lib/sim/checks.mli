@@ -84,6 +84,16 @@ val occupancy_users_max : occupancy -> int
 val occupancy_set_max : occupancy -> int -> int
 (** High-water mark of simultaneous occupancy of one output set. *)
 
+(** {1 Mutual exclusion (Lemma 6)}
+
+    Processes emit [Note ("cs", _)] when they enter a critical section
+    and [Note ("cs_exit", _)] when they leave it.  The monitor raises as
+    soon as two processes are inside at once. *)
+
+val exclusion : unit -> Sched.monitor
+(** A fresh monitor: it counts the processes inside, so build one per
+    configuration. *)
+
 (** {1 Post-hoc revalidation}
 
     Defense in depth for the on-line {!uniqueness} monitor: re-derive

@@ -137,20 +137,51 @@ let idle (ops : Shared_mem.Store.ops) ~work n =
     ignore (ops.read work)
   done
 
-let run_cycle (type a l)
+type costs = { mutable get : int list; mutable release : int list }
+
+let costs () = { get = []; release = [] }
+
+(* One acquire/hold/release cycle.  [Released] is emitted before
+   release_name: per the paper, "Inside" ends when the Release
+   operation starts.  With [costs], the protocol's own calls run
+   through a counter; the [work] reads stay uncounted. *)
+let cycle (type a l) ?(markers = false) ?costs ?(on_get = ignore)
+    (module P : Renaming.Protocol.S with type t = a and type lease = l) (inst : a) ~work
+    ~hold (ops : Shared_mem.Store.ops) =
+  let pops, tally =
+    match costs with
+    | None -> (ops, fun () -> 0)
+    | Some _ ->
+        let c = Shared_mem.Store.counter () in
+        ( Shared_mem.Store.counting c ops,
+          fun () ->
+            let n = Shared_mem.Store.accesses c in
+            Shared_mem.Store.reset c;
+            n )
+  in
+  if markers then Sim.Observe.op_begin "get";
+  let lease = P.get_name inst pops in
+  Option.iter (fun k -> k.get <- tally () :: k.get) costs;
+  on_get lease;
+  Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
+  idle ops ~work hold;
+  Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
+  if markers then Sim.Observe.op_begin "release";
+  P.release_name inst pops lease;
+  Option.iter (fun k -> k.release <- tally () :: k.release) costs
+
+let run_cycle (type a l) ?on_get
     (module P : Renaming.Protocol.S with type t = a and type lease = l) (inst : a) ~work spec
-    i (ops : Shared_mem.Store.ops) =
+    i ops =
   Sim.Sched.emit (Sim.Event.Note ("cycle", i));
   idle ops ~work (spec.delay i);
-  let lease = P.get_name inst ops in
-  Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
-  idle ops ~work (spec.hold i);
-  Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-  P.release_name inst ops lease
+  cycle ?on_get (module P) inst ~work ~hold:(spec.hold i) ops
 
-let body (type a) (module P : Renaming.Protocol.S with type t = a) (inst : a) ~work spec ops =
+let body (type a l) ?on_get
+    (module P : Renaming.Protocol.S with type t = a and type lease = l) (inst : a) ~work spec
+    ops =
   for i = 0 to spec.cycles - 1 do
-    run_cycle (module P) inst ~work spec i ops
+    run_cycle ?on_get (module P) inst ~work spec i ops
   done
 
 let rotating_body (type a) (module P : Renaming.Protocol.S with type t = a) (inst : a) ~work
@@ -160,3 +191,99 @@ let rotating_body (type a) (module P : Renaming.Protocol.S with type t = a) (ins
   for i = 0 to spec.cycles - 1 do
     run_cycle (module P) inst ~work spec i { ops with pid = pids.(i mod n) }
   done
+
+(* ----- checking harnesses ----- *)
+
+let protocol_body (type a l) ?markers ?costs ?on_get
+    (module P : Renaming.Protocol.S with type t = a and type lease = l) (inst : a) ~work
+    ~cycles ops =
+  for _ = 1 to cycles do
+    cycle ?markers ?costs ?on_get (module P) inst ~work ~hold:1 ops
+  done
+
+(* Every configuration allocates its object first, then [work]: cell
+   ids feed the model checker's state fingerprint, so the order is part
+   of what a harness explores. *)
+let config ?(monitors = []) layout procs monitor : Sim.Model_check.config =
+  {
+    layout;
+    procs;
+    monitor =
+      (match monitors with [] -> monitor | ms -> Sim.Checks.combine (monitor :: ms));
+  }
+
+let protocol_config (type a) ?markers ?monitors
+    (module P : Renaming.Protocol.S with type t = a) make ~pids ~cycles () =
+  let layout = Shared_mem.Layout.create () in
+  let inst : a = make layout in
+  let work = Shared_mem.Layout.alloc layout ~name:"work" 0 in
+  let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
+  config ?monitors layout
+    (Array.map
+       (fun pid -> (pid, protocol_body ?markers (module P) inst ~work ~cycles))
+       pids)
+    (Sim.Checks.uniqueness_monitor u)
+
+module type SPLITTER = sig
+  type t
+  type token
+
+  val enter : t -> Shared_mem.Store.ops -> token
+  val direction : token -> int
+  val release : t -> Shared_mem.Store.ops -> token -> unit
+end
+
+let splitter_body (type a) (module S : SPLITTER with type t = a) (sp : a) ~work ~cycles
+    (ops : Shared_mem.Store.ops) =
+  for _ = 1 to cycles do
+    Sim.Sched.emit (Sim.Event.Note ("begin", 0));
+    let tok = S.enter sp ops in
+    let d = S.direction tok in
+    Sim.Sched.emit (Sim.Event.Note ("in", d));
+    idle ops ~work 1;
+    Sim.Sched.emit (Sim.Event.Note ("out", d));
+    S.release sp ops tok;
+    Sim.Sched.emit (Sim.Event.Note ("end", 0))
+  done
+
+let splitter_config (type a) ?monitors (module S : SPLITTER with type t = a) make ~pids
+    ~cycles () =
+  let layout = Shared_mem.Layout.create () in
+  let sp : a = make layout in
+  let work = Shared_mem.Layout.alloc layout ~name:"work" 0 in
+  let o = Sim.Checks.occupancy () in
+  config ?monitors layout
+    (Array.map (fun pid -> (pid, splitter_body (module S) sp ~work ~cycles)) pids)
+    (Sim.Checks.occupancy_monitor o)
+
+module type MUTEX = sig
+  type t
+  type slot
+
+  val enter : t -> Shared_mem.Store.ops -> dir:int -> slot
+  val check : t -> Shared_mem.Store.ops -> dir:int -> slot -> bool
+  val release : t -> Shared_mem.Store.ops -> dir:int -> slot -> unit
+end
+
+let mutex_config (type a) ?retries ?monitors (module M : MUTEX with type t = a) make
+    ~cycles () =
+  let layout = Shared_mem.Layout.create () in
+  let b : a = make layout in
+  let work = Shared_mem.Layout.alloc layout ~name:"work" 0 in
+  let body dir (ops : Shared_mem.Store.ops) =
+    for _ = 1 to cycles do
+      let slot = M.enter b ops ~dir in
+      let rec go n =
+        if M.check b ops ~dir slot then begin
+          Sim.Sched.emit (Sim.Event.Note ("cs", dir));
+          idle ops ~work 1;
+          Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
+        end
+        else if n > 0 then go (n - 1)
+      in
+      (* no bound: spin until the check succeeds *)
+      go (Option.value retries ~default:max_int);
+      M.release b ops ~dir slot
+    done
+  in
+  config ?monitors layout [| (0, body 0); (1, body 1) |] (Sim.Checks.exclusion ())

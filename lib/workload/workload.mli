@@ -113,13 +113,15 @@ val pin : sources:int array -> server_spec -> server_spec
     @raise Invalid_argument on an empty table. *)
 
 val body :
-  (module Renaming.Protocol.S with type t = 'a) ->
+  ?on_get:('l -> unit) ->
+  (module Renaming.Protocol.S with type t = 'a and type lease = 'l) ->
   'a ->
   work:Shared_mem.Cell.t ->
   spec ->
   Shared_mem.Store.ops ->
   unit
-(** Run the spec against the protocol. *)
+(** Run the spec against the protocol.  [on_get] sees each lease right
+    after [get_name] returns, before [Acquired] is emitted. *)
 
 val rotating_body :
   (module Renaming.Protocol.S with type t = 'a) ->
@@ -135,3 +137,112 @@ val rotating_body :
     the paper's introduction (at most [k] concurrent, unboundedly many
     over time).  All pids must be legal source names for the
     protocol. *)
+
+(** {2 Checking harnesses}
+
+    The process bodies and model-checker configurations behind every
+    mechanical check of the paper's guarantees: name uniqueness
+    (SPLIT, FILTER, the Theorem 11 pipeline, …), the splitter
+    occupancy bound (Theorem 5) and two-process mutual exclusion
+    (Lemma 6).  Each body holds its object across exactly one read of
+    a [work] register, so that "inside" spans at least one scheduling
+    point: events attach to the preceding shared access, and with no
+    access in between no other process could ever observe the holder
+    and the check would be vacuous.
+
+    A [*_config] builder allocates a fresh layout — the object first,
+    then [work] — and arms the matching {!Sim.Checks} monitor, followed
+    by [monitors] (default none). *)
+
+type costs = { mutable get : int list; mutable release : int list }
+(** Shared accesses of every [GetName] / [ReleaseName] call, newest
+    first. *)
+
+val costs : unit -> costs
+
+val protocol_body :
+  ?markers:bool ->
+  ?costs:costs ->
+  ?on_get:('l -> unit) ->
+  (module Renaming.Protocol.S with type t = 'a and type lease = 'l) ->
+  'a ->
+  work:Shared_mem.Cell.t ->
+  cycles:int ->
+  Shared_mem.Store.ops ->
+  unit
+(** [cycles] plain cycles: [get_name], [Acquired n], one [work] read,
+    [Released n], [release_name].  [markers] (default [false]) adds the
+    {!Sim.Observe.op_begin} span markers before [get_name] and
+    [release_name]; [costs] records the accesses of each call; [on_get]
+    is as in {!body}.  No [Note ("cycle", _)] is emitted. *)
+
+val protocol_config :
+  ?markers:bool ->
+  ?monitors:Sim.Sched.monitor list ->
+  (module Renaming.Protocol.S with type t = 'a) ->
+  (Shared_mem.Layout.t -> 'a) ->
+  pids:int array ->
+  cycles:int ->
+  unit ->
+  Sim.Model_check.config
+(** One {!protocol_body} process per pid, under the uniqueness monitor
+    over the instance's name space. *)
+
+(** The splitter interface the occupancy harness drives:
+    {!Renaming.Splitter} and {!Renaming.Mutations.Mutant_splitter}. *)
+module type SPLITTER = sig
+  type t
+  type token
+
+  val enter : t -> Shared_mem.Store.ops -> token
+  val direction : token -> int
+  val release : t -> Shared_mem.Store.ops -> token -> unit
+end
+
+val splitter_body :
+  (module SPLITTER with type t = 'a) ->
+  'a ->
+  work:Shared_mem.Cell.t ->
+  cycles:int ->
+  Shared_mem.Store.ops ->
+  unit
+(** [cycles] enter/release cycles emitting the notes
+    {!Sim.Checks.occupancy} reads: [begin], [in d], one [work] read,
+    [out d], [end]. *)
+
+val splitter_config :
+  ?monitors:Sim.Sched.monitor list ->
+  (module SPLITTER with type t = 'a) ->
+  (Shared_mem.Layout.t -> 'a) ->
+  pids:int array ->
+  cycles:int ->
+  unit ->
+  Sim.Model_check.config
+(** One {!splitter_body} process per pid, under the occupancy
+    monitor. *)
+
+(** The two-process mutex interface the exclusion harness drives:
+    {!Renaming.Pf_mutex} and {!Renaming.Mutations.Mutant_mutex}. *)
+module type MUTEX = sig
+  type t
+  type slot
+
+  val enter : t -> Shared_mem.Store.ops -> dir:int -> slot
+  val check : t -> Shared_mem.Store.ops -> dir:int -> slot -> bool
+  val release : t -> Shared_mem.Store.ops -> dir:int -> slot -> unit
+end
+
+val mutex_config :
+  ?retries:int ->
+  ?monitors:Sim.Sched.monitor list ->
+  (module MUTEX with type t = 'a) ->
+  (Shared_mem.Layout.t -> 'a) ->
+  cycles:int ->
+  unit ->
+  Sim.Model_check.config
+(** Processes [0] and [1] on directions [0] and [1], each running
+    [cycles] times: enter, check up to [1 + retries] times, and on
+    success [Note ("cs", dir)], one [work] read,
+    [Note ("cs_exit", dir)]; then release either way.  Without
+    [retries] a process spins until its check succeeds.  Under the
+    exclusion monitor. *)

@@ -6,7 +6,6 @@
    mutants of both backends must yield a concrete replayable
    counterexample. *)
 
-open Shared_mem
 module Mc = Sim.Model_check
 module F = Sim.Faults
 module La = Renaming.Level_array
@@ -26,38 +25,24 @@ let plan s =
 
 (* ----- builders ----- *)
 
-let proto_builder (type a l)
-    (module P : Renaming.Protocol.S with type t = a and type lease = l) make ~pids
-    ~cycles () : Mc.config =
-  let layout = Layout.create () in
-  let inst = make layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in
-  {
-    layout;
-    procs =
-      Array.map
-        (fun pid -> (pid, Test_util.protocol_cycles (module P) inst ~work ~cycles))
-        pids;
-    monitor = Sim.Checks.uniqueness_monitor u;
-  }
-
 let pids2 = [| 1; 4 |]
 let pids3 = [| 0; 3; 7 |]
 
 let level_builder ~pids ~k ~cycles () =
-  proto_builder (module La) (fun l -> La.create l ~k) ~pids ~cycles ()
+  Workload.protocol_config (module La) (fun l -> La.create l ~k) ~pids ~cycles ()
 
 let compact_builder ~pids ~k ~cycles () =
-  proto_builder (module Cs) (fun l -> Cs.create l ~k) ~pids ~cycles ()
+  Workload.protocol_config (module Cs) (fun l -> Cs.create l ~k) ~pids ~cycles ()
 
 let mutant_level_builder ~cycles () =
-  proto_builder (module Ml)
+  Workload.protocol_config (module Ml)
     (fun l -> Ml.create l Ml.Torn_claim ~k:2)
     ~pids:[| 1; 4 |] ~cycles ()
 
 let mutant_compact_builder ~cycles () =
-  proto_builder (module Mcs) (fun l -> Mcs.create l ~k:2) ~pids:[| 1; 4 |] ~cycles ()
+  Workload.protocol_config (module Mcs)
+    (fun l -> Mcs.create l ~k:2)
+    ~pids:[| 1; 4 |] ~cycles ()
 
 (* ----- exhaustive closure at 2-proc sizes ----- *)
 

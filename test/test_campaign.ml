@@ -75,9 +75,8 @@ let test_report_json_shape () =
   let os = Campaign.run_all ~seeds () in
   let json = Campaign.report_json ~seeds os in
   let contains needle =
-    let n = String.length needle and h = String.length json in
-    let rec go i = i + n <= h && (String.sub json i n = needle || go (i + 1)) in
-    Alcotest.(check bool) ("report contains " ^ needle) true (go 0)
+    Alcotest.(check bool) ("report contains " ^ needle) true
+      (Test_util.contains ~sub:needle json)
   in
   contains "renaming.faults/v1";
   contains "\"splitter\"";
@@ -264,11 +263,7 @@ let test_report_verdict_covers_crash () =
     }
   in
   let json = Campaign.report_json ~crash:[ crash_fail ] ~seeds [] in
-  let contains needle =
-    let n = String.length needle and h = String.length json in
-    let rec go i = i + n <= h && (String.sub json i n = needle || go (i + 1)) in
-    go 0
-  in
+  let contains sub = Test_util.contains ~sub json in
   Alcotest.(check bool) "nested crash report" true
     (contains {|"crash":{"schema":"renaming.crash/v1"|});
   Alcotest.(check bool) "crash half failed" false (Campaign.crash_ok [ crash_fail ]);
@@ -284,9 +279,8 @@ let test_crash_report_byte_identical () =
   let a = render () in
   Alcotest.(check string) "byte-identical reports" a (render ());
   let contains needle =
-    let n = String.length needle and h = String.length a in
-    let rec go i = i + n <= h && (String.sub a i n = needle || go (i + 1)) in
-    Alcotest.(check bool) ("report contains " ^ needle) true (go 0)
+    Alcotest.(check bool) ("report contains " ^ needle) true
+      (Test_util.contains ~sub:needle a)
   in
   contains "renaming.crash/v1";
   contains "\"split+reset\"";

@@ -15,13 +15,8 @@ let run args =
   Sys.remove out;
   (code, text)
 
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
-
 let check_contains what output needle =
-  if not (contains output needle) then
+  if not (Test_util.contains ~sub:needle output) then
     Alcotest.failf "%s: output does not mention %S:\n%s" what needle output
 
 (* ----- observe: the failure path must actually fail ----- *)

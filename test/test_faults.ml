@@ -96,18 +96,13 @@ let test_gen_crash () =
     Alcotest.(check bool) "victims in range" true
       (List.for_all (fun v -> v >= 0 && v < 4) vs);
     (* every generated fault is a crash on an acquire trigger *)
-    let contains h n =
-      let hn = String.length h and nn = String.length n in
-      let rec go i = i + nn <= hn && (String.sub h i nn = n || go (i + 1)) in
-      go 0
-    in
     List.iter
       (fun f ->
         let s = F.to_string [ f ] in
         Alcotest.(check bool) (s ^ " is a crash@acquire") true
           (String.length s >= 7
           && String.sub s 0 7 = "crash@p"
-          && contains s ":acquire"))
+          && Test_util.contains ~sub:":acquire" s))
       plan;
     (* and the whole plan round-trips *)
     match F.of_string (F.to_string plan) with
@@ -207,25 +202,10 @@ let test_note_occurrence () =
 
 (* ----- composition with the model checker ----- *)
 
-let ma_builder () : MC.config =
-  let layout = Layout.create () in
-  let m = Renaming.Ma.create layout ~k:2 ~s:4 in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let u = Sim.Checks.uniqueness ~name_space:(Renaming.Ma.name_space m) () in
-  let body (ops : Store.ops) =
-    for _ = 1 to 2 do
-      let lease = Renaming.Ma.get_name m ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Renaming.Ma.name_of m lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Renaming.Ma.name_of m lease));
-      Renaming.Ma.release_name m ops lease
-    done
-  in
-  {
-    layout;
-    procs = [| (0, body); (2, body) |];
-    monitor = Sim.Checks.uniqueness_monitor u;
-  }
+let ma_builder =
+  Workload.protocol_config (module Renaming.Ma)
+    (fun l -> Renaming.Ma.create l ~k:2 ~s:4)
+    ~pids:[| 0; 2 |] ~cycles:2
 
 let test_check_with_faults_clean () =
   (* exhaustive search over all schedules of a correct MA with one
@@ -246,26 +226,13 @@ let test_check_with_faults_clean () =
 let test_sample_replay_with_faults () =
   (* a violating faulty run must replay to the same message under the
      same plan *)
-  let builder () : MC.config =
-    let layout = Layout.create () in
-    let m =
-      Renaming.Mutations.Mutant_ma.create layout Renaming.Mutations.Mutant_ma.No_recheck
-        ~k:2 ~s:3
-    in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let u =
-      Sim.Checks.uniqueness ~name_space:(Renaming.Mutations.Mutant_ma.name_space m) ()
-    in
-    let body (ops : Store.ops) =
-      for _ = 1 to 2 do
-        let lease = Renaming.Mutations.Mutant_ma.get_name m ops in
-        Sim.Sched.emit (Sim.Event.Acquired (Renaming.Mutations.Mutant_ma.name_of m lease));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Released (Renaming.Mutations.Mutant_ma.name_of m lease));
-        Renaming.Mutations.Mutant_ma.release_name m ops lease
-      done
-    in
-    { layout; procs = [| (0, body); (2, body) |]; monitor = Sim.Checks.uniqueness_monitor u }
+  let builder =
+    Workload.protocol_config
+      (module Renaming.Mutations.Mutant_ma)
+      (fun l ->
+        Renaming.Mutations.Mutant_ma.create l Renaming.Mutations.Mutant_ma.No_recheck ~k:2
+          ~s:3)
+      ~pids:[| 0; 2 |] ~cycles:2
   in
   let faults = plan "slow2@p1:acc1" in
   match (MC.sample ~faults ~seeds:(Test_util.seeds 500) builder).violation with
@@ -311,19 +278,9 @@ let test_minimize_shrinks () =
    leaks the crashed name but never double-grants).  Crash freezes a
    transition, so partial-order reduction stays sound and exploration
    must report completeness. *)
-let split2_builder () : MC.config =
-  let layout = Layout.create () in
-  let sp = Split.create layout ~k:2 in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
-  {
-    MC.layout;
-    procs =
-      Array.map
-        (fun pid -> (pid, Test_util.protocol_cycles (module Split) sp ~work ~cycles:1))
-        [| 1; 2 |];
-    monitor = Sim.Checks.uniqueness_monitor u;
-  }
+let split2_builder =
+  Workload.protocol_config (module Split) (fun l -> Split.create l ~k:2) ~pids:[| 1; 2 |]
+    ~cycles:1
 
 let test_modelcheck_crash_every_access () =
   for acc = 1 to 12 do

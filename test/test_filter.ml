@@ -68,7 +68,7 @@ let uniqueness_run ~k ~d ~z ~s ~procs ~cycles ~seed =
   let participants = Array.init procs (fun i -> (i * (s / procs)) + (i mod 3)) in
   let layout, f, work = make ~k ~d ~z ~s ~participants () in
   let bodies =
-    Array.map (fun p -> (p, Test_util.protocol_cycles (module Filter) f ~work ~cycles))
+    Array.map (fun p -> (p, Workload.protocol_body (module Filter) f ~work ~cycles))
       participants
   in
   Test_util.run_random ~seed ~name_space:(Filter.name_space f) layout bodies
@@ -99,15 +99,9 @@ let test_wait_free_bound () =
   let worst = ref 0 in
   let body p =
     ( p,
-      fun (ops : Store.ops) ->
-        for _ = 1 to 4 do
-          let lease = Filter.get_name f ops in
-          Sim.Sched.emit (Sim.Event.Acquired (Filter.name_of f lease));
-          if Filter.checks lease > !worst then worst := Filter.checks lease;
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Released (Filter.name_of f lease));
-          Filter.release_name f ops lease
-        done )
+      Workload.protocol_body
+        ~on_get:(fun lease -> worst := max !worst (Filter.checks lease))
+        (module Filter) f ~work ~cycles:4 )
   in
   List.iter
     (fun seed ->
@@ -130,7 +124,7 @@ let test_crash_tolerance () =
   let layout, f, work = make ~k:3 ~d:1 ~z:5 ~s:25 ~participants () in
   let bodies =
     Array.map
-      (fun p -> (p, Test_util.protocol_cycles (module Filter) f ~work ~cycles:3))
+      (fun p -> (p, Workload.protocol_body (module Filter) f ~work ~cycles:3))
       participants
   in
   let u = Sim.Checks.uniqueness ~name_space:(Filter.name_space f) () in
@@ -150,37 +144,18 @@ let test_crash_tolerance () =
 
 (* Exhaustive-ish model check at the smallest nontrivial instance:
    k=2, d=1, z=2, S=4 -> 2 trees per process, 2 levels each. *)
+let k2_builder =
+  Workload.protocol_config (module Filter)
+    (fun l -> Filter.create l { k = 2; d = 1; z = 2; s = 4; participants = [| 0; 3 |] })
+    ~pids:[| 0; 3 |]
+
 let test_bounded_exhaustive_k2 () =
-  let builder () : Sim.Model_check.config =
-    let layout, f, work = make ~k:2 ~d:1 ~z:2 ~s:4 ~participants:[| 0; 3 |] () in
-    let u = Sim.Checks.uniqueness ~name_space:(Filter.name_space f) () in
-    {
-      layout;
-      procs =
-        [|
-          (0, Test_util.protocol_cycles (module Filter) f ~work ~cycles:1);
-          (3, Test_util.protocol_cycles (module Filter) f ~work ~cycles:1);
-        |];
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
-  in
+  let builder = k2_builder ~cycles:1 in
   let r = Sim.Model_check.explore ~max_steps:2_000 ~max_paths:400_000 builder in
   Test_util.check_no_violation "filter k=2" r
 
 let test_sampled_k2_long () =
-  let builder () : Sim.Model_check.config =
-    let layout, f, work = make ~k:2 ~d:1 ~z:2 ~s:4 ~participants:[| 0; 3 |] () in
-    let u = Sim.Checks.uniqueness ~name_space:(Filter.name_space f) () in
-    {
-      layout;
-      procs =
-        [|
-          (0, Test_util.protocol_cycles (module Filter) f ~work ~cycles:6);
-          (3, Test_util.protocol_cycles (module Filter) f ~work ~cycles:6);
-        |];
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
-  in
+  let builder = k2_builder ~cycles:6 in
   let r = Sim.Model_check.sample ~seeds:(Test_util.seeds 1500) builder in
   Test_util.check_no_violation "filter k=2 sampled" r
 

@@ -13,11 +13,6 @@ module Loc = Obs.Loc
 
 let loc_t = Alcotest.testable Loc.pp Loc.equal
 
-let contains sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* ----- Loc encode/decode ----- *)
 
 let test_loc_roundtrip () =
@@ -156,15 +151,8 @@ let record_split_run ~k ~procs ~cycles ~seed =
   let sp = Split.create layout ~k in
   let work = Layout.alloc layout ~name:"work" 0 in
   let fr = Sim.Flight_rec.create () in
-  let body (ops : Store.ops) =
-    let ops = Sim.Flight_rec.wrap fr ops in
-    for _ = 1 to cycles do
-      let lease = Split.get_name sp ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Split.name_of sp lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Split.name_of sp lease));
-      Split.release_name sp ops lease
-    done
+  let body ops =
+    Workload.protocol_body (module Split) sp ~work ~cycles (Sim.Flight_rec.wrap fr ops)
   in
   let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
   let t =
@@ -183,15 +171,8 @@ let record_filter_run ~k ~s ~cycles ~seed =
   let f = Filter.create layout { k; d = p.d; z = p.z; s; participants = pids } in
   let work = Layout.alloc layout ~name:"work" 0 in
   let fr = Sim.Flight_rec.create () in
-  let body (ops : Store.ops) =
-    let ops = Sim.Flight_rec.wrap fr ops in
-    for _ = 1 to cycles do
-      let lease = Filter.get_name f ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Filter.name_of f lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Filter.name_of f lease));
-      Filter.release_name f ops lease
-    done
+  let body ops =
+    Workload.protocol_body (module Filter) f ~work ~cycles (Sim.Flight_rec.wrap fr ops)
   in
   let u = Sim.Checks.uniqueness ~name_space:(Filter.name_space f) () in
   let t =
@@ -227,7 +208,8 @@ let test_split_analysis () =
       Alcotest.(check int) (Printf.sprintf "p%d name from path" a.pid) a.name name)
     report.acquisitions;
   let hm = Obs.Analyze.heatmap report in
-  Alcotest.(check bool) "heatmap has depth rows" true (contains "depth 0" hm)
+  Alcotest.(check bool) "heatmap has depth rows" true
+    (Test_util.contains ~sub:"depth 0" hm)
 
 (* every Acquired in the ring has a matching provenance entry *)
 let test_split_provenance_complete () =
@@ -267,7 +249,8 @@ let test_check_flags_violations () =
   (match Obs.Analyze.check (Obs.Analyze.analyze (Flight.items ring)) with
   | [] -> Alcotest.fail "splitter direction overflow not flagged"
   | v :: _ ->
-      Alcotest.(check bool) "message names the splitter" true (contains "splitter" v));
+      Alcotest.(check bool) "message names the splitter" true
+        (Test_util.contains ~sub:"splitter" v));
   (* three processes inside one 2-process mutex block *)
   let mloc = Loc.Mutex { stage = 0; tree = 1; level = 1; node = 0 } in
   let ring = Flight.create ~capacity:32 () in
@@ -277,7 +260,8 @@ let test_check_flags_violations () =
   (match Obs.Analyze.check (Obs.Analyze.analyze (Flight.items ring)) with
   | [] -> Alcotest.fail "mutex over-occupancy not flagged"
   | v :: _ ->
-      Alcotest.(check bool) "message names the mutex" true (contains "mutex" v));
+      Alcotest.(check bool) "message names the mutex" true
+        (Test_util.contains ~sub:"mutex" v));
   (* an acquisition blocked in 3 distinct trees against a bound of 2 *)
   let block m = Loc.Mutex { stage = 0; tree = m; level = 1; node = 0 } in
   let ring = Flight.create ~capacity:32 () in
@@ -294,7 +278,8 @@ let test_check_flags_violations () =
   match Obs.Analyze.check ~blocked_bound:2 report with
   | [] -> Alcotest.fail "blocked-tree bound violation not flagged"
   | v :: _ ->
-      Alcotest.(check bool) "message names blocked trees" true (contains "blocked" v)
+      Alcotest.(check bool) "message names blocked trees" true
+        (Test_util.contains ~sub:"blocked" v)
 
 (* ----- FILTER: Lemma 9 bound on blocked trees ----- *)
 

@@ -6,11 +6,6 @@ module J = Obs.Journey
 let us = 1_000
 let ms = 1_000_000
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* ----- lifecycle: stamping, flags, blame, exemplar links ----- *)
 
 let test_lifecycle () =
@@ -88,10 +83,13 @@ let test_waterfall () =
   match J.top ~n:1 t with
   | [ v ] ->
       let out = Format.asprintf "%a" J.pp_waterfall v in
-      Alcotest.(check bool) "names the journey" true (contains out "journey #7");
-      Alcotest.(check bool) "renders acquire" true (contains out "acquire");
+      Alcotest.(check bool) "names the journey" true
+        (Test_util.contains ~sub:"journey #7" out);
+      Alcotest.(check bool) "renders acquire" true
+        (Test_util.contains ~sub:"acquire" out);
       (* 300 ns of the total is not covered by any stage *)
-      Alcotest.(check bool) "renders the remainder" true (contains out "(other)")
+      Alcotest.(check bool) "renders the remainder" true
+        (Test_util.contains ~sub:"(other)" out)
   | l -> Alcotest.failf "top returned %d views" (List.length l)
 
 (* ----- the regression guard: p100 without a journey ----- *)

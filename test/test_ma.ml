@@ -55,7 +55,8 @@ let uniqueness_run ~k ~s ~cycles ~seed =
   let layout, m, work = make ~k ~s in
   (* i*s/k is strictly increasing for s >= k, so the pids are distinct *)
   let procs =
-    Array.init k (fun i -> (i * s / k, Test_util.protocol_cycles (module Ma) m ~work ~cycles))
+    Array.init k (fun i ->
+        (i * s / k, Workload.protocol_body (module Ma) m ~work ~cycles))
   in
   Test_util.run_random ~seed ~name_space:(Ma.name_space m) layout procs
 
@@ -78,11 +79,11 @@ let test_uniqueness_random () =
 let test_access_bound () =
   let k = 4 and s = 16 in
   let layout, m, work = make ~k ~s in
-  let get_costs = ref [] and rel_costs = ref [] in
+  let costs = Workload.costs () in
   let procs =
     Array.init k (fun i ->
         ( i * 4,
-          Test_util.protocol_cycles_counted (module Ma) m ~work ~cycles:4 ~get_costs ~rel_costs
+          Workload.protocol_body ~costs (module Ma) m ~work ~cycles:4
         ))
   in
   List.iter
@@ -93,40 +94,24 @@ let test_access_bound () =
   let bound = (k * (s + 4)) + 1 in
   List.iter
     (fun c -> Alcotest.(check bool) (Printf.sprintf "get %d <= k(S+4)+1" c) true (c <= bound))
-    !get_costs;
+    costs.get;
   List.iter
     (fun c -> Alcotest.(check int) "release is one access" 1 c)
-    !rel_costs
+    costs.release
 
 let test_exhaustive_k2 () =
-  let builder () : Sim.Model_check.config =
-    let layout, m, work = make ~k:2 ~s:3 in
-    let u = Sim.Checks.uniqueness ~name_space:(Ma.name_space m) () in
-    {
-      layout;
-      procs =
-        [|
-          (0, Test_util.protocol_cycles (module Ma) m ~work ~cycles:1);
-          (2, Test_util.protocol_cycles (module Ma) m ~work ~cycles:1);
-        |];
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
+  let builder =
+    Workload.protocol_config (module Ma) (fun l -> Ma.create l ~k:2 ~s:3) ~pids:[| 0; 2 |]
+      ~cycles:1
   in
   let r = Sim.Model_check.explore ~max_paths:3_000_000 builder in
   Test_util.check_no_violation "ma k=2" r;
   Alcotest.(check bool) "complete" true r.complete
 
 let test_sampled_k3 () =
-  let builder () : Sim.Model_check.config =
-    let layout, m, work = make ~k:3 ~s:6 in
-    let u = Sim.Checks.uniqueness ~name_space:(Ma.name_space m) () in
-    {
-      layout;
-      procs =
-        Array.init 3 (fun i ->
-            (i * 2, Test_util.protocol_cycles (module Ma) m ~work ~cycles:4));
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
+  let builder =
+    Workload.protocol_config (module Ma) (fun l -> Ma.create l ~k:3 ~s:6)
+      ~pids:[| 0; 2; 4 |] ~cycles:4
   in
   let r = Sim.Model_check.sample ~seeds:(Test_util.seeds 1500) builder in
   Test_util.check_no_violation "ma k=3 sampled" r

@@ -16,124 +16,27 @@ let reduced = { Mc.default_options with max_paths = 500_000 }
 let plain =
   { Mc.por = false; cache_bound = 0; max_steps = 10_000; max_paths = 500_000 }
 
-(* ----- builders (mirroring the mutation-suite harnesses) ----- *)
+(* ----- builders: the harnesses every checker of the guarantees runs ----- *)
 
-let mutex_builder variant ~cycles () : Mc.config =
-  let layout = Layout.create () in
-  let b = Mm.create layout variant in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let in_cs = ref 0 in
-  let body dir (ops : Store.ops) =
-    for _ = 1 to cycles do
-      let slot = Mm.enter b ops ~dir in
-      let rec spin n =
-        if Mm.check b ops ~dir slot then begin
-          Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-        end
-        else if n > 0 then spin (n - 1)
-      in
-      spin 6;
-      Mm.release b ops ~dir slot
-    done
-  in
-  {
-    layout;
-    procs = [| (0, body 0); (1, body 1) |];
-    monitor =
-      Sim.Sched.monitor
-        ~on_event:(fun _ _ ev ->
-          match ev with
-          | Sim.Event.Note ("cs", _) ->
-              incr in_cs;
-              if !in_cs > 1 then raise (Mc.Violation "double CS")
-          | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-          | _ -> ())
-        ();
-  }
+let mutex_builder variant =
+  Workload.mutex_config ~retries:6 (module Mm) (fun l -> Mm.create l variant)
 
-let splitter_mutant_builder variant ~procs ~cycles () : Mc.config =
-  let layout = Layout.create () in
-  let sp = Msp.create layout variant in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let o = Sim.Checks.occupancy () in
-  let body (ops : Store.ops) =
-    for _ = 1 to cycles do
-      Sim.Sched.emit (Sim.Event.Note ("begin", 0));
-      let tok = Msp.enter sp ops in
-      Sim.Sched.emit (Sim.Event.Note ("in", Msp.direction tok));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Note ("out", Msp.direction tok));
-      Msp.release sp ops tok;
-      Sim.Sched.emit (Sim.Event.Note ("end", 0))
-    done
-  in
-  {
-    layout;
-    procs = Array.init procs (fun p -> (p + 1, body));
-    monitor = Sim.Checks.occupancy_monitor o;
-  }
+let splitter_mutant_builder variant ~procs =
+  Workload.splitter_config (module Msp)
+    (fun l -> Msp.create l variant)
+    ~pids:(Array.init procs (fun p -> p + 1))
 
-let splitter_builder ~procs ~cycles () : Mc.config =
-  let layout = Layout.create () in
-  let sp = Renaming.Splitter.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let o = Sim.Checks.occupancy () in
-  {
-    layout;
-    procs = Array.init procs (fun p -> (p + 1, Test_util.splitter_cycles sp ~work cycles));
-    monitor = Sim.Checks.occupancy_monitor o;
-  }
+let splitter_builder ~procs =
+  Workload.splitter_config (module Renaming.Splitter) Renaming.Splitter.create
+    ~pids:(Array.init procs (fun p -> p + 1))
 
-let pf_mutex_builder ~cycles () : Mc.config =
-  let layout = Layout.create () in
-  let b = Renaming.Pf_mutex.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let in_cs = ref 0 in
-  let body dir (ops : Store.ops) =
-    for _ = 1 to cycles do
-      let slot = Renaming.Pf_mutex.enter b ops ~dir in
-      let rec spin n =
-        if Renaming.Pf_mutex.check b ops ~dir slot then begin
-          Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-        end
-        else if n > 0 then spin (n - 1)
-      in
-      spin 6;
-      Renaming.Pf_mutex.release b ops ~dir slot
-    done
-  in
-  {
-    layout;
-    procs = [| (0, body 0); (1, body 1) |];
-    monitor =
-      Sim.Sched.monitor
-        ~on_event:(fun _ _ ev ->
-          match ev with
-          | Sim.Event.Note ("cs", _) ->
-              incr in_cs;
-              if !in_cs > 1 then raise (Mc.Violation "double CS")
-          | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-          | _ -> ())
-        ();
-  }
+let pf_mutex_builder =
+  Workload.mutex_config ~retries:6 (module Renaming.Pf_mutex) Renaming.Pf_mutex.create
 
-let ma_mutant_builder () : Mc.config =
-  let layout = Layout.create () in
-  let m = Mma.create layout Mma.No_recheck ~k:2 ~s:3 in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let u = Sim.Checks.uniqueness ~name_space:(Mma.name_space m) () in
-  let body (ops : Store.ops) =
-    let lease = Mma.get_name m ops in
-    Sim.Sched.emit (Sim.Event.Acquired (Mma.name_of m lease));
-    ignore (ops.read work);
-    Sim.Sched.emit (Sim.Event.Released (Mma.name_of m lease));
-    Mma.release_name m ops lease
-  in
-  { layout; procs = [| (0, body); (2, body) |]; monitor = Sim.Checks.uniqueness_monitor u }
+let ma_mutant_builder =
+  Workload.protocol_config (module Mma)
+    (fun l -> Mma.create l Mma.No_recheck ~k:2 ~s:3)
+    ~pids:[| 0; 2 |] ~cycles:1
 
 (* ----- verdict agreement: reduced search finds what plain DFS finds ----- *)
 
@@ -211,6 +114,26 @@ let test_splitter_l3_exhaustive () =
   Alcotest.(check bool) "complete" true r.outcome.complete;
   Alcotest.(check bool) "actually pruned something" true
     (r.stats.pruned_by_sleep > 0 || r.stats.pruned_by_cache > 0)
+
+(* ----- pinned exploration counts ----- *)
+
+(* The campaign, the bench, the experiments and the CLI all run these
+   harnesses.  The state fingerprint mixes cell ids and note strings,
+   so any edit to a body or to its layout order moves these counts
+   (the splitter figures are BENCH_modelcheck.json's). *)
+let test_pinned_counts () =
+  let pin name options builder ~paths ~states =
+    let r = Mc.check ~options builder in
+    Alcotest.(check (pair int int))
+      (name ^ ": paths, states") (paths, states)
+      (r.outcome.paths, r.stats.states)
+  in
+  pin "splitter l=2, plain" plain (splitter_builder ~procs:2 ~cycles:1) ~paths:22898
+    ~states:64733;
+  pin "splitter l=2, reduced" reduced (splitter_builder ~procs:2 ~cycles:1) ~paths:328
+    ~states:1332;
+  pin "pf_mutex 1 cycle, reduced" reduced (pf_mutex_builder ~cycles:1) ~paths:528
+    ~states:2332
 
 (* ----- sample: replayable schedules and run counting ----- *)
 
@@ -319,12 +242,7 @@ let test_report_json () =
   let j = Mc.report_json ~label:"splitter_l2" r in
   List.iter
     (fun needle ->
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) (needle ^ " present") true (contains j needle))
+      Alcotest.(check bool) (needle ^ " present") true (Test_util.contains ~sub:needle j))
     [ "\"label\":\"splitter_l2\""; "\"paths\":"; "\"states\":"; "\"pruned_by_sleep\":";
       "\"pruned_by_cache\":"; "\"paths_per_sec\":" ]
 
@@ -341,6 +259,7 @@ let () =
           Alcotest.test_case "splitter l=3 exhaustive under reductions" `Slow
             test_splitter_l3_exhaustive;
         ] );
+      ("pinned", [ Alcotest.test_case "exploration counts" `Quick test_pinned_counts ]);
       ( "sample",
         [
           Alcotest.test_case "violating schedule replays" `Slow test_sample_schedule_replays;

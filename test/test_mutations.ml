@@ -16,40 +16,8 @@ let expect_violation name (r : Sim.Model_check.result) =
 
 (* ----- mutant mutexes: exclusion must break ----- *)
 
-let mutex_builder variant ~cycles () : Sim.Model_check.config =
-  let layout = Layout.create () in
-  let b = Mm.create layout variant in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let in_cs = ref 0 in
-  let body dir (ops : Store.ops) =
-    for _ = 1 to cycles do
-      let slot = Mm.enter b ops ~dir in
-      let rec spin n =
-        if Mm.check b ops ~dir slot then begin
-          Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-          ignore (ops.read work);
-          Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-        end
-        else if n > 0 then spin (n - 1)
-      in
-      spin 6;
-      Mm.release b ops ~dir slot
-    done
-  in
-  {
-    layout;
-    procs = [| (0, body 0); (1, body 1) |];
-    monitor =
-      Sim.Sched.monitor
-        ~on_event:(fun _ _ ev ->
-          match ev with
-          | Sim.Event.Note ("cs", _) ->
-              incr in_cs;
-              if !in_cs > 1 then raise (Sim.Model_check.Violation "double CS")
-          | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-          | _ -> ())
-        ();
-  }
+let mutex_builder variant =
+  Workload.mutex_config ~retries:6 (module Mm) (fun l -> Mm.create l variant)
 
 let test_mutex_read_before_write () =
   expect_violation "read-before-write"
@@ -79,27 +47,10 @@ let test_violation_replays () =
 
 (* ----- mutant splitters: the occupancy invariant must break ----- *)
 
-let splitter_builder variant ~procs ~cycles () : Sim.Model_check.config =
-  let layout = Layout.create () in
-  let sp = Msp.create layout variant in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let o = Sim.Checks.occupancy () in
-  let body (ops : Store.ops) =
-    for _ = 1 to cycles do
-      Sim.Sched.emit (Sim.Event.Note ("begin", 0));
-      let tok = Msp.enter sp ops in
-      Sim.Sched.emit (Sim.Event.Note ("in", Msp.direction tok));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Note ("out", Msp.direction tok));
-      Msp.release sp ops tok;
-      Sim.Sched.emit (Sim.Event.Note ("end", 0))
-    done
-  in
-  {
-    layout;
-    procs = Array.init procs (fun p -> (p + 1, body));
-    monitor = Sim.Checks.occupancy_monitor o;
-  }
+let splitter_builder variant ~procs =
+  Workload.splitter_config (module Msp)
+    (fun l -> Msp.create l variant)
+    ~pids:(Array.init procs (fun p -> p + 1))
 
 let test_splitter_no_interference_check () =
   expect_violation "no-interference-check"
@@ -116,23 +67,10 @@ let test_splitter_no_advice_flip () =
 (* ----- mutant MA: name uniqueness must break ----- *)
 
 let test_ma_no_recheck () =
-  let builder () : Sim.Model_check.config =
-    let layout = Layout.create () in
-    let m = Mma.create layout Mma.No_recheck ~k:2 ~s:3 in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let u = Sim.Checks.uniqueness ~name_space:(Mma.name_space m) () in
-    let body (ops : Store.ops) =
-      let lease = Mma.get_name m ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Mma.name_of m lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Mma.name_of m lease));
-      Mma.release_name m ops lease
-    in
-    {
-      layout;
-      procs = [| (0, body); (2, body) |];
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
+  let builder =
+    Workload.protocol_config (module Mma)
+      (fun l -> Mma.create l Mma.No_recheck ~k:2 ~s:3)
+      ~pids:[| 0; 2 |] ~cycles:1
   in
   expect_violation "ma-no-recheck" (Sim.Model_check.explore ~max_paths:500_000 builder)
 
@@ -156,13 +94,7 @@ let test_trace_revalidation_catches () =
   let layout = Layout.create () in
   let m = Mma.create layout Mma.No_recheck ~k:2 ~s:3 in
   let work = Layout.alloc layout ~name:"work" 0 in
-  let body (ops : Store.ops) =
-    let lease = Mma.get_name m ops in
-    Sim.Sched.emit (Sim.Event.Acquired (Mma.name_of m lease));
-    ignore (ops.read work);
-    Sim.Sched.emit (Sim.Event.Released (Mma.name_of m lease));
-    Mma.release_name m ops lease
-  in
+  let body = Workload.protocol_body (module Mma) m ~work ~cycles:1 in
   (* find a violating seed by brute force over random schedules *)
   let rec hunt seed =
     if seed > 5_000 then Alcotest.fail "no violating schedule found"
@@ -184,15 +116,7 @@ let test_trace_revalidation_passes_correct () =
   let layout = Layout.create () in
   let m = Renaming.Ma.create layout ~k:3 ~s:9 in
   let work = Layout.alloc layout ~name:"work" 0 in
-  let body (ops : Store.ops) =
-    for _ = 1 to 4 do
-      let lease = Renaming.Ma.get_name m ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Renaming.Ma.name_of m lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Renaming.Ma.name_of m lease));
-      Renaming.Ma.release_name m ops lease
-    done
-  in
+  let body = Workload.protocol_body (module Renaming.Ma) m ~work ~cycles:4 in
   let t =
     Sim.Sched.create ~monitor:(Sim.Trace.monitor tr) layout
       [| (0, body); (4, body); (8, body) |]
@@ -205,40 +129,9 @@ let test_trace_revalidation_passes_correct () =
 (* ----- and the real protocols still pass the very same harnesses ----- *)
 
 let test_real_mutex_still_passes () =
-  let builder () : Sim.Model_check.config =
-    let layout = Layout.create () in
-    let b = Renaming.Pf_mutex.create layout in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let in_cs = ref 0 in
-    let body dir (ops : Store.ops) =
-      for _ = 1 to 2 do
-        let slot = Renaming.Pf_mutex.enter b ops ~dir in
-        let rec spin n =
-          if Renaming.Pf_mutex.check b ops ~dir slot then begin
-            Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-            ignore (ops.read work);
-            Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-          end
-          else if n > 0 then spin (n - 1)
-        in
-        spin 6;
-        Renaming.Pf_mutex.release b ops ~dir slot
-      done
-    in
-    {
-      layout;
-      procs = [| (0, body 0); (1, body 1) |];
-      monitor =
-        Sim.Sched.monitor
-          ~on_event:(fun _ _ ev ->
-            match ev with
-            | Sim.Event.Note ("cs", _) ->
-                incr in_cs;
-                if !in_cs > 1 then raise (Sim.Model_check.Violation "double CS")
-            | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-            | _ -> ())
-          ();
-    }
+  let builder =
+    Workload.mutex_config ~retries:6 (module Renaming.Pf_mutex) Renaming.Pf_mutex.create
+      ~cycles:2
   in
   let r = Sim.Model_check.explore ~max_paths:2_000_000 builder in
   Test_util.check_no_violation "real mutex under the mutation harness" r

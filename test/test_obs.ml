@@ -4,11 +4,6 @@
 
 open Shared_mem
 
-let contains sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* ----- counters and gauges ----- *)
 
 let test_counter () =
@@ -229,7 +224,8 @@ let exporter_snapshot () =
 let test_export_json () =
   let j = Obs.Export.to_json (exporter_snapshot ()) in
   List.iter
-    (fun sub -> Alcotest.(check bool) ("json has " ^ sub) true (contains sub j))
+    (fun sub -> Alcotest.(check bool) ("json has " ^ sub) true
+      (Test_util.contains ~sub j))
     [
       "\"schema\":\"renaming.obs/v1\"";
       "\"store.reads\":1";
@@ -243,7 +239,8 @@ let test_export_json () =
 let test_export_prometheus () =
   let p = Obs.Export.to_prometheus (exporter_snapshot ()) in
   List.iter
-    (fun sub -> Alcotest.(check bool) ("prometheus has " ^ sub) true (contains sub p))
+    (fun sub -> Alcotest.(check bool) ("prometheus has " ^ sub) true
+      (Test_util.contains ~sub p))
     [
       "renaming_store_reads 1";
       "renaming_names_held ";
@@ -277,14 +274,16 @@ let test_export_json_truncation () =
   done;
   let snap = Obs.Registry.snapshot r in
   let j = Obs.Export.to_json ~max_spans:2 snap in
-  Alcotest.(check bool) "truncation is explicit" true (contains "\"spans_truncated\":3" j);
-  Alcotest.(check bool) "recorded count kept" true (contains "\"recorded\":5" j);
+  Alcotest.(check bool) "truncation is explicit" true
+    (Test_util.contains ~sub:"\"spans_truncated\":3" j);
+  Alcotest.(check bool) "recorded count kept" true
+    (Test_util.contains ~sub:"\"recorded\":5" j);
   (* the newest spans survive the cap *)
-  Alcotest.(check bool) "newest span kept" true (contains "\"pid\":5" j);
-  Alcotest.(check bool) "oldest span cut" false (contains "\"pid\":1" j);
+  Alcotest.(check bool) "newest span kept" true (Test_util.contains ~sub:"\"pid\":5" j);
+  Alcotest.(check bool) "oldest span cut" false (Test_util.contains ~sub:"\"pid\":1" j);
   let full = Obs.Export.to_json snap in
   Alcotest.(check bool) "uncapped export reports zero truncated" true
-    (contains "\"spans_truncated\":0" full)
+    (Test_util.contains ~sub:"\"spans_truncated\":0" full)
 
 (* Regression: [op.get] and [op_get] both sanitize to [op_get]; the
    exporter must keep them as distinct series instead of silently
@@ -297,14 +296,14 @@ let test_export_prometheus_collision () =
   Obs.Registry.inc s "op_get";
   let p = Obs.Export.to_prometheus (Obs.Registry.snapshot r) in
   Alcotest.(check bool) "first claimant keeps the bare name" true
-    (contains "renaming_op_get 1" p);
+    (Test_util.contains ~sub:"renaming_op_get 1" p);
   Alcotest.(check bool) "collision gets a hash suffix" true
-    (contains "renaming_op_get_x" p);
+    (Test_util.contains ~sub:"renaming_op_get_x" p);
   (* both observations survive as separate series *)
   let count_lines sub =
     List.length
       (List.filter
-         (fun l -> String.length l > 0 && l.[0] <> '#' && contains sub l)
+         (fun l -> String.length l > 0 && l.[0] <> '#' && Test_util.contains ~sub l)
          (String.split_on_char '\n' p))
   in
   Alcotest.(check int) "two distinct series exported" 2 (count_lines "renaming_op_get")
@@ -324,7 +323,8 @@ let test_export_prometheus_journeys () =
   Obs.Gauge.observe (Obs.Registry.gauge s "journey.worst_id") 7;
   let p = Obs.Export.to_prometheus (Obs.Registry.snapshot r) in
   List.iter
-    (fun sub -> Alcotest.(check bool) ("prometheus has " ^ sub) true (contains sub p))
+    (fun sub -> Alcotest.(check bool) ("prometheus has " ^ sub) true
+      (Test_util.contains ~sub p))
     [
       "# TYPE renaming_journey_blame_acquire counter";
       "renaming_journey_blame_acquire 100";
@@ -342,14 +342,15 @@ let test_export_prometheus_journeys () =
   Obs.Registry.inc s "journey.blame_acquire";
   let p = Obs.Export.to_prometheus (Obs.Registry.snapshot r) in
   Alcotest.(check bool) "first claimant keeps the bare name" true
-    (contains "renaming_journey_blame_acquire 100" p);
+    (Test_util.contains ~sub:"renaming_journey_blame_acquire 100" p);
   Alcotest.(check bool) "collision gets a hash suffix" true
-    (contains "renaming_journey_blame_acquire_x" p)
+    (Test_util.contains ~sub:"renaming_journey_blame_acquire_x" p)
 
 let test_export_text () =
   let t = Obs.Export.to_text (exporter_snapshot ()) in
   List.iter
-    (fun sub -> Alcotest.(check bool) ("text has " ^ sub) true (contains sub t))
+    (fun sub -> Alcotest.(check bool) ("text has " ^ sub) true
+      (Test_util.contains ~sub t))
     [ "store.reads"; "op.get.accesses"; "names.held" ]
 
 (* ----- a bound Store.tally: per-register-group counters ----- *)
@@ -419,16 +420,8 @@ let sim_snapshot () =
   let registry = Obs.Registry.create () in
   let shard = Obs.Registry.shard registry in
   let obs = Sim.Observe.create shard in
-  let body (ops : Store.ops) =
-    for _ = 1 to 3 do
-      Sim.Observe.op_begin "get";
-      let lease = Renaming.Split.get_name sp ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Renaming.Split.name_of sp lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Renaming.Split.name_of sp lease));
-      Sim.Observe.op_begin "release";
-      Renaming.Split.release_name sp ops lease
-    done
+  let body =
+    Workload.protocol_body ~markers:true (module Renaming.Split) sp ~work ~cycles:3
   in
   let t =
     Sim.Sched.create ~monitor:(Sim.Observe.monitor obs) layout

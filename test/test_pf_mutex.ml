@@ -54,35 +54,6 @@ let test_symmetric_directions () =
 
 (* ----- model checking ----- *)
 
-(* A process enters, checks up to [retries] times, runs a one-access
-   critical section when it wins, and releases either way.  Bounding
-   the retries keeps the schedule tree finite while still covering
-   every interleaving of the writes that could break exclusion. *)
-let contender b ~work ~dir ~retries (ops : Store.ops) =
-  let slot = Pf.enter b ops ~dir in
-  let rec go n =
-    if Pf.check b ops ~dir slot then begin
-      Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir))
-    end
-    else if n > 0 then go (n - 1)
-  in
-  go retries;
-  Pf.release b ops ~dir slot
-
-let exclusion_monitor () =
-  let in_cs = ref 0 in
-  Sim.Sched.monitor
-    ~on_event:(fun _ _ ev ->
-      match ev with
-      | Sim.Event.Note ("cs", _) ->
-          incr in_cs;
-          if !in_cs > 1 then raise (Sim.Model_check.Violation "two processes in the CS")
-      | Sim.Event.Note ("cs_exit", _) -> decr in_cs
-      | _ -> ())
-    ()
-
 (* Each direction register carries two bits: values stay in 0..3. *)
 let domain_monitor =
   Sim.Sched.monitor
@@ -95,20 +66,12 @@ let domain_monitor =
       | Sim.Sched.Write _ | Sim.Sched.Read _ | Sim.Sched.Update _ -> ())
     ()
 
-let builder ~retries ~cycles () : Sim.Model_check.config =
-  let layout = Layout.create () in
-  let b = Pf.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let body dir ops =
-    for _ = 1 to cycles do
-      contender b ~work ~dir ~retries ops
-    done
-  in
-  {
-    layout;
-    procs = [| (0, body 0); (1, body 1) |];
-    monitor = Sim.Checks.combine [ exclusion_monitor (); domain_monitor ];
-  }
+(* A process enters, checks up to [retries] times, runs a one-access
+   critical section when it wins, and releases either way.  Bounding
+   the retries keeps the schedule tree finite while still covering
+   every interleaving of the writes that could break exclusion. *)
+let builder ~retries =
+  Workload.mutex_config ~retries ~monitors:[ domain_monitor ] (module Pf) Pf.create
 
 let test_exclusion_exhaustive () =
   let r = Sim.Model_check.explore (builder ~retries:3 ~cycles:1) in
@@ -122,25 +85,8 @@ let test_exclusion_exhaustive_2cycles () =
 (* Spinning contenders under random schedules: exclusion plus
    starvation-freedom (both bodies finish). *)
 let test_exclusion_sampled_spinning () =
-  let build () : Sim.Model_check.config =
-    let layout = Layout.create () in
-    let b = Pf.create layout in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let body dir (ops : Store.ops) =
-      for _ = 1 to 25 do
-        let slot = Pf.enter b ops ~dir in
-        while not (Pf.check b ops ~dir slot) do
-          ()
-        done;
-        Sim.Sched.emit (Sim.Event.Note ("cs", dir));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Note ("cs_exit", dir));
-        Pf.release b ops ~dir slot
-      done
-    in
-    { layout; procs = [| (0, body 0); (1, body 1) |]; monitor = exclusion_monitor () }
-  in
-  let r = Sim.Model_check.sample ~seeds:(Test_util.seeds 2000) build in
+  let spinning = Workload.mutex_config (module Pf) Pf.create ~cycles:25 in
+  let r = Sim.Model_check.sample ~seeds:(Test_util.seeds 2000) spinning in
   Test_util.check_no_violation "spinning exclusion" r
 
 (* ----- tournament trees ----- *)
@@ -205,7 +151,7 @@ let test_tournament_sampled () =
     {
       layout;
       procs = Array.of_list (List.map (fun i -> (i, body i)) [ 0; 3; 5; 6 ]);
-      monitor = exclusion_monitor ();
+      monitor = Sim.Checks.exclusion ();
     }
   in
   let r = Sim.Model_check.sample ~seeds:(Test_util.seeds 800) build in
@@ -235,7 +181,7 @@ let test_tournament_exhaustive_2procs () =
       go ();
       Tournament.release t ops pos
     in
-    { layout; procs = [| (0, body 0); (1, body 1) |]; monitor = exclusion_monitor () }
+    { layout; procs = [| (0, body 0); (1, body 1) |]; monitor = Sim.Checks.exclusion () }
   in
   let r = Sim.Model_check.explore build in
   Test_util.check_no_violation "tournament 2-input" r;

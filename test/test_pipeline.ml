@@ -103,7 +103,7 @@ let test_chain_uniqueness () =
     let procs =
       Array.init 3 (fun i ->
           ( (i * 1_000_000) + 999,
-            Test_util.protocol_cycles (module Chain_split_ma) c ~work ~cycles ))
+            Workload.protocol_body (module Chain_split_ma) c ~work ~cycles ))
     in
     (layout, procs)
   in
@@ -162,7 +162,7 @@ let pipeline_run ~k ~s ~cycles ~seed =
   let p = Pipeline.create layout ~k ~s ~participants in
   let work = Layout.alloc layout ~name:"work" 0 in
   let procs =
-    Array.map (fun pid -> (pid, Test_util.protocol_cycles (module Pipeline) p ~work ~cycles))
+    Array.map (fun pid -> (pid, Workload.protocol_body (module Pipeline) p ~work ~cycles))
       participants
   in
   Test_util.run_random ~seed ~name_space:(Pipeline.name_space p) layout procs
@@ -185,17 +185,16 @@ let test_s_independence () =
     let layout = Layout.create () in
     let p = Pipeline.create layout ~k ~s ~participants in
     let work = Layout.alloc layout ~name:"work" 0 in
-    let get_costs = ref [] and rel_costs = ref [] in
+    let costs = Workload.costs () in
     let procs =
       Array.map
         (fun pid ->
           ( pid,
-            Test_util.protocol_cycles_counted (module Pipeline) p ~work ~cycles:3 ~get_costs
-              ~rel_costs ))
+            Workload.protocol_body ~costs (module Pipeline) p ~work ~cycles:3 ))
         participants
     in
     let _ = Test_util.run_random ~seed ~name_space:(Pipeline.name_space p) layout procs in
-    List.fold_left max 0 !get_costs
+    List.fold_left max 0 costs.get
   in
   let small = List.map (fun seed -> measure ~s:10_000 ~seed) (Test_util.seeds 8) in
   let big = List.map (fun seed -> measure ~s:100_000_000 ~seed) (Test_util.seeds 8) in
@@ -249,7 +248,7 @@ let test_parked_per_tree_level () =
       let work = Layout.alloc layout ~name:"work" 0 in
       let procs =
         Array.map
-          (fun pid -> (pid, Test_util.protocol_cycles (module Pipeline) p ~work ~cycles))
+          (fun pid -> (pid, Workload.protocol_body (module Pipeline) p ~work ~cycles))
           participants
       in
       let u = Sim.Checks.uniqueness ~name_space:(Pipeline.name_space p) () in
@@ -347,13 +346,12 @@ let test_plan_bounds_measured_cost () =
   let layout = Layout.create () in
   let p = Pipeline.create layout ~k ~s ~participants in
   let work = Layout.alloc layout ~name:"work" 0 in
-  let get_costs = ref [] and rel_costs = ref [] in
+  let costs = Workload.costs () in
   let procs =
     Array.map
       (fun pid ->
         ( pid,
-          Test_util.protocol_cycles_counted (module Pipeline) p ~work ~cycles:2 ~get_costs
-            ~rel_costs ))
+          Workload.protocol_body ~costs (module Pipeline) p ~work ~cycles:2 ))
       participants
   in
   List.iter
@@ -364,7 +362,7 @@ let test_plan_bounds_measured_cost () =
   List.iter
     (fun c ->
       Alcotest.(check bool) (Printf.sprintf "measured %d <= planned %d" c bound) true (c <= bound))
-    !get_costs
+    costs.get
 
 (* Random hand-built chains through the dynamic combinator: any
    well-typed stage sequence must preserve uniqueness and land names in
@@ -413,7 +411,7 @@ let prop_random_chains =
       let procs =
         Array.map
           (fun pid ->
-            (pid, Test_util.protocol_cycles (module Protocol.Any) chained ~work ~cycles:2))
+            (pid, Workload.protocol_body (module Protocol.Any) chained ~work ~cycles:2))
           pids
       in
       let outcome, u = Test_util.run_random ~seed ~name_space:d_final layout procs in

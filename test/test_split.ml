@@ -65,7 +65,7 @@ let uniqueness_run ~k ~cycles ~seed =
   let layout, sp, work = make ~k in
   let procs =
     Array.init k (fun i ->
-        ((i * 1_000_003) + 17, Test_util.protocol_cycles (module Split) sp ~work ~cycles))
+        ((i * 1_000_003) + 17, Workload.protocol_body (module Split) sp ~work ~cycles))
   in
   Test_util.run_random ~seed ~name_space:(Split.name_space sp) layout procs
 
@@ -88,12 +88,11 @@ let test_access_bounds () =
   List.iter
     (fun k ->
       let layout, sp, work = make ~k in
-      let get_costs = ref [] and rel_costs = ref [] in
+      let costs = Workload.costs () in
       let procs =
         Array.init k (fun i ->
             ( (i * 999_999_937) + 3,
-              Test_util.protocol_cycles_counted (module Split) sp ~work ~cycles:5 ~get_costs
-                ~rel_costs ))
+              Workload.protocol_body ~costs (module Split) sp ~work ~cycles:5 ))
       in
       List.iter
         (fun seed ->
@@ -108,28 +107,21 @@ let test_access_bounds () =
             (Printf.sprintf "get cost %d <= 7(k-1), k=%d" c k)
             true
             (c <= 7 * (k - 1)))
-        !get_costs;
+        costs.get;
       List.iter
         (fun c ->
           Alcotest.(check bool)
             (Printf.sprintf "release cost %d <= 2(k-1), k=%d" c k)
             true
             (c <= 2 * (k - 1)))
-        !rel_costs)
+        costs.release)
     [ 2; 3; 5; 7 ]
 
 (* Exhaustive model check at k=2 (one splitter), 2 processes. *)
 let test_exhaustive_k2 () =
-  let builder () : Sim.Model_check.config =
-    let layout, sp, work = make ~k:2 in
-    let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
-    {
-      layout;
-      procs =
-        Array.init 2 (fun i ->
-            (i + 100, Test_util.protocol_cycles (module Split) sp ~work ~cycles:1));
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
+  let builder =
+    Workload.protocol_config (module Split) (fun l -> Split.create l ~k:2)
+      ~pids:[| 100; 101 |] ~cycles:1
   in
   let r = Sim.Model_check.explore ~max_paths:3_000_000 builder in
   Test_util.check_no_violation "split k=2" r;
@@ -137,16 +129,9 @@ let test_exhaustive_k2 () =
 
 (* Bounded exhaustive at k=3 with 3 processes (deep corner). *)
 let test_bounded_k3 () =
-  let builder () : Sim.Model_check.config =
-    let layout, sp, work = make ~k:3 in
-    let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
-    {
-      layout;
-      procs =
-        Array.init 3 (fun i ->
-            (i * 7, Test_util.protocol_cycles (module Split) sp ~work ~cycles:1));
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
+  let builder =
+    Workload.protocol_config (module Split) (fun l -> Split.create l ~k:3)
+      ~pids:[| 0; 7; 14 |] ~cycles:1
   in
   let r = Sim.Model_check.explore ~max_paths:150_000 builder in
   Test_util.check_no_violation "split k=3 bounded" r
@@ -157,7 +142,7 @@ let test_crash_tolerance () =
   let k = 4 in
   let layout, sp, work = make ~k in
   let procs =
-    Array.init k (fun i -> (i, Test_util.protocol_cycles (module Split) sp ~work ~cycles:3))
+    Array.init k (fun i -> (i, Workload.protocol_body (module Split) sp ~work ~cycles:3))
   in
   let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in
   let t = Sim.Sched.create ~monitor:(Sim.Checks.uniqueness_monitor u) layout procs in

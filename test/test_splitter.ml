@@ -27,18 +27,11 @@ let domain_monitor pids =
       | Sim.Sched.Read _ | Sim.Sched.Update _ -> ())
     ()
 
-let builder ~procs ~cycles () : Sim.Model_check.config =
-  let layout = Layout.create () in
-  let splitter = Splitter.create layout in
-  let work = Layout.alloc layout ~name:"work" 0 in
-  let o = Test_util.occupancy () in
+let builder ~procs =
   let pids = List.init procs Fun.id in
-  {
-    layout;
-    procs =
-      Array.init procs (fun p -> (p, Test_util.splitter_cycles splitter ~work cycles));
-    monitor = Sim.Checks.combine [ Test_util.occupancy_monitor o; domain_monitor pids ];
-  }
+  Workload.splitter_config ~monitors:[ domain_monitor pids ]
+    (module Splitter)
+    Splitter.create ~pids:(Array.of_list pids)
 
 (* Sequential sanity: a lone process enters and leaves; it must not be
    sent to set 0 (no interference) and must terminate. *)
@@ -101,17 +94,8 @@ let prop_sparse_pids =
     (fun (seed, procs) ->
       let rng = Sim.Rng.make seed in
       let pids = Array.init procs (fun i -> (i * 7919) + Sim.Rng.int rng 1000) in
-      let build () : Sim.Model_check.config =
-        let layout = Layout.create () in
-        let splitter = Splitter.create layout in
-        let work = Layout.alloc layout ~name:"work" 0 in
-        let o = Test_util.occupancy () in
-        {
-          layout;
-          procs =
-            Array.map (fun p -> (p, Test_util.splitter_cycles splitter ~work 2)) pids;
-          monitor = Test_util.occupancy_monitor o;
-        }
+      let build =
+        Workload.splitter_config (module Splitter) Splitter.create ~pids ~cycles:2
       in
       let r = Sim.Model_check.sample ~seeds:[ seed; seed + 1; seed + 2 ] build in
       r.violation = None)

@@ -37,23 +37,9 @@ let test_rmw_semantics () =
   Alcotest.(check int) "new value" 10 (ops.read c)
 
 let test_exhaustive_k2 () =
-  let builder () : Sim.Model_check.config =
-    let layout, t, work = make ~k:2 in
-    let u = Sim.Checks.uniqueness ~name_space:2 () in
-    let body (ops : Store.ops) =
-      for _ = 1 to 2 do
-        let lease = Tas.get_name t ops in
-        Sim.Sched.emit (Sim.Event.Acquired (Tas.name_of t lease));
-        ignore (ops.read work);
-        Sim.Sched.emit (Sim.Event.Released (Tas.name_of t lease));
-        Tas.release_name t ops lease
-      done
-    in
-    {
-      layout;
-      procs = [| (0, body); (1, body) |];
-      monitor = Sim.Checks.uniqueness_monitor u;
-    }
+  let builder =
+    Workload.protocol_config (module Tas) (fun l -> Tas.create l ~k:2) ~pids:[| 0; 1 |]
+      ~cycles:2
   in
   let r = Sim.Model_check.explore builder in
   Test_util.check_no_violation "tas k=2" r;
@@ -66,7 +52,7 @@ let test_uniqueness_random () =
       let layout, t, work = make ~k in
       let procs =
         Array.init k (fun i ->
-            ((i * 97) + 5, Test_util.protocol_cycles (module Tas) t ~work ~cycles:6))
+            ((i * 97) + 5, Workload.protocol_body (module Tas) t ~work ~cycles:6))
       in
       let outcome, u = Test_util.run_random ~seed ~name_space:k layout procs in
       Alcotest.(check bool) "completes" true (Test_util.all_completed outcome);
@@ -95,15 +81,10 @@ let test_saturated () =
   let k = 3 in
   let layout, t, work = make ~k in
   let probes = ref [] in
-  let body (ops : Store.ops) =
-    for _ = 1 to 8 do
-      let lease = Tas.get_name t ops in
-      probes := Tas.probes lease :: !probes;
-      Sim.Sched.emit (Sim.Event.Acquired (Tas.name_of t lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Tas.name_of t lease));
-      Tas.release_name t ops lease
-    done
+  let body =
+    Workload.protocol_body
+      ~on_get:(fun lease -> probes := Tas.probes lease :: !probes)
+      (module Tas) t ~work ~cycles:8
   in
   List.iter
     (fun seed ->

@@ -5,11 +5,6 @@ open Shared_mem
 module Mc = Sim.Model_check
 module Mma = Renaming.Mutations.Mutant_ma
 
-let is_infix sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let is_suffix sub s =
   let n = String.length sub and m = String.length s in
   n <= m && String.sub s (m - n) n = sub
@@ -69,10 +64,8 @@ let test_timeline_known_schedule () =
   Alcotest.(check int) "four accesses" 4 outcome.total;
   let tl = Sim.Trace.timeline tr in
   let contains sub =
-    Alcotest.(check bool)
-      (Printf.sprintf "timeline contains %S" sub)
-      true
-      (is_infix sub tl)
+    Alcotest.(check bool) (Printf.sprintf "timeline contains %S" sub) true
+      (Test_util.contains ~sub tl)
   in
   contains "steps 1..4";
   (* p0 acquires name 0 at step 1 and releases at its step-3 access;
@@ -95,7 +88,7 @@ let run_traced bodies =
 
 let test_timeline_empty () =
   let tl = Sim.Trace.timeline (Sim.Trace.create ()) in
-  Alcotest.(check bool) "header present" true (is_infix "steps 1..1" tl);
+  Alcotest.(check bool) "header present" true (Test_util.contains ~sub:"steps 1..1" tl);
   Alcotest.(check int) "no lanes for an empty trace" 1
     (List.length (String.split_on_char '\n' tl))
 
@@ -112,7 +105,8 @@ let test_timeline_zero_length_hold () =
       |]
   in
   let tl = Sim.Trace.timeline tr in
-  Alcotest.(check bool) "zero-length hold still painted" true (is_infix "|5|" tl)
+  Alcotest.(check bool) "zero-length hold still painted" true
+    (Test_util.contains ~sub:"|5|" tl)
 
 let test_timeline_more_procs_than_width () =
   let body work (ops : Store.ops) =
@@ -154,9 +148,9 @@ let test_timeline_large_names_star () =
       |]
   in
   let tl = Sim.Trace.timeline tr in
-  Alcotest.(check bool) "name 50 renders as *" true (is_infix "*" tl);
+  Alcotest.(check bool) "name 50 renders as *" true (Test_util.contains ~sub:"*" tl);
   (* 35 is the last name with its own glyph ('z') *)
-  Alcotest.(check bool) "name 35 renders as z" true (is_infix "z" tl)
+  Alcotest.(check bool) "name 35 renders as z" true (Test_util.contains ~sub:"z" tl)
 
 (* ----- spans from a replayed Model_check.sample schedule ----- *)
 
@@ -166,27 +160,12 @@ let test_timeline_large_names_star () =
    exactly the accesses the sampled run recorded. *)
 let test_span_replay_matches_sample () =
   let recorded = ref 0 in
-  let mk ?(markers = false) ?(extra = []) () : Mc.config =
-    let layout = Layout.create () in
-    let m = Mma.create layout Mma.No_recheck ~k:2 ~s:3 in
-    let work = Layout.alloc layout ~name:"work" 0 in
-    let u = Sim.Checks.uniqueness ~name_space:(Mma.name_space m) () in
+  let count = Sim.Sched.monitor ~on_access:(fun _ _ _ -> incr recorded) () in
+  let mk ?markers ?(extra = []) () =
     recorded := 0;
-    let count = Sim.Sched.monitor ~on_access:(fun _ _ _ -> incr recorded) () in
-    let body (ops : Store.ops) =
-      if markers then Sim.Observe.op_begin "get";
-      let lease = Mma.get_name m ops in
-      Sim.Sched.emit (Sim.Event.Acquired (Mma.name_of m lease));
-      ignore (ops.read work);
-      Sim.Sched.emit (Sim.Event.Released (Mma.name_of m lease));
-      if markers then Sim.Observe.op_begin "release";
-      Mma.release_name m ops lease
-    in
-    {
-      layout;
-      procs = [| (0, body); (2, body) |];
-      monitor = Sim.Checks.combine ([ count; Sim.Checks.uniqueness_monitor u ] @ extra);
-    }
+    Workload.protocol_config ?markers ~monitors:(count :: extra) (module Mma)
+      (fun l -> Mma.create l Mma.No_recheck ~k:2 ~s:3)
+      ~pids:[| 0; 2 |] ~cycles:1 ()
   in
   let r = Mc.sample ~seeds:(List.init 100 (fun i -> i + 1)) (fun () -> mk ()) in
   match r.violation with
