@@ -1461,12 +1461,12 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
         let rs = report.Churn.resilience and oc = report.Churn.outcomes in
         let resilience_json =
           Printf.sprintf
-            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"adopted_walks":%d,"seat_steals":%d,"quarantines":%d,"rebuilds":%d,"fenced":%d,"failovers":%d},"health":[%s],"settle_scans":%d|}
+            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"seat_steals":%d,"quarantines":%d,"rebuilds":%d,"fenced":%d,"failovers":%d},"health":[%s],"settle_scans":%d|}
             oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
             oc.Churn.shed_policy oc.Churn.shed_early rs.Server.scans
             rs.Server.deaths rs.Server.reclaimed rs.Server.claims_swept
-            rs.Server.reclaim_max_scans rs.Server.drain_heals
-            rs.Server.adopted_walks rs.Server.seat_steals rs.Server.quarantines
+            rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.seat_steals
+            rs.Server.quarantines
             rs.Server.rebuilds rs.Server.fenced rs.Server.failovers
             (String.concat ","
                (Array.to_list report.Churn.health

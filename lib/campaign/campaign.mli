@@ -220,8 +220,8 @@ val report_json : ?crash:crash_outcome list -> seeds:int list -> outcome list ->
 type chaos_fault =
   | Crash_holding  (** Victim crashes holding the name one request
                        was granted, leaking it with its warm lease. *)
-  | Crash_mid_drain  (** Victim crashes inside a drain walk, orphaning
-                         the pending chain it was retiring. *)
+  | Crash_mid_drain  (** Victim crashes half way through draining a
+                         shard, leaving the rest of its range pending. *)
   | Crash_seat  (** Victim is pre-seated as the reclaimer, then
                     crashes holding the seat — someone must steal it. *)
   | Park_drainer  (** Victim parks mid-drain until every normal client

@@ -151,11 +151,11 @@ let park_body server c (spec : Workload.server_spec) agg =
 
 exception Crashed
 
-(* Drain-boundary fault hooks: the server calls them at every
-   drain-walk slot boundary, before that slot's retirement fence, so a
-   crash here orphans the rest of the chain (the walker's cursor still
-   names it — exactly what cursor adoption and the orphaned-pending
-   sweep exist to heal) but never half-retires a slot. *)
+(* Drain-boundary fault hooks: the server calls them at every slot of
+   a range it drains, before that slot's retirement fence, so a crash
+   here leaves the rest of the range pending (the next drain of the
+   shard, or the reclaimer's wedged-drain heal, retires it) but never
+   half-retires a slot. *)
 let install_chaos c fault agg =
   match fault with
   | Some (Crash_in_drain { drain }) ->

@@ -43,14 +43,13 @@ type fault =
           meanwhile.  The victim completes [request] cycles when every
           earlier request was granted. *)
   | Crash_in_drain of { drain : int }
-      (** Crash at the [drain]-th drain-walk slot boundary this client
-          reaches: the pending chain it was retiring is orphaned
-          mid-walk — healed by cursor adoption + the orphaned-pending
-          sweep. *)
+      (** Crash at the [drain]-th drained slot this client reaches: the
+          rest of the shard's range stays pending until another drain
+          scans it (or the reclaimer's wedged-drain heal does). *)
   | Park_in_drain of { drain : int }
       (** Park (until every normal client finishes) at the [drain]-th
-          drain-walk slot boundary, then resume — the wedged drainer
-          the per-shard drain-staleness healing exists for. *)
+          drained slot, then resume — the wedged drainer the per-shard
+          drain-staleness healing exists for. *)
 
 val of_plan : Sim.Faults.plan -> (int * fault) list
 (** Map a simulator fault plan onto client faults: victims become

@@ -4,7 +4,7 @@
     A shard is {e live} until its scan-over-scan deltas say otherwise:
     admission pressure (sheds this scan) degrades it, reclaimed leases
     (a crashed client's footprint came back through the lease scanner)
-    or a wedged pending list (non-empty and unmoved for
+    or wedged pending slots (a non-zero pending count unmoved for
     [drain_stale] consecutive scans) quarantine it.  A quarantined
     shard stops taking new acquires — the router spills them to a
     sibling — and is re-admitted only after it has been rebuilt in

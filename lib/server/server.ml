@@ -42,26 +42,28 @@ let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2) ?(batch
     ?(resilience = default_resilience) ~clients ~source_space () =
   { shards; k_per_shard; source_space; warm_capacity; batch; clients; resilience }
 
-(* Slab tokens are slot indices.  The freelist head packs (tag, idx+1)
-   into one int — the tag advances on every successful swap, so a
-   slot popped, recycled and re-pushed between a competitor's read and
-   its CAS can never satisfy that CAS (the classic Treiber ABA). *)
-let idx_bits = 21
-let idx_mask = (1 lsl idx_bits) - 1
+(* Slab tokens are slot indices.  Shard [sh] owns the slots
+   [sh·k, sh·k + k): admission caps a shard at k leases, so the range
+   is exactly as large as the shard can ever need.
 
-(* Per-slot retirement fence.  Every lease retirement — batched drain
-   or lease reclaim — must win exactly one CAS into [fence_retiring],
-   so a pending release can never be both drained and reclaimed, and a
-   walker straying onto a recycled link retires nothing.  States:
+   Per-slot fence.  Every change of a slot's lease goes through one CAS
+   on it, and every lease retirement — batched drain or lease reclaim —
+   must win the CAS into [fence_retiring], so a pending release can
+   never be both drained and reclaimed, nor drained and re-granted.
+   States:
 
-     0 FREE      on the freelist
+     0 FREE      takeable by an admitted grant of its shard
      1 HELD      granted, client holds the token
      2 WARM      released into the owner's warm cache (still leased)
-     3 PENDING   on a shard's pending-release list
-     4 RETIRING  one retirer owns it; next state is FREE
+     3 PENDING   released, awaiting a drain of its shard (still leased:
+                 its owner may take it back)
+     4 RETIRING  one agent owns it: a retirer (next FREE), a grant
+                 filling its fields or the owner re-granting it (next
+                 HELD), or a re-grant probe undoing a miss (next PENDING)
 
-   No crash point exists between RETIRING and FREE (the chaos hooks
-   fire only at slot boundaries), so RETIRING is always transient. *)
+   No crash point exists while a slot is RETIRING (the chaos hooks fire
+   only at drain slot boundaries, crashes at request boundaries), so
+   RETIRING is always transient. *)
 let fence_free = 0
 let fence_held = 1
 let fence_warm = 2
@@ -144,30 +146,19 @@ type t = {
   stores : Atomic_store.t array;  (* kept alive alongside instances *)
   claims : int Atomic.t array;  (* per source: 0 free, else client+1 *)
   admitted : Pad.t;  (* per shard: held + warm + pending *)
-  pending : Pad.t;  (* per shard: list head, slot+1 (0 = empty) *)
-  pending_n : Pad.t;
+  pending_n : Pad.t;  (* per shard: PENDING slots in its range *)
   slot_src : int array;
-  slot_shard : int array;
   slot_name : int array;  (* global: shard base + local name *)
-  slot_owner : int array;
+  slot_owner : int array;  (* -1 once retired *)
   slot_lease : Any.lease option array;
   slot_warm : outcome array;
       (* the slot's warm grant, built once at cold grant: a warm hit
          returns it as is and allocates nothing *)
-  free_next : int array;  (* freelist link, -1 terminated *)
-  pend_next : int array;
-      (* pending-list link, -1 terminated.  Apart from [free_next]
-         because a push can land late: a releaser descheduled between
-         its fence CAS into PENDING and the push may find the slot
-         healed by [do_scan] and already back on the freelist, and its
-         link write must not cut the freelist. *)
   fence : int Atomic.t array;
       (* padded: a client's fence CASes never touch another slot's line *)
-  free : int Atomic.t;
   (* liveness + reclamation *)
   hb : Pad.t;  (* per client: heartbeat, bumped by [tend] *)
   epoch : Pad.t;  (* per client: bumped when declared dead *)
-  cursor : Pad.t;  (* per client: (shard+1) lsl idx_bits lor (slot+1) *)
   seat : int Atomic.t;
   seat_hb : int Atomic.t;
   last_scan_ns : int Atomic.t;
@@ -181,7 +172,6 @@ type t = {
   last_hb : int array;  (* per client *)
   stale : int array;
   dead : bool array;
-  pending_seen : int array;  (* per slot: consecutive scans at PENDING *)
   last_pend : int array;  (* per shard *)
   shard_stale : int array;
   last_sheds : int array;
@@ -193,7 +183,6 @@ type t = {
   rs_claims_swept : int Atomic.t;
   rs_reclaim_max : int Atomic.t;
   rs_drain_heals : int Atomic.t;
-  rs_adopted : int Atomic.t;
   rs_seat_steals : int Atomic.t;
   rs_quarantines : int Atomic.t;
   rs_rebuilds : int Atomic.t;
@@ -219,41 +208,14 @@ let health_code = function
   | Health.Degraded -> 1
   | Health.Quarantined -> 2
 
-(* ----- freelist (tag-CAS Treiber stack) ----- *)
+(* ----- slab ranges ----- *)
 
-let rec free_push t i =
-  let h = Atomic.get t.free in
-  t.free_next.(i) <- (h land idx_mask) - 1;
-  let h' = (((h lsr idx_bits) + 1) lsl idx_bits) lor (i + 1) in
-  if not (Atomic.compare_and_set t.free h h') then free_push t i
+let slot_shard t slot = slot / t.cfg.k_per_shard
 
-let rec free_pop t =
-  let h = Atomic.get t.free in
-  let v = h land idx_mask in
-  if v = 0 then -1
-  else begin
-    let i = v - 1 in
-    let n = t.free_next.(i) in
-    let h' = (((h lsr idx_bits) + 1) lsl idx_bits) lor (n + 1) in
-    if Atomic.compare_and_set t.free h h' then i else free_pop t
-  end
-
-(* ----- per-shard pending-release lists -----
-
-   Push is a plain head CAS (no tag needed: the link written always
-   points at the head value the CAS installs over, whatever its
-   history); the only pop is a pop-everything [exchange], which cannot
-   suffer ABA at all. *)
-
-let rec pending_push_link t sh i =
-  let head = (Pad.cells t.pending).(sh) in
-  let h = Atomic.get head in
-  t.pend_next.(i) <- h - 1;
-  if not (Atomic.compare_and_set head h (i + 1)) then pending_push_link t sh i
-
-let pending_push t sh i =
-  pending_push_link t sh i;
-  ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(sh) 1)
+(* Count a slot its releaser just fenced PENDING; a drain of its
+   shard's range will find it by its fence alone. *)
+let count_pending t slot =
+  ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(slot_shard t slot) 1)
 
 let obs_inc c name = match c.obs with Some o -> Obs.Registry.inc o name | None -> ()
 
@@ -363,8 +325,7 @@ let resync t (c : client) e =
   let w = warm_fence c in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if Atomic.compare_and_set t.fence.(slot) w fence_pending then
-      pending_push t t.slot_shard.(slot) slot
+    if Atomic.compare_and_set t.fence.(slot) w fence_pending then count_pending t slot
   done;
   c.warm_n <- 0;
   c.my_epoch <- e
@@ -386,7 +347,7 @@ let check_epoch t (c : client) =
    [reset_footprint] (a dead holder's lease may be mid-operation)
    instead of a plain release. *)
 let retire_slot t (c : client) slot ~was_pending ~reset =
-  let ssh = t.slot_shard.(slot) in
+  let ssh = slot_shard t slot in
   let sd = t.shard_tbl.(ssh) in
   let src = t.slot_src.(slot) in
   let owner = t.slot_owner.(slot) in
@@ -412,62 +373,46 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
         (Obs.Flight.Released name)
   | None -> ());
   ignore (Atomic.compare_and_set t.claims.(src) (owner + 1) 0 : bool);
+  (* a FREE slot backs no claim, even while a grant fills it in *)
+  t.slot_owner.(slot) <- -1;
+  (* free the slot before giving its admission back: every admitted
+     grant then finds a FREE slot in its range *)
   Atomic.set t.fence.(slot) fence_free;
-  free_push t slot;
   ignore (Atomic.fetch_and_add (Pad.cells t.admitted).(ssh) (-1));
   if was_pending then
     ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(ssh) (-1))
 
-let cursor_pack sh slot = ((sh + 1) lsl idx_bits) lor (slot + 1)
-
-(* Walk a pending chain from [head], retiring every link whose
-   PENDING→RETIRING fence CAS we win.  The walker's cursor always
-   names a link whose retirement has not completed, so a seat adopting
-   a dead walker's cursor re-walks the suffix and the fences make the
-   overlap exactly-once.  The walk is bounded by the slab size: a
-   stale link (the chain raced a concurrent retirer and now points at
-   a recycled slot) can wander but not loop us forever, and a stale
-   link that happens to reach some other chain's PENDING slot just
-   retires it early — correctly, since retirement reads the slot's own
-   shard. *)
-let drain_walk ?(hook = true) t (c : client) head =
-  let cap = Array.length t.fence in
-  let cur = (Pad.cells t.cursor).(c.id) in
-  let n = ref 0 in
-  let i = ref head in
-  let steps = ref 0 in
-  while !i >= 0 && !steps < cap do
-    incr steps;
-    let slot = !i in
-    Atomic.set cur (cursor_pack t.slot_shard.(slot) slot);
-    (if hook then match c.chaos with Some f -> f "drain" | None -> ());
-    let next = t.pend_next.(slot) in
-    if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then begin
-      retire_slot t c slot ~was_pending:true ~reset:false;
-      incr n
-    end;
-    i := next
-  done;
-  Atomic.set cur 0;
-  !n
-
-let drain_shard ?(hook = true) ?(t0 = 0) t (c : client) sh =
-  let h = Atomic.exchange (Pad.cells t.pending).(sh) 0 in
-  if h <> 0 then begin
+(* Retire every PENDING slot in shard [sh]'s range.  Drainers, the
+   owner's re-grant and the reclaimer race only on the slots' fences,
+   so each lease retires exactly once, and a drainer that stops half
+   way leaves the rest for whichever drain scans the range next. *)
+let drain_shard ?(t0 = 0) t (c : client) sh =
+  if Pad.get t.pending_n sh > 0 then begin
     let t0 = if t0 <> 0 then t0 else jtrack c in
     c.drains <- c.drains + 1;
     hot_count c h_drains 1;
-    let n = drain_walk ~hook t c (h - 1) in
-    c.drained <- c.drained + n;
-    hot_count c h_drained n;
-    mark c "drain" n;
+    let lo = sh * t.cfg.k_per_shard in
+    let n = ref 0 in
+    for slot = lo to lo + t.cfg.k_per_shard - 1 do
+      (match c.chaos with Some f -> f "drain" | None -> ());
+      if
+        Atomic.get t.fence.(slot) = fence_pending
+        && Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
+      then begin
+        retire_slot t c slot ~was_pending:true ~reset:false;
+        incr n
+      end
+    done;
+    c.drained <- c.drained + !n;
+    hot_count c h_drained !n;
+    mark c "drain" !n;
     jblame c Obs.Journey.Drain t0
   end
 
 (* Batch 1 retires the release at once, by the releaser: no other
    client's drain can be left holding it, so the releaser may re-claim
    its source the moment [release] returns. *)
-let pending_release ?(t0 = 0) t c sh slot =
+let pending_release ?(t0 = 0) t c slot =
   let t0 = if t0 <> 0 then t0 else jtrack c in
   if t.cfg.batch = 1 then begin
     if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then
@@ -475,8 +420,9 @@ let pending_release ?(t0 = 0) t c sh slot =
     jblame c Obs.Journey.Retire t0
   end
   else begin
-    pending_push t sh slot;
+    count_pending t slot;
     let te = jblame_t c Obs.Journey.Pending t0 in
+    let sh = slot_shard t slot in
     if Atomic.get (Pad.cells t.pending_n).(sh) >= t.cfg.batch then
       drain_shard ~t0:te t c sh
   end
@@ -496,9 +442,8 @@ let flush_warm_shard t c sh =
   let w = ref 0 in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if t.slot_shard.(slot) = sh then begin
-      if Atomic.compare_and_set t.fence.(slot) wf fence_pending then
-        pending_push t sh slot
+    if slot_shard t slot = sh then begin
+      if Atomic.compare_and_set t.fence.(slot) wf fence_pending then count_pending t slot
       else begin
         (* reclaimed from the cache behind our back — already retired *)
         c.fenced <- c.fenced + 1;
@@ -533,19 +478,47 @@ let rec admit_attempt t c sh tries tc =
 
 let admit t c sh tc = admit_attempt t c sh 3 tc
 
-(* Admission guarantees at most cap-1 slots are bound or pending, so a
-   slot is free or frees as soon as pending drains; spin + help.  The
-   chaos hook is suppressed in this one drain: admission is already
-   charged here and the slot not yet bound, so a crash at this
-   boundary would leak an [admitted] count no reclaim can see — the
-   one window the fault model promises does not exist. *)
-let rec slot_take t c sh =
-  match free_pop t with
+(* Take a FREE slot of shard [sh]'s range into RETIRING.  Admission
+   counts a grant before it takes a slot, and [retire_slot] frees a
+   slot before it gives the admission back, so the range holds a FREE
+   slot for every admitted grant: a miss means only that a race moved
+   it, and the scan runs again. *)
+let rec take_free t slot hi =
+  if slot = hi then -1
+  else if
+    Atomic.get t.fence.(slot) = fence_free
+    && Atomic.compare_and_set t.fence.(slot) fence_free fence_retiring
+  then slot
+  else take_free t (slot + 1) hi
+
+let rec slot_take t sh =
+  let lo = sh * t.cfg.k_per_shard in
+  match take_free t lo (lo + t.cfg.k_per_shard) with
   | -1 ->
-      drain_shard ~hook:false t c sh;
       Domain.cpu_relax ();
-      slot_take t c sh
-  | i -> i
+      slot_take t sh
+  | slot -> slot
+
+(* The caller's own PENDING lease of [src] in the range [slot, hi),
+   taken into RETIRING, or [-1].  The fields read before the CAS may
+   belong to a lease retired and re-granted since; only a grant that
+   took the slot from FREE writes them, so once the CAS is won they
+   are stable and checked again, and a slot that is not ours after all
+   goes back to PENDING. *)
+let rec own_pending t (c : client) src slot hi =
+  if slot = hi then -1
+  else if
+    Atomic.get t.fence.(slot) = fence_pending
+    && t.slot_src.(slot) = src
+    && t.slot_owner.(slot) = c.id
+    && Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
+  then
+    if t.slot_src.(slot) = src && t.slot_owner.(slot) = c.id then slot
+    else begin
+      Atomic.set t.fence.(slot) fence_pending;
+      own_pending t c src (slot + 1) hi
+    end
+  else own_pending t c src (slot + 1) hi
 
 (* ----- warm cache (client-local; shared state only in the fences) ----- *)
 
@@ -585,8 +558,26 @@ let route_live t src primary =
 
 (* ----- the service ----- *)
 
+(* A grant that runs no protocol: [slot]'s prebuilt warm outcome.
+   Inlined: as a call, even a tail call, it lengthened warm-pair's p99
+   by ~15% (alternating runs on a 2-core host). *)
+let[@inline] warm_grant t c slot =
+  c.acquires <- c.acquires + 1;
+  c.warm_hits <- c.warm_hits + 1;
+  hot_count c h_acquired 1;
+  hot_count c h_warm_hits 1;
+  hot_observe c h_warm_accesses 0;
+  (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
+  mark c "warm" t.slot_name.(slot);
+  t.slot_warm.(slot)
+
 let cold_grant ?(t0 = 0) t c ~src ~sh =
-  let slot = slot_take t c sh in
+  let slot = slot_take t sh in
+  (* the slot is ours until HELD is published; naming its source and
+     owner first backs our claim against the reclaimer's claim sweep
+     while the protocol runs *)
+  t.slot_src.(slot) <- src;
+  t.slot_owner.(slot) <- c.id;
   let sd = t.shard_tbl.(sh) in
   Store.tally_mark c.tally;
   let t0 = if t0 <> 0 then t0 else jtrack c in
@@ -597,14 +588,11 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   let accesses = Store.tally_since c.tally in
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
   let name = sd.base + Any.name_of sd.inst lease in
-  t.slot_src.(slot) <- src;
-  t.slot_shard.(slot) <- sh;
   t.slot_name.(slot) <- name;
-  t.slot_owner.(slot) <- c.id;
   t.slot_lease.(slot) <- Some lease;
   t.slot_warm.(slot) <- Granted { name; token = slot; warm = true; accesses = 0 };
-  (* publish last: the slot only becomes visible to retirers once its
-     fields are in place *)
+  (* publish last: the slot only becomes visible to retirers and
+     re-grants once its fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
   Agg.acquired t.agg ~worker:c.id ~name;
   (match c.ring with
@@ -628,9 +616,25 @@ let acquire_cold t c ~src =
   let claimed = Atomic.compare_and_set t.claims.(src) 0 (c.id + 1) in
   let tc = jblame_t c Obs.Journey.Claim t0 in
   if not claimed then begin
-    c.busy <- c.busy + 1;
-    hot_count c h_busy 1;
-    Busy
+    (* Our own claim can be held by our own PENDING lease of [src]:
+       never returned to the protocol, so taking it back is as
+       uniqueness-trivial as a warm hit.  Only other clients are Busy. *)
+    let slot =
+      if Atomic.get t.claims.(src) <> c.id + 1 then -1
+      else
+        let lo = sh * t.cfg.k_per_shard in
+        own_pending t c src lo (lo + t.cfg.k_per_shard)
+    in
+    if slot >= 0 then begin
+      Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
+      ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(sh) (-1));
+      warm_grant t c slot
+    end
+    else begin
+      c.busy <- c.busy + 1;
+      hot_count c h_busy 1;
+      Busy
+    end
   end
   else
     (* the claim-end stamp chains through admission into the acquire
@@ -672,16 +676,7 @@ let acquire t c ~src =
     if
       Atomic.compare_and_set t.fence.(slot) (warm_fence c)
         (leased fence_held ~owner:c.id ~epoch:c.my_epoch)
-    then begin
-      c.acquires <- c.acquires + 1;
-      c.warm_hits <- c.warm_hits + 1;
-      hot_count c h_acquired 1;
-      hot_count c h_warm_hits 1;
-      hot_observe c h_warm_accesses 0;
-      (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
-      mark c "warm" t.slot_name.(slot);
-      t.slot_warm.(slot)
-    end
+    then warm_grant t c slot
     else begin
       (* the lease was reclaimed out of our cache — fall to cold *)
       c.fenced <- c.fenced + 1;
@@ -712,8 +707,7 @@ let release t c ~token =
        caller's token dies silently — it was fenced, not mis-used. *)
     let f = held_fence t c token in
     if f >= 0 && Atomic.compare_and_set t.fence.(token) f fence_pending then
-      pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c
-        t.slot_shard.(token) token
+      pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c token
     else jblame c Obs.Journey.Release jt0
   end
   else
@@ -733,8 +727,7 @@ let release t c ~token =
           let old = c.warm_slot.(0) in
           warm_remove c 0;
           if Atomic.compare_and_set t.fence.(old) (warm_fence c) fence_pending then begin
-            pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c
-              t.slot_shard.(old) old;
+            pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c old;
             true
           end
           else begin
@@ -749,8 +742,7 @@ let release t c ~token =
         if not evicted then jblame c Obs.Journey.Release jt0
       end
       else if Atomic.compare_and_set t.fence.(token) (warm_fence c) fence_pending then
-        pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c
-          t.slot_shard.(token) token
+        pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c token
       else begin
         c.fenced <- c.fenced + 1;
         obs_inc c "server.fenced";
@@ -765,27 +757,24 @@ let release t c ~token =
       jblame c Obs.Journey.Release jt0
     end
 
+let drain_all t c =
+  for sh = 0 to t.cfg.shards - 1 do
+    drain_shard t c sh
+  done
+
 let flush t c =
   ignore (check_epoch t c : bool);
   let w = warm_fence c in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if Atomic.compare_and_set t.fence.(slot) w fence_pending then
-      pending_push t t.slot_shard.(slot) slot
+    if Atomic.compare_and_set t.fence.(slot) w fence_pending then count_pending t slot
     else begin
       c.fenced <- c.fenced + 1;
       obs_inc c "server.fenced"
     end
   done;
   c.warm_n <- 0;
-  for sh = 0 to t.cfg.shards - 1 do
-    drain_shard t c sh
-  done
-
-let drain_all t c =
-  for sh = 0 to t.cfg.shards - 1 do
-    drain_shard t c sh
-  done
+  drain_all t c
 
 let outstanding t =
   let s = ref 0 in
@@ -798,27 +787,11 @@ let outstanding t =
 
    One cooperatively-claimed duty: scan heartbeats, expire dead
    clients' leases (epoch bump first, heartbeat double-check, then
-   fence-guarded retirement), adopt dead walkers' drain cursors,
-   retire orphaned pending slots, and drive per-shard health.  Any
-   live client steals the seat when the scan heartbeat goes stale;
-   the seat epoch fences the deposed holder out of new reclaims, and
-   the per-slot fences make even a deposed holder's in-flight
-   retirement exactly-once. *)
-
-let adopt_cursor t (c : client) j =
-  let cur = (Pad.cells t.cursor).(j) in
-  let v = Atomic.get cur in
-  if v <> 0 then begin
-    let slot = (v land idx_mask) - 1 in
-    Atomic.set cur 0;
-    if slot >= 0 && slot < Array.length t.fence then begin
-      Atomic.incr t.rs_adopted;
-      obs_inc c "server.adopted_drains";
-      let t0 = jtrack c in
-      ignore (drain_walk t c slot : int);
-      jblame c Obs.Journey.Drain t0
-    end
-  end
+   fence-guarded retirement), drain wedged pending slots, and drive
+   per-shard health.  Any live client steals the seat when the scan
+   heartbeat goes stale; the seat epoch fences the deposed holder out
+   of new reclaims, and the per-slot fences make even a deposed
+   holder's in-flight retirement exactly-once. *)
 
 let reclaim_client t (c : client) j =
   let e = 1 + Atomic.fetch_and_add (Pad.cells t.epoch).(j) 1 in
@@ -829,8 +802,6 @@ let reclaim_client t (c : client) j =
     t.dead.(j) <- true;
     Atomic.incr t.rs_deaths;
     obs_inc c "server.deaths";
-    (* finish the walk the corpse may have died inside *)
-    adopt_cursor t c j;
     (* reclaim the held and warm leases it took before epoch [e] *)
     let cap = Array.length t.fence in
     for slot = 0 to cap - 1 do
@@ -842,7 +813,7 @@ let reclaim_client t (c : client) j =
         && fence_epoch f < e
         && Atomic.compare_and_set t.fence.(slot) f fence_retiring
       then begin
-        let ssh = t.slot_shard.(slot) in
+        let ssh = slot_shard t slot in
         retire_slot t c slot ~was_pending:false ~reset:true;
         ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
         Atomic.incr t.rs_reclaimed;
@@ -900,31 +871,10 @@ let do_scan t (c : client) ~seat =
       end
     end
   done;
-  (* 2. orphaned pending slots: a walker that died between popping a
-     chain and finishing it leaves fence=PENDING slots reachable from
-     no list head.  Any slot stuck at PENDING for a full TTL is
-     retired directly — for a live, merely idle pending slot that is
-     just an early drain. *)
-  let cap = Array.length t.fence in
-  for slot = 0 to cap - 1 do
-    if Atomic.get t.fence.(slot) = fence_pending then begin
-      t.pending_seen.(slot) <- t.pending_seen.(slot) + 1;
-      if t.pending_seen.(slot) >= t.cfg.resilience.lease_ttl then begin
-        t.pending_seen.(slot) <- 0;
-        if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
-        then begin
-          let t0 = jtrack c in
-          retire_slot t c slot ~was_pending:true ~reset:false;
-          jblame c Obs.Journey.Retire t0;
-          Atomic.incr t.rs_drain_heals;
-          obs_inc c "server.drain_heals"
-        end
-      end
-    end
-    else t.pending_seen.(slot) <- 0
-  done;
-  (* 3. per-shard health: heal wedged drains, then let the state
-     machine decide from this scan's deltas *)
+  (* 2. per-shard health: drain a shard whose pending count has not
+     moved for [drain_stale] scans (its drainer crashed or parked, or
+     nothing released on it since), then let the state machine decide
+     from this scan's deltas *)
   for sh = 0 to t.cfg.shards - 1 do
     let pend = Pad.get t.pending_n sh in
     if pend > 0 && pend = t.last_pend.(sh) then begin
@@ -1040,7 +990,6 @@ type resilience_stats = {
   claims_swept : int;
   reclaim_max_scans : int;
   drain_heals : int;
-  adopted_walks : int;
   seat_steals : int;
   quarantines : int;
   rebuilds : int;
@@ -1062,7 +1011,6 @@ let resilience_stats t =
     claims_swept = Atomic.get t.rs_claims_swept;
     reclaim_max_scans = Atomic.get t.rs_reclaim_max;
     drain_heals = Atomic.get t.rs_drain_heals;
-    adopted_walks = Atomic.get t.rs_adopted;
     seat_steals = Atomic.get t.rs_seat_steals;
     quarantines = Atomic.get t.rs_quarantines;
     rebuilds = Atomic.get t.rs_rebuilds;
@@ -1108,7 +1056,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
   if rz.seat_ttl < 1 then invalid_arg "Server.create: seat_ttl < 1";
   if rz.tend_every < 1 then invalid_arg "Server.create: tend_every < 1";
   let cap = cfg.shards * cfg.k_per_shard in
-  if cap > idx_mask - 1 then invalid_arg "Server.create: slab exceeds token encoding";
   let stores = Array.make cfg.shards None in
   let base = ref 0 in
   let shard_tbl =
@@ -1121,7 +1068,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         sd)
   in
   let stores = Array.map (function Some s -> s | None -> assert false) stores in
-  let free_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
   let agg =
     Agg.create ~name_space:!base ~workers:cfg.clients ~parked
   in
@@ -1187,21 +1133,15 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     stores;
     claims = Array.init cfg.source_space (fun _ -> Atomic.make 0);
     admitted = Pad.create cfg.shards 0;
-    pending = Pad.create cfg.shards 0;
     pending_n = Pad.create cfg.shards 0;
     slot_src = Array.make cap (-1);
-    slot_shard = Array.make cap (-1);
     slot_name = Array.make cap (-1);
     slot_owner = Array.make cap (-1);
     slot_lease = Array.make cap None;
     slot_warm = Array.make cap Busy;
-    free_next;
-    pend_next = Array.make cap (-1);
     fence = Pad.cells (Pad.create cap fence_free);
-    free = Atomic.make 1 (* slot 0, tag 0 *);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;
-    cursor = Pad.create cfg.clients 0;
     seat = Atomic.make 0;
     seat_hb = Atomic.make 0;
     last_scan_ns = Atomic.make 0;
@@ -1219,7 +1159,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     last_hb = Array.make cfg.clients min_int;
     stale = Array.make cfg.clients 0;
     dead = Array.make cfg.clients false;
-    pending_seen = Array.make cap 0;
     last_pend = Array.make cfg.shards 0;
     shard_stale = Array.make cfg.shards 0;
     last_sheds = Array.make cfg.shards 0;
@@ -1230,7 +1169,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     rs_claims_swept = Atomic.make 0;
     rs_reclaim_max = Atomic.make 0;
     rs_drain_heals = Atomic.make 0;
-    rs_adopted = Atomic.make 0;
     rs_seat_steals = Atomic.make 0;
     rs_quarantines = Atomic.make 0;
     rs_rebuilds = Atomic.make 0;
@@ -1289,8 +1227,7 @@ let probe_warm_shard t sh =
       let n = min c.warm_n (Array.length c.warm_slot) in
       for r = 0 to n - 1 do
         let slot = c.warm_slot.(r) in
-        if slot >= 0 && slot < Array.length t.slot_shard && t.slot_shard.(slot) = sh
-        then incr w
+        if slot >= 0 && slot < Array.length t.fence && slot_shard t slot = sh then incr w
       done)
     t.clients_tbl;
   !w

@@ -15,40 +15,43 @@
        correctness precondition; the global destination space is the
        concatenation of the shard spaces.}
     {- {b A preallocated lock-free request slab.}  Every held name is
-       carried by one slot of a fixed slab ([shards × k] slots —
-       the tight bound, since admission caps holders).  Slots are
-       claimed from a tag-CAS Treiber freelist and threaded through
-       per-shard pending-release lists by index; a request allocates
-       no slab state, and tokens handed to clients are slot indices.}
+       carried by one slot of a fixed slab of [shards × k] slots, and
+       shard [sh] owns the range [\[sh·k, sh·k + k)] — exactly its
+       admission cap.  A grant takes a FREE slot of its shard's range
+       with one CAS on the slot's fence; a request allocates no slab
+       state, and tokens handed to clients are slot indices.}
     {- {b Batched release draining.}  {!release} does not run the
        protocol's [release_name]: the lease parks in the client's warm
-       cache or on the shard's pending list, and whichever client
-       trips the [batch] threshold (or needs admission capacity, or
-       calls {!drain_all}) drains the whole list at once — releases
-       are executed off the acquire path, in batches.}
-    {- {b A per-client warm-name cache.}  A released name stays {e
-       held} from the protocol's point of view, cached client-side; a
-       re-acquire of the same source name by the same client is
-       granted from the cache with {b zero} protocol (store) accesses.
-       This is legal {e precisely because renaming is long-lived}: the
-       server never returned the name, it merely held it longer — §2's
-       uniqueness condition cannot be violated by re-granting a name
-       to the process that already holds it, and the claim table keeps
-       every other client out ({!outcome.Busy}) until the lease is
-       actually drained.}
+       cache or is fenced {e pending} in its slot, and whichever
+       client trips the [batch] threshold (or needs admission
+       capacity, or calls {!flush} or {!drain_all}) drains the shard
+       by scanning its range and retiring every pending slot —
+       releases are executed off the acquire path, in batches.}
+    {- {b Re-granting leases the server still holds.}  A released name
+       stays {e held} from the protocol's point of view until a drain
+       retires it, whether it sits in its client's warm cache or
+       pending in its slot.  A re-acquire of the same source name by
+       the same client takes it back with {b zero} protocol (store)
+       accesses: from the cache, or from the shard's range when the
+       lease is pending.  This is legal {e precisely because renaming
+       is long-lived}: the server never returned the name, it merely
+       held it longer — §2's uniqueness condition cannot be violated
+       by re-granting a name to the process that already holds it.
+       The claim table keeps every {e other} client out
+       ({!outcome.Busy}) until the lease is actually drained.}
     {- {b Resilience.}  Every lease retirement — batched drain or
        crash reclaim — must win a CAS on the slot's {e retirement
        fence}, so it happens exactly once no matter how drains,
        reclaims and fenced clients interleave.  Liveness rides on
        {!tend}: clients heartbeat, and one of them cooperatively holds
        the {e reclaimer seat} — scanning for dead clients (reclaiming
-       their leases through the protocol's [reset_footprint], adopting
-       drain walks they died inside, sweeping their claims), healing
-       wedged drains, and driving per-shard {!Health}: a shard that
-       leaks leases or wedges its drain is {e quarantined}, its
-       acquires spill to a sibling (salted-rehash failover — the claim
-       table keeps uniqueness, not the route), and it is re-admitted
-       once rebuilt in place.  A client declared dead by mistake is
+       their leases through the protocol's [reset_footprint] and
+       sweeping their claims), draining wedged pending slots, and
+       driving per-shard {!Health}: a shard that leaks leases or
+       wedges its drain is {e quarantined}, its acquires spill to a
+       sibling (salted-rehash failover — the claim table keeps
+       uniqueness, not the route), and it is re-admitted once rebuilt
+       in place.  A client declared dead by mistake is
        {e fenced} by its epoch: it re-syncs and carries on, its stale
        tokens dying silently rather than double-retiring.}}
 
@@ -69,8 +72,7 @@ type resilience = {
       (** Wall-clock spacing between reclaimer scans ([0] = every
           eligible {!tend}). *)
   lease_ttl : int;
-      (** Scans without a heartbeat before a client is declared dead
-          (also the orphaned-pending retirement threshold). *)
+      (** Scans without a heartbeat before a client is declared dead. *)
   seat_ttl : int;
       (** Silent scan intervals before the reclaimer seat is stolen. *)
   tend_every : int;  (** {!tend} calls between seat/epoch checks. *)
@@ -89,9 +91,13 @@ type config = {
   source_space : int;  (** Size [S] of the source name space. *)
   warm_capacity : int;  (** Warm leases cached per client ([0] disables). *)
   batch : int;
-      (** Pending releases that trip a shard drain; [1] skips the
-          pending list and retires each release at once, by the
-          releaser. *)
+      (** Pending releases on a shard that trip its drain; [1] retires
+          each release at once, by the releaser.  Admission caps held +
+          warm + pending per shard at [k_per_shard], so a batch above
+          [k_per_shard] never trips by count: such a shard drains only
+          under admission pressure, in {!flush} or {!drain_all}, or by
+          the reclaimer's wedged-drain heal.  Until then its owner can
+          re-grant a pending lease. *)
   clients : int;  (** Registered client handles (one per domain). *)
   resilience : resilience;
 }
@@ -146,37 +152,40 @@ val create :
     the owning domain has in flight, and attributes out-of-journey
     work as window interference.
     @raise Invalid_argument on a non-positive dimension, a bad
-    resilience knob, a [journeys] array not sized [clients], or when
-    the slab would exceed the token encoding (≈2M slots). *)
+    resilience knob, or a [journeys] array not sized [clients]. *)
 
 val client : t -> int -> client
 (** The preallocated handle of client [id ∈ \[0, clients)].  A handle
     is single-owner: exactly one domain may use it. *)
 
 val acquire : t -> client -> src:int -> outcome
-(** Serve one acquire request for source name [src].  When the
-    routed shard is quarantined the request fails over to a live
-    sibling (counted in {!resilience_stats.failovers}).
+(** Serve one acquire request for source name [src]: warm from the
+    client's cache or from its own pending lease of [src] on the
+    routed shard, else cold through the protocol.  When the routed
+    shard is quarantined the request fails over to a live sibling
+    (counted in {!resilience_stats.failovers}).
     @raise Invalid_argument when [src] is outside [\[0, source_space)]. *)
 
 val release : t -> client -> token:int -> unit
 (** Give a granted name back: into the warm cache (evicting the
-    oldest warm lease onto the shard's pending list when full), or
-    straight onto the pending list when caching is off.  Drains the
-    shard when the batch threshold trips.  A client that was declared
-    dead and fenced does {e not} raise here: its token was retired on
-    its behalf (or is now), and the release is absorbed silently.
+    oldest warm lease to pending when full), or straight to pending
+    when caching is off.  A pending lease stays re-grantable by this
+    client until a drain retires it; other clients get
+    {!outcome.Busy} for its source meanwhile.  Drains the shard when
+    the batch threshold trips.  A client that was declared dead and
+    fenced does {e not} raise here: its token was retired on its
+    behalf (or is now), and the release is absorbed silently.
     @raise Invalid_argument if [token] is not a slot this client
     holds. *)
 
 val flush : t -> client -> unit
-(** Push every warm lease this client caches onto its shard's pending
-    list and drain those shards — call in a client's epilogue so no
-    release can be lost at the join.  Only the owning client may
-    flush its cache (it is domain-local state). *)
+(** Move every warm lease this client caches to pending and drain
+    every shard — call in a client's epilogue so no release can be
+    lost at the join.  Only the owning client may flush its cache (it
+    is domain-local state). *)
 
 val drain_all : t -> client -> unit
-(** Drain every shard's pending list, [client] doing the work — call
+(** Drain every shard's pending slots, [client] doing the work — call
     after the join to retire batched releases other clients left
     behind.  Cannot flush other clients' warm caches (see {!flush});
     anything still warm after a crash stays held until {!scan}
@@ -218,10 +227,11 @@ val health : t -> int -> Health.state
 
 val set_chaos : client -> (string -> unit) option -> unit
 (** Install a fault-injection hook on a client handle; it fires at
-    every drain-walk slot boundary (tag ["drain"]) {e before} the
+    every slot of a range being drained (tag ["drain"]) {e before} the
     slot's retirement fence is attempted, so a hook that raises or
-    parks models a crash that can orphan a pending chain but never
-    half-retires a slot.  Owning domain only. *)
+    parks models a drainer that stops half way, leaving the rest of
+    the range pending for the next drain, but never half-retires a
+    slot.  Owning domain only. *)
 
 type resilience_stats = {
   scans : int;  (** Reclaimer scans executed (all seat holders). *)
@@ -231,8 +241,9 @@ type resilience_stats = {
   reclaim_max_scans : int;
       (** Worst staleness (in scans) at which a lease was reclaimed —
           the chaos campaign's time-to-reclaim bound. *)
-  drain_heals : int;  (** Wedged-drain + orphaned-pending retirements. *)
-  adopted_walks : int;  (** Dead walkers' drain cursors adopted. *)
+  drain_heals : int;
+      (** Drains the reclaimer ran on a shard whose pending count sat
+          unmoved for [drain_stale] scans. *)
   seat_steals : int;
   quarantines : int;  (** Shard transitions into quarantine. *)
   rebuilds : int;  (** Quarantined shards re-admitted. *)
@@ -301,7 +312,9 @@ val client_obs : client -> Obs.Registry.shard option
 
 type shard_probe = {
   admitted : int;  (** Admission occupancy: held + warm + pending ≤ k. *)
-  pending : int;  (** Pending-release list depth. *)
+  pending : int;
+      (** Released leases awaiting a drain of this shard (at most [k],
+          by admission); each is re-grantable by its owner meanwhile. *)
   warm : int;  (** Warm leases parked on this shard across clients. *)
 }
 

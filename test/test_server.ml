@@ -106,36 +106,82 @@ let test_double_release_rejected () =
         (fun () -> Server.release t c ~token:g.token)
   | _ -> Alcotest.fail "not granted"
 
+(* A released lease the server still holds pending is its owner's to
+   take back: the same name and token, warm, at 0 accesses, with no
+   protocol cycle and no change in what the server holds.  Any other
+   client is still Busy on its source. *)
+let test_pending_regrant () =
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:0 ~batch:8 ~clients:2 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let src = 11 in
+  let name, token =
+    match Server.acquire t c0 ~src with
+    | Server.Granted g -> (g.name, g.token)
+    | _ -> Alcotest.fail "first acquire not granted"
+  in
+  Server.release t c0 ~token;
+  let held = Server.outstanding t in
+  (match Server.acquire t c1 ~src with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "another client's pending lease must be Busy");
+  (match Server.acquire t c0 ~src with
+  | Server.Granted g ->
+      Alcotest.(check bool) "re-grant is warm" true g.warm;
+      Alcotest.(check int) "re-grant is free" 0 g.accesses;
+      Alcotest.(check int) "same name" name g.name;
+      Alcotest.(check int) "same token" token g.token;
+      Alcotest.(check int) "nothing more held" held (Server.outstanding t);
+      (match Server.acquire t c1 ~src with
+      | Server.Busy -> ()
+      | _ -> Alcotest.fail "another client must stay Busy");
+      Server.release t c0 ~token:g.token
+  | _ -> Alcotest.fail "own pending lease not re-granted");
+  Server.flush t c0;
+  let stats = Server.client_stats c0 in
+  Alcotest.(check int) "counted as a warm hit" 1 stats.Server.warm_hits;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  let r = Agg.result (Server.scoreboard t) in
+  Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked
+
 (* A warm cycle allocates nothing: the grant is built once per slot at
-   cold grant, and release, tend and the warm-cache lookup are
-   allocation-free.  The budget of 0.01 words per cycle leaves room
-   only for the measurement itself. *)
+   cold grant, and release, tend, the warm-cache lookup and the
+   re-grant of a pending lease are allocation-free.  Two inputs: warm
+   hits from the cache (default config), and re-grants of pending
+   leases (warm cache off, batch above k, so releases stay pending).
+   The budget of 0.01 words per cycle leaves room only for the
+   measurement itself. *)
 let test_warm_path_allocation_free () =
-  let t = Server.create (Server.default_config ~clients:1 ~source_space:64 ()) in
-  let c = Server.client t 0 in
-  List.iter
-    (fun src ->
-      match Server.acquire t c ~src with
-      | Server.Granted g -> Server.release t c ~token:g.token
-      | _ -> Alcotest.fail "priming acquire not granted")
-    [ 1; 2 ];
-  let cycles = 10_000 in
-  let warm = ref 0 in
-  let w0 = Gc.minor_words () in
-  for i = 0 to cycles - 1 do
-    Server.tend t c;
-    match Server.acquire t c ~src:(1 + (i land 1)) with
-    | Server.Granted g ->
-        if g.warm && g.accesses = 0 then incr warm;
-        Server.release t c ~token:g.token
-    | Server.Busy | Server.Shed -> ()
-  done;
-  let words = Gc.minor_words () -. w0 in
-  Alcotest.(check int) "every grant warm at 0 accesses" cycles !warm;
-  if words /. float_of_int cycles >= 0.01 then
-    Alcotest.failf "warm cycle allocates %.3f minor words" (words /. float_of_int cycles);
-  Server.flush t c;
-  Alcotest.(check int) "all names returned" 0 (Server.outstanding t)
+  let cycles_on label config =
+    let t = Server.create config in
+    let c = Server.client t 0 in
+    List.iter
+      (fun src ->
+        match Server.acquire t c ~src with
+        | Server.Granted g -> Server.release t c ~token:g.token
+        | _ -> Alcotest.fail "priming acquire not granted")
+      [ 1; 2 ];
+    let cycles = 10_000 in
+    let warm = ref 0 in
+    let w0 = Gc.minor_words () in
+    for i = 0 to cycles - 1 do
+      Server.tend t c;
+      match Server.acquire t c ~src:(1 + (i land 1)) with
+      | Server.Granted g ->
+          if g.warm && g.accesses = 0 then incr warm;
+          Server.release t c ~token:g.token
+      | Server.Busy | Server.Shed -> ()
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (label ^ ": every grant warm at 0 accesses") cycles !warm;
+    if words /. float_of_int cycles >= 0.01 then
+      Alcotest.failf "%s: warm cycle allocates %.3f minor words" label
+        (words /. float_of_int cycles);
+    Server.flush t c;
+    Alcotest.(check int) (label ^ ": all names returned") 0 (Server.outstanding t)
+  in
+  cycles_on "warm cache" (Server.default_config ~clients:1 ~source_space:64 ());
+  cycles_on "pending re-grant" (cfg ~shards:1 ~k:4 ~warm:0 ~batch:8 ~clients:1 ~s:64 ())
 
 (* A cold cycle allocates only its outcome values: the [Any] lease box
    (4 words), the slot's [Some lease] (2) and two [Granted] records (5
@@ -347,14 +393,14 @@ let test_reclaim_crashed_client () =
   Alcotest.(check int) "leaks reconciled by reclaim" 0 r.Agg.leaked
 
 let test_drain_reclaim_race () =
-  (* regression: a pending chain walked by a live drainer while the
-     reclaimer's orphan sweep retires the same slots must retire each
-     exactly once.  A double retirement double-decrements the
-     admission census or double-releases on the scoreboard — both
-     visible below.  The scanner also races liveness itself: the
-     churners tend, but on an oversubscribed host they still get
-     declared dead under the short TTL, so the false-expiry path
-     (epoch fence + re-sync) is exercised too. *)
+  (* regression: pending slots drained by a live drainer while the
+     reclaimer drains the same shard must retire each exactly once.  A
+     double retirement double-decrements the admission census or
+     double-releases on the scoreboard — both visible below.  The
+     scanner also races liveness itself: the churners tend, but on an
+     oversubscribed host they still get declared dead under the short
+     TTL, so the false-expiry path (epoch fence + re-sync) is exercised
+     too. *)
   let config = cfg ~shards:1 ~k:4 ~warm:1 ~batch:2 ~clients:3 ~s:32 () in
   let t = Server.create config in
   let churn id cycles =
@@ -394,6 +440,75 @@ let test_drain_reclaim_race () =
   Alcotest.(check int) "no violations under drain/reclaim races" 0 r.Agg.violations;
   Alcotest.(check int) "every slot retired exactly once" 0 (Server.outstanding t);
   Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked
+
+(* Owners re-granting their pending leases race drains by the other
+   churner (batch 4 trips once all four slots are pending) and by a
+   scanner running the reclaimer and [drain_all].  Each pending lease
+   must go exactly one way: re-granted, drained or reclaimed.  With the
+   warm cache off, every warm hit is a re-grant, so [warm_hits > 0]
+   shows the path ran under the race. *)
+let test_regrant_drain_race () =
+  let config = cfg ~shards:1 ~k:4 ~warm:0 ~batch:4 ~clients:3 ~s:32 () in
+  let t = Server.create config in
+  (* all three domains start together, so the races really overlap *)
+  let ready = Atomic.make 0 in
+  let gate () =
+    Atomic.incr ready;
+    while Atomic.get ready < 3 do
+      Domain.cpu_relax ()
+    done
+  in
+  let churn id cycles =
+    Domain.spawn (fun () ->
+        let c = Server.client t id in
+        gate ();
+        let seed = ref (id + 1) in
+        for _ = 1 to cycles do
+          seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
+          (match Server.acquire t c ~src:((!seed lsr 8) land 7) with
+          | Server.Granted g -> Server.release t c ~token:g.token
+          | Server.Busy | Server.Shed -> ());
+          Server.tend t c
+        done;
+        Server.flush t c)
+  in
+  let d0 = churn 0 20_000 and d1 = churn 1 20_000 in
+  let scanner =
+    Domain.spawn (fun () ->
+        let c = Server.client t 2 in
+        gate ();
+        for _ = 1 to 400 do
+          Server.scan t c;
+          Server.drain_all t c
+        done)
+  in
+  Domain.join d0;
+  Domain.join d1;
+  Domain.join scanner;
+  let c0 = Server.client t 0 in
+  let settle = ref 0 in
+  while Server.outstanding t > 0 && !settle < 64 do
+    incr settle;
+    Server.scan t c0;
+    Server.drain_all t c0
+  done;
+  let rs = Server.resilience_stats t in
+  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
+  Alcotest.(check int) "no violations under re-grant/drain races" 0 r.Agg.violations;
+  Alcotest.(check int) "every slot retired exactly once" 0 (Server.outstanding t);
+  Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
+  let sum f =
+    List.fold_left (fun a id -> a + f (Server.client_stats (Server.client t id))) 0 [ 0; 1; 2 ]
+  in
+  let acquires = sum (fun s -> s.Server.acquires)
+  and warm_hits = sum (fun s -> s.Server.warm_hits)
+  and drained = sum (fun s -> s.Server.drained_releases) in
+  (* as in "releases survive the join": a re-grant retires nothing, so
+     protocol releases match cold grants; a churner the scanner falsely
+     declares dead on a busy host has its leases retired by reclaim *)
+  Alcotest.(check int) "every cold grant retired once" (acquires - warm_hits)
+    (drained + rs.Server.reclaimed);
+  Alcotest.(check bool) "pending leases were re-granted" true (warm_hits > 0)
 
 (* --- quarantine, failover, rebuild --- *)
 
@@ -493,6 +608,7 @@ let () =
           Alcotest.test_case "busy and shed" `Quick test_busy_and_shed;
           Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
+          Alcotest.test_case "own pending lease re-granted" `Quick test_pending_regrant;
           Alcotest.test_case "warm path allocates nothing" `Quick
             test_warm_path_allocation_free;
           Alcotest.test_case "cold path allocates <= 16 words per cycle" `Quick
@@ -512,6 +628,8 @@ let () =
           Alcotest.test_case "release fenced after reclaim" `Quick test_release_fencing;
           Alcotest.test_case "drain vs reclaim exactly-once" `Quick
             test_drain_reclaim_race;
+          Alcotest.test_case "re-grant vs drain vs reclaim" `Quick
+            test_regrant_drain_race;
           Alcotest.test_case "quarantine, failover, rebuild" `Quick
             test_failover_quarantine;
         ] );
