@@ -4,8 +4,9 @@
     A shard is {e live} until its scan-over-scan deltas say otherwise:
     admission pressure (sheds this scan) degrades it, reclaimed leases
     (a crashed client's footprint came back through the lease scanner)
-    or wedged pending slots (a non-zero pending count unmoved for
-    [drain_stale] consecutive scans) quarantine it.  A quarantined
+    or wedged pending slots (a non-zero count of the shard's PENDING
+    fences unmoved for [drain_stale] consecutive scans) quarantine
+    it.  A quarantined
     shard stops taking new acquires — the router spills them to a
     sibling — and is re-admitted only after it has been rebuilt in
     place: every lease reclaimed, nothing pending, and one quiet scan.
@@ -34,8 +35,9 @@ val create : thresholds -> t
 val observe :
   t -> sheds:int -> leaks:int -> pending:int -> admitted:int -> state
 (** One scan tick.  [sheds] and [leaks] are deltas since the previous
-    tick; [pending] and [admitted] are the shard's current censuses.
-    Returns the state after the transition. *)
+    tick; [pending] and [admitted] are the shard's current censuses,
+    counted from its slot fences: PENDING ones, and all but the FREE
+    ones.  Returns the state after the transition. *)
 
 val state : t -> state
 

@@ -43,8 +43,10 @@ let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2) ?(batch
   { shards; k_per_shard; source_space; warm_capacity; batch; clients; resilience }
 
 (* Slab tokens are slot indices.  Shard [sh] owns the slots
-   [sh·k, sh·k + k): admission caps a shard at k leases, so the range
-   is exactly as large as the shard can ever need.
+   [sh·k, sh·k + k), and the range is the shard's admission: a grant
+   is admitted by taking a FREE fence of it, so the shard never runs
+   more than k leases (held, warm or pending) and needs no counter
+   beside its fences.
 
    Per-slot fence.  Every change of a slot's lease goes through one CAS
    on it, and every lease retirement — batched drain or lease reclaim —
@@ -52,7 +54,7 @@ let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2) ?(batch
    never be both drained and reclaimed, nor drained and re-granted.
    States:
 
-     0 FREE      takeable by an admitted grant of its shard
+     0 FREE      takeable by a grant of its shard: that CAS admits it
      1 HELD      granted, client holds the token
      2 WARM      released into the owner's warm cache (still leased)
      3 PENDING   released, awaiting a drain of its shard (still leased:
@@ -118,6 +120,8 @@ type client = {
          a line with this one's hot prefix *)
   mutable warm_n : int;  (* entries live at [0, warm_n), oldest first *)
   mutable my_epoch : int;  (* last epoch this client resynced to *)
+  mutable held_n : int;  (* tokens out, granted since the last re-sync *)
+  mutable stale_n : int;  (* tokens out from before it: maybe reclaimed *)
   mutable tend_count : int;
   mutable last_seat_hb : int;
   mutable seat_stale : int;
@@ -145,15 +149,13 @@ type t = {
   shard_tbl : shard array;
   stores : Atomic_store.t array;  (* kept alive alongside instances *)
   claims : int Atomic.t array;  (* per source: 0 free, else client+1 *)
-  admitted : Pad.t;  (* per shard: held + warm + pending *)
-  pending_n : Pad.t;  (* per shard: PENDING slots in its range *)
-  slot_src : int array;
-  slot_name : int array;  (* global: shard base + local name *)
-  slot_owner : int array;  (* -1 once retired *)
-  slot_lease : Any.lease option array;
+  slot_f : int array;
+      (* per slot, at [slot_stride · slot]: source, owner (-1 once
+         retired) and global name (shard base + local name) *)
+  slot_lease : Any.lease option array;  (* at [slot_stride · slot] *)
   slot_warm : outcome array;
-      (* the slot's warm grant, built once at cold grant: a warm hit
-         returns it as is and allocates nothing *)
+      (* at [slot_stride · slot]: the slot's warm grant, built once at
+         cold grant; a warm hit returns it as is and allocates nothing *)
   fence : int Atomic.t array;
       (* padded: a client's fence CASes never touch another slot's line *)
   (* liveness + reclamation *)
@@ -212,10 +214,33 @@ let health_code = function
 
 let slot_shard t slot = slot / t.cfg.k_per_shard
 
-(* Count a slot its releaser just fenced PENDING; a drain of its
-   shard's range will find it by its fence alone. *)
-let count_pending t slot =
-  ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(slot_shard t slot) 1)
+(* Each slot's fields sit [slot_stride] words after the previous
+   slot's, in every per-slot array.  A slot's three int fields span 24
+   bytes, so at two lines' stride the next slot's fields start 104
+   bytes after them: no two slots share a 64-byte line, wherever the
+   line boundaries fall in the array.  A grant and a retirement then
+   write only their own slot's lines. *)
+let slot_stride = 2 * Pad.line_words
+let[@inline] slot_src t slot = t.slot_f.(slot * slot_stride)
+let[@inline] slot_owner t slot = t.slot_f.((slot * slot_stride) + 1)
+let[@inline] slot_name t slot = t.slot_f.((slot * slot_stride) + 2)
+let[@inline] set_slot_src t slot v = t.slot_f.(slot * slot_stride) <- v
+let[@inline] set_slot_owner t slot v = t.slot_f.((slot * slot_stride) + 1) <- v
+let[@inline] set_slot_name t slot v = t.slot_f.((slot * slot_stride) + 2) <- v
+
+(* The fences of shard [sh]'s range whose state is [st].  The range is
+   the shard's census: k minus its FREE fences is its admission
+   occupancy, and its PENDING fences are the releases awaiting a
+   drain. *)
+let count_fences t sh st =
+  let lo = sh * t.cfg.k_per_shard in
+  let n = ref 0 in
+  for slot = lo to lo + t.cfg.k_per_shard - 1 do
+    if fence_state (Atomic.get t.fence.(slot)) = st then incr n
+  done;
+  !n
+
+let in_use t sh = t.cfg.k_per_shard - count_fences t sh fence_free
 
 let obs_inc c name = match c.obs with Some o -> Obs.Registry.inc o name | None -> ()
 
@@ -325,10 +350,17 @@ let resync t (c : client) e =
   let w = warm_fence c in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if Atomic.compare_and_set t.fence.(slot) w fence_pending then count_pending t slot
+    ignore (Atomic.compare_and_set t.fence.(slot) w fence_pending : bool)
   done;
   c.warm_n <- 0;
+  c.stale_n <- c.stale_n + c.held_n;
+  c.held_n <- 0;
   c.my_epoch <- e
+
+(* One of the client's tokens came back. *)
+let returned (c : client) =
+  if c.held_n > 0 then c.held_n <- c.held_n - 1
+  else if c.stale_n > 0 then c.stale_n <- c.stale_n - 1
 
 let check_epoch t (c : client) =
   let e = Pad.get t.epoch c.id in
@@ -342,18 +374,18 @@ let check_epoch t (c : client) =
 
 (* ----- retirement (the only way a lease returns to the protocol) ----- *)
 
-(* Caller must have won the CAS into [fence_retiring].  [was_pending]
-   keeps the pending census; [reset] reclaims through the protocol's
-   [reset_footprint] (a dead holder's lease may be mid-operation)
-   instead of a plain release. *)
-let retire_slot t (c : client) slot ~was_pending ~reset =
+(* Caller must have won the CAS into [fence_retiring].  [reset]
+   reclaims through the protocol's [reset_footprint] (a dead holder's
+   lease may be mid-operation) instead of a plain release. *)
+let retire_slot t (c : client) slot ~reset =
   let ssh = slot_shard t slot in
   let sd = t.shard_tbl.(ssh) in
-  let src = t.slot_src.(slot) in
-  let owner = t.slot_owner.(slot) in
-  let name = t.slot_name.(slot) in
-  let lease = match t.slot_lease.(slot) with Some l -> l | None -> assert false in
-  t.slot_lease.(slot) <- None;
+  let src = slot_src t slot in
+  let owner = slot_owner t slot in
+  let name = slot_name t slot in
+  let li = slot * slot_stride in
+  let lease = match t.slot_lease.(li) with Some l -> l | None -> assert false in
+  t.slot_lease.(li) <- None;
   Agg.released t.agg ~name;
   (* Run the protocol release under the original source name.  The
      holder has retired (or been fenced off by its epoch), so no step
@@ -374,23 +406,20 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
   | None -> ());
   ignore (Atomic.compare_and_set t.claims.(src) (owner + 1) 0 : bool);
   (* a FREE slot backs no claim, even while a grant fills it in *)
-  t.slot_owner.(slot) <- -1;
-  (* free the slot before giving its admission back: every admitted
-     grant then finds a FREE slot in its range *)
-  Atomic.set t.fence.(slot) fence_free;
-  ignore (Atomic.fetch_and_add (Pad.cells t.admitted).(ssh) (-1));
-  if was_pending then
-    ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(ssh) (-1))
+  set_slot_owner t slot (-1);
+  (* gives the shard's admission back *)
+  Atomic.set t.fence.(slot) fence_free
 
 (* Retire every PENDING slot in shard [sh]'s range.  Drainers, the
    owner's re-grant and the reclaimer race only on the slots' fences,
    so each lease retires exactly once, and a drainer that stops half
-   way leaves the rest for whichever drain scans the range next. *)
+   way leaves the rest for whichever drain scans the range next.  A
+   range with no PENDING fence is left alone, so the chaos hooks and
+   the journey clock only run for a real drain; one that retires
+   nothing (another drain got there first) is not counted. *)
 let drain_shard ?(t0 = 0) t (c : client) sh =
-  if Pad.get t.pending_n sh > 0 then begin
+  if count_fences t sh fence_pending > 0 then begin
     let t0 = if t0 <> 0 then t0 else jtrack c in
-    c.drains <- c.drains + 1;
-    hot_count c h_drains 1;
     let lo = sh * t.cfg.k_per_shard in
     let n = ref 0 in
     for slot = lo to lo + t.cfg.k_per_shard - 1 do
@@ -399,41 +428,42 @@ let drain_shard ?(t0 = 0) t (c : client) sh =
         Atomic.get t.fence.(slot) = fence_pending
         && Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
       then begin
-        retire_slot t c slot ~was_pending:true ~reset:false;
+        retire_slot t c slot ~reset:false;
         incr n
       end
     done;
-    c.drained <- c.drained + !n;
-    hot_count c h_drained !n;
-    mark c "drain" !n;
-    jblame c Obs.Journey.Drain t0
+    if !n > 0 then begin
+      c.drains <- c.drains + 1;
+      hot_count c h_drains 1;
+      c.drained <- c.drained + !n;
+      hot_count c h_drained !n;
+      mark c "drain" !n;
+      jblame c Obs.Journey.Drain t0
+    end
   end
 
 (* Batch 1 retires the release at once, by the releaser: no other
    client's drain can be left holding it, so the releaser may re-claim
-   its source the moment [release] returns. *)
+   its source the moment [release] returns.  A larger batch drains the
+   shard once that many of its fences are PENDING; a range of k fences
+   never holds more than k, so a batch above k skips the count. *)
 let pending_release ?(t0 = 0) t c slot =
   let t0 = if t0 <> 0 then t0 else jtrack c in
   if t.cfg.batch = 1 then begin
     if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then
-      retire_slot t c slot ~was_pending:false ~reset:false;
+      retire_slot t c slot ~reset:false;
     jblame c Obs.Journey.Retire t0
   end
   else begin
-    count_pending t slot;
     let te = jblame_t c Obs.Journey.Pending t0 in
     let sh = slot_shard t slot in
-    if Atomic.get (Pad.cells t.pending_n).(sh) >= t.cfg.batch then
-      drain_shard ~t0:te t c sh
+    if
+      t.cfg.batch <= t.cfg.k_per_shard
+      && count_fences t sh fence_pending >= t.cfg.batch
+    then drain_shard ~t0:te t c sh
   end
 
-(* ----- admission: cap holders+warm+pending at the shard's k ----- *)
-
-let rec try_admit t sh =
-  let a = (Pad.cells t.admitted).(sh) in
-  let cur = Atomic.get a in
-  if cur >= t.cfg.k_per_shard then false
-  else Atomic.compare_and_set a cur (cur + 1) || try_admit t sh
+(* ----- admission: taking a FREE fence of the shard's range ----- *)
 
 (* Flush this client's own warm leases that live on shard [sh] —
    reclaiming admission capacity it is hoarding before giving up. *)
@@ -443,8 +473,7 @@ let flush_warm_shard t c sh =
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
     if slot_shard t slot = sh then begin
-      if Atomic.compare_and_set t.fence.(slot) wf fence_pending then count_pending t slot
-      else begin
+      if not (Atomic.compare_and_set t.fence.(slot) wf fence_pending) then begin
         (* reclaimed from the cache behind our back — already retired *)
         c.fenced <- c.fenced + 1;
         obs_inc c "server.fenced"
@@ -458,31 +487,7 @@ let flush_warm_shard t c sh =
   done;
   c.warm_n <- !w
 
-(* [tc] is the chained journey stamp from the claim section (0 when
-   journeys are off); the fast path passes it through untouched, so an
-   uncontended admission costs no clock reads.  Returns the admission
-   verdict and the stamp the next section should start from. *)
-(* Returns the chained journey stamp ([0] when journeys are off), or
-   [-1] when no admission slot could be won — an int rather than a
-   tuple so the uncontended cold path stays allocation-free. *)
-let rec admit_attempt t c sh tries tc =
-  if try_admit t sh then tc
-  else if tries = 0 then -1
-  else begin
-    let t0 = if tc <> 0 then tc else jtrack c in
-    flush_warm_shard t c sh;
-    let te = jblame_t c Obs.Journey.Admission t0 in
-    drain_shard ~t0:te t c sh;
-    admit_attempt t c sh (tries - 1) (if te <> 0 then jtrack c else 0)
-  end
-
-let admit t c sh tc = admit_attempt t c sh 3 tc
-
-(* Take a FREE slot of shard [sh]'s range into RETIRING.  Admission
-   counts a grant before it takes a slot, and [retire_slot] frees a
-   slot before it gives the admission back, so the range holds a FREE
-   slot for every admitted grant: a miss means only that a race moved
-   it, and the scan runs again. *)
+(* The first FREE fence of [slot, hi), taken into RETIRING, or [-1]. *)
 let rec take_free t slot hi =
   if slot = hi then -1
   else if
@@ -491,13 +496,27 @@ let rec take_free t slot hi =
   then slot
   else take_free t (slot + 1) hi
 
-let rec slot_take t sh =
+(* Admission to shard [sh]: a slot of its range taken from FREE, or
+   [-1] when none is FREE and the shard is full. *)
+let take_slot t sh =
   let lo = sh * t.cfg.k_per_shard in
-  match take_free t lo (lo + t.cfg.k_per_shard) with
-  | -1 ->
-      Domain.cpu_relax ();
-      slot_take t sh
-  | slot -> slot
+  take_free t lo (lo + t.cfg.k_per_shard)
+
+(* A full shard: flush this client's own warm leases on it, drain it
+   and look again, up to [tries] times.  [tc] is the chained journey
+   stamp from the claim section ([0] when journeys are off).  Returns
+   the slot taken, or [-1] — an int rather than an option, so the cold
+   path stays allocation-free. *)
+let rec admit_retry t c sh tries tc =
+  if tries = 0 then -1
+  else begin
+    let t0 = if tc <> 0 then tc else jtrack c in
+    flush_warm_shard t c sh;
+    let te = jblame_t c Obs.Journey.Admission t0 in
+    drain_shard ~t0:te t c sh;
+    let slot = take_slot t sh in
+    if slot >= 0 then slot else admit_retry t c sh (tries - 1) 0
+  end
 
 (* The caller's own PENDING lease of [src] in the range [slot, hi),
    taken into RETIRING, or [-1].  The fields read before the CAS may
@@ -509,11 +528,11 @@ let rec own_pending t (c : client) src slot hi =
   if slot = hi then -1
   else if
     Atomic.get t.fence.(slot) = fence_pending
-    && t.slot_src.(slot) = src
-    && t.slot_owner.(slot) = c.id
+    && slot_src t slot = src
+    && slot_owner t slot = c.id
     && Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
   then
-    if t.slot_src.(slot) = src && t.slot_owner.(slot) = c.id then slot
+    if slot_src t slot = src && slot_owner t slot = c.id then slot
     else begin
       Atomic.set t.fence.(slot) fence_pending;
       own_pending t c src (slot + 1) hi
@@ -563,21 +582,22 @@ let route_live t src primary =
    by ~15% (alternating runs on a 2-core host). *)
 let[@inline] warm_grant t c slot =
   c.acquires <- c.acquires + 1;
+  c.held_n <- c.held_n + 1;
   c.warm_hits <- c.warm_hits + 1;
   hot_count c h_acquired 1;
   hot_count c h_warm_hits 1;
   hot_observe c h_warm_accesses 0;
   (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
-  mark c "warm" t.slot_name.(slot);
-  t.slot_warm.(slot)
+  mark c "warm" (slot_name t slot);
+  t.slot_warm.(slot * slot_stride)
 
-let cold_grant ?(t0 = 0) t c ~src ~sh =
-  let slot = slot_take t sh in
+(* [slot] is the one admission took from FREE for this grant. *)
+let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   (* the slot is ours until HELD is published; naming its source and
      owner first backs our claim against the reclaimer's claim sweep
      while the protocol runs *)
-  t.slot_src.(slot) <- src;
-  t.slot_owner.(slot) <- c.id;
+  set_slot_src t slot src;
+  set_slot_owner t slot c.id;
   let sd = t.shard_tbl.(sh) in
   Store.tally_mark c.tally;
   let t0 = if t0 <> 0 then t0 else jtrack c in
@@ -588,9 +608,10 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   let accesses = Store.tally_since c.tally in
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
   let name = sd.base + Any.name_of sd.inst lease in
-  t.slot_name.(slot) <- name;
-  t.slot_lease.(slot) <- Some lease;
-  t.slot_warm.(slot) <- Granted { name; token = slot; warm = true; accesses = 0 };
+  set_slot_name t slot name;
+  t.slot_lease.(slot * slot_stride) <- Some lease;
+  t.slot_warm.(slot * slot_stride) <-
+    Granted { name; token = slot; warm = true; accesses = 0 };
   (* publish last: the slot only becomes visible to retirers and
      re-grants once its fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
@@ -601,6 +622,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
         (Obs.Flight.Acquired name)
   | None -> ());
   c.acquires <- c.acquires + 1;
+  c.held_n <- c.held_n + 1;
   hot_count c h_acquired 1;
   hot_observe c h_cold_accesses accesses;
   Granted { name; token = slot; warm = false; accesses }
@@ -627,7 +649,6 @@ let acquire_cold t c ~src =
     in
     if slot >= 0 then begin
       Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
-      ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(sh) (-1));
       warm_grant t c slot
     end
     else begin
@@ -639,9 +660,11 @@ let acquire_cold t c ~src =
   else
     (* the claim-end stamp chains through admission into the acquire
        section: an uncontended cold grant costs three clock reads
-       total (claim open, claim close = acquire open, acquire close) *)
-    let tc = admit t c sh tc in
-    if tc < 0 then begin
+       total (claim open, claim close = acquire open, acquire close);
+       a full shard's retries stamp their own sections *)
+    let first = take_slot t sh in
+    let slot = if first >= 0 then first else admit_retry t c sh 3 tc in
+    if slot < 0 then begin
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (Atomic.fetch_and_add (Pad.cells t.shard_sheds).(sh) 1);
       c.shed <- c.shed + 1;
@@ -649,17 +672,17 @@ let acquire_cold t c ~src =
       Shed
     end
     else if Pad.get t.epoch c.id <> c.my_epoch then begin
-      (* We may have spent a long time in [admit]'s drains; if the seat
-         declared us dead meanwhile our claim may already be swept —
-         back out rather than run the protocol without it. *)
-      ignore (Atomic.fetch_and_add (Pad.cells t.admitted).(sh) (-1));
+      (* We may have spent a long time in [admit_retry]'s drains; if
+         the seat declared us dead meanwhile our claim may already be
+         swept — back out rather than run the protocol without it. *)
+      Atomic.set t.fence.(slot) fence_free;
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (check_epoch t c : bool);
       c.busy <- c.busy + 1;
       hot_count c h_busy 1;
       Busy
     end
-    else cold_grant ~t0:tc t c ~src ~sh
+    else cold_grant ~t0:(if first >= 0 then tc else 0) t c ~src ~sh ~slot
 
 let acquire t c ~src =
   if src < 0 || src >= t.cfg.source_space then
@@ -705,6 +728,7 @@ let release t c ~token =
        first it is already retired (the fence CAS below fails); if it
        didn't, retire it through pending ourselves.  Either way the
        caller's token dies silently — it was fenced, not mis-used. *)
+    returned c;
     let f = held_fence t c token in
     if f >= 0 && Atomic.compare_and_set t.fence.(token) f fence_pending then
       pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c token
@@ -713,13 +737,20 @@ let release t c ~token =
   else
     let f = held_fence t c token in
     if f < 0 then begin
-      (* declared dead since the check above, and already reclaimed:
-         fenced like the branch above, not a misuse *)
-      if not (check_epoch t c) then
-        invalid_arg "Server.release: not a token this client holds";
+      (* declared dead since the check above, or granted before an
+         earlier re-sync, and already reclaimed: fenced like the
+         branch above, not a misuse *)
+      if check_epoch t c then returned c
+      else if c.stale_n > 0 then begin
+        c.stale_n <- c.stale_n - 1;
+        c.fenced <- c.fenced + 1;
+        obs_inc c "server.fenced"
+      end
+      else invalid_arg "Server.release: not a token this client holds";
       jblame c Obs.Journey.Release jt0
     end
     else if Atomic.compare_and_set t.fence.(token) f (warm_fence c) then begin
+      returned c;
       if t.cfg.warm_capacity > 0 then begin
         let evicted =
           c.warm_n = t.cfg.warm_capacity
@@ -736,7 +767,7 @@ let release t c ~token =
             false
           end
         in
-        c.warm_src.(c.warm_n) <- t.slot_src.(token);
+        c.warm_src.(c.warm_n) <- slot_src t token;
         c.warm_slot.(c.warm_n) <- token;
         c.warm_n <- c.warm_n + 1;
         if not evicted then jblame c Obs.Journey.Release jt0
@@ -752,6 +783,7 @@ let release t c ~token =
     else begin
       (* reclaimed between grant and release (we were falsely expired
          and re-synced meanwhile) — the lease is already retired *)
+      returned c;
       c.fenced <- c.fenced + 1;
       obs_inc c "server.fenced";
       jblame c Obs.Journey.Release jt0
@@ -764,24 +796,13 @@ let drain_all t c =
 
 let flush t c =
   ignore (check_epoch t c : bool);
-  let w = warm_fence c in
-  for r = 0 to c.warm_n - 1 do
-    let slot = c.warm_slot.(r) in
-    if Atomic.compare_and_set t.fence.(slot) w fence_pending then count_pending t slot
-    else begin
-      c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced"
-    end
+  for sh = 0 to t.cfg.shards - 1 do
+    flush_warm_shard t c sh
   done;
-  c.warm_n <- 0;
   drain_all t c
 
 let outstanding t =
-  let s = ref 0 in
-  for sh = 0 to t.cfg.shards - 1 do
-    s := !s + Pad.get t.admitted sh
-  done;
-  !s
+  Array.fold_left (fun n f -> if Atomic.get f = fence_free then n else n + 1) 0 t.fence
 
 (* ----- the reclaimer seat -----
 
@@ -814,7 +835,7 @@ let reclaim_client t (c : client) j =
         && Atomic.compare_and_set t.fence.(slot) f fence_retiring
       then begin
         let ssh = slot_shard t slot in
-        retire_slot t c slot ~was_pending:false ~reset:true;
+        retire_slot t c slot ~reset:true;
         ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
         Atomic.incr t.rs_reclaimed;
         Agg.bump_max t.rs_reclaim_max t.stale.(j);
@@ -831,8 +852,8 @@ let reclaim_client t (c : client) j =
         for slot = 0 to cap - 1 do
           if
             (not !backed)
-            && t.slot_src.(slot) = src
-            && t.slot_owner.(slot) = j
+            && slot_src t slot = src
+            && slot_owner t slot = j
             && Atomic.get t.fence.(slot) <> fence_free
           then backed := true
         done;
@@ -876,7 +897,7 @@ let do_scan t (c : client) ~seat =
      nothing released on it since), then let the state machine decide
      from this scan's deltas *)
   for sh = 0 to t.cfg.shards - 1 do
-    let pend = Pad.get t.pending_n sh in
+    let pend = count_fences t sh fence_pending in
     if pend > 0 && pend = t.last_pend.(sh) then begin
       t.shard_stale.(sh) <- t.shard_stale.(sh) + 1;
       if t.shard_stale.(sh) >= t.cfg.resilience.drain_stale then begin
@@ -886,7 +907,7 @@ let do_scan t (c : client) ~seat =
       end
     end
     else t.shard_stale.(sh) <- 0;
-    t.last_pend.(sh) <- Pad.get t.pending_n sh;
+    t.last_pend.(sh) <- count_fences t sh fence_pending;
     let sheds = Pad.get t.shard_sheds sh in
     let leaks = Pad.get t.shard_leaks sh in
     let d_sheds = sheds - t.last_sheds.(sh) in
@@ -898,8 +919,8 @@ let do_scan t (c : client) ~seat =
     if prev = Health.Quarantined then drain_shard t c sh;
     let st =
       Health.observe t.hx.(sh) ~sheds:d_sheds ~leaks:d_leaks
-        ~pending:(Pad.get t.pending_n sh)
-        ~admitted:(Pad.get t.admitted sh)
+        ~pending:(count_fences t sh fence_pending)
+        ~admitted:(in_use t sh)
     in
     Atomic.set (Pad.cells t.health_w).(sh) (health_code st);
     (match (prev, st) with
@@ -1112,6 +1133,8 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           warm_slot = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
           warm_n = 0;
           my_epoch = 0;
+          held_n = 0;
+          stale_n = 0;
           tend_count = 0;
           last_seat_hb = 0;
           seat_stale = 0;
@@ -1132,13 +1155,9 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     shard_tbl;
     stores;
     claims = Array.init cfg.source_space (fun _ -> Atomic.make 0);
-    admitted = Pad.create cfg.shards 0;
-    pending_n = Pad.create cfg.shards 0;
-    slot_src = Array.make cap (-1);
-    slot_name = Array.make cap (-1);
-    slot_owner = Array.make cap (-1);
-    slot_lease = Array.make cap None;
-    slot_warm = Array.make cap Busy;
+    slot_f = Array.make (cap * slot_stride) (-1);
+    slot_lease = Array.make (cap * slot_stride) None;
+    slot_warm = Array.make (cap * slot_stride) Busy;
     fence = Pad.cells (Pad.create cap fence_free);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;
@@ -1210,43 +1229,23 @@ let client_id (c : client) = c.id
 
 (* ----- telemetry probes -----
 
-   Everything below is read-only: atomics are [Atomic.get]s, client
-   warm counters are plain reads of another domain's non-atomic fields
-   (well-defined under the OCaml memory model, possibly stale —
-   telemetry-grade by design).  No probe writes anything, so attaching
-   a sampler adds zero shared accesses to any request path; in
-   particular the warm-grant path stays at its verified 0 protocol
+   Everything below is read-only: every census is a count of the
+   shard's fences by [Atomic.get].  No probe writes anything, so
+   attaching a sampler adds zero shared accesses to any request path;
+   in particular the warm-grant path stays at its verified 0 protocol
    accesses. *)
 
 type shard_probe = { admitted : int; pending : int; warm : int }
 
-let probe_warm_shard t sh =
-  let w = ref 0 in
-  Array.iter
-    (fun (c : client) ->
-      let n = min c.warm_n (Array.length c.warm_slot) in
-      for r = 0 to n - 1 do
-        let slot = c.warm_slot.(r) in
-        if slot >= 0 && slot < Array.length t.fence && slot_shard t slot = sh then incr w
-      done)
-    t.clients_tbl;
-  !w
-
 let probe_shard t sh =
   if sh < 0 || sh >= t.cfg.shards then invalid_arg "Server.probe_shard: bad shard";
   {
-    admitted = Pad.get t.admitted sh;
-    pending = Pad.get t.pending_n sh;
-    warm = probe_warm_shard t sh;
+    admitted = in_use t sh;
+    pending = count_fences t sh fence_pending;
+    warm = count_fences t sh fence_warm;
   }
 
-let probe_free t =
-  (* slab occupancy mirrors admission: cap minus every admitted slot *)
-  let used = ref 0 in
-  for sh = 0 to t.cfg.shards - 1 do
-    used := !used + Pad.get t.admitted sh
-  done;
-  max 0 ((t.cfg.shards * t.cfg.k_per_shard) - !used)
+let probe_free t = Array.length t.fence - outstanding t
 
 let probe_claims t =
   let n = ref 0 in
@@ -1260,11 +1259,11 @@ let sampler_sources t =
            let p = string_of_int sh in
            [
              { Obs.Sampler.name = "shard" ^ p ^ ".admitted";
-               read = (fun () -> Pad.get t.admitted sh) };
+               read = (fun () -> in_use t sh) };
              { Obs.Sampler.name = "shard" ^ p ^ ".pending";
-               read = (fun () -> Pad.get t.pending_n sh) };
+               read = (fun () -> count_fences t sh fence_pending) };
              { Obs.Sampler.name = "shard" ^ p ^ ".warm";
-               read = (fun () -> probe_warm_shard t sh) };
+               read = (fun () -> count_fences t sh fence_warm) };
              { Obs.Sampler.name = "shard" ^ p ^ ".health";
                read = (fun () -> Pad.get t.health_w sh) };
            ]))

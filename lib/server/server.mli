@@ -16,10 +16,15 @@
        concatenation of the shard spaces.}
     {- {b A preallocated lock-free request slab.}  Every held name is
        carried by one slot of a fixed slab of [shards × k] slots, and
-       shard [sh] owns the range [\[sh·k, sh·k + k)] — exactly its
-       admission cap.  A grant takes a FREE slot of its shard's range
-       with one CAS on the slot's fence; a request allocates no slab
-       state, and tokens handed to clients are slot indices.}
+       shard [sh] owns the range [\[sh·k, sh·k + k)].  The range {e is}
+       the shard's admission: a grant is admitted by one CAS that takes
+       a FREE slot of it, so a shard never carries more than [k] leases
+       (held, warm or pending) and keeps no counter beside its slots'
+       fences.  When no slot is FREE the grant flushes its own warm
+       leases on the shard, drains it and looks again, up to three
+       times, before it answers {!outcome.Shed}.  A request allocates
+       no slab state, tokens handed to clients are slot indices, and
+       each slot's fields sit on cache lines of their own.}
     {- {b Batched release draining.}  {!release} does not run the
        protocol's [release_name]: the lease parks in the client's warm
        cache or is fenced {e pending} in its slot, and whichever
@@ -87,16 +92,19 @@ val default_resilience : resilience
 
 type config = {
   shards : int;  (** Protocol instances in the pool. *)
-  k_per_shard : int;  (** Concurrent holders admitted per shard. *)
+  k_per_shard : int;
+      (** Slots in each shard's range: the shard's leases, held, warm
+          or pending, never exceed it. *)
   source_space : int;  (** Size [S] of the source name space. *)
   warm_capacity : int;  (** Warm leases cached per client ([0] disables). *)
   batch : int;
-      (** Pending releases on a shard that trip its drain; [1] retires
-          each release at once, by the releaser.  Admission caps held +
-          warm + pending per shard at [k_per_shard], so a batch above
-          [k_per_shard] never trips by count: such a shard drains only
-          under admission pressure, in {!flush} or {!drain_all}, or by
-          the reclaimer's wedged-drain heal.  Until then its owner can
+      (** PENDING slots on a shard that trip its drain: a release that
+          leaves [batch] of the shard's fences PENDING drains it; [1]
+          retires each release at once, by the releaser.  A range of
+          [k_per_shard] fences never holds more, so a batch above
+          [k_per_shard] never trips: such a shard drains only under
+          admission pressure, in {!flush} or {!drain_all}, or by the
+          reclaimer's wedged-drain heal.  Until then its owner can
           re-grant a pending lease. *)
   clients : int;  (** Registered client handles (one per domain). *)
   resilience : resilience;
@@ -174,7 +182,9 @@ val release : t -> client -> token:int -> unit
     {!outcome.Busy} for its source meanwhile.  Drains the shard when
     the batch threshold trips.  A client that was declared dead and
     fenced does {e not} raise here: its token was retired on its
-    behalf (or is now), and the release is absorbed silently.
+    behalf (or is now), and the release is absorbed silently — also
+    when the client re-synced in an earlier call, for as many releases
+    as it had tokens out at the re-sync.
     @raise Invalid_argument if [token] is not a slot this client
     holds. *)
 
@@ -193,7 +203,8 @@ val drain_all : t -> client -> unit
     leak. *)
 
 val outstanding : t -> int
-(** Names currently held, warm, or pending drain, across all shards. *)
+(** Names currently held, warm, or pending drain, across all shards:
+    the slab's slots whose fence is not FREE. *)
 
 (** {1 Liveness: heartbeats, the reclaimer seat, health}
 
@@ -302,27 +313,29 @@ val client_obs : client -> Obs.Registry.shard option
 
 (** {1 Telemetry probes} — read-only snapshots for a sampler.
 
-    Every probe below only {e reads}: admission/pending atomics via
-    [Atomic.get], warm-cache residency via plain reads of the clients'
-    own fields (possibly stale — telemetry-grade by design).  Nothing
+    Every probe below only {e reads}: each census counts the shard's
+    slot fences by state, via [Atomic.get] (a snapshot taken while
+    grants and releases run — telemetry-grade by design).  Nothing
     is written, so attaching a {!Obs.Sampler} adds {b zero} shared
     accesses to any request path; the warm-grant path keeps its
     verified 0 {e protocol} accesses (its one slab-local fence CAS is
     outside the tallied store). *)
 
 type shard_probe = {
-  admitted : int;  (** Admission occupancy: held + warm + pending ≤ k. *)
+  admitted : int;
+      (** Admission occupancy: the range's slots not FREE — held, warm,
+          pending, or being granted or retired; at most [k]. *)
   pending : int;
-      (** Released leases awaiting a drain of this shard (at most [k],
-          by admission); each is re-grantable by its owner meanwhile. *)
-  warm : int;  (** Warm leases parked on this shard across clients. *)
+      (** PENDING slots: released leases awaiting a drain of this
+          shard; each is re-grantable by its owner meanwhile. *)
+  warm : int;  (** WARM slots: leases parked in clients' warm caches. *)
 }
 
 val probe_shard : t -> int -> shard_probe
 (** @raise Invalid_argument on a bad shard index. *)
 
 val probe_free : t -> int
-(** Free slab slots (capacity minus every shard's admitted count). *)
+(** FREE slab slots: capacity minus {!outstanding}. *)
 
 val probe_claims : t -> int
 (** Source names currently claimed — an [O(source_space)] scan; fine
@@ -330,6 +343,6 @@ val probe_claims : t -> int
 
 val sampler_sources : t -> Obs.Sampler.source list
 (** The canonical gauge set for {!Obs.Sampler.create}: per shard
-    [shardN.admitted] / [shardN.pending] / [shardN.warm] /
-    [shardN.health], plus [slab.free], [claims.held], [seat.scans]
-    and [reclaimed]. *)
+    [shardN.admitted] / [shardN.pending] / [shardN.warm] (the
+    {!shard_probe} fence counts) / [shardN.health], plus [slab.free],
+    [claims.held], [seat.scans] and [reclaimed]. *)

@@ -144,6 +144,60 @@ let test_pending_regrant () =
   Alcotest.(check int) "no violations" 0 r.Agg.violations;
   Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked
 
+(* Every census is a count of the shard's fences.  Step by step, the
+   probes must match a hand count of the fence states: held, warm
+   (in the owner's cache) and pending (awaiting a drain) are all
+   admitted; only FREE fences are free. *)
+let test_probe_census () =
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:1 ~batch:8 ~clients:1 ()) in
+  let c = Server.client t 0 in
+  let expect step ~held ~warm ~pending =
+    let p = Server.probe_shard t 0 in
+    let admitted = held + warm + pending in
+    Alcotest.(check int) (step ^ ": admitted") admitted p.Server.admitted;
+    Alcotest.(check int) (step ^ ": pending") pending p.Server.pending;
+    Alcotest.(check int) (step ^ ": warm") warm p.Server.warm;
+    Alcotest.(check int) (step ^ ": outstanding") admitted (Server.outstanding t);
+    Alcotest.(check int) (step ^ ": free") (4 - admitted) (Server.probe_free t);
+    List.iter
+      (fun (src : Obs.Sampler.source) ->
+        let want =
+          match src.name with
+          | "shard0.admitted" -> Some admitted
+          | "shard0.pending" -> Some pending
+          | "shard0.warm" -> Some warm
+          | "slab.free" -> Some (4 - admitted)
+          | _ -> None
+        in
+        Option.iter (fun w -> Alcotest.(check int) (step ^ ": " ^ src.name) w (src.read ()))
+          want)
+      (Server.sampler_sources t)
+  in
+  let grant src =
+    match Server.acquire t c ~src with
+    | Server.Granted g -> g.token
+    | _ -> Alcotest.fail "not granted"
+  in
+  expect "empty" ~held:0 ~warm:0 ~pending:0;
+  let a = grant 1 in
+  let b = grant 2 in
+  let d = grant 3 in
+  expect "three granted" ~held:3 ~warm:0 ~pending:0;
+  Server.release t c ~token:a;
+  expect "one warm" ~held:2 ~warm:1 ~pending:0;
+  (* the cache holds one: caching b evicts a to pending *)
+  Server.release t c ~token:b;
+  expect "one pended" ~held:1 ~warm:1 ~pending:1;
+  (* a is re-granted from its slot, b from the cache *)
+  let a = grant 1 in
+  expect "pending re-granted" ~held:2 ~warm:1 ~pending:0;
+  let b = grant 2 in
+  expect "warm re-granted" ~held:3 ~warm:0 ~pending:0;
+  List.iter (fun token -> Server.release t c ~token) [ a; b; d ];
+  expect "all released" ~held:0 ~warm:1 ~pending:2;
+  Server.flush t c;
+  expect "flushed" ~held:0 ~warm:0 ~pending:0
+
 (* A warm cycle allocates nothing: the grant is built once per slot at
    cold grant, and release, tend, the warm-cache lookup and the
    re-grant of a pending lease are allocation-free.  Two inputs: warm
@@ -251,6 +305,35 @@ let test_release_fencing () =
       Server.release t c1 ~token:g.token
   | _ -> Alcotest.fail "a reclaimed source must be grantable");
   Server.flush t c1;
+  (* A re-sync in another call fences the tokens out at that moment
+     just the same: here c1 re-syncs in an acquire, on another shard,
+     before it releases the reclaimed token. *)
+  let grant src =
+    match Server.acquire t c1 ~src with
+    | Server.Granted g -> g.token
+    | _ -> Alcotest.fail "c1 not granted"
+  in
+  let old = grant 7 in
+  let other = ref 8 in
+  while Server.shard_of t ~src:!other = Server.shard_of t ~src:7 do
+    incr other
+  done;
+  Server.tend t c1;
+  for _ = 1 to ttl + 2 do
+    Server.scan t c0
+  done;
+  Alcotest.(check int) "second death declared" 2 (Server.resilience_stats t).Server.deaths;
+  let fresh = grant !other in
+  let fenced = (Server.client_stats c1).Server.fenced in
+  Server.release t c1 ~token:old;
+  Alcotest.(check int) "late release after a re-sync fenced" (fenced + 1)
+    (Server.client_stats c1).Server.fenced;
+  Server.release t c1 ~token:fresh;
+  Alcotest.check_raises "releasing it again is a misuse"
+    (Invalid_argument "Server.release: not a token this client holds")
+    (fun () -> Server.release t c1 ~token:old);
+  Server.flush t c1;
+  let rs = Server.resilience_stats t in
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
   Alcotest.(check int) "no violations" 0 r.Agg.violations;
   Alcotest.(check int) "no leaks" 0 r.Agg.leaked
@@ -392,20 +475,45 @@ let test_reclaim_crashed_client () =
   Alcotest.(check int) "no violations" 0 r.Agg.violations;
   Alcotest.(check int) "leaks reconciled by reclaim" 0 r.Agg.leaked
 
+(* All of a stress test's domains start together, so the races it
+   names really overlap. *)
+let start_gate n =
+  let ready = Atomic.make 0 in
+  fun () ->
+    Atomic.incr ready;
+    while Atomic.get ready < n do
+      Domain.cpu_relax ()
+    done
+
+(* After a stress run's join: scan and drain until nothing is
+   outstanding. *)
+let settle t =
+  let c0 = Server.client t 0 in
+  let settle = ref 0 in
+  while Server.outstanding t > 0 && !settle < 64 do
+    incr settle;
+    Server.scan t c0;
+    Server.drain_all t c0
+  done
+
+let sum_stats t ids f =
+  List.fold_left (fun a id -> a + f (Server.client_stats (Server.client t id))) 0 ids
+
 let test_drain_reclaim_race () =
   (* regression: pending slots drained by a live drainer while the
      reclaimer drains the same shard must retire each exactly once.  A
-     double retirement double-decrements the admission census or
-     double-releases on the scoreboard — both visible below.  The
-     scanner also races liveness itself: the churners tend, but on an
-     oversubscribed host they still get declared dead under the short
-     TTL, so the false-expiry path (epoch fence + re-sync) is exercised
-     too. *)
+     double retirement frees a slot twice or double-releases on the
+     scoreboard — both visible below.  The scanner also races liveness
+     itself: the churners tend, but on an oversubscribed host they
+     still get declared dead under the short TTL, so the false-expiry
+     path (epoch fence + re-sync) is exercised too. *)
   let config = cfg ~shards:1 ~k:4 ~warm:1 ~batch:2 ~clients:3 ~s:32 () in
   let t = Server.create config in
+  let gate = start_gate 3 in
   let churn id cycles =
     Domain.spawn (fun () ->
         let c = Server.client t id in
+        gate ();
         let seed = ref (id + 1) in
         for _ = 1 to cycles do
           seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -416,10 +524,11 @@ let test_drain_reclaim_race () =
         done;
         Server.flush t c)
   in
-  let d0 = churn 0 3_000 and d1 = churn 1 3_000 in
+  let d0 = churn 0 20_000 and d1 = churn 1 20_000 in
   let scanner =
     Domain.spawn (fun () ->
         let c = Server.client t 2 in
+        gate ();
         for _ = 1 to 400 do
           Server.scan t c;
           Server.drain_all t c
@@ -428,18 +537,77 @@ let test_drain_reclaim_race () =
   Domain.join d0;
   Domain.join d1;
   Domain.join scanner;
-  let c0 = Server.client t 0 in
-  let settle = ref 0 in
-  while Server.outstanding t > 0 && !settle < 64 do
-    incr settle;
-    Server.scan t c0;
-    Server.drain_all t c0
-  done;
+  (* witnesses, read before the settle adds drains of its own: Busy
+     needs both churners live at once, and a scanner drain retires
+     leases it never held *)
+  let busy = sum_stats t [ 0; 1 ] (fun s -> s.Server.busy) in
+  let cross = (Server.client_stats (Server.client t 2)).Server.drained_releases in
+  settle t;
   let rs = Server.resilience_stats t in
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
   Alcotest.(check int) "no violations under drain/reclaim races" 0 r.Agg.violations;
   Alcotest.(check int) "every slot retired exactly once" 0 (Server.outstanding t);
-  Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked
+  Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
+  Alcotest.(check bool) "the churners overlapped (Busy) or the scanner drained theirs"
+    true (busy > 0 || cross > 0)
+
+(* Admission is taking a FREE fence of the shard's range.  Two
+   churners on one shard of k = 2 each hold two names at a time and
+   cache one warm, so the range is often full: a grant then flushes
+   its own warm leases, drains and retries, and sheds while the other
+   churner holds both slots.  Batch 2 <= k, so releases also trip the
+   fence-counted drain.  A scanner runs the reclaimer and [drain_all]
+   beside them. *)
+let test_admission_contention () =
+  let config = cfg ~shards:1 ~k:2 ~warm:1 ~batch:2 ~clients:3 ~s:32 () in
+  let t = Server.create config in
+  let gate = start_gate 3 in
+  let churn id cycles =
+    Domain.spawn (fun () ->
+        let c = Server.client t id in
+        gate ();
+        let seed = ref (id + 1) in
+        let grant src =
+          match Server.acquire t c ~src with
+          | Server.Granted g -> g.token
+          | Server.Busy | Server.Shed -> -1
+        in
+        let release token = if token >= 0 then Server.release t c ~token in
+        for _ = 1 to cycles do
+          seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
+          let src = (!seed lsr 8) land 31 in
+          let a = grant src in
+          let b = grant ((src + 1) land 31) in
+          release a;
+          release b;
+          Server.tend t c
+        done;
+        Server.flush t c)
+  in
+  let d0 = churn 0 10_000 and d1 = churn 1 10_000 in
+  let scanner =
+    Domain.spawn (fun () ->
+        let c = Server.client t 2 in
+        gate ();
+        for _ = 1 to 400 do
+          Server.scan t c;
+          Server.drain_all t c
+        done)
+  in
+  Domain.join d0;
+  Domain.join d1;
+  Domain.join scanner;
+  let shed = sum_stats t [ 0; 1 ] (fun s -> s.Server.shed) in
+  let drains = sum_stats t [ 0; 1; 2 ] (fun s -> s.Server.drains) in
+  settle t;
+  let rs = Server.resilience_stats t in
+  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
+  Alcotest.(check int) "no violations under admission races" 0 r.Agg.violations;
+  Alcotest.(check int) "nothing outstanding after flush" 0 (Server.outstanding t);
+  Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
+  Alcotest.(check int) "every slot free" 2 (Server.probe_free t);
+  Alcotest.(check bool) "a full range shed a grant" true (shed > 0);
+  Alcotest.(check bool) "releases were drained" true (drains > 0)
 
 (* Owners re-granting their pending leases race drains by the other
    churner (batch 4 trips once all four slots are pending) and by a
@@ -450,14 +618,7 @@ let test_drain_reclaim_race () =
 let test_regrant_drain_race () =
   let config = cfg ~shards:1 ~k:4 ~warm:0 ~batch:4 ~clients:3 ~s:32 () in
   let t = Server.create config in
-  (* all three domains start together, so the races really overlap *)
-  let ready = Atomic.make 0 in
-  let gate () =
-    Atomic.incr ready;
-    while Atomic.get ready < 3 do
-      Domain.cpu_relax ()
-    done
-  in
+  let gate = start_gate 3 in
   let churn id cycles =
     Domain.spawn (fun () ->
         let c = Server.client t id in
@@ -485,21 +646,13 @@ let test_regrant_drain_race () =
   Domain.join d0;
   Domain.join d1;
   Domain.join scanner;
-  let c0 = Server.client t 0 in
-  let settle = ref 0 in
-  while Server.outstanding t > 0 && !settle < 64 do
-    incr settle;
-    Server.scan t c0;
-    Server.drain_all t c0
-  done;
+  settle t;
   let rs = Server.resilience_stats t in
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
   Alcotest.(check int) "no violations under re-grant/drain races" 0 r.Agg.violations;
   Alcotest.(check int) "every slot retired exactly once" 0 (Server.outstanding t);
   Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
-  let sum f =
-    List.fold_left (fun a id -> a + f (Server.client_stats (Server.client t id))) 0 [ 0; 1; 2 ]
-  in
+  let sum = sum_stats t [ 0; 1; 2 ] in
   let acquires = sum (fun s -> s.Server.acquires)
   and warm_hits = sum (fun s -> s.Server.warm_hits)
   and drained = sum (fun s -> s.Server.drained_releases) in
@@ -609,6 +762,7 @@ let () =
           Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
           Alcotest.test_case "own pending lease re-granted" `Quick test_pending_regrant;
+          Alcotest.test_case "probes count fences" `Quick test_probe_census;
           Alcotest.test_case "warm path allocates nothing" `Quick
             test_warm_path_allocation_free;
           Alcotest.test_case "cold path allocates <= 16 words per cycle" `Quick
@@ -630,6 +784,8 @@ let () =
             test_drain_reclaim_race;
           Alcotest.test_case "re-grant vs drain vs reclaim" `Quick
             test_regrant_drain_race;
+          Alcotest.test_case "admission under contention" `Quick
+            test_admission_contention;
           Alcotest.test_case "quarantine, failover, rebuild" `Quick
             test_failover_quarantine;
         ] );
