@@ -226,8 +226,10 @@ type chaos_fault =
                     crashes holding the seat — someone must steal it. *)
   | Park_drainer  (** Victim parks mid-drain until every normal client
                       finishes — the wedged drainer. *)
-  | Stall_hot_shard  (** All sources pinned to shard 0; victim stalls
-                         400k spins holding one of its names. *)
+  | Stall_hot_shard  (** Every client's sources pinned to the same
+                         half of the source space; the victim stalls
+                         400k spins holding one of them on its shard,
+                         which it shares with client 3. *)
 
 val chaos_faults : chaos_fault list
 val chaos_fault_name : chaos_fault -> string

@@ -42,11 +42,10 @@ let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2) ?(batch
     ?(resilience = default_resilience) ~clients ~source_space () =
   { shards; k_per_shard; source_space; warm_capacity; batch; clients; resilience }
 
-(* Slab tokens are slot indices.  Shard [sh] owns the slots
-   [sh·k, sh·k + k), and the range is the shard's admission: a grant
-   is admitted by taking a FREE fence of it, so the shard never runs
-   more than k leases (held, warm or pending) and needs no counter
-   beside its fences.
+(* Shard [sh] owns the slots [sh·k, sh·k + k), and the range is the
+   shard's admission: a grant is admitted by taking a FREE fence of it,
+   so the shard never runs more than k leases (held, warm or pending)
+   and needs no counter beside its fences.
 
    Per-slot fence.  Every change of a slot's lease goes through one CAS
    on it, and every lease retirement — batched drain or lease reclaim —
@@ -83,12 +82,12 @@ let seat_holder s = (s land seat_mask) - 1
 (* A HELD or WARM fence also names the lease's owner and the owner's
    epoch when it took the lease (granted it, or cached it warm):
    (epoch lsl lease_shift) lor (owner lsl 3) lor state.  A token is
-   held exactly when its fence is HELD under the caller's id, which is
-   one read of the slot's own line.  A reclaimer CASes from the exact
-   value it read, so it can neither catch a slot re-granted to another
-   client nor a lease its victim took after re-syncing to the epoch
-   that declared it dead — no claimed slot ever has to be handed
-   back. *)
+   held exactly when its fence is HELD under the caller's id and its
+   generation is the slot's: one read of the fence and one of the
+   slot's own line.  A reclaimer CASes from the exact value it read,
+   so it can neither catch a slot re-granted to another client nor a
+   lease its victim took after re-syncing to the epoch that declared
+   it dead — no claimed slot ever has to be handed back. *)
 let lease_shift = 3 + seat_bits
 let leased state ~owner ~epoch = (epoch lsl lease_shift) lor (owner lsl 3) lor state
 let fence_state f = f land 7
@@ -105,6 +104,9 @@ type client = {
   hot_counters : Obs.Counter.t array;  (* see [hot_count] *)
   hot_hists : Obs.Histogram.t array;
   ring : Obs.Flight.t option;
+  flight_pid : int ref;
+      (* the client id this client's probes record under: its own,
+         but the owner's while it retires another client's lease *)
   jr : Obs.Journey.t option;
       (* per-request journey recorder (single writer: this domain);
          the workload harness starts/finishes journeys, the server
@@ -151,7 +153,8 @@ type t = {
   claims : int Atomic.t array;  (* per source: 0 free, else client+1 *)
   slot_f : int array;
       (* per slot, at [slot_stride · slot]: source, owner (-1 once
-         retired) and global name (shard base + local name) *)
+         retired), global name (shard base + local name) and grant
+         generation *)
   slot_lease : Any.lease option array;  (* at [slot_stride · slot] *)
   slot_warm : outcome array;
       (* at [slot_stride · slot]: the slot's warm grant, built once at
@@ -194,16 +197,35 @@ type t = {
   flight : Obs.Flight.t option;
 }
 
-(* Seed-fixed source-to-shard route: a pure function of (src, shards),
-   so it is stable across calls, clients and server instances. *)
-let route src shards =
-  if shards = 1 then 0
+(* A token names its slot and the slot's grant generation:
+   (generation lsl token_bits) lor slot.  The generation advances on
+   every cold grant of the slot, so the token of a lease a reclaim
+   retired behind its holder's back never names a later lease of the
+   same slot, even one granted to the same client. *)
+let token_bits = 30
+let token_mask = (1 lsl token_bits) - 1
+let gen_mask = max_int lsr token_bits
+
+(* Seed-fixed hash of a source name onto [0, n). *)
+let hash_route src n =
+  if n = 1 then 0
   else begin
     let h = ref (src * 0x9E3779B97F4A7C1) in
     h := (!h lxor (!h lsr 30)) * 0xBF58476D1CE4E5B land max_int;
     h := (!h lxor (!h lsr 27)) * 0x94D049BB133111E land max_int;
-    (!h lxor (!h lsr 31)) mod shards
+    (!h lxor (!h lsr 31)) mod n
   end
+
+(* Client-affine route.  With n clients on s shards, client c owns the
+   shards ≡ c (mod n) when n ≤ s, and a hash of the source picks among
+   them; when n > s it uses shard c mod s.  While n ≤ s no two clients
+   share a shard, so one client's SPLIT registers and slot fences are
+   never written by another's grants; a single client hashes over every
+   shard.  A pure function of its arguments, so stable across calls and
+   server instances of the same geometry. *)
+let route ~clients ~client src shards =
+  if clients > shards then client mod shards
+  else client + (clients * hash_route src (((shards - 1 - client) / clients) + 1))
 
 let health_code = function
   | Health.Live -> 0
@@ -215,8 +237,8 @@ let health_code = function
 let slot_shard t slot = slot / t.cfg.k_per_shard
 
 (* Each slot's fields sit [slot_stride] words after the previous
-   slot's, in every per-slot array.  A slot's three int fields span 24
-   bytes, so at two lines' stride the next slot's fields start 104
+   slot's, in every per-slot array.  A slot's four int fields span 32
+   bytes, so at two lines' stride the next slot's fields start 96
    bytes after them: no two slots share a 64-byte line, wherever the
    line boundaries fall in the array.  A grant and a retirement then
    write only their own slot's lines. *)
@@ -224,9 +246,11 @@ let slot_stride = 2 * Pad.line_words
 let[@inline] slot_src t slot = t.slot_f.(slot * slot_stride)
 let[@inline] slot_owner t slot = t.slot_f.((slot * slot_stride) + 1)
 let[@inline] slot_name t slot = t.slot_f.((slot * slot_stride) + 2)
+let[@inline] slot_gen t slot = t.slot_f.((slot * slot_stride) + 3)
 let[@inline] set_slot_src t slot v = t.slot_f.(slot * slot_stride) <- v
 let[@inline] set_slot_owner t slot v = t.slot_f.((slot * slot_stride) + 1) <- v
 let[@inline] set_slot_name t slot v = t.slot_f.((slot * slot_stride) + 2) <- v
+let[@inline] set_slot_gen t slot v = t.slot_f.((slot * slot_stride) + 3) <- v
 
 (* The fences of shard [sh]'s range whose state is [st].  The range is
    the shard's census: k minus its FREE fences is its admission
@@ -396,12 +420,17 @@ let retire_slot t (c : client) slot ~reset =
      same handoff long-lived reclamation relies on. *)
   let ops = c.ops.(ssh) in
   ops.pid <- src;
+  (* the release is the owner's, whoever runs it: its flight records
+     go under the owner's id, so each client's acquisitions and
+     releases pair up in the ring *)
+  c.flight_pid := owner;
   (if reset && Any.reset_available sd.inst then
      (Option.get Any.reset_footprint) sd.inst ops lease
    else Any.release_name sd.inst ops lease);
+  c.flight_pid := c.id;
   (match c.ring with
   | Some r ->
-      Obs.Flight.record r ~clock:(Store.tally_total c.tally) ~pid:c.id
+      Obs.Flight.record r ~clock:(Store.tally_total c.tally) ~pid:owner
         (Obs.Flight.Released name)
   | None -> ());
   ignore (Atomic.compare_and_set t.claims.(src) (owner + 1) 0 : bool);
@@ -561,7 +590,7 @@ let route_live t src primary =
        carried by the claim table, not the route — two clients asking
        for the same src still serialize on claims.(src) no matter
        which shard each one's route picked. *)
-    let cand = ref (route (src lxor failover_salt) t.cfg.shards) in
+    let cand = ref (hash_route (src lxor failover_salt) t.cfg.shards) in
     let chosen = ref primary in
     (try
        for _ = 1 to t.cfg.shards do
@@ -609,9 +638,11 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
   let name = sd.base + Any.name_of sd.inst lease in
   set_slot_name t slot name;
+  let gen = (slot_gen t slot + 1) land gen_mask in
+  set_slot_gen t slot gen;
+  let token = (gen lsl token_bits) lor slot in
   t.slot_lease.(slot * slot_stride) <- Some lease;
-  t.slot_warm.(slot * slot_stride) <-
-    Granted { name; token = slot; warm = true; accesses = 0 };
+  t.slot_warm.(slot * slot_stride) <- Granted { name; token; warm = true; accesses = 0 };
   (* publish last: the slot only becomes visible to retirers and
      re-grants once its fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
@@ -625,10 +656,10 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   c.held_n <- c.held_n + 1;
   hot_count c h_acquired 1;
   hot_observe c h_cold_accesses accesses;
-  Granted { name; token = slot; warm = false; accesses }
+  Granted { name; token; warm = false; accesses }
 
 let acquire_cold t c ~src =
-  let primary = route src t.cfg.shards in
+  let primary = route ~clients:t.cfg.clients ~client:c.id src t.cfg.shards in
   let sh = route_live t src primary in
   if sh <> primary then begin
     c.failovers <- c.failovers + 1;
@@ -710,14 +741,21 @@ let acquire t c ~src =
   else acquire_cold t c ~src
 
 (* The fence value of [c]'s hold on [slot], or [-1] when [c] does not
-   hold it. *)
-let held_fence t (c : client) slot =
+   hold the lease [token] names.  The generation is read after the
+   fence: a slot HELD by [c] was last granted by [c] itself, so its
+   generation is [c]'s own write. *)
+let held_fence t (c : client) slot ~token =
   let f = Atomic.get t.fence.(slot) in
-  if fence_state f = fence_held && fence_owner f = c.id then f else -1
+  if
+    fence_state f = fence_held
+    && fence_owner f = c.id
+    && slot_gen t slot = token lsr token_bits
+  then f
+  else -1
 
 let release t c ~token =
-  let cap = Array.length t.fence in
-  if token < 0 || token >= cap then
+  let slot = token land token_mask in
+  if token < 0 || slot >= Array.length t.fence then
     invalid_arg "Server.release: not a token this client holds";
   (* the Release dwell covers the fence transition and warm-cache
      bookkeeping only; it closes before any [pending_release], whose
@@ -729,13 +767,13 @@ let release t c ~token =
        didn't, retire it through pending ourselves.  Either way the
        caller's token dies silently — it was fenced, not mis-used. *)
     returned c;
-    let f = held_fence t c token in
-    if f >= 0 && Atomic.compare_and_set t.fence.(token) f fence_pending then
-      pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c token
+    let f = held_fence t c slot ~token in
+    if f >= 0 && Atomic.compare_and_set t.fence.(slot) f fence_pending then
+      pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c slot
     else jblame c Obs.Journey.Release jt0
   end
   else
-    let f = held_fence t c token in
+    let f = held_fence t c slot ~token in
     if f < 0 then begin
       (* declared dead since the check above, or granted before an
          earlier re-sync, and already reclaimed: fenced like the
@@ -749,7 +787,7 @@ let release t c ~token =
       else invalid_arg "Server.release: not a token this client holds";
       jblame c Obs.Journey.Release jt0
     end
-    else if Atomic.compare_and_set t.fence.(token) f (warm_fence c) then begin
+    else if Atomic.compare_and_set t.fence.(slot) f (warm_fence c) then begin
       returned c;
       if t.cfg.warm_capacity > 0 then begin
         let evicted =
@@ -767,13 +805,13 @@ let release t c ~token =
             false
           end
         in
-        c.warm_src.(c.warm_n) <- slot_src t token;
-        c.warm_slot.(c.warm_n) <- token;
+        c.warm_src.(c.warm_n) <- slot_src t slot;
+        c.warm_slot.(c.warm_n) <- slot;
         c.warm_n <- c.warm_n + 1;
         if not evicted then jblame c Obs.Journey.Release jt0
       end
-      else if Atomic.compare_and_set t.fence.(token) (warm_fence c) fence_pending then
-        pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c token
+      else if Atomic.compare_and_set t.fence.(slot) (warm_fence c) fence_pending then
+        pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c slot
       else begin
         c.fenced <- c.fenced + 1;
         obs_inc c "server.fenced";
@@ -1041,8 +1079,9 @@ let resilience_stats t =
 
 let name_space t = t.total_space
 let shards t = t.cfg.shards
-let shard_of t ~src = route src t.cfg.shards
-let shard_route ~shards ~src = route src shards
+let shard_of t (c : client) ~src = route ~clients:t.cfg.clients ~client:c.id src t.cfg.shards
+let shard_route ~shards ~clients ~client ~src = route ~clients ~client src shards
+let token_slot ~token = token land token_mask
 let scoreboard t = t.agg
 
 let merge_flight t =
@@ -1107,17 +1146,22 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
            flight paths, and with a registry also the per-group
            counters *)
         let tally = Store.tally ?shard:obs () in
+        let flight_pid = ref id in
+        let probe =
+          Option.map
+            (fun r ->
+              let probes =
+                Array.init cfg.clients (fun pid ->
+                    Obs.Flight.probe r ~pid ~clock:(fun () -> Store.tally_total tally))
+              in
+              fun ev -> probes.(!flight_pid) ev)
+            ring
+        in
         let ops =
           Array.map
             (fun store ->
               let o = Atomic_store.ops ~tally store ~pid:0 in
-              match ring with
-              | Some r ->
-                  Store.probed
-                    (Obs.Flight.probe r ~pid:id ~clock:(fun () ->
-                         Store.tally_total tally))
-                    o
-              | None -> o)
+              match probe with Some p -> Store.probed p o | None -> o)
             stores
         in
         {
@@ -1126,6 +1170,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           hot_counters = Array.make (Array.length hot_counter_names) unresolved_counter;
           hot_hists = Array.make (Array.length hot_hist_names) unresolved_hist;
           ring;
+          flight_pid;
           jr = Option.map (fun a -> a.(id)) journeys;
           ops;
           tally;

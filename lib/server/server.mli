@@ -9,11 +9,17 @@
     {ul
     {- {b Sharding.}  A pool of {!Renaming.Protocol.S} instances (one
        per shard, each over its own layout and atomic store, labelled
-       [~stage:shard] for the flight recorder), with source names
-       routed by a seed-fixed hash.  Per-shard concurrency is capped
-       at the shard protocol's [k], so every instance runs inside its
-       correctness precondition; the global destination space is the
-       concatenation of the shard spaces.}
+       [~stage:shard] for the flight recorder).  Cold grants are routed
+       by client: with [n] clients on [s] shards, client [c] owns the
+       shards [{sh | sh ≡ c (mod n)}] when [n ≤ s], and a seed-fixed
+       hash of the source name picks among them; when [n > s] it uses
+       shard [c mod s].  So while [n ≤ s] no two clients share a shard,
+       and a client's protocol registers and slot fences are written by
+       its own grants only; a single client hashes over every shard.
+       Per-shard concurrency is capped at the shard protocol's [k], so
+       every instance runs inside its correctness precondition; the
+       global destination space is the concatenation of the shard
+       spaces.}
     {- {b A preallocated lock-free request slab.}  Every held name is
        carried by one slot of a fixed slab of [shards × k] slots, and
        shard [sh] owns the range [\[sh·k, sh·k + k)].  The range {e is}
@@ -23,8 +29,10 @@
        fences.  When no slot is FREE the grant flushes its own warm
        leases on the shard, drains it and looks again, up to three
        times, before it answers {!outcome.Shed}.  A request allocates
-       no slab state, tokens handed to clients are slot indices, and
-       each slot's fields sit on cache lines of their own.}
+       no slab state, the token handed to a client names its slot and
+       the slot's grant generation (so a token a reclaim retired never
+       names a later lease of the same slot), and each slot's fields
+       sit on cache lines of their own.}
     {- {b Batched release draining.}  {!release} does not run the
        protocol's [release_name]: the lease parks in the client's warm
        cache or is fenced {e pending} in its slot, and whichever
@@ -63,9 +71,10 @@
     Uniqueness is monitored on-line through a {!Runtime.Agg}
     scoreboard, and when a registry / flight ring is supplied every
     client writes its own shard / ring — cold grants and protocol
-    releases are recorded as [Acquired] / [Released] under the client
-    index — so the whole [lib/obs] stack (occupancy, provenance,
-    Perfetto export) applies to server runs unchanged.  A bare
+    releases are recorded as [Acquired] / [Released] under the index of
+    the client that owns the lease, whichever client retires it — so
+    the whole [lib/obs] stack (occupancy, provenance, Perfetto export)
+    applies to server runs unchanged.  A bare
     protocol run is the degenerate config of one shard, no warm cache
     and batch 1 ({!Churn.run_bare}). *)
 
@@ -169,9 +178,9 @@ val client : t -> int -> client
 val acquire : t -> client -> src:int -> outcome
 (** Serve one acquire request for source name [src]: warm from the
     client's cache or from its own pending lease of [src] on the
-    routed shard, else cold through the protocol.  When the routed
-    shard is quarantined the request fails over to a live sibling
-    (counted in {!resilience_stats.failovers}).
+    shard {!shard_of} routes it to, else cold through the protocol.
+    When that shard is quarantined the request fails over to a live
+    sibling (counted in {!resilience_stats.failovers}).
     @raise Invalid_argument when [src] is outside [\[0, source_space)]. *)
 
 val release : t -> client -> token:int -> unit
@@ -270,15 +279,21 @@ val resilience_stats : t -> resilience_stats
 val name_space : t -> int
 val shards : t -> int
 
-val shard_of : t -> src:int -> int
-(** The shard serving [src] — a pure function of [(src, shards)], so
-    routing is stable across calls, clients and server instances of
-    the same geometry.  Failover may serve [src] elsewhere while that
-    shard is quarantined. *)
+val shard_of : t -> client -> src:int -> int
+(** The shard serving [client]'s cold grants of [src] (see Sharding
+    above) — a pure function of [(clients, client, src, shards)], so
+    routing is stable across calls and server instances of the same
+    geometry.  Failover may serve [src] elsewhere while that shard is
+    quarantined. *)
 
-val shard_route : shards:int -> src:int -> int
+val shard_route : shards:int -> clients:int -> client:int -> src:int -> int
 (** {!shard_of} without a server: the same pure routing function, for
-    harnesses that need a shard's source set before construction. *)
+    harnesses that need a client's shards before construction. *)
+
+val token_slot : token:int -> int
+(** The slab slot a granted token names.  Tokens of successive cold
+    grants of one slot differ: they carry the slot's grant
+    generation. *)
 
 val scoreboard : t -> Runtime.Agg.t
 (** The live uniqueness/concurrency scoreboard (violations, holder

@@ -11,22 +11,50 @@ let cfg ?(shards = 4) ?(k = 4) ?(warm = 2) ?(batch = 8) ?(clients = 2) ?(s = 102
 
 (* --- shard routing --- *)
 
-let test_routing_stable () =
-  let c = cfg () in
-  let a = Server.create c and b = Server.create c in
-  for src = 0 to c.Server.source_space - 1 do
-    let sa = Server.shard_of a ~src in
-    Alcotest.(check int) "same route on a fresh instance" sa (Server.shard_of b ~src);
-    Alcotest.(check bool) "in range" true (sa >= 0 && sa < c.Server.shards)
-  done;
-  (* every shard serves someone: the route spreads *)
-  let seen = Array.make c.Server.shards false in
-  for src = 0 to c.Server.source_space - 1 do
-    seen.(Server.shard_of a ~src) <- true
-  done;
-  Array.iteri
-    (fun sh hit -> Alcotest.(check bool) (Printf.sprintf "shard %d used" sh) true hit)
-    seen
+(* The source-only route every client used before routing was
+   client-affine: a single client must still route exactly so. *)
+let source_route ~shards src =
+  if shards = 1 then 0
+  else begin
+    let h = ref (src * 0x9E3779B97F4A7C1) in
+    h := (!h lxor (!h lsr 30)) * 0xBF58476D1CE4E5B land max_int;
+    h := (!h lxor (!h lsr 27)) * 0x94D049BB133111E land max_int;
+    (!h lxor (!h lsr 31)) mod shards
+  end
+
+let test_routing () =
+  List.iter
+    (fun (clients, shards) ->
+      let geo = Printf.sprintf "%d clients on %d shards" clients shards in
+      let c = cfg ~shards ~clients () in
+      let a = Server.create c and b = Server.create c in
+      let owners = Array.make shards [] in
+      for id = 0 to clients - 1 do
+        for src = 0 to c.Server.source_space - 1 do
+          let sa = Server.shard_of a (Server.client a id) ~src in
+          Alcotest.(check int) (geo ^ ": stable") sa
+            (Server.shard_of a (Server.client a id) ~src);
+          Alcotest.(check int) (geo ^ ": same route on a fresh instance") sa
+            (Server.shard_of b (Server.client b id) ~src);
+          Alcotest.(check int) (geo ^ ": same route without a server") sa
+            (Server.shard_route ~shards ~clients ~client:id ~src);
+          Alcotest.(check bool) (geo ^ ": in range") true (sa >= 0 && sa < shards);
+          if not (List.mem id owners.(sa)) then owners.(sa) <- id :: owners.(sa)
+        done
+      done;
+      Array.iteri
+        (fun sh ids ->
+          Alcotest.(check bool) (Printf.sprintf "%s: shard %d owned" geo sh) true (ids <> []);
+          if clients <= shards then
+            Alcotest.(check int) (Printf.sprintf "%s: shard %d has one owner" geo sh) 1
+              (List.length ids))
+        owners;
+      if clients = 1 then
+        for src = 0 to c.Server.source_space - 1 do
+          Alcotest.(check int) (geo ^ ": one client routes by source") (source_route ~shards src)
+            (Server.shard_of a (Server.client a 0) ~src)
+        done)
+    [ (1, 1); (1, 4); (2, 4); (3, 4); (4, 4); (2, 5); (3, 2); (4, 2); (5, 3) ]
 
 (* --- single-client service basics (sequential, deterministic) --- *)
 
@@ -314,16 +342,14 @@ let test_release_fencing () =
     | _ -> Alcotest.fail "c1 not granted"
   in
   let old = grant 7 in
-  let other = ref 8 in
-  while Server.shard_of t ~src:!other = Server.shard_of t ~src:7 do
-    incr other
-  done;
   Server.tend t c1;
   for _ = 1 to ttl + 2 do
     Server.scan t c0
   done;
   Alcotest.(check int) "second death declared" 2 (Server.resilience_stats t).Server.deaths;
-  let fresh = grant !other in
+  let fresh = grant 8 in
+  Alcotest.(check int) "the fresh grant reuses the reclaimed slot"
+    (Server.token_slot ~token:old) (Server.token_slot ~token:fresh);
   let fenced = (Server.client_stats c1).Server.fenced in
   Server.release t c1 ~token:old;
   Alcotest.(check int) "late release after a re-sync fenced" (fenced + 1)
@@ -340,33 +366,57 @@ let test_release_fencing () =
 
 (* --- warm-cache uniqueness with a concurrent stealer --- *)
 
+(* Both clients on one shard, in rounds that start behind a gate:
+   each round both ask for the hot name 64 times, and whichever gets
+   it first keeps it warm for the rest of the round while the other is
+   refused; both flush at the round's end, handing the name back.  The
+   stealer plays rounds (at least 32, at most 5,000) until it has been
+   both refused and granted the name, so the two really raced.  Rounds
+   keep the name changing hands even when the host runs both domains on
+   one core, where a holder is descheduled still holding the name. *)
 let test_warm_vs_stealer () =
-  let config = cfg ~shards:2 ~k:3 ~warm:2 ~batch:4 ~clients:2 ~s:64 () in
+  let config = cfg ~shards:1 ~k:3 ~warm:2 ~batch:4 ~clients:2 ~s:64 () in
   let t = Server.create config in
   let hot = 11 in
-  let cycles = 2_000 in
-  let owner =
-    Domain.spawn (fun () ->
-        let c = Server.client t 0 in
-        for _ = 1 to cycles do
-          match Server.acquire t c ~src:hot with
-          | Server.Granted g -> Server.release t c ~token:g.token
-          | Server.Busy | Server.Shed -> Domain.cpu_relax ()
-        done;
-        Server.flush t c)
+  let arrived = Atomic.make 0 and stop = Atomic.make false in
+  (* the gate of round [r]: both clients have arrived at it *)
+  let gate r =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 * r do
+      Domain.cpu_relax ()
+    done
   in
-  let stolen = ref 0 in
-  let stealer =
+  let rounds id ~on_cycle ~after_round =
     Domain.spawn (fun () ->
-        let c = Server.client t 1 in
-        for _ = 1 to cycles do
-          match Server.acquire t c ~src:hot with
-          | Server.Granted g ->
-              incr stolen;
-              Server.release t c ~token:g.token
-          | Server.Busy | Server.Shed -> Domain.cpu_relax ()
-        done;
-        Server.flush t c)
+        let c = Server.client t id in
+        let r = ref 1 in
+        while
+          gate !r;
+          not (Atomic.get stop)
+        do
+          for _ = 1 to 64 do
+            on_cycle
+              (match Server.acquire t c ~src:hot with
+              | Server.Granted g ->
+                  Server.release t c ~token:g.token;
+                  true
+              | Server.Busy | Server.Shed ->
+                  Domain.cpu_relax ();
+                  false)
+          done;
+          Server.flush t c;
+          after_round !r;
+          incr r
+        done)
+  in
+  let owner = rounds 0 ~on_cycle:ignore ~after_round:ignore in
+  let stolen = ref 0 and refused = ref 0 in
+  let stealer =
+    rounds 1
+      ~on_cycle:(fun granted -> if granted then incr stolen else incr refused)
+      ~after_round:(fun r ->
+        if r >= 5_000 || (r >= 32 && !stolen > 0 && !refused > 0) then
+          Atomic.set stop true)
   in
   Domain.join owner;
   Domain.join stealer;
@@ -377,7 +427,9 @@ let test_warm_vs_stealer () =
   Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked;
   Alcotest.(check int) "nothing outstanding" 0 (Server.outstanding t);
   let owner_stats = Server.client_stats (Server.client t 0) in
-  Alcotest.(check bool) "owner got warm hits" true (owner_stats.Server.warm_hits > 0)
+  Alcotest.(check bool) "owner got warm hits" true (owner_stats.Server.warm_hits > 0);
+  Alcotest.(check bool) "the stealer was refused" true (!refused > 0);
+  Alcotest.(check bool) "the stealer was granted" true (!stolen > 0)
 
 (* --- batched releases survive the join --- *)
 
@@ -404,27 +456,28 @@ let test_join_drain () =
 (* --- a fault campaign aimed at one shard --- *)
 
 let test_fault_campaign_one_shard () =
-  let s = 64 in
-  let config = cfg ~shards:2 ~k:3 ~warm:1 ~batch:4 ~clients:4 ~s () in
-  (* pin every request to sources served by shard 0 *)
+  let s = 32 in
+  let config = cfg ~shards:1 ~k:3 ~warm:1 ~batch:4 ~clients:4 ~s () in
+  (* all four clients, victims and survivors, share the one shard.  The
+     two victims can hold all three of its slots, and one shard has no
+     sibling to fail over to, so requests arrive at 10k/s per client:
+     a run then lasts 30 ms, past the reclaimer's 8 scans at 1 ms. *)
   let probe = Server.create config in
-  let shard0 =
-    Array.of_list
-      (List.filter
-         (fun src -> Server.shard_of probe ~src = 0)
-         (List.init s (fun i -> i)))
-  in
-  Alcotest.(check bool) "shard 0 serves sources" true (Array.length shard0 > 2);
+  for id = 0 to config.Server.clients - 1 do
+    for src = 0 to s - 1 do
+      Alcotest.(check int) "every client routes to shard 0" 0
+        (Server.shard_of probe (Server.client probe id) ~src)
+    done
+  done;
   let plan = Result.get_ok (Sim.Faults.of_string "crash@p1:acc40,park@p3:acc1") in
   let faults = Churn.of_plan plan in
   let report =
     Churn.run ~config ~faults
       ~spec:(fun client ->
-        let zipf = Workload.zipf ~s:(Array.length shard0) ~seed:7 ~stream:client () in
         {
           Workload.requests = 300;
-          source = (fun i -> shard0.(zipf i));
-          arrival = (fun _ -> 0.);
+          source = Workload.zipf ~s ~seed:7 ~stream:client ();
+          arrival = (fun i -> float_of_int i *. 1e-4);
           think = 0;
         })
       ()
@@ -666,29 +719,29 @@ let test_regrant_drain_race () =
 (* --- quarantine, failover, rebuild --- *)
 
 let test_failover_quarantine () =
-  let config = cfg ~shards:2 ~k:4 ~warm:0 ~clients:2 ~s:64 () in
+  let config = cfg ~shards:2 ~k:4 ~warm:0 ~clients:3 ~s:64 () in
   let t = Server.create config in
-  let c0 = Server.client t 0 and c1 = Server.client t 1 in
-  (* a source served by shard 0, leaked by a crash *)
-  let src = ref 0 in
-  while Server.shard_of t ~src:!src <> 0 do
-    incr src
-  done;
-  let src = !src in
-  (match Server.acquire t c1 ~src with
+  let c0 = Server.client t 0 and victim = Server.client t 2 in
+  (* a lease on the victim's shard, leaked by a crash; three clients on
+     two shards put c0 on the same shard, so c0's acquires are routed
+     at it *)
+  let src = 5 in
+  let leak = Server.shard_of t victim ~src in
+  Alcotest.(check int) "c0 shares the victim's shard" leak (Server.shard_of t c0 ~src);
+  (match Server.acquire t victim ~src with
   | Server.Granted _ -> ()
-  | _ -> Alcotest.fail "c1 not granted");
+  | _ -> Alcotest.fail "victim not granted");
   (* the quarantine window is tight — the reclaim empties the shard,
      so the very next clean scan rebuilds it.  Scan just far enough to
      catch the shard in quarantine. *)
   let ttl = config.Server.resilience.Server.lease_ttl in
   let n = ref 0 in
-  while Server.health t 0 <> Server.Health.Quarantined && !n < 2 * ttl do
+  while Server.health t leak <> Server.Health.Quarantined && !n < 2 * ttl do
     incr n;
     Server.scan t c0
   done;
   Alcotest.(check bool) "leaking shard quarantined" true
-    (Server.health t 0 = Server.Health.Quarantined);
+    (Server.health t leak = Server.Health.Quarantined);
   let rs = Server.resilience_stats t in
   Alcotest.(check bool) "quarantine counted" true (rs.Server.quarantines >= 1);
   (* acquires routed at the quarantined shard spill over and still grant *)
@@ -700,12 +753,12 @@ let test_failover_quarantine () =
   Server.flush t c0;
   (* clean scans rebuild the shard in place *)
   let n = ref 0 in
-  while Server.health t 0 <> Server.Health.Live && !n < 16 do
+  while Server.health t leak <> Server.Health.Live && !n < 16 do
     incr n;
     Server.scan t c0
   done;
   Alcotest.(check bool) "shard re-admitted as live" true
-    (Server.health t 0 = Server.Health.Live);
+    (Server.health t leak = Server.Health.Live);
   let rs = Server.resilience_stats t in
   Alcotest.(check bool) "rebuild counted" true (rs.Server.rebuilds >= 1);
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
@@ -731,9 +784,31 @@ let test_bare_crash_reclaimed () =
   Alcotest.(check int) "nothing outstanding" 0 report.Churn.outstanding
 
 (* Server rings record every cold grant as an acquisition, so the
-   structural analysis of a churn run checks real work.  Warm caching
-   is off and batch 1 retires each release by its own client, so every
-   protocol release is recorded under the pid that acquired it. *)
+   structural analysis of a churn run checks real work, and every
+   protocol release is recorded under the client that owns the lease,
+   whichever client retires it, so each client's grants and releases
+   pair up. *)
+let check_ring label ring ~clients ~cold =
+  Alcotest.(check int) (label ^ ": nothing dropped") 0 (Obs.Flight.dropped ring);
+  Alcotest.(check bool) (label ^ ": cold grants happened") true (cold > 0);
+  let items = Obs.Flight.items ring in
+  let a = Obs.Analyze.analyze items in
+  Alcotest.(check int) (label ^ ": one acquisition per cold grant") cold
+    (List.length a.Obs.Analyze.acquisitions);
+  Alcotest.(check (list string)) (label ^ ": structural bounds hold") []
+    (Obs.Analyze.check a);
+  let count pid ev =
+    List.length (List.filter (fun (r : Obs.Flight.record) -> r.pid = pid && ev r.event) items)
+  in
+  for pid = 0 to clients - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "%s: client %d's grants all released under it" label pid)
+      (count pid (function Obs.Flight.Acquired _ -> true | _ -> false))
+      (count pid (function Obs.Flight.Released _ -> true | _ -> false))
+  done
+
+(* Warm caching off and batch 1: each release is retired by its own
+   client. *)
 let test_flight_ring_analyzable () =
   let ring = Obs.Flight.create () in
   let config = cfg ~shards:2 ~k:3 ~warm:0 ~batch:1 ~clients:3 ~s:64 () in
@@ -742,19 +817,44 @@ let test_flight_ring_analyzable () =
       ~spec:(fun client -> Workload.server_churn ~s:64 ~requests:100 ~seed:5 ~client ())
       ()
   in
-  Alcotest.(check int) "nothing dropped" 0 (Obs.Flight.dropped ring);
-  let cold = report.Churn.acquires - report.Churn.warm_hits in
-  Alcotest.(check bool) "cold grants happened" true (cold > 0);
-  let a = Obs.Analyze.analyze (Obs.Flight.items ring) in
-  Alcotest.(check int) "one acquisition per cold grant" cold
-    (List.length a.Obs.Analyze.acquisitions);
-  Alcotest.(check (list string)) "structural bounds hold" [] (Obs.Analyze.check a)
+  check_ring "own retirement" ring ~clients:3
+    ~cold:(report.Churn.acquires - report.Churn.warm_hits);
+  (* The defaults (warm 2, batch 8) with two clients on one shard, in
+     turn: client 0's releases go warm, then pending as its cache
+     evicts them, and client 1's drains retire them.  Client 1 keeps
+     one name of its own, so the shard of k = 4 never fills and client
+     0 never drains for admission. *)
+  let ring = Obs.Flight.create () in
+  let t = Server.create ~flight:ring (cfg ~shards:1 ~clients:2 ~s:64 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let cycle c src =
+    match Server.acquire t c ~src with
+    | Server.Granted g -> Server.release t c ~token:g.token
+    | _ -> Alcotest.fail "scripted acquire refused"
+  in
+  for i = 0 to 19 do
+    cycle c0 (i mod 8);
+    Server.drain_all t c1;
+    cycle c1 32
+  done;
+  Alcotest.(check int) "client 0 drained nothing" 0
+    (Server.client_stats c0).Server.drained_releases;
+  Alcotest.(check bool) "client 1 drained client 0's releases" true
+    ((Server.client_stats c1).Server.drained_releases > 0);
+  Server.flush t c0;
+  Server.flush t c1;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  Server.merge_flight t;
+  let cold =
+    sum_stats t [ 0; 1 ] (fun s -> s.Server.acquires - s.Server.warm_hits)
+  in
+  check_ring "cross-client drains" ring ~clients:2 ~cold
 
 let () =
   Alcotest.run "server"
     [
       ( "routing",
-        [ Alcotest.test_case "stable across instances, spreads" `Quick test_routing_stable ] );
+        [ Alcotest.test_case "client-affine, stable, every shard owned" `Quick test_routing ] );
       ( "service",
         [
           Alcotest.test_case "warm hit is free" `Quick test_warm_hit;
