@@ -1308,7 +1308,7 @@ let server_chaos matrix requests json =
         let sum g = List.fold_left (fun s o -> s + g o) 0 runs in
         Fmt.pr
           "%-16s %s  %d runs, min avail %.3f, %d reclaimed (max %d scans), %d \
-           deaths, %d/%d quarantined/rebuilt, %d steals@."
+           deaths, %d steals@."
           (Campaign.chaos_fault_name f)
           (if List.for_all (fun o -> o.Campaign.co_ok) runs then "ok    "
            else "FAILED")
@@ -1319,8 +1319,6 @@ let server_chaos matrix requests json =
           (sum (fun o -> o.Campaign.co_reclaimed))
           (List.fold_left (fun m o -> max m o.Campaign.co_reclaim_scans) 0 runs)
           (sum (fun o -> o.Campaign.co_deaths))
-          (sum (fun o -> o.Campaign.co_quarantines))
-          (sum (fun o -> o.Campaign.co_rebuilds))
           (sum (fun o -> o.Campaign.co_seat_steals)))
       Campaign.chaos_faults;
     Fmt.pr "chaos verdict  : %s (%d cells, %d seeds)@."
@@ -1461,18 +1459,12 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
         let rs = report.Churn.resilience and oc = report.Churn.outcomes in
         let resilience_json =
           Printf.sprintf
-            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"seat_steals":%d,"quarantines":%d,"rebuilds":%d,"fenced":%d,"failovers":%d},"health":[%s],"settle_scans":%d|}
+            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"seat_steals":%d,"fenced":%d},"settle_scans":%d|}
             oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
             oc.Churn.shed_policy oc.Churn.shed_early rs.Server.scans
             rs.Server.deaths rs.Server.reclaimed rs.Server.claims_swept
             rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.seat_steals
-            rs.Server.quarantines
-            rs.Server.rebuilds rs.Server.fenced rs.Server.failovers
-            (String.concat ","
-               (Array.to_list report.Churn.health
-               |> List.map (fun h ->
-                      Printf.sprintf "%S" (Server.Health.to_string h))))
-            report.Churn.settle_scans
+            rs.Server.fenced report.Churn.settle_scans
         in
         Fmt.pr
           {|{"schema":"renaming.server/v1","config":{"shards":%d,"k_per_shard":%d,"source_space":%d,"warm_capacity":%d,"batch":%d,"clients":%d},"requests_per_client":%d,"cycles":%d,"elapsed_s":%.6f,"acquires_per_sec":%.0f,"acquires":%d,"warm_hits":%d,"busy":%d,"shed":%d,"drains":%d,"drained_releases":%d,"latency_ns":%s,"latency_open_ns":%s,"latency_closed_ns":%s,"cold_accesses":%s,"warm_accesses":%s,"violations":%d,"leaked":%d,"outstanding":%d,"sampler_ticks":%d%s%s%s}@.|}
@@ -1517,15 +1509,9 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
           oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
           oc.Churn.shed_policy oc.Churn.shed_early;
         Fmt.pr "resilience     : %d scans, %d deaths, %d reclaimed (max %d \
-                scans), %d heals, %d steals@."
+                scans), %d heals, %d steals, %d fenced@."
           rs.Server.scans rs.Server.deaths rs.Server.reclaimed
-          rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.seat_steals;
-        Fmt.pr "health         : %s (%d quarantined, %d rebuilt, %d failovers, \
-                %d fenced)@."
-          (String.concat " "
-             (Array.to_list report.Churn.health
-             |> List.map Server.Health.to_string))
-          rs.Server.quarantines rs.Server.rebuilds rs.Server.failovers
+          rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.seat_steals
           rs.Server.fenced;
         Fmt.pr "violations     : %d@." r.violations;
         (match r.first_violation with

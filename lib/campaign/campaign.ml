@@ -722,10 +722,9 @@ let report_json ?crash ~seeds outcomes =
    chaos kills {e service} roles — a client holding leases, a drainer
    mid-walk, the reclaimer-seat holder, a hot shard's tenant — and
    asserts the self-healing contract: no uniqueness violation ever,
-   every leaked lease reclaimed within two lease TTLs of scans, the
-   live clients' availability above a floor, and every quarantined
-   shard rebuilt back to live by the end.  Everything derives from the
-   same seed matrix as the other campaigns. *)
+   every leaked lease reclaimed within two lease TTLs of scans, and the
+   live clients' availability above a floor.  Everything derives from
+   the same seed matrix as the other campaigns. *)
 
 type chaos_fault =
   | Crash_holding
@@ -763,8 +762,6 @@ let chaos_resilience =
     lease_ttl = 30;
     seat_ttl = 10;
     tend_every = 8;
-    degrade_sheds = 32;
-    quarantine_leaks = 1;
     drain_stale = 4;
   }
 
@@ -795,11 +792,8 @@ type chaos_outcome = {
   co_reclaim_scans : int;  (* worst staleness at reclaim, in scans *)
   co_deaths : int;
   co_availability : float;  (* granted / issued over the whole run *)
-  co_quarantines : int;
-  co_rebuilds : int;
   co_seat_steals : int;
   co_settle : int;
-  co_healthy : bool;  (* every shard Live at the end *)
   co_ok : bool;
   co_msg : string;
 }
@@ -851,7 +845,6 @@ let run_chaos_one ?(requests = 1500) seed fault =
     if oc.Churn.issued = 0 then 1.0
     else float_of_int oc.Churn.granted /. float_of_int oc.Churn.issued
   in
-  let healthy = Array.for_all (fun h -> h = Health.Live) rep.Churn.health in
   let reclaim_bound = 2 * cfg.Server.resilience.Server.lease_ttl in
   let checks =
     [
@@ -861,7 +854,6 @@ let run_chaos_one ?(requests = 1500) seed fault =
       ( rs.Server.reclaimed = 0 || rs.Server.reclaim_max_scans <= reclaim_bound,
         "reclaim exceeded 2 lease TTLs" );
       (availability >= 0.90, "availability below 0.90");
-      (healthy, "shard not live at end");
       ( (match rep.Churn.journeys with
         | Some j -> Obs.Journey.unexplained_tail j = None
         | None -> false),
@@ -879,11 +871,8 @@ let run_chaos_one ?(requests = 1500) seed fault =
     co_reclaim_scans = rs.Server.reclaim_max_scans;
     co_deaths = rs.Server.deaths;
     co_availability = availability;
-    co_quarantines = rs.Server.quarantines;
-    co_rebuilds = rs.Server.rebuilds;
     co_seat_steals = rs.Server.seat_steals;
     co_settle = rep.Churn.settle_scans;
-    co_healthy = healthy;
     co_ok = failed = [];
     co_msg = String.concat "; " (List.map snd failed);
   }
@@ -909,10 +898,10 @@ let chaos_clean ?(requests = 1500) ~seed () =
 let pp_chaos_outcome ppf o =
   if o.co_ok then
     Fmt.pf ppf
-      "%-16s seed %-8d ok   avail %.3f, %d reclaimed (<=%d scans), %d deaths, %d/%d quarantine/rebuild, %d steals"
+      "%-16s seed %-8d ok   avail %.3f, %d reclaimed (<=%d scans), %d deaths, %d steals"
       (chaos_fault_name o.co_fault)
       o.co_seed o.co_availability o.co_reclaimed o.co_reclaim_scans o.co_deaths
-      o.co_quarantines o.co_rebuilds o.co_seat_steals
+      o.co_seat_steals
   else
     Fmt.pf ppf "%-16s seed %-8d FAILED: %s (avail %.3f, outstanding %d)"
       (chaos_fault_name o.co_fault)
@@ -920,25 +909,23 @@ let pp_chaos_outcome ppf o =
 
 let chaos_outcome_json o =
   Printf.sprintf
-    {|{"fault":%S,"seed":%d,"ok":%b,"violations":%d,"leaked":%d,"outstanding":%d,"reclaimed":%d,"reclaim_scans":%d,"deaths":%d,"availability":%.4f,"quarantines":%d,"rebuilds":%d,"seat_steals":%d,"settle_scans":%d,"healthy":%b,"msg":%S}|}
+    {|{"fault":%S,"seed":%d,"ok":%b,"violations":%d,"leaked":%d,"outstanding":%d,"reclaimed":%d,"reclaim_scans":%d,"deaths":%d,"availability":%.4f,"seat_steals":%d,"settle_scans":%d,"msg":%S}|}
     (chaos_fault_name o.co_fault)
     o.co_seed o.co_ok o.co_violations o.co_leaked o.co_outstanding o.co_reclaimed
-    o.co_reclaim_scans o.co_deaths o.co_availability o.co_quarantines o.co_rebuilds
-    o.co_seat_steals o.co_settle o.co_healthy o.co_msg
+    o.co_reclaim_scans o.co_deaths o.co_availability o.co_seat_steals o.co_settle
+    o.co_msg
 
 let chaos_fault_summary_json outcomes fault =
   let runs = List.filter (fun o -> o.co_fault = fault) outcomes in
   let fold f init = List.fold_left f init runs in
   Printf.sprintf
-    {|{"fault":%S,"runs":%d,"ok":%b,"min_availability":%.4f,"reclaimed":%d,"max_reclaim_scans":%d,"deaths":%d,"quarantines":%d,"rebuilds":%d,"seat_steals":%d}|}
+    {|{"fault":%S,"runs":%d,"ok":%b,"min_availability":%.4f,"reclaimed":%d,"max_reclaim_scans":%d,"deaths":%d,"seat_steals":%d}|}
     (chaos_fault_name fault) (List.length runs)
     (List.for_all (fun o -> o.co_ok) runs)
     (fold (fun m o -> Float.min m o.co_availability) 1.0)
     (fold (fun s o -> s + o.co_reclaimed) 0)
     (fold (fun m o -> max m o.co_reclaim_scans) 0)
     (fold (fun s o -> s + o.co_deaths) 0)
-    (fold (fun s o -> s + o.co_quarantines) 0)
-    (fold (fun s o -> s + o.co_rebuilds) 0)
     (fold (fun s o -> s + o.co_seat_steals) 0)
 
 let chaos_report_json ~seeds outcomes =

@@ -211,8 +211,7 @@ val report_json : ?crash:crash_outcome list -> seeds:int list -> outcome list ->
     - zero uniqueness violations, ever;
     - zero leaked or outstanding leases after the settle epilogue,
       with every reclaim landing within {b two lease TTLs} of scans;
-    - whole-run availability (granted / issued) at or above {b 0.90};
-    - every quarantined shard rebuilt back to [Live] by the end.
+    - whole-run availability (granted / issued) at or above {b 0.90}.
 
     A matrix in which no client was ever declared dead fails
     {!chaos_ok} — it would prove the reclaimer nothing. *)
@@ -245,11 +244,8 @@ type chaos_outcome = {
   co_reclaim_scans : int;  (** Worst staleness at reclaim, in scans. *)
   co_deaths : int;
   co_availability : float;  (** granted / issued, whole run. *)
-  co_quarantines : int;
-  co_rebuilds : int;
   co_seat_steals : int;
   co_settle : int;  (** Epilogue scans to reach zero outstanding. *)
-  co_healthy : bool;  (** Every shard [Live] at the end. *)
   co_ok : bool;
   co_msg : string;  (** Failed criteria, empty when [co_ok]. *)
 }

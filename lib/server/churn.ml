@@ -81,7 +81,6 @@ type report = {
   telemetry : telemetry;
   outcomes : outcomes;
   resilience : Server.resilience_stats;
-  health : Health.state array;
   settle_scans : int;
   journeys : Obs.Journey.t option;
 }
@@ -401,22 +400,6 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
     Server.scan server c0;
     Server.drain_all server c0
   done;
-  (* Health transitions lag reclamation by one observation: a shard
-     quarantined for a leak returns to Live only when a scan *after*
-     the reclaim sees it clean.  Give it those scans, or a run that
-     reclaims on its final scan reports a healed server as wedged. *)
-  let heal = ref 0 in
-  while
-    (let unhealthy = ref false in
-     for sh = 0 to config.shards - 1 do
-       if Server.health server sh <> Health.Live then unhealthy := true
-     done;
-     !unhealthy)
-    && !heal < settle_budget
-  do
-    incr heal;
-    Server.scan server c0
-  done;
   Option.iter Obs.Sampler.stop handle;
   Server.merge_flight server;
   (* journeys merge into recorder 0 (commutative; see Journey.merge) *)
@@ -525,7 +508,6 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
     telemetry;
     outcomes;
     resilience;
-    health = Array.init (Server.shards server) (fun sh -> Server.health server sh);
     settle_scans = !settle;
     journeys = journeys_merged;
   }

@@ -125,7 +125,6 @@ type report = {
   telemetry : telemetry;
   outcomes : outcomes;
   resilience : Server.resilience_stats;
-  health : Health.state array;  (** Final per-shard health. *)
   settle_scans : int;  (** Epilogue scans needed to reach 0 outstanding. *)
   journeys : Obs.Journey.t option;
       (** All clients' journey recorders merged (into recorder 0 of

@@ -1,61 +1,33 @@
-type state = Live | Degraded | Quarantined
-
-type thresholds = {
-  degrade_sheds : int;
-  quarantine_leaks : int;
-  drain_stale : int;
-}
-
-let default_thresholds =
-  { degrade_sheds = 64; quarantine_leaks = 1; drain_stale = 4 }
+type state = Live | Wedged
 
 type t = {
-  th : thresholds;
+  drain_stale : int;
+  gen : int array;  (* per slot: the last scan's pending lease, or -1 *)
+  age : int array;  (* per slot: scans since [gen] was first seen *)
   mutable state : state;
-  mutable last_pending : int;
-  mutable stale : int;
-  mutable quarantines : int;
-  mutable rebuilds : int;
 }
 
-let create th =
-  if th.degrade_sheds < 1 then invalid_arg "Health.create: degrade_sheds < 1";
-  if th.quarantine_leaks < 1 then invalid_arg "Health.create: quarantine_leaks < 1";
-  if th.drain_stale < 1 then invalid_arg "Health.create: drain_stale < 1";
-  { th; state = Live; last_pending = 0; stale = 0; quarantines = 0; rebuilds = 0 }
+let create ~drain_stale ~slots =
+  if drain_stale < 1 then invalid_arg "Health.create: drain_stale < 1";
+  if slots < 1 then invalid_arg "Health.create: slots < 1";
+  { drain_stale; gen = Array.make slots (-1); age = Array.make slots 0; state = Live }
 
 let state t = t.state
-let quarantines t = t.quarantines
-let rebuilds t = t.rebuilds
 
-let to_string = function
-  | Live -> "live"
-  | Degraded -> "degraded"
-  | Quarantined -> "quarantined"
+let to_string = function Live -> "live" | Wedged -> "wedged"
 
-let quarantine t =
-  if t.state <> Quarantined then t.quarantines <- t.quarantines + 1;
-  t.state <- Quarantined;
-  t.stale <- 0
-
-let observe t ~sheds ~leaks ~pending ~admitted =
-  (* Drain staleness: a non-empty pending census that no scan interval
-     moves.  The counter resets the moment pending changes at all, so
-     a merely slow drain never trips it. *)
-  if pending > 0 && pending = t.last_pending then t.stale <- t.stale + 1
-  else t.stale <- 0;
-  t.last_pending <- pending;
-  (match t.state with
-  | Quarantined ->
-      (* Rebuilt in place: every lease reclaimed (admission empty),
-         nothing pending, and a quiet scan — only then re-admit. *)
-      if admitted = 0 && pending = 0 && leaks = 0 then begin
-        t.state <- Live;
-        t.rebuilds <- t.rebuilds + 1
-      end
-  | Live | Degraded ->
-      if leaks >= t.th.quarantine_leaks then quarantine t
-      else if t.stale >= t.th.drain_stale then quarantine t
-      else if sheds >= t.th.degrade_sheds then t.state <- Degraded
-      else if leaks = 0 && sheds = 0 then t.state <- Live);
+(* A loop, not [Array.iteri]: a closure would allocate on every scan. *)
+let observe t snap =
+  let wedged = ref false in
+  for i = 0 to Array.length snap - 1 do
+    let g = snap.(i) in
+    if g >= 0 && g = t.gen.(i) then begin
+      t.age.(i) <- t.age.(i) + 1;
+      if t.age.(i) >= t.drain_stale then wedged := true
+    end
+    else t.age.(i) <- 0;
+    t.gen.(i) <- g
+  done;
+  if !wedged then Array.fill t.age 0 (Array.length t.age) 0;
+  t.state <- (if !wedged then Wedged else Live);
   t.state

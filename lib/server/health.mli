@@ -1,50 +1,41 @@
-(** Per-shard health: a pure state machine the reclaimer seat drives
-    once per scan.
+(** Per-shard wedged-drain judge: a pure record the reclaimer seat
+    feeds once per scan.
 
-    A shard is {e live} until its scan-over-scan deltas say otherwise:
-    admission pressure (sheds this scan) degrades it, reclaimed leases
-    (a crashed client's footprint came back through the lease scanner)
-    or wedged pending slots (a non-zero count of the shard's PENDING
-    fences unmoved for [drain_stale] consecutive scans) quarantine
-    it.  A quarantined
-    shard stops taking new acquires — the router spills them to a
-    sibling — and is re-admitted only after it has been rebuilt in
-    place: every lease reclaimed, nothing pending, and one quiet scan.
+    A shard's drain is {e wedged} when one lease has sat PENDING in
+    its range for [drain_stale] consecutive scans after the scan that
+    first saw it: its drainer crashed or parked, or nothing has
+    released on the shard since.  The seat then heals the shard by
+    draining it.  A lease is known by its slot and the slot's grant
+    generation, which advances on every cold grant, so a slot whose
+    pending lease is retired and replaced between two scans restarts
+    the clock, however many leases the range holds.  An owner's
+    re-grant keeps the generation: a lease re-granted and parked again
+    between scans counts as the same lease, and draining it is
+    harmless.
 
     The module is deliberately free of atomics and clocks: the server
-    feeds it deltas and mirrors the resulting state into the padded
-    word its router reads.  That keeps every transition unit-testable
-    without domains. *)
+    feeds it one snapshot of the range per scan.  That keeps every
+    verdict unit-testable without domains. *)
 
-type state = Live | Degraded | Quarantined
-
-type thresholds = {
-  degrade_sheds : int;  (** Sheds per scan that degrade the shard. *)
-  quarantine_leaks : int;  (** Reclaimed leases per scan that quarantine. *)
-  drain_stale : int;  (** Scans of unmoved non-empty pending that quarantine. *)
-}
-
-val default_thresholds : thresholds
-(** [{ degrade_sheds = 64; quarantine_leaks = 1; drain_stale = 4 }]. *)
+type state =
+  | Live
+  | Wedged  (** The last scan found a lease pending for [drain_stale] scans. *)
 
 type t
 
-val create : thresholds -> t
-(** @raise Invalid_argument on a non-positive threshold. *)
+val create : drain_stale:int -> slots:int -> t
+(** A judge for a range of [slots] slots.
+    @raise Invalid_argument when [drain_stale] or [slots] is below 1. *)
 
-val observe :
-  t -> sheds:int -> leaks:int -> pending:int -> admitted:int -> state
-(** One scan tick.  [sheds] and [leaks] are deltas since the previous
-    tick; [pending] and [admitted] are the shard's current censuses,
-    counted from its slot fences: PENDING ones, and all but the FREE
-    ones.  Returns the state after the transition. *)
+val observe : t -> int array -> state
+(** One scan tick over a snapshot with one entry per slot: [snap.(i)]
+    is the grant generation of the range's slot [i] when its fence is
+    PENDING, and [-1] otherwise.  The judge
+    keeps the last snapshot, so the caller may reuse the array.  After
+    a [Wedged] verdict every lease's clock restarts, so a shard the
+    caller drains is judged afresh. *)
 
 val state : t -> state
-
-val quarantines : t -> int
-(** Transitions into [Quarantined] so far. *)
-
-val rebuilds : t -> int
-(** Transitions [Quarantined] → [Live] so far. *)
+(** The last verdict. *)
 
 val to_string : state -> string

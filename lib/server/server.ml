@@ -12,8 +12,6 @@ type resilience = {
   lease_ttl : int;
   seat_ttl : int;
   tend_every : int;
-  degrade_sheds : int;
-  quarantine_leaks : int;
   drain_stale : int;
 }
 
@@ -23,8 +21,6 @@ let default_resilience =
     lease_ttl = 8;
     seat_ttl = 4;
     tend_every = 32;
-    degrade_sheds = 64;
-    quarantine_leaks = 1;
     drain_stale = 4;
   }
 
@@ -94,8 +90,6 @@ let fence_state f = f land 7
 let fence_owner f = (f lsr 3) land seat_mask
 let fence_epoch f = f lsr lease_shift
 
-let failover_salt = 0x5DEECE66D
-
 type shard = { inst : Any.t; base : int }
 
 type client = {
@@ -138,7 +132,6 @@ type client = {
   mutable drains : int;
   mutable drained : int;
   mutable fenced : int;
-  mutable failovers : int;
 }
 
 type outcome =
@@ -167,20 +160,14 @@ type t = {
   seat : int Atomic.t;
   seat_hb : int Atomic.t;
   last_scan_ns : int Atomic.t;
-  health_w : Pad.t;  (* per shard: 0 live / 1 degraded / 2 quarantined *)
-  shard_sheds : Pad.t;
-  shard_leaks : Pad.t;
   (* seat-holder working state: written under seat ownership only
      (overlap with a deposed holder is benign — every retirement is
      fence-guarded; these are bookkeeping) *)
-  hx : Health.t array;
+  hx : Health.t array;  (* per shard *)
+  snap : int array;  (* one shard's pending leases, fed to its [hx] *)
   last_hb : int array;  (* per client *)
   stale : int array;
   dead : bool array;
-  last_pend : int array;  (* per shard *)
-  shard_stale : int array;
-  last_sheds : int array;
-  last_leaks : int array;
   (* resilience counters (atomic: deposed/current seats may overlap) *)
   rs_scans : int Atomic.t;
   rs_deaths : int Atomic.t;
@@ -189,8 +176,6 @@ type t = {
   rs_reclaim_max : int Atomic.t;
   rs_drain_heals : int Atomic.t;
   rs_seat_steals : int Atomic.t;
-  rs_quarantines : int Atomic.t;
-  rs_rebuilds : int Atomic.t;
   agg : Agg.t;
   total_space : int;
   clients_tbl : client array;
@@ -226,11 +211,6 @@ let hash_route src n =
 let route ~clients ~client src shards =
   if clients > shards then client mod shards
   else client + (clients * hash_route src (((shards - 1 - client) / clients) + 1))
-
-let health_code = function
-  | Health.Live -> 0
-  | Health.Degraded -> 1
-  | Health.Quarantined -> 2
 
 (* ----- slab ranges ----- *)
 
@@ -580,30 +560,6 @@ let warm_remove c r =
   done;
   c.warm_n <- c.warm_n - 1
 
-(* ----- routing with failover ----- *)
-
-let route_live t src primary =
-  if Pad.get t.health_w primary <> 2 || t.cfg.shards = 1 then primary
-  else begin
-    (* Spill off the quarantined shard: salted rehash, then a linear
-       probe to the first non-quarantined sibling.  Uniqueness is
-       carried by the claim table, not the route — two clients asking
-       for the same src still serialize on claims.(src) no matter
-       which shard each one's route picked. *)
-    let cand = ref (hash_route (src lxor failover_salt) t.cfg.shards) in
-    let chosen = ref primary in
-    (try
-       for _ = 1 to t.cfg.shards do
-         if Pad.get t.health_w !cand <> 2 then begin
-           chosen := !cand;
-           raise Exit
-         end;
-         cand := (!cand + 1) mod t.cfg.shards
-       done
-     with Exit -> ());
-    !chosen
-  end
-
 (* ----- the service ----- *)
 
 (* A grant that runs no protocol: [slot]'s prebuilt warm outcome.
@@ -659,12 +615,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   Granted { name; token; warm = false; accesses }
 
 let acquire_cold t c ~src =
-  let primary = route ~clients:t.cfg.clients ~client:c.id src t.cfg.shards in
-  let sh = route_live t src primary in
-  if sh <> primary then begin
-    c.failovers <- c.failovers + 1;
-    obs_inc c "server.failover"
-  end;
+  let sh = route ~clients:t.cfg.clients ~client:c.id src t.cfg.shards in
   let t0 = jtrack c in
   let claimed = Atomic.compare_and_set t.claims.(src) 0 (c.id + 1) in
   let tc = jblame_t c Obs.Journey.Claim t0 in
@@ -697,7 +648,6 @@ let acquire_cold t c ~src =
     let slot = if first >= 0 then first else admit_retry t c sh 3 tc in
     if slot < 0 then begin
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
-      ignore (Atomic.fetch_and_add (Pad.cells t.shard_sheds).(sh) 1);
       c.shed <- c.shed + 1;
       hot_count c h_shed 1;
       Shed
@@ -846,11 +796,11 @@ let outstanding t =
 
    One cooperatively-claimed duty: scan heartbeats, expire dead
    clients' leases (epoch bump first, heartbeat double-check, then
-   fence-guarded retirement), drain wedged pending slots, and drive
-   per-shard health.  Any live client steals the seat when the scan
-   heartbeat goes stale; the seat epoch fences the deposed holder out
-   of new reclaims, and the per-slot fences make even a deposed
-   holder's in-flight retirement exactly-once. *)
+   fence-guarded retirement) and drain wedged pending slots.  Any live
+   client steals the seat when the scan heartbeat goes stale; the seat
+   epoch fences the deposed holder out of new reclaims, and the
+   per-slot fences make even a deposed holder's in-flight retirement
+   exactly-once. *)
 
 let reclaim_client t (c : client) j =
   let e = 1 + Atomic.fetch_and_add (Pad.cells t.epoch).(j) 1 in
@@ -872,9 +822,7 @@ let reclaim_client t (c : client) j =
         && fence_epoch f < e
         && Atomic.compare_and_set t.fence.(slot) f fence_retiring
       then begin
-        let ssh = slot_shard t slot in
         retire_slot t c slot ~reset:true;
-        ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
         Atomic.incr t.rs_reclaimed;
         Agg.bump_max t.rs_reclaim_max t.stale.(j);
         obs_inc c "server.reclaimed";
@@ -930,45 +878,24 @@ let do_scan t (c : client) ~seat =
       end
     end
   done;
-  (* 2. per-shard health: drain a shard whose pending count has not
-     moved for [drain_stale] scans (its drainer crashed or parked, or
-     nothing released on it since), then let the state machine decide
-     from this scan's deltas *)
+  (* 2. wedged drains: heal a shard on which one lease has sat PENDING
+     for [drain_stale] scans (its drainer crashed or parked, or nothing
+     released on the shard since).  A lease is known by its slot's
+     grant generation, so a slot refilled between scans is a new one.
+     A slot refilled between the fence read and the generation read is
+     judged by its new lease, which may then age one scan early; a heal
+     only drains, and any drain is safe. *)
+  let k = t.cfg.k_per_shard in
   for sh = 0 to t.cfg.shards - 1 do
-    let pend = count_fences t sh fence_pending in
-    if pend > 0 && pend = t.last_pend.(sh) then begin
-      t.shard_stale.(sh) <- t.shard_stale.(sh) + 1;
-      if t.shard_stale.(sh) >= t.cfg.resilience.drain_stale then begin
-        t.shard_stale.(sh) <- 0;
-        drain_shard t c sh;
-        Atomic.incr t.rs_drain_heals
-      end
+    for i = 0 to k - 1 do
+      let slot = (sh * k) + i in
+      t.snap.(i) <-
+        (if Atomic.get t.fence.(slot) = fence_pending then slot_gen t slot else -1)
+    done;
+    if Health.observe t.hx.(sh) t.snap = Health.Wedged then begin
+      drain_shard t c sh;
+      Atomic.incr t.rs_drain_heals
     end
-    else t.shard_stale.(sh) <- 0;
-    t.last_pend.(sh) <- count_fences t sh fence_pending;
-    let sheds = Pad.get t.shard_sheds sh in
-    let leaks = Pad.get t.shard_leaks sh in
-    let d_sheds = sheds - t.last_sheds.(sh) in
-    let d_leaks = leaks - t.last_leaks.(sh) in
-    t.last_sheds.(sh) <- sheds;
-    t.last_leaks.(sh) <- leaks;
-    let prev = Health.state t.hx.(sh) in
-    (* a quarantined shard is actively rebuilt: keep draining it *)
-    if prev = Health.Quarantined then drain_shard t c sh;
-    let st =
-      Health.observe t.hx.(sh) ~sheds:d_sheds ~leaks:d_leaks
-        ~pending:(count_fences t sh fence_pending)
-        ~admitted:(in_use t sh)
-    in
-    Atomic.set (Pad.cells t.health_w).(sh) (health_code st);
-    (match (prev, st) with
-    | (Health.Live | Health.Degraded), Health.Quarantined ->
-        Atomic.incr t.rs_quarantines;
-        obs_inc c "server.quarantines"
-    | Health.Quarantined, Health.Live ->
-        Atomic.incr t.rs_rebuilds;
-        obs_inc c "server.rebuilds"
-    | _ -> ())
   done
 
 let tend t (c : client) =
@@ -1037,10 +964,7 @@ let scan t (c : client) =
 let set_chaos (c : client) f = c.chaos <- f
 let health t sh =
   if sh < 0 || sh >= t.cfg.shards then invalid_arg "Server.health: bad shard";
-  match Pad.get t.health_w sh with
-  | 0 -> Health.Live
-  | 1 -> Health.Degraded
-  | _ -> Health.Quarantined
+  Health.state t.hx.(sh)
 
 type resilience_stats = {
   scans : int;
@@ -1050,19 +974,12 @@ type resilience_stats = {
   reclaim_max_scans : int;
   drain_heals : int;
   seat_steals : int;
-  quarantines : int;
-  rebuilds : int;
   fenced : int;
   failovers : int;
 }
 
 let resilience_stats t =
-  let fenced = ref 0 and failovers = ref 0 in
-  Array.iter
-    (fun (c : client) ->
-      fenced := !fenced + c.fenced;
-      failovers := !failovers + c.failovers)
-    t.clients_tbl;
+  let fenced = Array.fold_left (fun n (c : client) -> n + c.fenced) 0 t.clients_tbl in
   {
     scans = Atomic.get t.rs_scans;
     deaths = Atomic.get t.rs_deaths;
@@ -1071,10 +988,8 @@ let resilience_stats t =
     reclaim_max_scans = Atomic.get t.rs_reclaim_max;
     drain_heals = Atomic.get t.rs_drain_heals;
     seat_steals = Atomic.get t.rs_seat_steals;
-    quarantines = Atomic.get t.rs_quarantines;
-    rebuilds = Atomic.get t.rs_rebuilds;
-    fenced = !fenced;
-    failovers = !failovers;
+    fenced;
+    failovers = 0;
   }
 
 let name_space t = t.total_space
@@ -1192,7 +1107,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           drains = 0;
           drained = 0;
           fenced = 0;
-          failovers = 0;
         })
   in
   {
@@ -1209,24 +1123,13 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     seat = Atomic.make 0;
     seat_hb = Atomic.make 0;
     last_scan_ns = Atomic.make 0;
-    health_w = Pad.create cfg.shards 0;
-    shard_sheds = Pad.create cfg.shards 0;
-    shard_leaks = Pad.create cfg.shards 0;
     hx =
       Array.init cfg.shards (fun _ ->
-          Health.create
-            {
-              Health.degrade_sheds = rz.degrade_sheds;
-              quarantine_leaks = rz.quarantine_leaks;
-              drain_stale = rz.drain_stale;
-            });
+          Health.create ~drain_stale:rz.drain_stale ~slots:cfg.k_per_shard);
+    snap = Array.make cfg.k_per_shard (-1);
     last_hb = Array.make cfg.clients min_int;
     stale = Array.make cfg.clients 0;
     dead = Array.make cfg.clients false;
-    last_pend = Array.make cfg.shards 0;
-    shard_stale = Array.make cfg.shards 0;
-    last_sheds = Array.make cfg.shards 0;
-    last_leaks = Array.make cfg.shards 0;
     rs_scans = Atomic.make 0;
     rs_deaths = Atomic.make 0;
     rs_reclaimed = Atomic.make 0;
@@ -1234,8 +1137,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     rs_reclaim_max = Atomic.make 0;
     rs_drain_heals = Atomic.make 0;
     rs_seat_steals = Atomic.make 0;
-    rs_quarantines = Atomic.make 0;
-    rs_rebuilds = Atomic.make 0;
     agg;
     total_space = !base;
     clients_tbl;
@@ -1254,7 +1155,6 @@ type client_stats = {
   drains : int;
   drained_releases : int;
   fenced : int;
-  failovers : int;
 }
 
 let client_stats (c : client) =
@@ -1266,7 +1166,6 @@ let client_stats (c : client) =
     drains = c.drains;
     drained_releases = c.drained;
     fenced = c.fenced;
-    failovers = c.failovers;
   }
 
 let client_obs c = c.obs
@@ -1309,8 +1208,6 @@ let sampler_sources t =
                read = (fun () -> count_fences t sh fence_pending) };
              { Obs.Sampler.name = "shard" ^ p ^ ".warm";
                read = (fun () -> count_fences t sh fence_warm) };
-             { Obs.Sampler.name = "shard" ^ p ^ ".health";
-               read = (fun () -> Pad.get t.health_w sh) };
            ]))
   in
   shard_sources

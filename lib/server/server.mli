@@ -59,14 +59,15 @@
        {!tend}: clients heartbeat, and one of them cooperatively holds
        the {e reclaimer seat} — scanning for dead clients (reclaiming
        their leases through the protocol's [reset_footprint] and
-       sweeping their claims), draining wedged pending slots, and
-       driving per-shard {!Health}: a shard that leaks leases or
-       wedges its drain is {e quarantined}, its acquires spill to a
-       sibling (salted-rehash failover — the claim table keeps
-       uniqueness, not the route), and it is re-admitted once rebuilt
-       in place.  A client declared dead by mistake is
-       {e fenced} by its epoch: it re-syncs and carries on, its stale
-       tokens dying silently rather than double-retiring.}}
+       sweeping their claims) and healing wedged drains: when per-shard
+       {!Health} sees one lease sit pending for [drain_stale] scans,
+       the seat drains that shard.  No shard is ever taken out of
+       service or routed around: uniqueness rests on the per-source
+       claim table alone, so the route carries no safety, and a
+       crashed client's leases come back through the reclaim.  A
+       client declared dead by mistake is {e fenced} by its epoch: it
+       re-syncs and carries on, its stale tokens dying silently rather
+       than double-retiring.}}
 
     Uniqueness is monitored on-line through a {!Runtime.Agg}
     scoreboard, and when a registry / flight ring is supplied every
@@ -90,14 +91,14 @@ type resilience = {
   seat_ttl : int;
       (** Silent scan intervals before the reclaimer seat is stolen. *)
   tend_every : int;  (** {!tend} calls between seat/epoch checks. *)
-  degrade_sheds : int;  (** {!Health.thresholds.degrade_sheds}. *)
-  quarantine_leaks : int;  (** {!Health.thresholds.quarantine_leaks}. *)
-  drain_stale : int;  (** {!Health.thresholds.drain_stale}. *)
+  drain_stale : int;
+      (** Scans one lease may sit pending before the seat drains its
+          shard (see {!Health}). *)
 }
 
 val default_resilience : resilience
 (** [scan_interval_ns = 1ms], [lease_ttl = 8], [seat_ttl = 4],
-    [tend_every = 32], and {!Health.default_thresholds}. *)
+    [tend_every = 32], [drain_stale = 4]. *)
 
 type config = {
   shards : int;  (** Protocol instances in the pool. *)
@@ -178,9 +179,8 @@ val client : t -> int -> client
 val acquire : t -> client -> src:int -> outcome
 (** Serve one acquire request for source name [src]: warm from the
     client's cache or from its own pending lease of [src] on the
-    shard {!shard_of} routes it to, else cold through the protocol.
-    When that shard is quarantined the request fails over to a live
-    sibling (counted in {!resilience_stats.failovers}).
+    shard {!shard_of} routes it to, else cold through the protocol on
+    that shard.
     @raise Invalid_argument when [src] is outside [\[0, source_space)]. *)
 
 val release : t -> client -> token:int -> unit
@@ -215,7 +215,7 @@ val outstanding : t -> int
 (** Names currently held, warm, or pending drain, across all shards:
     the slab's slots whose fence is not FREE. *)
 
-(** {1 Liveness: heartbeats, the reclaimer seat, health}
+(** {1 Liveness: heartbeats, the reclaimer seat, wedged drains}
 
     Crash tolerance is cooperative: no external reclaimer process
     exists.  Clients call {!tend} once per request (or at any
@@ -242,7 +242,9 @@ val seize_seat : t -> client -> int
     victim on duty. *)
 
 val health : t -> int -> Health.state
-(** The router-visible health of a shard.
+(** The shard's verdict at the last scan: {!Health.Wedged} when that
+    scan found a lease pending for [drain_stale] scans and drained the
+    shard.  Diagnostic only: no request path reads it.
     @raise Invalid_argument on a bad shard index. *)
 
 val set_chaos : client -> (string -> unit) option -> unit
@@ -262,13 +264,16 @@ type resilience_stats = {
       (** Worst staleness (in scans) at which a lease was reclaimed —
           the chaos campaign's time-to-reclaim bound. *)
   drain_heals : int;
-      (** Drains the reclaimer ran on a shard whose pending count sat
-          unmoved for [drain_stale] scans. *)
+      (** Drains the reclaimer ran on a shard where one lease sat
+          pending for [drain_stale] scans.  At the defaults (batch 8 >
+          k 4) a shard without admission pressure drains only this way,
+          so a fault-free run may count some. *)
   seat_steals : int;
-  quarantines : int;  (** Shard transitions into quarantine. *)
-  rebuilds : int;  (** Quarantined shards re-admitted. *)
   fenced : int;  (** Client operations absorbed by an epoch fence. *)
-  failovers : int;  (** Acquires spilled off a quarantined shard. *)
+  failovers : int;
+      (** Always [0]: an acquire is served on the shard its route picks,
+          and nothing spills elsewhere.  Kept only because the benchmark
+          harness still prints it. *)
 }
 
 val resilience_stats : t -> resilience_stats
@@ -283,8 +288,7 @@ val shard_of : t -> client -> src:int -> int
 (** The shard serving [client]'s cold grants of [src] (see Sharding
     above) — a pure function of [(clients, client, src, shards)], so
     routing is stable across calls and server instances of the same
-    geometry.  Failover may serve [src] elsewhere while that shard is
-    quarantined. *)
+    geometry.  Every cold grant of [src] by [client] is served there. *)
 
 val shard_route : shards:int -> clients:int -> client:int -> src:int -> int
 (** {!shard_of} without a server: the same pure routing function, for
@@ -316,7 +320,6 @@ type client_stats = {
   drains : int;  (** Times this client drained a shard. *)
   drained_releases : int;  (** Protocol releases it executed doing so. *)
   fenced : int;  (** Operations absorbed by this client's epoch fence. *)
-  failovers : int;  (** Acquires it spilled off quarantined shards. *)
 }
 
 val client_stats : client -> client_stats
@@ -359,5 +362,5 @@ val probe_claims : t -> int
 val sampler_sources : t -> Obs.Sampler.source list
 (** The canonical gauge set for {!Obs.Sampler.create}: per shard
     [shardN.admitted] / [shardN.pending] / [shardN.warm] (the
-    {!shard_probe} fence counts) / [shardN.health], plus [slab.free],
+    {!shard_probe} fence counts), plus [slab.free],
     [claims.held], [seat.scans] and [reclaimed]. *)

@@ -1,16 +1,17 @@
-(* The resilience layer, checked three ways: exhaustive 2-process
-   interleaving models of the failover claim gate and the reclaimer
-   seat steal (with seeded mutants that must die), QCheck2 properties
-   of the backoff policy, the shard health state machine in
-   isolation, and a one-seed smoke of the whole chaos campaign.
+(* The resilience layer, checked four ways: exhaustive 2-process
+   interleaving models of the claim gate and the reclaimer seat steal
+   (with seeded mutants that must die), QCheck2 properties of the
+   backoff policy, the wedged-drain judge in isolation, and a one-seed
+   smoke of the whole chaos campaign.
 
    The interleaving models are hand-rolled: each process is a small
    program counter over atomic steps on a shared record, and the
    checker DFS-enumerates every schedule.  The state spaces are tiny
    (tens of states), so closure is total — no sampling, no
    reductions.  What the models pin down is exactly the two arguments
-   the server code makes in prose: a failover re-route cannot break
-   uniqueness because the claim CAS is the gate, not the route; and a
+   the server code makes in prose: two clients routed to different
+   shards cannot both hold one source because the claim CAS is the
+   gate, not the route; and a
    deposed seat holder cannot double-retire a slot because the
    per-slot fence CAS is the gate, not the seat check. *)
 
@@ -44,13 +45,14 @@ let explore ~init ~clone ~step ~procs ~violated =
   go init (List.init procs (fun _ -> 0));
   !bad
 
-(* ----- model 1: failover claim gate ----- *)
+(* ----- model 1: claim gate ----- *)
 
-(* Shard 0 is quarantined, so both processes re-route the same source
-   to shard 1 and race the admission.  Steps: read the claim word,
-   CAS it, bind a slot.  Correctness: at most one process ever holds
-   the source, no matter the schedule — the claim CAS is what
-   guarantees it, the (shared) failover route guarantees nothing. *)
+(* Both processes ask for the same source.  Client-affine routing sends
+   each one's grant to a shard of its own, so no shard's admission
+   stands between them; they race only on the source's claim word.
+   Steps: read the claim word, CAS it, bind a slot.  Correctness: at
+   most one process ever holds the source, no matter the schedule — the
+   claim CAS is what guarantees it, the route guarantees nothing. *)
 type claim_state = {
   mutable claim : int; (* 0 free, else pid+1 *)
   mutable read : int array; (* each proc's read of [claim] *)
@@ -84,7 +86,7 @@ let claim_step ~gated s i = function
 let claim_violated s =
   if List.length s.holders > 1 then Some "two holders of one source" else None
 
-let test_mc_failover_claim_gate () =
+let test_mc_claim_gate () =
   let run gated =
     explore
       ~init:{ claim = 0; read = [| 0; 0 |]; holders = [] }
@@ -217,54 +219,49 @@ let test_backoff_caps_out () =
         (Server.Policy.backoff_spins p ~client:3 ~attempt))
     [ 6; 10; 20; 40; 1000 ]
 
-(* ----- the shard health state machine ----- *)
+(* ----- the wedged-drain judge ----- *)
 
-let th =
-  { Server.Health.degrade_sheds = 4; quarantine_leaks = 1; drain_stale = 3 }
+let stale = 3
 
-let obs h ~sheds ~leaks ~pending ~admitted =
-  Server.Health.observe h ~sheds ~leaks ~pending ~admitted
+(* A snapshot of a 3-slot range holds each slot's pending lease, by its
+   grant generation, or -1 where the fence is not PENDING. *)
+let observe = Server.Health.observe
 
-let test_health_degrade_recover () =
-  let h = Server.Health.create th in
+let test_judge_wedged_drain () =
+  let h = Server.Health.create ~drain_stale:stale ~slots:3 in
   Alcotest.(check bool) "starts live" true (Server.Health.state h = Live);
-  let st = obs h ~sheds:4 ~leaks:0 ~pending:0 ~admitted:2 in
-  Alcotest.(check bool) "sheds degrade" true (st = Degraded);
-  let st = obs h ~sheds:0 ~leaks:0 ~pending:0 ~admitted:2 in
-  Alcotest.(check bool) "a quiet scan heals" true (st = Live);
-  Alcotest.(check int) "no quarantine" 0 (Server.Health.quarantines h)
-
-let test_health_quarantine_rebuild () =
-  let h = Server.Health.create th in
-  let st = obs h ~sheds:0 ~leaks:1 ~pending:0 ~admitted:3 in
-  Alcotest.(check bool) "a leak quarantines" true (st = Quarantined);
-  (* still draining: not re-admitted *)
-  let st = obs h ~sheds:0 ~leaks:0 ~pending:1 ~admitted:0 in
-  Alcotest.(check bool) "pending blocks the rebuild" true (st = Quarantined);
-  let st = obs h ~sheds:0 ~leaks:0 ~pending:0 ~admitted:2 in
-  Alcotest.(check bool) "admissions block the rebuild" true (st = Quarantined);
-  let st = obs h ~sheds:0 ~leaks:0 ~pending:0 ~admitted:0 in
-  Alcotest.(check bool) "clean + empty re-admits" true (st = Live);
-  Alcotest.(check int) "one quarantine" 1 (Server.Health.quarantines h);
-  Alcotest.(check int) "one rebuild" 1 (Server.Health.rebuilds h)
-
-let test_health_wedged_drain () =
-  let h = Server.Health.create th in
-  (* the first sighting only records the census; staleness counts the
-     scans after it that fail to move the number *)
-  for _ = 0 to th.Server.Health.drain_stale do
-    ignore (obs h ~sheds:0 ~leaks:0 ~pending:5 ~admitted:1)
+  (* the first sighting only records the lease; staleness counts the
+     scans after it that still find it pending *)
+  for _ = 1 to stale do
+    ignore (observe h [| -1; 7; -1 |])
   done;
-  Alcotest.(check bool) "a wedged drain quarantines" true
-    (Server.Health.state h = Quarantined);
-  (* pending moving at all resets the staleness clock *)
-  let h2 = Server.Health.create th in
-  ignore (obs h2 ~sheds:0 ~leaks:0 ~pending:5 ~admitted:1);
-  ignore (obs h2 ~sheds:0 ~leaks:0 ~pending:4 ~admitted:1);
-  ignore (obs h2 ~sheds:0 ~leaks:0 ~pending:4 ~admitted:1);
-  ignore (obs h2 ~sheds:0 ~leaks:0 ~pending:3 ~admitted:1);
-  Alcotest.(check bool) "a slow drain is not a wedged drain" true
-    (Server.Health.state h2 = Live)
+  Alcotest.(check bool) "not yet wedged" true (Server.Health.state h = Live);
+  Alcotest.(check bool) "a wedged drain" true (observe h [| -1; 7; -1 |] = Wedged);
+  (* the verdict restarts every clock: the drained shard is judged afresh *)
+  Alcotest.(check bool) "judged afresh" true (observe h [| -1; 7; -1 |] = Live);
+  (* a slow drain retires each lease before it has sat [stale] scans;
+     the pending count of 3, 2, 1, 1 would not move it either *)
+  let h2 = Server.Health.create ~drain_stale:stale ~slots:3 in
+  List.iter
+    (fun snap ->
+      Alcotest.(check bool) "a slow drain is not a wedged drain" true
+        (observe h2 snap = Live))
+    [ [| 4; 5; 6 |]; [| -1; 5; 6 |]; [| -1; -1; 6 |]; [| 8; -1; -1 |]; [| 8; 9; -1 |] ]
+
+let test_judge_new_lease () =
+  (* one lease pending at every scan, but a new one each time: the
+     count reads 1 throughout and would judge the drain wedged *)
+  let h = Server.Health.create ~drain_stale:stale ~slots:3 in
+  for gen = 1 to 4 * stale do
+    Alcotest.(check bool) "a new lease in the same slot restarts the clock" true
+      (observe h [| -1; -1; gen |] = Live)
+  done;
+  (* a lease its owner re-grants and parks again between scans keeps
+     its generation: it is the same lease, and it ages on *)
+  for _ = 1 to stale do
+    ignore (observe h [| -1; -1; 99 |])
+  done;
+  Alcotest.(check bool) "re-parked lease ages on" true (observe h [| -1; -1; 99 |] = Wedged)
 
 (* ----- one-seed chaos smoke ----- *)
 
@@ -287,8 +284,7 @@ let () =
     [
       ( "modelcheck",
         [
-          Alcotest.test_case "failover claim gate, 2 procs exhaustive" `Quick
-            test_mc_failover_claim_gate;
+          Alcotest.test_case "claim gate, 2 procs exhaustive" `Quick test_mc_claim_gate;
           Alcotest.test_case "seat steal vs retirement fence, 2 procs exhaustive"
             `Quick test_mc_seat_steal_fence;
         ] );
@@ -301,10 +297,9 @@ let () =
         ] );
       ( "health",
         [
-          Alcotest.test_case "degrade and recover" `Quick test_health_degrade_recover;
-          Alcotest.test_case "quarantine and rebuild" `Quick
-            test_health_quarantine_rebuild;
-          Alcotest.test_case "wedged drain" `Quick test_health_wedged_drain;
+          Alcotest.test_case "wedged drain" `Quick test_judge_wedged_drain;
+          Alcotest.test_case "a new lease in the same slot restarts the clock" `Quick
+            test_judge_new_lease;
         ] );
       ( "chaos",
         [ Alcotest.test_case "one-seed campaign" `Quick test_chaos_smoke ] );

@@ -457,11 +457,22 @@ let test_join_drain () =
 
 let test_fault_campaign_one_shard () =
   let s = 32 in
-  let config = cfg ~shards:1 ~k:3 ~warm:1 ~batch:4 ~clients:4 ~s () in
   (* all four clients, victims and survivors, share the one shard.  The
-     two victims can hold all three of its slots, and one shard has no
-     sibling to fail over to, so requests arrive at 10k/s per client:
-     a run then lasts 30 ms, past the reclaimer's 8 scans at 1 ms. *)
+     two victims can hold all three of its slots, and a survivor's
+     requests go nowhere else until the reclaimer frees them, so
+     requests arrive at 10k/s per client: a run then lasts 30 ms, past
+     the reclaimer's 8 scans at 1 ms.  Scans are paced at 1 ms only if
+     the seat holder checks its seat on every tend: at the default of
+     every 32 tends (16 requests, 1.6 ms) a seat stolen from the
+     crashed victim and 9 scans could land after a survivor's last
+     request. *)
+  let config = cfg ~shards:1 ~k:3 ~warm:1 ~batch:4 ~clients:4 ~s () in
+  let config =
+    {
+      config with
+      Server.resilience = { config.Server.resilience with Server.tend_every = 1 };
+    }
+  in
   let probe = Server.create config in
   for id = 0 to config.Server.clients - 1 do
     for src = 0 to s - 1 do
@@ -519,7 +530,7 @@ let test_reclaim_crashed_client () =
   Alcotest.(check int) "nothing outstanding after reclaim" 0 (Server.outstanding t);
   Alcotest.(check bool) "reclaim bounded by the lease TTL" true
     (rs.Server.reclaim_max_scans <= 2 * ttl);
-  (* the reclaimed sources serve again (possibly via failover) *)
+  (* the reclaimed sources serve again, on the shard they route to *)
   (match Server.acquire t c0 ~src:5 with
   | Server.Granted g -> Server.release t c0 ~token:g.token
   | _ -> Alcotest.fail "a reclaimed source must be grantable");
@@ -716,53 +727,64 @@ let test_regrant_drain_race () =
     (drained + rs.Server.reclaimed);
   Alcotest.(check bool) "pending leases were re-granted" true (warm_hits > 0)
 
-(* --- quarantine, failover, rebuild --- *)
+(* --- wedged drains, judged by lease identity --- *)
 
-let test_failover_quarantine () =
-  let config = cfg ~shards:2 ~k:4 ~warm:0 ~clients:3 ~s:64 () in
-  let t = Server.create config in
-  let c0 = Server.client t 0 and victim = Server.client t 2 in
-  (* a lease on the victim's shard, leaked by a crash; three clients on
-     two shards put c0 on the same shard, so c0's acquires are routed
-     at it *)
-  let src = 5 in
-  let leak = Server.shard_of t victim ~src in
-  Alcotest.(check int) "c0 shares the victim's shard" leak (Server.shard_of t c0 ~src);
-  (match Server.acquire t victim ~src with
-  | Server.Granted _ -> ()
-  | _ -> Alcotest.fail "victim not granted");
-  (* the quarantine window is tight — the reclaim empties the shard,
-     so the very next clean scan rebuilds it.  Scan just far enough to
-     catch the shard in quarantine. *)
-  let ttl = config.Server.resilience.Server.lease_ttl in
-  let n = ref 0 in
-  while Server.health t leak <> Server.Health.Quarantined && !n < 2 * ttl do
-    incr n;
-    Server.scan t c0
+(* One client on one shard, driven only by [Server.scan]: no domain, no
+   tend, so the scanner never judges its own heartbeat.  At batch 8 > k
+   a released lease stays PENDING until some drain retires it. *)
+let test_wedged_drain_identity () =
+  let stale = Server.default_resilience.Server.drain_stale in
+  let heals t = (Server.resilience_stats t).Server.drain_heals in
+  let grant t c src =
+    match Server.acquire t c ~src with
+    | Server.Granted g -> g.token
+    | _ -> Alcotest.fail "not granted"
+  in
+  (* one lease parked PENDING is healed once, [drain_stale] scans after
+     the scan that first saw it *)
+  let t = Server.create (cfg ~shards:1 ~k:1 ~warm:0 ~batch:8 ~clients:1 ~s:8 ()) in
+  let c = Server.client t 0 in
+  Server.release t c ~token:(grant t c 3);
+  for _ = 0 to stale - 1 do
+    Server.scan t c
   done;
-  Alcotest.(check bool) "leaking shard quarantined" true
-    (Server.health t leak = Server.Health.Quarantined);
-  let rs = Server.resilience_stats t in
-  Alcotest.(check bool) "quarantine counted" true (rs.Server.quarantines >= 1);
-  (* acquires routed at the quarantined shard spill over and still grant *)
-  (match Server.acquire t c0 ~src with
-  | Server.Granted g -> Server.release t c0 ~token:g.token
-  | _ -> Alcotest.fail "failover must still grant");
-  let rs = Server.resilience_stats t in
-  Alcotest.(check bool) "failover counted" true (rs.Server.failovers >= 1);
-  Server.flush t c0;
-  (* clean scans rebuild the shard in place *)
-  let n = ref 0 in
-  while Server.health t leak <> Server.Health.Live && !n < 16 do
-    incr n;
-    Server.scan t c0
+  Alcotest.(check int) "not healed before drain_stale scans" 0 (heals t);
+  Alcotest.(check int) "still pending" 1 (Server.outstanding t);
+  Server.scan t c;
+  Alcotest.(check int) "healed" 1 (heals t);
+  Alcotest.(check bool) "the healing scan judged the shard wedged" true
+    (Server.health t 0 = Server.Health.Wedged);
+  Alcotest.(check int) "the heal drained it" 0 (Server.outstanding t);
+  for _ = 1 to 3 * stale do
+    Server.scan t c
   done;
-  Alcotest.(check bool) "shard re-admitted as live" true
-    (Server.health t leak = Server.Health.Live);
-  let rs = Server.resilience_stats t in
-  Alcotest.(check bool) "rebuild counted" true (rs.Server.rebuilds >= 1);
-  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
-  Alcotest.(check int) "no violations through failover" 0 r.Agg.violations
+  Alcotest.(check int) "healed exactly once" 1 (heals t);
+  Alcotest.(check bool) "live again" true (Server.health t 0 = Server.Health.Live);
+  (* the seat scans every millisecond, so a scan allocates nothing *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Server.scan t c
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 10. then Alcotest.failf "a scan allocates %.1f minor words" words;
+  (* the shard's one slot always holds one PENDING lease at a scan, but
+     a new one each time: each acquire of the other source finds the
+     range full, drains the old lease and grants a new one.  The
+     pending count reads 1 at every scan; the lease never repeats. *)
+  let t = Server.create (cfg ~shards:1 ~k:1 ~warm:0 ~batch:8 ~clients:1 ~s:8 ()) in
+  let c = Server.client t 0 in
+  for r = 1 to 4 * stale do
+    Server.release t c ~token:(grant t c (r land 1));
+    Alcotest.(check int) "one lease pending" 1 (Server.outstanding t);
+    Server.scan t c
+  done;
+  Alcotest.(check int) "a replaced lease is never healed" 0 (heals t);
+  Alcotest.(check int) "each acquire drained the last lease" (4 * stale - 1)
+    (Server.client_stats c).Server.drained_releases;
+  Server.flush t c;
+  let r = Agg.result (Server.scoreboard t) in
+  Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked
 
 (* --- bare protocol runs: the one-shard, cold-only server --- *)
 
@@ -886,8 +908,8 @@ let () =
             test_regrant_drain_race;
           Alcotest.test_case "admission under contention" `Quick
             test_admission_contention;
-          Alcotest.test_case "quarantine, failover, rebuild" `Quick
-            test_failover_quarantine;
+          Alcotest.test_case "wedged drain judged by lease identity" `Quick
+            test_wedged_drain_identity;
         ] );
       ( "bare",
         [
