@@ -263,6 +263,34 @@ let test_judge_new_lease () =
   done;
   Alcotest.(check bool) "re-parked lease ages on" true (observe h [| -1; -1; 99 |] = Wedged)
 
+let test_judge_stuck_beside_moving () =
+  (* slot 0 holds one lease throughout while slots 1 and 2 retire and
+     replace theirs at every scan.  The pending count reads 2, 3, 2, ...
+     and, moving every scan, would never judge the drain wedged; the
+     stuck lease does *)
+  let h = Server.Health.create ~drain_stale:stale ~slots:3 in
+  let snaps =
+    List.init (stale + 1) (fun i ->
+        if i land 1 = 0 then [| 7; 10 + i; -1 |] else [| 7; 20 + i; 30 + i |])
+  in
+  let verdicts = List.map (fun snap -> observe h snap) snaps in
+  Alcotest.(check (list string)) "wedged once the stuck lease has aged"
+    (List.init (stale + 1) (fun i -> if i = stale then "wedged" else "live"))
+    (List.map Server.Health.to_string verdicts)
+
+let test_judge_rejects_empty () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "drain_stale 0" (fun () -> Server.Health.create ~drain_stale:0 ~slots:3);
+  rejects "slots 0" (fun () -> Server.Health.create ~drain_stale:stale ~slots:0);
+  (* a judge of one scan flags a lease the scan after it first sees it *)
+  let h = Server.Health.create ~drain_stale:1 ~slots:1 in
+  Alcotest.(check bool) "first sighting" true (observe h [| 0 |] = Live);
+  Alcotest.(check bool) "seen again" true (observe h [| 0 |] = Wedged)
+
 (* ----- one-seed chaos smoke ----- *)
 
 let test_chaos_smoke () =
@@ -300,6 +328,10 @@ let () =
           Alcotest.test_case "wedged drain" `Quick test_judge_wedged_drain;
           Alcotest.test_case "a new lease in the same slot restarts the clock" `Quick
             test_judge_new_lease;
+          Alcotest.test_case "a stuck lease beside moving ones is wedged" `Quick
+            test_judge_stuck_beside_moving;
+          Alcotest.test_case "rejects an empty range or zero staleness" `Quick
+            test_judge_rejects_empty;
         ] );
       ( "chaos",
         [ Alcotest.test_case "one-seed campaign" `Quick test_chaos_smoke ] );
