@@ -44,6 +44,13 @@
    names used, shared accesses, solo wall-clock and name-server
    warm-hit rate per backend — and writes BENCH_backends.json,
    failing on any uniqueness violation or truncated run.
+   The interference bench ("interference") runs perfbench's zipf
+   closed loop in paired, alternating rounds (10 of 1 s full, 5 of
+   0.2 s --smoke): two clients on one server, then each on a server of
+   its own, with disjoint sources.  It writes BENCH_interference.json
+   (both per-request medians, every per-round ratio) and fails if the
+   median ratio exceeds 1.3x (2.0x under --smoke): what sharing one
+   server adds is false sharing between its clients.
    The chaos bench ("chaos") runs the whole-server fault campaign
    (crash holding leases, crash mid-drain, crash on the reclaimer
    seat, parked drainer, hot-shard stall over a 32-seed matrix, 4
@@ -576,8 +583,8 @@ let run_server_bench ~smoke ~rebaseline () =
   in
   let iters = if smoke then 200_000 else 1_000_000 in
   let adj_ns = hammer_ns ~iters (Array.init clients (fun _ -> Atomic.make 0)) in
-  let padded = Runtime.Pad.create clients 0 in
-  let pad_ns = hammer_ns ~iters (Runtime.Pad.cells padded) in
+  let padded = Pad.create clients 0 in
+  let pad_ns = hammer_ns ~iters (Pad.cells padded) in
   let lat = report.Churn.latency in
   let cold = report.Churn.cold_accesses and warm = report.Churn.warm_accesses in
   let hit_rate =
@@ -665,6 +672,151 @@ let run_server_bench ~smoke ~rebaseline () =
           floor
           (if ok then "OK" else "REGRESSED");
         ok)
+
+(* ----- interference: two clients on one server, or one server each ----- *)
+
+(* The zipf closed loop of perfbench's zipf-pair-obs (tend, acquire,
+   release when granted; the registry on), run two ways in each round:
+   both clients on one server that the main domain builds, as perfbench
+   builds it, and each client on a server of its own that its own
+   domain builds.  Client c draws Zipf(0.99) over 2048 names shifted by
+   2048·c, so no claim is shared, and every server has the two-client
+   geometry, so a client owns the same shards either way.  What the
+   shared server adds per request is false sharing between the
+   clients, which the median per-round ratio bounds.  The bound is the worst of 10 full runs plus
+   a margin; the smoke bound only catches a collapse. *)
+let interference_bound = 1.3
+let interference_smoke_bound = 2.0
+
+(* One client's loop: after [warm_ns], the ns per request over the next
+   [win_ns], the clock read once per 16 requests. *)
+let interference_loop srv c srcs ~warm_ns ~win_ns =
+  let mask = Array.length srcs - 1 in
+  let t0 = Obs.Clock.now_ns () in
+  let open_at = t0 + warm_ns and stop = t0 + warm_ns + win_ns in
+  let i = ref 0 and i0 = ref (-1) and t_open = ref 0 and now = ref t0 in
+  while !now < stop || !i0 = !i do
+    for _ = 1 to 16 do
+      let src = Array.unsafe_get srcs (!i land mask) in
+      incr i;
+      Server.tend srv c;
+      match Server.acquire srv c ~src with
+      | Server.Granted g -> Server.release srv c ~token:g.token
+      | Server.Busy | Server.Shed -> ()
+    done;
+    now := Obs.Clock.now_ns ();
+    if !i0 < 0 && !now >= open_at then begin
+      i0 := !i;
+      t_open := !now
+    end
+  done;
+  Server.flush srv c;
+  float_of_int (!now - !t_open) /. float_of_int (!i - !i0)
+
+(* One arm of a round: the mean of the two clients' ns per request, and
+   whether every server came out clean (no violation, nothing
+   outstanding or leaked after the join). *)
+let interference_arm ~shared ~warm_ns ~win_ns srcs =
+  (* no client dies here, and the idle handle of a per-client server
+     must not be declared dead *)
+  let config =
+    Server.default_config
+      ~resilience:{ Server.default_resilience with lease_ttl = 1_000_000 }
+      ~clients:2 ~source_space:4096 ()
+  in
+  let make () = Server.create ~registry:(Obs.Registry.create ()) config in
+  let prime srv id =
+    let c = Server.client srv id in
+    for i = 0 to config.warm_capacity - 1 do
+      match Server.acquire srv c ~src:srcs.(id).(i) with
+      | Server.Granted g -> Server.release srv c ~token:g.token
+      | Server.Busy | Server.Shed -> ()
+    done
+  in
+  (* The shared server is built and primed by the main domain, as
+     perfbench does.  A client's own server is built and primed by the
+     client's domain, so none of its blocks sits in a pool next to the
+     other server's: OCaml 5 gives each domain pools of its own. *)
+  let shared_srv = if shared then Some (make ()) else None in
+  Option.iter (fun srv -> prime srv 0; prime srv 1) shared_srv;
+  let ready = Atomic.make 0 in
+  let ds =
+    Array.init 2 (fun id ->
+        Domain.spawn (fun () ->
+            let srv =
+              match shared_srv with
+              | Some srv -> srv
+              | None ->
+                  let srv = make () in
+                  prime srv id;
+                  srv
+            in
+            Atomic.incr ready;
+            while Atomic.get ready < 2 do
+              Domain.cpu_relax ()
+            done;
+            (interference_loop srv (Server.client srv id) srcs.(id) ~warm_ns ~win_ns, srv)))
+  in
+  let runs = Array.map Domain.join ds in
+  let clean (_, srv) =
+    Server.drain_all srv (Server.client srv 0);
+    let r = Runtime.Agg.result (Server.scoreboard srv) in
+    r.violations = 0 && r.leaked = 0 && Server.outstanding srv = 0
+  in
+  ((fst runs.(0) +. fst runs.(1)) /. 2., Array.for_all clean runs)
+
+let run_interference_bench ~smoke () =
+  let nrounds = if smoke then 5 else 10 in
+  let win_ns = if smoke then 200_000_000 else 1_000_000_000 in
+  let warm_ns = if smoke then 50_000_000 else 200_000_000 in
+  Printf.printf
+    "\n=== interference: 2 zipf clients on one server vs one server each (%d rounds \
+     of %d ms)%s ===\n"
+    nrounds (win_ns / 1_000_000)
+    (if smoke then " [smoke]" else "");
+  let srcs =
+    Array.init 2 (fun id ->
+        let draw = Workload.zipf ~stream:id ~s:2048 ~seed:1 () in
+        Array.init 65536 (fun i -> (2048 * id) + draw i))
+  in
+  (* odd rounds run the per-client servers first *)
+  let rounds =
+    Array.init nrounds (fun r ->
+        let arm shared = interference_arm ~shared ~warm_ns ~win_ns srcs in
+        if r land 1 = 0 then
+          let sh = arm true in
+          (sh, arm false)
+        else
+          let sep = arm false in
+          (arm true, sep))
+  in
+  let shared = Array.map (fun ((ns, _), _) -> ns) rounds in
+  let separate = Array.map (fun (_, (ns, _)) -> ns) rounds in
+  let clean = Array.for_all (fun ((_, a), (_, b)) -> a && b) rounds in
+  let ratios = Array.map2 ( /. ) shared separate in
+  let ratio = median ratios in
+  let bound = if smoke then interference_smoke_bound else interference_bound in
+  let fmt_ns a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.0f") a)) in
+  Printf.printf "shared ns/req : %s (median %.0f)\n" (fmt_ns shared) (median shared);
+  Printf.printf "own ns/req    : %s (median %.0f)\n" (fmt_ns separate) (median separate);
+  print_overhead ratios ratio;
+  let floats a = "[" ^ String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.1f") a)) ^ "]" in
+  let json =
+    Printf.sprintf
+      "{\"id\":\"interference\",\"smoke\":%b,%s,\"rounds\":%d,\"window_ms\":%d,\"shared_ns\":%s,\"separate_ns\":%s,\"shared_median_ns\":%.1f,\"separate_median_ns\":%.1f,\"ratios\":%s,\"ratio\":%.3f,\"bound\":%.2f,\"clean\":%b}\n"
+      smoke (host_json ()) nrounds (win_ns / 1_000_000) (floats shared) (floats separate)
+      (median shared) (median separate) (ratios_json ratios) ratio bound clean
+  in
+  let oc = open_out "BENCH_interference.json" in
+  output_string oc json;
+  close_out oc;
+  print_endline "wrote BENCH_interference.json";
+  if not clean then print_endline "correctness   : FAILED (violation, leak or name outstanding)";
+  (* a NaN ratio means no round measured anything: it fails *)
+  let ok = (not (Float.is_nan ratio)) && ratio <= bound in
+  Printf.printf "gate          : %.2fx <= %.2fx -> %s\n" ratio bound
+    (if ok then "OK" else "FAILED");
+  clean && ok
 
 (* ----- chaos: availability under the fault campaign ----- *)
 
@@ -1058,6 +1210,9 @@ let () =
       else if String.equal id "server" then begin
         if not (run_server_bench ~smoke ~rebaseline ()) then incr failures
       end
+      else if String.equal id "interference" then begin
+        if not (run_interference_bench ~smoke ()) then incr failures
+      end
       else if String.equal id "chaos" then begin
         if not (run_chaos_bench ~smoke ~rebaseline ()) then incr failures
       end
@@ -1070,7 +1225,7 @@ let () =
       else
         match Experiments.find id with
         | None ->
-            Printf.eprintf "unknown experiment %S (known: e1..e13, wall, modelcheck, obs, trace, server, chaos, shootout, trend)\n"
+            Printf.eprintf "unknown experiment %S (known: e1..e13, wall, modelcheck, obs, trace, server, interference, chaos, shootout, trend)\n"
               id
         | Some run ->
             let r = run () in

@@ -360,7 +360,6 @@ let domains protocol k s cycles =
   (match r.first_violation with
   | Some m -> Fmt.pr "first violation: %s@." m
   | None -> ());
-  Fmt.pr "max concurrent : %d@." r.max_concurrent;
   let contended = List.filter (fun (_, m) -> m > 1) r.max_concurrent_by_name in
   if contended <> [] then
     Fmt.pr "double-held    : %a@."

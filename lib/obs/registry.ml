@@ -52,6 +52,13 @@ let find_or tbl name make =
 let counter s name = find_or s.counters name Counter.create
 let gauge s name = find_or s.gauges name Gauge.create
 let histogram s name = find_or s.histograms name Histogram.create
+
+let adopt_histogram s name h =
+  (match Hashtbl.find_opt s.histograms name with
+  | Some old when old != h -> Histogram.merge ~into:h old
+  | Some _ | None -> ());
+  Hashtbl.replace s.histograms name h
+
 let inc s name = Counter.incr (counter s name)
 let count s name v = Counter.add (counter s name) v
 let observe s name v = Histogram.observe (histogram s name) v

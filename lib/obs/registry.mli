@@ -45,6 +45,13 @@ val counter : shard -> string -> Counter.t
 val gauge : shard -> string -> Gauge.t
 val histogram : shard -> string -> Histogram.t
 
+val adopt_histogram : shard -> string -> Histogram.t -> unit
+(** [adopt_histogram s name h] makes [h] the shard's histogram [name]:
+    whatever was already recorded under [name] is merged into [h], and
+    from then on {!histogram} and {!snapshot} find [h].  For a writer
+    that builds a hot histogram itself, e.g. on cache lines of its own
+    ([Shared_mem.Pad.copy_as_padded]), and registers it on first use. *)
+
 val inc : shard -> string -> unit
 val count : shard -> string -> int -> unit
 val observe : shard -> string -> int -> unit

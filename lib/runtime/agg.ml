@@ -1,11 +1,11 @@
+module Pad = Shared_mem.Pad
+
 type t = {
   name_space : int;
   holders : Pad.t;
   name_max : Pad.t;
   violations : int Atomic.t;
   first_violation : string option Atomic.t;
-  concurrent : int Atomic.t;
-  max_concurrent : int Atomic.t;
   cycles_done : Pad.t;
   normal_done : int Atomic.t;
   normal_total : int;
@@ -14,7 +14,6 @@ type t = {
 type result = {
   cycles_done : int array;
   violations : int;
-  max_concurrent : int;
   max_concurrent_by_name : (int * int) list;
   first_violation : string option;
   leaked : int;
@@ -31,8 +30,6 @@ let create ~name_space ~workers ~parked =
     name_max = Pad.create name_space 0;
     violations = Atomic.make 0;
     first_violation = Atomic.make None;
-    concurrent = Atomic.make 0;
-    max_concurrent = Atomic.make 0;
     cycles_done = Pad.create workers 0;
     normal_done = Atomic.make 0;
     normal_total;
@@ -57,11 +54,9 @@ let acquired (t : t) ~worker ~name =
     bump_max (Pad.cells t.name_max).(name) held;
     if held > 1 then
       note_violation t (Printf.sprintf "name %d held by %d workers at once" name held)
-  end;
-  bump_max t.max_concurrent (1 + Atomic.fetch_and_add t.concurrent 1)
+  end
 
 let released (t : t) ~name =
-  Atomic.decr t.concurrent;
   if name >= 0 && name < t.name_space then
     ignore (Atomic.fetch_and_add (Pad.cells t.holders).(name) (-1))
 
@@ -81,7 +76,6 @@ let result ?(reclaimed = 0) (t : t) =
   {
     cycles_done = Array.init (Pad.length t.cycles_done) (Pad.get t.cycles_done);
     violations = Atomic.get t.violations;
-    max_concurrent = Atomic.get t.max_concurrent;
     max_concurrent_by_name;
     first_violation = Atomic.get t.first_violation;
     leaked = !leaked;

@@ -1,15 +1,18 @@
 (** Shared result-aggregation state for multi-domain runs.
 
     One value of {!t} is the cross-domain scoreboard of a run: the
-    per-name holder counters behind the on-line uniqueness monitor,
-    the concurrency high-water marks, per-worker cycle counts and the
-    first-violation record.  The name server ([lib/server]) scores
+    per-name holder counters and high-water marks behind the on-line
+    uniqueness monitor, per-worker cycle counts and the first-violation
+    record.  The name server ([lib/server]) scores
     its clients here; every real-domain run, bare protocol runs
     included, is a name-server run.
 
     The hot arrays (per-name holders and maxima, per-worker cycle
-    counters) are {!Pad}-spaced so contended updates to different
-    names do not false-share cache lines.
+    counters) are {!Shared_mem.Pad}-spaced so contended updates to
+    different names do not false-share cache lines.  An acquisition
+    or release touches only its own name's cells: the scoreboard keeps
+    no run-wide count that every grant would update, so two workers
+    holding different names never write a common line.
 
     All updates are safe from any domain. *)
 
@@ -20,7 +23,6 @@ type result = {
   violations : int;
       (** Times a name was observed held by two workers at once, or a
           name fell outside [\[0, name_space)]. *)
-  max_concurrent : int;  (** High-water mark of names held at once. *)
   max_concurrent_by_name : (int * int) list;
       (** [(name, high-water mark of simultaneous holders)] for every
           name ever held, ascending by name; any mark above [1] is a
@@ -52,14 +54,13 @@ val note_violation : t -> string -> unit
 
 val acquired : t -> worker:int -> name:int -> unit
 (** Score one acquisition by worker index [worker]: bump the holder
-    count and per-name maximum of [name] (flagging double-holds and
-    out-of-range names as violations) and the concurrency high-water
-    mark. *)
+    count and per-name maximum of [name], flagging double-holds and
+    out-of-range names as violations. *)
 
 val released : t -> name:int -> unit
-(** Score the matching release: drop the holder and concurrency
-    counts.  Call {e before} the protocol-level release, mirroring
-    {!acquired} being called after the grant. *)
+(** Score the matching release: drop the holder count.  Call
+    {e before} the protocol-level release, mirroring {!acquired} being
+    called after the grant. *)
 
 val cycle_done : t -> int -> unit
 (** One full acquire/release cycle completed by this worker index. *)

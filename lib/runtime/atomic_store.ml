@@ -2,7 +2,11 @@ open Shared_mem
 
 type t = int Atomic.t array
 
-let create layout = Array.map Atomic.make (Layout.initial_values layout)
+(* Each register is a padded cell: registers of different shards'
+   stores land in the same pool of the major heap, where 2-word
+   [Atomic] blocks would share a line four to one. *)
+let create layout =
+  Array.map (fun v -> Pad.copy_as_padded (Atomic.make v)) (Layout.initial_values layout)
 
 let rec cas_loop cell f =
   let old = Atomic.get cell in

@@ -1,11 +1,12 @@
 (** Shared-register storage for real parallelism.
 
-    One [Atomic.t] per register; OCaml atomics are sequentially
-    consistent, which is strictly stronger than the atomic
-    single-register reads/writes the paper assumes, so every protocol
-    correct in the paper's model is correct here.  The same protocol
-    code that runs under the simulator runs across OS domains through
-    the {!ops} capability. *)
+    One [Atomic.t] per register, each a {!Shared_mem.Pad} cell on
+    cache lines of its own, so a write to one register never moves
+    another's line.  OCaml atomics are sequentially consistent, which
+    is strictly stronger than the atomic single-register reads/writes
+    the paper assumes, so every protocol correct in the paper's model
+    is correct here.  The same protocol code that runs under the
+    simulator runs across OS domains through the {!ops} capability. *)
 
 type t
 

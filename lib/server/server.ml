@@ -1,7 +1,27 @@
+(* Cross-client isolation.  Every word a client writes on its request
+   path is its own, on cache lines no other client reads or writes:
+   - per-client state is a {!Pad.copy_as_padded} block: the client
+     record (which holds the client's counts, published to the
+     registry only when a snapshot runs), its access tally (which pads
+     itself), its flight ring and probe attribution, and its two
+     access histograms, which the registry adopts on first use;
+   - per-slot and per-client atomics (fences, heartbeats, epochs) and
+     every shard's protocol registers are {!Pad} cells, and each
+     slot's plain fields sit [slot_stride] words apart;
+   - the scoreboard ({!Agg}) keeps no run-wide counter: a grant and
+     its retirement touch only their own name's cells.
+   Every padded block is built by [create], in the domain that builds
+   the server, and its padding is part of the block, so the rule
+   survives promotion into any pool, and no client domain allocates
+   one.  Two exceptions, measured and left alone: a source's claim is
+   written by whichever client claims it (shared by design), and each
+   client's per-shard [ops] records.  The seat holder's scan state is
+   written once per scan, not per request. *)
+
 module Store = Shared_mem.Store
 module Layout = Shared_mem.Layout
 module Any = Renaming.Protocol.Any
-module Pad = Runtime.Pad
+module Pad = Shared_mem.Pad
 module Agg = Runtime.Agg
 module Atomic_store = Runtime.Atomic_store
 module Health = Health
@@ -92,11 +112,13 @@ let fence_epoch f = f lsr lease_shift
 
 type shard = { inst : Any.t; base : int }
 
+(* Built as a {!Pad.copy_as_padded} block: the mutable fields below are
+   written on every request, and another client's record may sit next
+   to this one in the heap. *)
 type client = {
   id : int;
   obs : Obs.Registry.shard option;
-  hot_counters : Obs.Counter.t array;  (* see [hot_count] *)
-  hot_hists : Obs.Histogram.t array;
+  hot_hists : Obs.Histogram.t array;  (* padded; see [hot_observe] *)
   ring : Obs.Flight.t option;
   flight_pid : int ref;
       (* the client id this client's probes record under: its own,
@@ -248,57 +270,37 @@ let in_use t sh = t.cfg.k_per_shard - count_fences t sh fence_free
 
 let obs_inc c name = match c.obs with Some o -> Obs.Registry.inc o name | None -> ()
 
-(* The request path's metrics go through handles each client resolves
-   on first use: a by-name update hashes the name and allocates.
-   Resolving lazily keeps a metric that is never updated out of the
-   registry, as a by-name update would. *)
-let h_acquired = 0
-let h_warm_hits = 1
-let h_busy = 2
-let h_shed = 3
-let h_drains = 4
-let h_drained = 5
-
-let hot_counter_names =
+(* The client's per-request counts live in its own padded record; the
+   registry sees them as deltas, pushed into the client's shard when a
+   snapshot runs.  A count that never moves stays out of the registry,
+   as a by-name update would keep it. *)
+let published_names =
   [| "server.acquired"; "server.warm_hits"; "server.busy"; "server.shed";
-     "server.drains"; "server.drained" |]
+     "server.drains"; "server.drained"; "server.fenced" |]
 
+let publish (c : client) o last =
+  Array.iteri
+    (fun i v ->
+      if v > last.(i) then begin
+        Obs.Registry.count o published_names.(i) (v - last.(i));
+        last.(i) <- v
+      end)
+    [| c.acquires; c.warm_hits; c.busy; c.shed; c.drains; c.drained; c.fenced |]
+
+(* The request path's histograms are padded copies built with the
+   client, in the domain that builds the server.  Each joins the
+   registry on its first observation (an empty one has not joined
+   yet), so one that is never updated stays out of it too. *)
 let h_cold_accesses = 0
 let h_warm_accesses = 1
 let hot_hist_names = [| "server.acquire.accesses.cold"; "server.acquire.accesses.warm" |]
-
-(* placeholders for a handle not resolved yet, compared physically *)
-let unresolved_counter = Obs.Counter.create ()
-let unresolved_hist = Obs.Histogram.create ()
-
-let hot_count c h n =
-  match c.obs with
-  | None -> ()
-  | Some o ->
-      let x = c.hot_counters.(h) in
-      let x =
-        if x != unresolved_counter then x
-        else begin
-          let x = Obs.Registry.counter o hot_counter_names.(h) in
-          c.hot_counters.(h) <- x;
-          x
-        end
-      in
-      Obs.Counter.add x n
 
 let hot_observe c h v =
   match c.obs with
   | None -> ()
   | Some o ->
       let x = c.hot_hists.(h) in
-      let x =
-        if x != unresolved_hist then x
-        else begin
-          let x = Obs.Registry.histogram o hot_hist_names.(h) in
-          c.hot_hists.(h) <- x;
-          x
-        end
-      in
+      if Obs.Histogram.count x = 0 then Obs.Registry.adopt_histogram o hot_hist_names.(h) x;
       Obs.Histogram.observe x v
 
 let mark c tag v =
@@ -372,7 +374,6 @@ let check_epoch t (c : client) =
   else begin
     resync t c e;
     c.fenced <- c.fenced + 1;
-    obs_inc c "server.fenced";
     true
   end
 
@@ -443,9 +444,7 @@ let drain_shard ?(t0 = 0) t (c : client) sh =
     done;
     if !n > 0 then begin
       c.drains <- c.drains + 1;
-      hot_count c h_drains 1;
       c.drained <- c.drained + !n;
-      hot_count c h_drained !n;
       mark c "drain" !n;
       jblame c Obs.Journey.Drain t0
     end
@@ -484,8 +483,7 @@ let flush_warm_shard t c sh =
     if slot_shard t slot = sh then begin
       if not (Atomic.compare_and_set t.fence.(slot) wf fence_pending) then begin
         (* reclaimed from the cache behind our back — already retired *)
-        c.fenced <- c.fenced + 1;
-        obs_inc c "server.fenced"
+        c.fenced <- c.fenced + 1
       end
     end
     else begin
@@ -569,8 +567,6 @@ let[@inline] warm_grant t c slot =
   c.acquires <- c.acquires + 1;
   c.held_n <- c.held_n + 1;
   c.warm_hits <- c.warm_hits + 1;
-  hot_count c h_acquired 1;
-  hot_count c h_warm_hits 1;
   hot_observe c h_warm_accesses 0;
   (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
   mark c "warm" (slot_name t slot);
@@ -610,7 +606,6 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   | None -> ());
   c.acquires <- c.acquires + 1;
   c.held_n <- c.held_n + 1;
-  hot_count c h_acquired 1;
   hot_observe c h_cold_accesses accesses;
   Granted { name; token; warm = false; accesses }
 
@@ -635,7 +630,6 @@ let acquire_cold t c ~src =
     end
     else begin
       c.busy <- c.busy + 1;
-      hot_count c h_busy 1;
       Busy
     end
   end
@@ -649,7 +643,6 @@ let acquire_cold t c ~src =
     if slot < 0 then begin
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       c.shed <- c.shed + 1;
-      hot_count c h_shed 1;
       Shed
     end
     else if Pad.get t.epoch c.id <> c.my_epoch then begin
@@ -660,7 +653,6 @@ let acquire_cold t c ~src =
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (check_epoch t c : bool);
       c.busy <- c.busy + 1;
-      hot_count c h_busy 1;
       Busy
     end
     else cold_grant ~t0:(if first >= 0 then tc else 0) t c ~src ~sh ~slot
@@ -684,7 +676,6 @@ let acquire t c ~src =
     else begin
       (* the lease was reclaimed out of our cache — fall to cold *)
       c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced";
       acquire_cold t c ~src
     end
   end
@@ -731,8 +722,7 @@ let release t c ~token =
       if check_epoch t c then returned c
       else if c.stale_n > 0 then begin
         c.stale_n <- c.stale_n - 1;
-        c.fenced <- c.fenced + 1;
-        obs_inc c "server.fenced"
+        c.fenced <- c.fenced + 1
       end
       else invalid_arg "Server.release: not a token this client holds";
       jblame c Obs.Journey.Release jt0
@@ -751,7 +741,6 @@ let release t c ~token =
           end
           else begin
             c.fenced <- c.fenced + 1;
-            obs_inc c "server.fenced";
             false
           end
         in
@@ -764,7 +753,6 @@ let release t c ~token =
         pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c slot
       else begin
         c.fenced <- c.fenced + 1;
-        obs_inc c "server.fenced";
         jblame c Obs.Journey.Release jt0
       end
     end
@@ -773,7 +761,6 @@ let release t c ~token =
          and re-synced meanwhile) — the lease is already retired *)
       returned c;
       c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced";
       jblame c Obs.Journey.Release jt0
     end
 
@@ -1052,16 +1039,17 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         let ring =
           Option.map
             (fun f ->
-              Obs.Flight.create
-                ~capacity:(max 1024 (Obs.Flight.capacity f / cfg.clients))
-                ())
+              Pad.copy_as_padded
+                (Obs.Flight.create
+                   ~capacity:(max 1024 (Obs.Flight.capacity f / cfg.clients))
+                   ()))
             flight
         in
         (* one tally across all shard stores: it serves the cost and
            flight paths, and with a registry also the per-group
            counters *)
         let tally = Store.tally ?shard:obs () in
-        let flight_pid = ref id in
+        let flight_pid = Pad.copy_as_padded (ref id) in
         let probe =
           Option.map
             (fun r ->
@@ -1079,35 +1067,48 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
               match probe with Some p -> Store.probed p o | None -> o)
             stores
         in
-        {
-          id;
+        let hot_hists =
+          if Option.is_none obs then [||]
+          else Array.map (fun _ -> Pad.copy_as_padded (Obs.Histogram.create ())) hot_hist_names
+        in
+        let c =
+          Pad.copy_as_padded
+            {
+              id;
+              obs;
+              hot_hists;
+              ring;
+              flight_pid;
+              jr = Option.map (fun a -> a.(id)) journeys;
+              ops;
+              tally;
+              warm_src = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
+              warm_slot = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
+              warm_n = 0;
+              my_epoch = 0;
+              held_n = 0;
+              stale_n = 0;
+              tend_count = 0;
+              last_seat_hb = 0;
+              seat_stale = 0;
+              last_seat_check_ns = 0;
+              chaos = None;
+              acquires = 0;
+              warm_hits = 0;
+              busy = 0;
+              shed = 0;
+              drains = 0;
+              drained = 0;
+              fenced = 0;
+            }
+        in
+        (* the hook reads the padded record, the one the client writes *)
+        Option.iter
+          (fun o ->
+            let last = Array.make (Array.length published_names) 0 in
+            Obs.Registry.on_snapshot o (fun () -> publish c o last))
           obs;
-          hot_counters = Array.make (Array.length hot_counter_names) unresolved_counter;
-          hot_hists = Array.make (Array.length hot_hist_names) unresolved_hist;
-          ring;
-          flight_pid;
-          jr = Option.map (fun a -> a.(id)) journeys;
-          ops;
-          tally;
-          warm_src = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
-          warm_slot = Array.make (max (2 * Pad.line_words) cfg.warm_capacity) (-1);
-          warm_n = 0;
-          my_epoch = 0;
-          held_n = 0;
-          stale_n = 0;
-          tend_count = 0;
-          last_seat_hb = 0;
-          seat_stale = 0;
-          last_seat_check_ns = 0;
-          chaos = None;
-          acquires = 0;
-          warm_hits = 0;
-          busy = 0;
-          shed = 0;
-          drains = 0;
-          drained = 0;
-          fenced = 0;
-        })
+        c)
   in
   {
     cfg;
@@ -1155,6 +1156,7 @@ type client_stats = {
   drains : int;
   drained_releases : int;
   fenced : int;
+  accesses : int;
 }
 
 let client_stats (c : client) =
@@ -1166,6 +1168,7 @@ let client_stats (c : client) =
     drains = c.drains;
     drained_releases = c.drained;
     fenced = c.fenced;
+    accesses = Store.tally_total c.tally;
   }
 
 let client_obs c = c.obs

@@ -84,13 +84,21 @@ module Policy = Policy
 
 type resilience = {
   scan_interval_ns : int;
-      (** Wall-clock spacing between reclaimer scans ([0] = every
-          eligible {!tend}). *)
+      (** Least wall-clock spacing between reclaimer scans ([0] = every
+          eligible {!tend}).  The seat holder reads the clock only on
+          every [tend_every]-th {!tend} of its own, so scans come at
+          whichever pace is slower: one per [scan_interval_ns], or one
+          per [tend_every] of the holder's tends.  A holder that tends
+          every 50 µs scans every 1.6 ms at the defaults, not every
+          1 ms, and a death takes [lease_ttl] of those scans to
+          declare. *)
   lease_ttl : int;
       (** Scans without a heartbeat before a client is declared dead. *)
   seat_ttl : int;
       (** Silent scan intervals before the reclaimer seat is stolen. *)
-  tend_every : int;  (** {!tend} calls between seat/epoch checks. *)
+  tend_every : int;
+      (** {!tend} calls between seat/epoch checks, and so between the
+          seat holder's clock reads (see [scan_interval_ns]). *)
   drain_stale : int;
       (** Scans one lease may sit pending before the seat drains its
           shard (see {!Health}). *)
@@ -228,8 +236,10 @@ val outstanding : t -> int
 
 val tend : t -> client -> unit
 (** Heartbeat + seat duty.  Cheap when off-duty: one atomic increment
-    per call, seat logic only every [tend_every] calls and at most
-    once per [scan_interval_ns]. *)
+    per call, seat logic only every [tend_every] calls.  The seat
+    holder scans on such a call when [scan_interval_ns] has passed
+    since its last scan, so its scans are spaced by the slower of
+    [scan_interval_ns] and [tend_every] of its own calls. *)
 
 val scan : t -> client -> unit
 (** Seize the seat unconditionally and run one scan now — for tests
@@ -320,6 +330,11 @@ type client_stats = {
   drains : int;  (** Times this client drained a shard. *)
   drained_releases : int;  (** Protocol releases it executed doing so. *)
   fenced : int;  (** Operations absorbed by this client's epoch fence. *)
+  accesses : int;
+      (** Shared accesses made through this client's stores: its cold
+          grants, and the releases and reclaims it ran, on its own
+          behalf or another's.  The registry's [store.*] totals, summed
+          over clients, equal this sum after a snapshot. *)
 }
 
 val client_stats : client -> client_stats

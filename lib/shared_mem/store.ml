@@ -54,8 +54,14 @@ let tally_flush t =
             done
       done
 
+(* [total] is bumped on every access: the record is a {!Pad} copy, so
+   another writer's arena never shares its line.  The snapshot hook
+   below captures the copy, the record the writer updates. *)
 let tally ?shard () =
-  let t = { slots = [||]; flushed = [||]; cells = [||]; total = 0; mark = 0; bound = shard } in
+  let t =
+    Pad.copy_as_padded
+      { slots = [||]; flushed = [||]; cells = [||]; total = 0; mark = 0; bound = shard }
+  in
   (match shard with
   | None -> ()
   | Some sh ->

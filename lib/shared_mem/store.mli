@@ -47,7 +47,8 @@ type ops = {
     ([tally_mark]/[tally_since]) and the flight recorder's logical
     clock ([tally_total]).  Several [ops] may share one tally (e.g. one
     per server shard store).  Single-writer, like every registry
-    shard. *)
+    shard; its running total sits on cache lines of its own
+    ({!Pad.copy_as_padded}), so two writers' arenas never false-share. *)
 
 type tally
 

@@ -25,9 +25,9 @@ let test_atomic_store () =
    blocks do not move without [Gc.compact], so the addresses read
    after the collection are stable. *)
 let test_pad_survives_promotion () =
-  let pad = Runtime.Pad.create 4 0 in
+  let pad = Pad.create 4 0 in
   Gc.full_major ();
-  let cells = Runtime.Pad.cells pad in
+  let cells = Pad.cells pad in
   (* a block pointer read as an int is its byte address halved *)
   let addr c = 2 * (Obj.magic (c : int Atomic.t) : int) in
   Array.iteri
@@ -41,7 +41,7 @@ let test_pad_survives_promotion () =
               (abs (addr a - addr b) >= 64))
         cells)
     cells;
-  Alcotest.(check int) "length" 4 (Runtime.Pad.length pad);
+  Alcotest.(check int) "length" 4 (Pad.length pad);
   let c = cells.(1) in
   Atomic.set c 5;
   Alcotest.(check int) "set/get" 5 (Atomic.get c);
@@ -49,9 +49,56 @@ let test_pad_survives_promotion () =
   Alcotest.(check bool) "cas miss" false (Atomic.compare_and_set c 5 7);
   Alcotest.(check int) "fetch_and_add returns old" 6 (Atomic.fetch_and_add c 10);
   Alcotest.(check int) "exchange returns old" 16 (Atomic.exchange c 3);
-  Alcotest.(check int) "Pad.get sees the cell" 3 (Runtime.Pad.get pad 1);
+  Alcotest.(check int) "Pad.get sees the cell" 3 (Pad.get pad 1);
   Alcotest.(check (list int)) "neighbours untouched" [ 0; 0; 0 ]
-    (List.map (Runtime.Pad.get pad) [ 0; 2; 3 ])
+    (List.map (Pad.get pad) [ 0; 2; 3 ])
+
+(* A padded copy is the original, field by field, in a block at least
+   two lines long with a line's worth of spare words after the fields;
+   writes through it land in the copy, and two copies' fields stay a
+   line apart once promoted. *)
+type padded_probe = { tag : int; mutable name : string; mutable hits : int list }
+type shape = Plain | Pair of int * string
+
+let test_copy_as_padded () =
+  let r = { tag = 1; name = "x"; hits = [ 2; 3 ] } in
+  let p = Pad.copy_as_padded r and p' = Pad.copy_as_padded r in
+  let o = Obj.repr r and q = Obj.repr p in
+  Alcotest.(check int) "same tag" (Obj.tag o) (Obj.tag q);
+  for i = 0 to Obj.size o - 1 do
+    Alcotest.(check bool) (Printf.sprintf "field %d is the original's" i) true
+      (Obj.field o i == Obj.field q i)
+  done;
+  Alcotest.(check bool) "spans at least two lines" true
+    (Obj.size q + 1 >= 2 * Pad.line_words);
+  Alcotest.(check bool) "a line of spare words after the fields" true
+    (Obj.size q - Obj.size o >= Pad.line_words - 1);
+  p.name <- "y";
+  p.hits <- [];
+  Gc.full_major ();
+  Alcotest.(check string) "write visible through the copy" "y" p.name;
+  Alcotest.(check (list int)) "second write visible" [] p.hits;
+  Alcotest.(check string) "original untouched" "x" r.name;
+  Alcotest.(check int) "immutable field kept" 1 p.tag;
+  let addr x = 2 * (Obj.magic x : int) in
+  Alcotest.(check bool) "two copies' fields a line apart" true
+    (abs (addr p - addr p') >= 8 * (Obj.size o + Pad.line_words));
+  (* a block longer than a line, and a constructor with a tag of its own *)
+  let big = Obj.repr (Pad.copy_as_padded (Array.init 20 Fun.id)) in
+  Alcotest.(check bool) "long block: fields kept, spare line added" true
+    (Obj.size big >= 20 + Pad.line_words - 1
+    && List.for_all (fun i -> (Obj.obj (Obj.field big i) : int) = i) (List.init 20 Fun.id));
+  (match Pad.copy_as_padded (Pair (4, "four")) with
+  | Pair (4, "four") -> ()
+  | Pair _ | Plain -> Alcotest.fail "constructor and arguments kept");
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "immediate rejected" (fun () -> ignore (Pad.copy_as_padded Plain : shape));
+  rejects "string rejected" (fun () -> ignore (Pad.copy_as_padded "abc" : string));
+  rejects "closure rejected" (fun () ->
+      ignore (Pad.copy_as_padded (fun x -> x + r.tag) : int -> int))
 
 (* [backend] builds the protocol under test inside the run's one
    shard; SPLIT when omitted. *)
@@ -71,8 +118,7 @@ let test_split_domains () =
   let k = 4 in
   let pids = Array.init k (fun i -> (i * 10_003) + 1) in
   let r = bare ~k ~s:40_013 ~pids ~cycles:200 () in
-  check_clean ~cycles:200 r;
-  Alcotest.(check bool) "some overlap plausible" true (r.max_concurrent >= 1)
+  check_clean ~cycles:200 r
 
 let test_filter_domains () =
   let k = 3 and d = 1 and z = 5 and s = 25 in
@@ -180,6 +226,7 @@ let () =
           Alcotest.test_case "atomic store" `Quick test_atomic_store;
           Alcotest.test_case "padding survives promotion" `Quick
             test_pad_survives_promotion;
+          Alcotest.test_case "padded copy keeps the fields" `Quick test_copy_as_padded;
         ] );
       ( "domains",
         [

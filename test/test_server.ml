@@ -563,6 +563,74 @@ let settle t =
 let sum_stats t ids f =
   List.fold_left (fun a id -> a + f (Server.client_stats (Server.client t id))) 0 ids
 
+(* A client's per-request counts, access histograms and access arena
+   sit in padded blocks of its own: the registry must read those, not
+   blocks the server stopped writing.  Two clients share one server and
+   a registry; even requests re-ask a source of their own (warm hits),
+   odd ones draw from a shared range (cold grants, Busy and drains of
+   the other's releases). *)
+let test_hot_metrics_reach_registry () =
+  let registry = Obs.Registry.create () in
+  let t = Server.create ~registry (cfg ~clients:2 ~s:256 ()) in
+  let gate = start_gate 2 in
+  let churn id =
+    Domain.spawn (fun () ->
+        let c = Server.client t id in
+        gate ();
+        let seed = ref (id + 1) in
+        for i = 1 to 5_000 do
+          seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
+          let src = if i land 1 = 0 then id else 2 + ((!seed lsr 8) land 63) in
+          (match Server.acquire t c ~src with
+          | Server.Granted g -> Server.release t c ~token:g.token
+          | Server.Busy | Server.Shed -> ());
+          Server.tend t c
+        done;
+        Server.flush t c)
+  in
+  let ds = [ churn 0; churn 1 ] in
+  List.iter Domain.join ds;
+  let snap = Obs.Registry.snapshot registry in
+  let counter n = Option.value ~default:0 (List.assoc_opt n snap.Obs.Registry.counters) in
+  let hist_count n =
+    match List.assoc_opt n snap.Obs.Registry.histograms with
+    | Some h -> h.Obs.Histogram.count
+    | None -> 0
+  in
+  let sum f = sum_stats t [ 0; 1 ] f in
+  let acquired = sum (fun s -> s.Server.acquires) in
+  let warm = sum (fun s -> s.Server.warm_hits) in
+  Alcotest.(check bool) "both paths ran" true (warm > 0 && acquired > warm);
+  List.iter
+    (fun (name, f) -> Alcotest.(check int) name (sum f) (counter name))
+    Server.
+      [
+        ("server.acquired", fun s -> s.acquires);
+        ("server.warm_hits", fun s -> s.warm_hits);
+        ("server.busy", fun s -> s.busy);
+        ("server.shed", fun s -> s.shed);
+        ("server.drains", fun s -> s.drains);
+        ("server.drained", fun s -> s.drained_releases);
+        ("server.fenced", fun s -> s.fenced);
+      ];
+  Alcotest.(check int) "warm accesses histogram count" warm
+    (hist_count "server.acquire.accesses.warm");
+  Alcotest.(check int) "cold accesses histogram count" (acquired - warm)
+    (hist_count "server.acquire.accesses.cold");
+  Alcotest.(check int) "store.* totals"
+    (sum (fun s -> s.Server.accesses))
+    (counter "store.reads" + counter "store.writes" + counter "store.rmws");
+  (* and the histograms the registry reads are the padded ones *)
+  List.iter
+    (fun id ->
+      let sh = Option.get (Server.client_obs (Server.client t id)) in
+      let words x = Obj.size (Obj.repr x) + 1 in
+      Alcotest.(check bool) "registry holds padded histograms" true
+        (List.for_all
+           (fun n -> words (Obs.Registry.histogram sh n) >= 2 * Shared_mem.Pad.line_words)
+           [ "server.acquire.accesses.cold"; "server.acquire.accesses.warm" ]))
+    [ 0; 1 ]
+
 let test_drain_reclaim_race () =
   (* regression: pending slots drained by a live drainer while the
      reclaimer drains the same shard must retire each exactly once.  A
@@ -894,6 +962,8 @@ let () =
         [
           Alcotest.test_case "warm cache vs stealer" `Quick test_warm_vs_stealer;
           Alcotest.test_case "releases survive the join" `Quick test_join_drain;
+          Alcotest.test_case "hot metrics reach the registry" `Quick
+            test_hot_metrics_reach_registry;
           Alcotest.test_case "fault campaign on one shard" `Quick
             test_fault_campaign_one_shard;
         ] );
