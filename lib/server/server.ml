@@ -274,18 +274,26 @@ let obs_inc c name = match c.obs with Some o -> Obs.Registry.inc o name | None -
    registry sees them as deltas, pushed into the client's shard when a
    snapshot runs.  A count that never moves stays out of the registry,
    as a by-name update would keep it. *)
-let published_names =
-  [| "server.acquired"; "server.warm_hits"; "server.busy"; "server.shed";
-     "server.drains"; "server.drained"; "server.fenced" |]
+let published : (string * (client -> int)) array =
+  [|
+    ("server.acquired", fun c -> c.acquires);
+    ("server.warm_hits", fun c -> c.warm_hits);
+    ("server.busy", fun c -> c.busy);
+    ("server.shed", fun c -> c.shed);
+    ("server.drains", fun c -> c.drains);
+    ("server.drained", fun c -> c.drained);
+    ("server.fenced", fun c -> c.fenced);
+  |]
 
-let publish (c : client) o last =
+let publish c o last =
   Array.iteri
-    (fun i v ->
+    (fun i (name, count) ->
+      let v = count c in
       if v > last.(i) then begin
-        Obs.Registry.count o published_names.(i) (v - last.(i));
+        Obs.Registry.count o name (v - last.(i));
         last.(i) <- v
       end)
-    [| c.acquires; c.warm_hits; c.busy; c.shed; c.drains; c.drained; c.fenced |]
+    published
 
 (* The request path's histograms are padded copies built with the
    client, in the domain that builds the server.  Each joins the
@@ -1105,7 +1113,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         (* the hook reads the padded record, the one the client writes *)
         Option.iter
           (fun o ->
-            let last = Array.make (Array.length published_names) 0 in
+            let last = Array.make (Array.length published) 0 in
             Obs.Registry.on_snapshot o (fun () -> publish c o last))
           obs;
         c)
