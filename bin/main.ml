@@ -1307,7 +1307,7 @@ let server_chaos matrix requests json =
         let sum g = List.fold_left (fun s o -> s + g o) 0 runs in
         Fmt.pr
           "%-16s %s  %d runs, min avail %.3f, %d reclaimed (max %d scans), %d \
-           deaths, %d steals@."
+           deaths@."
           (Campaign.chaos_fault_name f)
           (if List.for_all (fun o -> o.Campaign.co_ok) runs then "ok    "
            else "FAILED")
@@ -1317,8 +1317,7 @@ let server_chaos matrix requests json =
              1.0 runs)
           (sum (fun o -> o.Campaign.co_reclaimed))
           (List.fold_left (fun m o -> max m o.Campaign.co_reclaim_scans) 0 runs)
-          (sum (fun o -> o.Campaign.co_deaths))
-          (sum (fun o -> o.Campaign.co_seat_steals)))
+          (sum (fun o -> o.Campaign.co_deaths)))
       Campaign.chaos_faults;
     Fmt.pr "chaos verdict  : %s (%d cells, %d seeds)@."
       (if ok then "OK" else "FAILED")
@@ -1458,12 +1457,12 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
         let rs = report.Churn.resilience and oc = report.Churn.outcomes in
         let resilience_json =
           Printf.sprintf
-            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"seat_steals":%d,"fenced":%d},"settle_scans":%d|}
+            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"fenced":%d},"settle_scans":%d|}
             oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
             oc.Churn.shed_policy oc.Churn.shed_early rs.Server.scans
             rs.Server.deaths rs.Server.reclaimed rs.Server.claims_swept
-            rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.seat_steals
-            rs.Server.fenced report.Churn.settle_scans
+            rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.fenced
+            report.Churn.settle_scans
         in
         Fmt.pr
           {|{"schema":"renaming.server/v1","config":{"shards":%d,"k_per_shard":%d,"source_space":%d,"warm_capacity":%d,"batch":%d,"clients":%d},"requests_per_client":%d,"cycles":%d,"elapsed_s":%.6f,"acquires_per_sec":%.0f,"acquires":%d,"warm_hits":%d,"busy":%d,"shed":%d,"drains":%d,"drained_releases":%d,"latency_ns":%s,"latency_open_ns":%s,"latency_closed_ns":%s,"cold_accesses":%s,"warm_accesses":%s,"violations":%d,"leaked":%d,"outstanding":%d,"sampler_ticks":%d%s%s%s}@.|}
@@ -1508,10 +1507,9 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
           oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
           oc.Churn.shed_policy oc.Churn.shed_early;
         Fmt.pr "resilience     : %d scans, %d deaths, %d reclaimed (max %d \
-                scans), %d heals, %d steals, %d fenced@."
+                scans), %d heals, %d fenced@."
           rs.Server.scans rs.Server.deaths rs.Server.reclaimed
-          rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.seat_steals
-          rs.Server.fenced;
+          rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.fenced;
         Fmt.pr "violations     : %d@." r.violations;
         (match r.first_violation with
         | Some m -> Fmt.pr "first violation: %s@." m
@@ -1606,10 +1604,10 @@ let server_cmd =
   let chaos = Arg.(value & flag & info [ "chaos" ]
                    ~doc:"Run the seeded chaos campaign instead of a churn run: a \
                          matrix of whole-server fault plans (crash holding leases, \
-                         crash mid-drain, crash on the reclaimer seat, parked \
-                         drainer, hot-shard stall) asserting zero violations, \
-                         bounded reclamation, and an availability floor. Exits \
-                         nonzero if any cell fails.") in
+                         crash mid-drain, parked drainer, hot-shard stall) \
+                         asserting zero violations, bounded reclamation, and \
+                         an availability floor. Exits nonzero if any cell \
+                         fails.") in
   let matrix = Arg.(value & opt int 32 & info [ "matrix" ] ~docv:"N"
                     ~doc:"Seeds in the chaos matrix (with $(b,--chaos)); each seed \
                           runs every fault in the campaign.") in

@@ -720,33 +720,30 @@ let report_json ?crash ~seeds outcomes =
    resilient [Server]/[Churn] stack on real domains.  Where the crash
    campaign kills simulated processes around one protocol instance,
    chaos kills {e service} roles — a client holding leases, a drainer
-   mid-walk, the reclaimer-seat holder, a hot shard's tenant — and
-   asserts the self-healing contract: no uniqueness violation ever,
-   every leaked lease reclaimed within two lease TTLs of scans, and the
-   live clients' availability above a floor.  Everything derives from
-   the same seed matrix as the other campaigns. *)
+   mid-walk, a hot shard's tenant — and asserts the self-healing
+   contract: no uniqueness violation ever, every leaked lease
+   reclaimed within two lease TTLs of scans, and the live clients'
+   availability above a floor.  Everything derives from the same seed
+   matrix as the other campaigns. *)
 
 type chaos_fault =
   | Crash_holding
   | Crash_mid_drain
-  | Crash_seat
   | Park_drainer
   | Stall_hot_shard
 
 let chaos_faults =
-  [ Crash_holding; Crash_mid_drain; Crash_seat; Park_drainer; Stall_hot_shard ]
+  [ Crash_holding; Crash_mid_drain; Park_drainer; Stall_hot_shard ]
 
 let chaos_fault_name = function
   | Crash_holding -> "crash-holding"
   | Crash_mid_drain -> "crash-mid-drain"
-  | Crash_seat -> "crash-seat"
   | Park_drainer -> "park-drainer"
   | Stall_hot_shard -> "stall-hot-shard"
 
 let chaos_fault_of_name = function
   | "crash-holding" -> Some Crash_holding
   | "crash-mid-drain" -> Some Crash_mid_drain
-  | "crash-seat" -> Some Crash_seat
   | "park-drainer" -> Some Park_drainer
   | "stall-hot-shard" -> Some Stall_hot_shard
   | _ -> None
@@ -755,15 +752,9 @@ let chaos_fault_of_name = function
    gives real admission pressure, warm capacity 1 means a crashed
    client always leaks its cached lease, and scans are wall-paced at
    100 us so a preempted-but-live client is not instantly mistaken
-   for a corpse. *)
-let chaos_resilience =
-  {
-    Server.scan_interval_ns = 100_000;
-    lease_ttl = 30;
-    seat_ttl = 10;
-    tend_every = 8;
-    drain_stale = 4;
-  }
+   for a corpse.  A scan runs at the first 8th tend of any live client
+   after those 100 us, so a crashed victim never delays one. *)
+let chaos_resilience = { Server.scan_interval_ns = 100_000; lease_ttl = 30; tend_every = 8 }
 
 let chaos_sources = 128
 
@@ -792,7 +783,6 @@ type chaos_outcome = {
   co_reclaim_scans : int;  (* worst staleness at reclaim, in scans *)
   co_deaths : int;
   co_availability : float;  (* granted / issued over the whole run *)
-  co_seat_steals : int;
   co_settle : int;
   co_ok : bool;
   co_msg : string;
@@ -803,24 +793,12 @@ let chaos_policy seed =
 
 let run_chaos_one ?(requests = 1500) seed fault =
   let cfg = chaos_config in
-  let faults, prepare, pinned =
+  let fault_plan, pinned =
     match fault with
-    | Crash_holding ->
-        ([ (chaos_victim, Churn.Crash { request = 64 + (seed land 63) }) ], None, false)
-    | Crash_mid_drain ->
-        ([ (chaos_victim, Churn.Crash_in_drain { drain = seed land 3 }) ], None, false)
-    | Crash_seat ->
-        ( [ (chaos_victim, Churn.Crash { request = 64 + (seed land 63) }) ],
-          Some
-            (fun server ->
-              ignore (Server.seize_seat server (Server.client server chaos_victim) : int)),
-          false )
-    | Park_drainer ->
-        ([ (chaos_victim, Churn.Park_in_drain { drain = seed land 3 }) ], None, false)
-    | Stall_hot_shard ->
-        ( [ (chaos_victim, Churn.Stall { request = 32 + (seed land 31); spins = 400_000 }) ],
-          None,
-          true )
+    | Crash_holding -> (Churn.Crash { request = 64 + (seed land 63) }, false)
+    | Crash_mid_drain -> (Churn.Crash_in_drain { drain = seed land 3 }, false)
+    | Park_drainer -> (Churn.Park_in_drain { drain = seed land 3 }, false)
+    | Stall_hot_shard -> (Churn.Stall { request = 32 + (seed land 31); spins = 400_000 }, true)
   in
   (* clients route by their own id, not by source, so the hot shard is
      the one the victim shares with its co-owner; every client drawing
@@ -835,7 +813,7 @@ let run_chaos_one ?(requests = 1500) seed fault =
   in
   let journeys = chaos_journeys ~seed in
   let rep =
-    Churn.run ~faults ?prepare ~policy:(chaos_policy seed) ~journeys
+    Churn.run ~faults:[ (chaos_victim, fault_plan) ] ~policy:(chaos_policy seed) ~journeys
       ~sampler_interval_ns:0 ~config:cfg ~spec ()
   in
   let r = rep.Churn.result in
@@ -871,7 +849,6 @@ let run_chaos_one ?(requests = 1500) seed fault =
     co_reclaim_scans = rs.Server.reclaim_max_scans;
     co_deaths = rs.Server.deaths;
     co_availability = availability;
-    co_seat_steals = rs.Server.seat_steals;
     co_settle = rep.Churn.settle_scans;
     co_ok = failed = [];
     co_msg = String.concat "; " (List.map snd failed);
@@ -898,10 +875,9 @@ let chaos_clean ?(requests = 1500) ~seed () =
 let pp_chaos_outcome ppf o =
   if o.co_ok then
     Fmt.pf ppf
-      "%-16s seed %-8d ok   avail %.3f, %d reclaimed (<=%d scans), %d deaths, %d steals"
+      "%-16s seed %-8d ok   avail %.3f, %d reclaimed (<=%d scans), %d deaths"
       (chaos_fault_name o.co_fault)
       o.co_seed o.co_availability o.co_reclaimed o.co_reclaim_scans o.co_deaths
-      o.co_seat_steals
   else
     Fmt.pf ppf "%-16s seed %-8d FAILED: %s (avail %.3f, outstanding %d)"
       (chaos_fault_name o.co_fault)
@@ -909,24 +885,23 @@ let pp_chaos_outcome ppf o =
 
 let chaos_outcome_json o =
   Printf.sprintf
-    {|{"fault":%S,"seed":%d,"ok":%b,"violations":%d,"leaked":%d,"outstanding":%d,"reclaimed":%d,"reclaim_scans":%d,"deaths":%d,"availability":%.4f,"seat_steals":%d,"settle_scans":%d,"msg":%S}|}
+    {|{"fault":%S,"seed":%d,"ok":%b,"violations":%d,"leaked":%d,"outstanding":%d,"reclaimed":%d,"reclaim_scans":%d,"deaths":%d,"availability":%.4f,"settle_scans":%d,"msg":%S}|}
     (chaos_fault_name o.co_fault)
     o.co_seed o.co_ok o.co_violations o.co_leaked o.co_outstanding o.co_reclaimed
-    o.co_reclaim_scans o.co_deaths o.co_availability o.co_seat_steals o.co_settle
+    o.co_reclaim_scans o.co_deaths o.co_availability o.co_settle
     o.co_msg
 
 let chaos_fault_summary_json outcomes fault =
   let runs = List.filter (fun o -> o.co_fault = fault) outcomes in
   let fold f init = List.fold_left f init runs in
   Printf.sprintf
-    {|{"fault":%S,"runs":%d,"ok":%b,"min_availability":%.4f,"reclaimed":%d,"max_reclaim_scans":%d,"deaths":%d,"seat_steals":%d}|}
+    {|{"fault":%S,"runs":%d,"ok":%b,"min_availability":%.4f,"reclaimed":%d,"max_reclaim_scans":%d,"deaths":%d}|}
     (chaos_fault_name fault) (List.length runs)
     (List.for_all (fun o -> o.co_ok) runs)
     (fold (fun m o -> Float.min m o.co_availability) 1.0)
     (fold (fun s o -> s + o.co_reclaimed) 0)
     (fold (fun m o -> max m o.co_reclaim_scans) 0)
     (fold (fun s o -> s + o.co_deaths) 0)
-    (fold (fun s o -> s + o.co_seat_steals) 0)
 
 let chaos_report_json ~seeds outcomes =
   let min_avail =

@@ -221,8 +221,6 @@ type chaos_fault =
                        was granted, leaking it with its warm lease. *)
   | Crash_mid_drain  (** Victim crashes half way through draining a
                          shard, leaving the rest of its range pending. *)
-  | Crash_seat  (** Victim is pre-seated as the reclaimer, then
-                    crashes holding the seat — someone must steal it. *)
   | Park_drainer  (** Victim parks mid-drain until every normal client
                       finishes — the wedged drainer. *)
   | Stall_hot_shard  (** Every client's sources pinned to the same
@@ -244,7 +242,6 @@ type chaos_outcome = {
   co_reclaim_scans : int;  (** Worst staleness at reclaim, in scans. *)
   co_deaths : int;
   co_availability : float;  (** granted / issued, whole run. *)
-  co_seat_steals : int;
   co_settle : int;  (** Epilogue scans to reach zero outstanding. *)
   co_ok : bool;
   co_msg : string;  (** Failed criteria, empty when [co_ok]. *)
@@ -263,7 +260,7 @@ val run_chaos_one : ?requests:int -> int -> chaos_fault -> chaos_outcome
 val run_chaos :
   ?seeds:int list -> ?requests:int -> unit -> chaos_outcome list
 (** The full matrix: every fault under every seed (default
-    {!default_seeds} — 32 seeds × 5 faults). *)
+    {!default_seeds} — 32 seeds × 4 faults). *)
 
 val chaos_ok : chaos_outcome list -> bool
 (** Every cell [co_ok], and at least one death fired somewhere. *)

@@ -39,7 +39,7 @@ type stage =
   | Release  (** Fence transition on the release path. *)
   | Pending  (** Enqueueing onto the pending ring. *)
   | Retire  (** Slot retirement fencing. *)
-  | Reclaim  (** Reclaimer-seat scans and lease takeover. *)
+  | Reclaim  (** Reclaimer scans and lease takeover. *)
 
 val nstages : int
 val stages : stage array

@@ -332,7 +332,7 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
        with Crashed -> ());
       if not park_in_drain then Agg.worker_done agg
 
-let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
+let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy
     ?(window_ns = 5_000_000) ?(sampler_interval_ns = 1_000_000)
     ~(config : Server.config) ~(spec : int -> Workload.server_spec) () =
   List.iter
@@ -350,7 +350,6 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
          faults)
   in
   let server = Server.create ?registry ?flight ?journeys ?backend ~parked config in
-  (match prepare with Some f -> f server | None -> ());
   let specs = Array.init config.clients spec in
   let lat_open = Array.init config.clients (fun _ -> Obs.Histogram.create ()) in
   let lat_closed = Array.init config.clients (fun _ -> Obs.Histogram.create ()) in
@@ -390,9 +389,10 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy ?prepare
   Server.drain_all server c0;
   let elapsed_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
   (* Settle: whatever crashed clients leaked is reclaimed here, by
-     driving the seat directly from the (now single-threaded) epilogue
-     — bounded by the campaign's promise of two lease TTLs' worth of
-     scans.  A clean run exits immediately. *)
+     scanning directly from the (now single-threaded) epilogue rather
+     than waiting for tend-paced scans — bounded by the campaign's
+     promise of two lease TTLs' worth of scans.  A clean run exits
+     immediately. *)
   let settle_budget = 2 * config.resilience.lease_ttl + 2 in
   let settle = ref 0 in
   while Server.outstanding server > 0 && !settle < settle_budget do

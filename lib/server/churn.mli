@@ -140,7 +140,6 @@ val run :
   ?backend:(Shared_mem.Layout.t -> stage:int -> k:int -> Renaming.Protocol.Any.t) ->
   ?faults:(int * fault) list ->
   ?policy:Policy.t ->
-  ?prepare:(Server.t -> unit) ->
   ?window_ns:int ->
   ?sampler_interval_ns:int ->
   config:Server.config ->
@@ -158,10 +157,6 @@ val run :
     each request is driven through {!Policy.drive}: refusals back off
     and retry under the policy's jittered schedule, deadlines and
     early sheds land in {!outcomes}.
-
-    [?prepare] runs against the server after construction, before any
-    domain spawns — fault plans use it to pre-seat a victim on the
-    reclaimer seat.
 
     Telemetry is on by default: rollup windows of [window_ns] (default
     5 ms), and a sampler domain polling {!Server.sampler_sources}

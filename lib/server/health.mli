@@ -1,10 +1,10 @@
-(** Per-shard wedged-drain judge: a pure record the reclaimer seat
-    feeds once per scan.
+(** Per-shard wedged-drain judge: a pure record each reclaimer scan
+    feeds once.
 
     A shard's drain is {e wedged} when one lease has sat PENDING in
     its range for [drain_stale] consecutive scans after the scan that
     first saw it: its drainer crashed or parked, or nothing has
-    released on the shard since.  The seat then heals the shard by
+    released on the shard since.  The scan then heals the shard by
     draining it.  A lease is known by its slot and the slot's grant
     generation, which advances on every cold grant, so a slot whose
     pending lease is retired and replaced between two scans restarts

@@ -15,8 +15,8 @@
    survives promotion into any pool, and no client domain allocates
    one.  Two exceptions, measured and left alone: a source's claim is
    written by whichever client claims it (shared by design), and each
-   client's per-shard [ops] records.  The seat holder's scan state is
-   written once per scan, not per request. *)
+   client's per-shard [ops] records.  The scan state is written once
+   per scan, not per request. *)
 
 module Store = Shared_mem.Store
 module Layout = Shared_mem.Layout
@@ -27,22 +27,10 @@ module Atomic_store = Runtime.Atomic_store
 module Health = Health
 module Policy = Policy
 
-type resilience = {
-  scan_interval_ns : int;
-  lease_ttl : int;
-  seat_ttl : int;
-  tend_every : int;
-  drain_stale : int;
-}
+type resilience = { scan_interval_ns : int; lease_ttl : int; tend_every : int }
 
-let default_resilience =
-  {
-    scan_interval_ns = 1_000_000;
-    lease_ttl = 8;
-    seat_ttl = 4;
-    tend_every = 32;
-    drain_stale = 4;
-  }
+let default_resilience = { scan_interval_ns = 1_000_000; lease_ttl = 8; tend_every = 32 }
+let drain_stale = 4
 
 type config = {
   shards : int;
@@ -87,14 +75,6 @@ let fence_warm = 2
 let fence_pending = 3
 let fence_retiring = 4
 
-(* Reclaimer seat: (epoch lsl seat_bits) lor (holder+1), 0 vacant.
-   The epoch advances on every steal, so a deposed holder's stale view
-   of the seat can never CAS itself back in by accident. *)
-let seat_bits = 20
-let seat_mask = (1 lsl seat_bits) - 1
-let seat_pack ~epoch ~holder = (epoch lsl seat_bits) lor (holder + 1)
-let seat_holder s = (s land seat_mask) - 1
-
 (* A HELD or WARM fence also names the lease's owner and the owner's
    epoch when it took the lease (granted it, or cached it warm):
    (epoch lsl lease_shift) lor (owner lsl 3) lor state.  A token is
@@ -104,10 +84,12 @@ let seat_holder s = (s land seat_mask) - 1
    so it can neither catch a slot re-granted to another client nor a
    lease its victim took after re-syncing to the epoch that declared
    it dead — no claimed slot ever has to be handed back. *)
-let lease_shift = 3 + seat_bits
+let owner_bits = 20
+let owner_mask = (1 lsl owner_bits) - 1
+let lease_shift = 3 + owner_bits
 let leased state ~owner ~epoch = (epoch lsl lease_shift) lor (owner lsl 3) lor state
 let fence_state f = f land 7
-let fence_owner f = (f lsr 3) land seat_mask
+let fence_owner f = (f lsr 3) land owner_mask
 let fence_epoch f = f lsr lease_shift
 
 type shard = { inst : Any.t; base : int }
@@ -141,9 +123,6 @@ type client = {
   mutable held_n : int;  (* tokens out, granted since the last re-sync *)
   mutable stale_n : int;  (* tokens out from before it: maybe reclaimed *)
   mutable tend_count : int;
-  mutable last_seat_hb : int;
-  mutable seat_stale : int;
-  mutable last_seat_check_ns : int;
   mutable chaos : (string -> unit) option;
       (* fault-injection hook, called at drain slot boundaries; set
          only by the owning domain (Churn's chaos plans) *)
@@ -179,25 +158,23 @@ type t = {
   (* liveness + reclamation *)
   hb : Pad.t;  (* per client: heartbeat, bumped by [tend] *)
   epoch : Pad.t;  (* per client: bumped when declared dead *)
-  seat : int Atomic.t;
-  seat_hb : int Atomic.t;
-  last_scan_ns : int Atomic.t;
-  (* seat-holder working state: written under seat ownership only
-     (overlap with a deposed holder is benign — every retirement is
-     fence-guarded; these are bookkeeping) *)
+  last_scan_ns : int Atomic.t;  (* the scan ticket: CASed by its winner *)
+  (* scan working state: written by the scan in progress (a scan that
+     outlasts [scan_interval_ns] may overlap the next one, which is
+     benign — a superseded scan starts no reclaim, every retirement is
+     fence-guarded, and these are bookkeeping) *)
   hx : Health.t array;  (* per shard *)
   snap : int array;  (* one shard's pending leases, fed to its [hx] *)
   last_hb : int array;  (* per client *)
   stale : int array;
   dead : bool array;
-  (* resilience counters (atomic: deposed/current seats may overlap) *)
-  rs_scans : int Atomic.t;
+  (* resilience counters (atomic: scans may overlap) *)
+  rs_scans : int Atomic.t;  (* also the id of the latest scan *)
   rs_deaths : int Atomic.t;
   rs_reclaimed : int Atomic.t;
   rs_claims_swept : int Atomic.t;
   rs_reclaim_max : int Atomic.t;
   rs_drain_heals : int Atomic.t;
-  rs_seat_steals : int Atomic.t;
   agg : Agg.t;
   total_space : int;
   clients_tbl : client array;
@@ -349,7 +326,7 @@ let jblame c stage t0 = ignore (jblame_t c stage t0 : int)
 
 (* ----- epoch fencing -----
 
-   A client's epoch advances when the reclaimer seat declares it dead.
+   A client's epoch advances when a scan declares it dead.
    Any surviving warm lease is pushed to pending (the fence CAS
    filters the ones that really were reclaimed), the cache is dropped,
    and the client carries on — its outstanding tokens were retired on
@@ -655,7 +632,7 @@ let acquire_cold t c ~src =
     end
     else if Pad.get t.epoch c.id <> c.my_epoch then begin
       (* We may have spent a long time in [admit_retry]'s drains; if
-         the seat declared us dead meanwhile our claim may already be
+         a scan declared us dead meanwhile our claim may already be
          swept — back out rather than run the protocol without it. *)
       Atomic.set t.fence.(slot) fence_free;
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
@@ -787,15 +764,16 @@ let flush t c =
 let outstanding t =
   Array.fold_left (fun n f -> if Atomic.get f = fence_free then n else n + 1) 0 t.fence
 
-(* ----- the reclaimer seat -----
+(* ----- the reclaimer scan -----
 
-   One cooperatively-claimed duty: scan heartbeats, expire dead
-   clients' leases (epoch bump first, heartbeat double-check, then
-   fence-guarded retirement) and drain wedged pending slots.  Any live
-   client steals the seat when the scan heartbeat goes stale; the seat
-   epoch fences the deposed holder out of new reclaims, and the
-   per-slot fences make even a deposed holder's in-flight retirement
-   exactly-once. *)
+   One leaderless duty: scan heartbeats, expire dead clients' leases
+   (epoch bump first, heartbeat double-check, then fence-guarded
+   retirement) and drain wedged pending slots.  Whichever tending
+   client wins the scan ticket runs the scan, so no client owns the
+   duty and a dead one cannot hold it up.  Each scan's id is its
+   ticket from [rs_scans]; a scan that a newer one superseded starts no
+   new reclaim, and the per-slot fences make even its in-flight
+   retirement exactly-once. *)
 
 let reclaim_client t (c : client) j =
   let e = 1 + Atomic.fetch_and_add (Pad.cells t.epoch).(j) 1 in
@@ -846,11 +824,10 @@ let reclaim_client t (c : client) j =
     done
   end
 
-let do_scan t (c : client) ~seat =
-  Atomic.incr t.seat_hb;
-  Atomic.incr t.rs_scans;
-  (* 1. liveness: stale heartbeats become reclaims (seat-fenced: a
-     deposed holder stops starting new reclaims) *)
+let do_scan t (c : client) =
+  let id = 1 + Atomic.fetch_and_add t.rs_scans 1 in
+  (* 1. liveness: stale heartbeats become reclaims (ticket-fenced: a
+     superseded scan starts no new reclaim) *)
   for j = 0 to t.cfg.clients - 1 do
     if j <> c.id then begin
       let h = Pad.get t.hb j in
@@ -864,7 +841,7 @@ let do_scan t (c : client) ~seat =
         if
           t.stale.(j) >= t.cfg.resilience.lease_ttl
           && (not t.dead.(j))
-          && Atomic.get t.seat = seat
+          && Atomic.get t.rs_scans = id
         then begin
           let t0 = jtrack c in
           reclaim_client t c j;
@@ -893,6 +870,9 @@ let do_scan t (c : client) ~seat =
     end
   done
 
+(* The scan ticket: every [tend_every]-th tend reads the last scan's
+   start and the clock, and once [scan_interval_ns] has passed CASes
+   the start to now.  The client that wins the CAS scans. *)
 let tend t (c : client) =
   Atomic.incr (Pad.cells t.hb).(c.id);
   c.tend_count <- c.tend_count + 1;
@@ -900,61 +880,15 @@ let tend t (c : client) =
   if c.tend_count >= rz.tend_every then begin
     c.tend_count <- 0;
     ignore (check_epoch t c : bool);
-    let s = Atomic.get t.seat in
-    if seat_holder s = c.id then begin
-      let now = Obs.Clock.now_ns () in
-      if now - Atomic.get t.last_scan_ns >= rz.scan_interval_ns then begin
-        Atomic.set t.last_scan_ns now;
-        do_scan t c ~seat:s
-      end
-    end
-    else if s = 0 then begin
-      let s' = seat_pack ~epoch:1 ~holder:c.id in
-      if Atomic.compare_and_set t.seat 0 s' then begin
-        Atomic.set t.last_scan_ns (Obs.Clock.now_ns ());
-        do_scan t c ~seat:s'
-      end
-    end
-    else begin
-      (* watch the holder's scan heartbeat at scan cadence; steal the
-         seat (epoch+1) after seat_ttl silent intervals *)
-      let now = Obs.Clock.now_ns () in
-      if now - c.last_seat_check_ns >= rz.scan_interval_ns then begin
-        c.last_seat_check_ns <- now;
-        let hb = Atomic.get t.seat_hb in
-        if hb <> c.last_seat_hb then begin
-          c.last_seat_hb <- hb;
-          c.seat_stale <- 0
-        end
-        else begin
-          c.seat_stale <- c.seat_stale + 1;
-          if c.seat_stale >= rz.seat_ttl then begin
-            c.seat_stale <- 0;
-            let s' = seat_pack ~epoch:((s lsr seat_bits) + 1) ~holder:c.id in
-            if Atomic.compare_and_set t.seat s s' then begin
-              Atomic.incr t.rs_seat_steals;
-              obs_inc c "server.seat_steals";
-              Atomic.set t.last_scan_ns (Obs.Clock.now_ns ());
-              do_scan t c ~seat:s'
-            end
-          end
-        end
-      end
-    end
-  end
-
-let rec seize_seat t (c : client) =
-  let s = Atomic.get t.seat in
-  if seat_holder s = c.id then s
-  else begin
-    let s' = seat_pack ~epoch:((s lsr seat_bits) + 1) ~holder:c.id in
-    if Atomic.compare_and_set t.seat s s' then s' else seize_seat t c
+    let last = Atomic.get t.last_scan_ns in
+    let now = Obs.Clock.now_ns () in
+    if now - last >= rz.scan_interval_ns && Atomic.compare_and_set t.last_scan_ns last now
+    then do_scan t c
   end
 
 let scan t (c : client) =
-  let s = seize_seat t c in
   Atomic.set t.last_scan_ns (Obs.Clock.now_ns ());
-  do_scan t c ~seat:s
+  do_scan t c
 
 let set_chaos (c : client) f = c.chaos <- f
 let health t sh =
@@ -968,7 +902,6 @@ type resilience_stats = {
   claims_swept : int;
   reclaim_max_scans : int;
   drain_heals : int;
-  seat_steals : int;
   fenced : int;
   failovers : int;
 }
@@ -982,7 +915,6 @@ let resilience_stats t =
     claims_swept = Atomic.get t.rs_claims_swept;
     reclaim_max_scans = Atomic.get t.rs_reclaim_max;
     drain_heals = Atomic.get t.rs_drain_heals;
-    seat_steals = Atomic.get t.rs_seat_steals;
     fenced;
     failovers = 0;
   }
@@ -1018,12 +950,11 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
   if cfg.warm_capacity < 0 then invalid_arg "Server.create: warm_capacity < 0";
   if cfg.batch < 1 then invalid_arg "Server.create: batch < 1";
   if cfg.clients < 1 then invalid_arg "Server.create: clients < 1";
-  if cfg.clients > seat_mask - 1 then
-    invalid_arg "Server.create: clients exceed seat encoding";
+  if cfg.clients > owner_mask - 1 then
+    invalid_arg "Server.create: clients exceed fence owner encoding";
   let rz = cfg.resilience in
   if rz.scan_interval_ns < 0 then invalid_arg "Server.create: scan_interval_ns < 0";
   if rz.lease_ttl < 1 then invalid_arg "Server.create: lease_ttl < 1";
-  if rz.seat_ttl < 1 then invalid_arg "Server.create: seat_ttl < 1";
   if rz.tend_every < 1 then invalid_arg "Server.create: tend_every < 1";
   let cap = cfg.shards * cfg.k_per_shard in
   let stores = Array.make cfg.shards None in
@@ -1097,9 +1028,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
               held_n = 0;
               stale_n = 0;
               tend_count = 0;
-              last_seat_hb = 0;
-              seat_stale = 0;
-              last_seat_check_ns = 0;
               chaos = None;
               acquires = 0;
               warm_hits = 0;
@@ -1129,12 +1057,10 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     fence = Pad.cells (Pad.create cap fence_free);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;
-    seat = Atomic.make 0;
-    seat_hb = Atomic.make 0;
     last_scan_ns = Atomic.make 0;
     hx =
       Array.init cfg.shards (fun _ ->
-          Health.create ~drain_stale:rz.drain_stale ~slots:cfg.k_per_shard);
+          Health.create ~drain_stale ~slots:cfg.k_per_shard);
     snap = Array.make cfg.k_per_shard (-1);
     last_hb = Array.make cfg.clients min_int;
     stale = Array.make cfg.clients 0;
@@ -1145,7 +1071,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     rs_claims_swept = Atomic.make 0;
     rs_reclaim_max = Atomic.make 0;
     rs_drain_heals = Atomic.make 0;
-    rs_seat_steals = Atomic.make 0;
     agg;
     total_space = !base;
     clients_tbl;

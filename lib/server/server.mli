@@ -56,15 +56,16 @@
        crash reclaim — must win a CAS on the slot's {e retirement
        fence}, so it happens exactly once no matter how drains,
        reclaims and fenced clients interleave.  Liveness rides on
-       {!tend}: clients heartbeat, and one of them cooperatively holds
-       the {e reclaimer seat} — scanning for dead clients (reclaiming
+       {!tend}: clients heartbeat, and whichever client finds a scan
+       due and wins its {e ticket} scans — for dead clients (reclaiming
        their leases through the protocol's [reset_footprint] and
-       sweeping their claims) and healing wedged drains: when per-shard
-       {!Health} sees one lease sit pending for [drain_stale] scans,
-       the seat drains that shard.  No shard is ever taken out of
-       service or routed around: uniqueness rests on the per-source
-       claim table alone, so the route carries no safety, and a
-       crashed client's leases come back through the reclaim.  A
+       sweeping their claims) and for wedged drains: when per-shard
+       {!Health} sees one lease sit pending for {!drain_stale} scans,
+       the scan drains that shard.  No client leads, and no shard is
+       ever taken out of service or routed around: uniqueness rests on
+       the per-source claim table alone, so the route carries no
+       safety, and a crashed client's leases come back through the
+       reclaim.  A
        client declared dead by mistake is {e fenced} by its epoch: it
        re-syncs and carries on, its stale tokens dying silently rather
        than double-retiring.}}
@@ -85,28 +86,30 @@ module Policy = Policy
 type resilience = {
   scan_interval_ns : int;
       (** Least wall-clock spacing between reclaimer scans ([0] = every
-          eligible {!tend}).  The seat holder reads the clock only on
-          every [tend_every]-th {!tend} of its own, so scans come at
-          whichever pace is slower: one per [scan_interval_ns], or one
-          per [tend_every] of the holder's tends.  A holder that tends
-          every 50 µs scans every 1.6 ms at the defaults, not every
-          1 ms, and a death takes [lease_ttl] of those scans to
-          declare. *)
+          eligible {!tend}).  A client reads the clock only on every
+          [tend_every]-th {!tend} of its own, so a scan runs at the
+          first such tend of {e any} client once [scan_interval_ns] has
+          passed since the last scan began.  Scans are never closer
+          than [scan_interval_ns], and every live client's checks can
+          start one: a lone client that tends every 50 µs scans every
+          1.6 ms at the defaults, while clients that tend far faster
+          than [tend_every] per [scan_interval_ns] scan about once per
+          [scan_interval_ns].  No client's death slows the pace.  A
+          death takes [lease_ttl] scans to declare. *)
   lease_ttl : int;
       (** Scans without a heartbeat before a client is declared dead. *)
-  seat_ttl : int;
-      (** Silent scan intervals before the reclaimer seat is stolen. *)
   tend_every : int;
-      (** {!tend} calls between seat/epoch checks, and so between the
-          seat holder's clock reads (see [scan_interval_ns]). *)
-  drain_stale : int;
-      (** Scans one lease may sit pending before the seat drains its
-          shard (see {!Health}). *)
+      (** {!tend} calls between a client's epoch checks and clock
+          reads, and so between its chances to win a scan (see
+          [scan_interval_ns]). *)
 }
 
 val default_resilience : resilience
-(** [scan_interval_ns = 1ms], [lease_ttl = 8], [seat_ttl = 4],
-    [tend_every = 32], [drain_stale = 4]. *)
+(** [scan_interval_ns = 1ms], [lease_ttl = 8], [tend_every = 32]. *)
+
+val drain_stale : int
+(** Scans one lease may sit pending before a scan drains its shard
+    (see {!Health}): 4. *)
 
 type config = {
   shards : int;  (** Protocol instances in the pool. *)
@@ -223,38 +226,37 @@ val outstanding : t -> int
 (** Names currently held, warm, or pending drain, across all shards:
     the slab's slots whose fence is not FREE. *)
 
-(** {1 Liveness: heartbeats, the reclaimer seat, wedged drains}
+(** {1 Liveness: heartbeats, scan tickets, wedged drains}
 
-    Crash tolerance is cooperative: no external reclaimer process
-    exists.  Clients call {!tend} once per request (or at any
-    convenient cadence); it bumps the caller's heartbeat and, every
-    [tend_every] calls, checks the {e reclaimer seat} — claiming it if
-    vacant, scanning if held and due, stealing it if the holder's scan
-    heartbeat has been silent for [seat_ttl] intervals.  The seat's
-    epoch fences deposed holders; the per-slot fences make even an
-    in-flight deposed retirement exactly-once. *)
+    Crash tolerance is cooperative and leaderless: no external
+    reclaimer process exists, and no client holds the duty.  Clients
+    call {!tend} once per request (or at any convenient cadence); it
+    bumps the caller's heartbeat and, every [tend_every] calls, checks
+    whether a scan is due — [scan_interval_ns] since the last one
+    began.  If so the client CASes the scan ticket, and the winner
+    scans.  So scans come at the first [tend_every]-th tend of any
+    client after [scan_interval_ns], and a dead client delays none.
+    Each scan takes its id from the scan count; one that a newer scan
+    superseded starts no new reclaim, and the per-slot fences make even
+    its in-flight retirement exactly-once. *)
 
 val tend : t -> client -> unit
-(** Heartbeat + seat duty.  Cheap when off-duty: one atomic increment
-    per call, seat logic only every [tend_every] calls.  The seat
-    holder scans on such a call when [scan_interval_ns] has passed
-    since its last scan, so its scans are spaced by the slower of
-    [scan_interval_ns] and [tend_every] of its own calls. *)
+(** Heartbeat + scan ticket.  Cheap between checks: one atomic
+    increment per call; every [tend_every] calls, an epoch read, a
+    clock read and a read of the last scan's start, and a scan when
+    this client wins the ticket of a due one. *)
 
 val scan : t -> client -> unit
-(** Seize the seat unconditionally and run one scan now — for tests
-    and run epilogues (e.g. settling leaked leases after a join);
-    production clients should let {!tend} pace scans instead. *)
-
-val seize_seat : t -> client -> int
-(** Take the reclaimer seat (epoch-fenced CAS; returns the new seat
-    word).  Exposed so a fault plan can start a run with a chosen
-    victim on duty. *)
+(** Take a ticket unconditionally and run one scan now — for tests and
+    run epilogues (e.g. settling leaked leases after a join);
+    production clients should let {!tend} pace scans instead.  The next
+    {!tend}-paced scan comes [scan_interval_ns] after this one. *)
 
 val health : t -> int -> Health.state
-(** The shard's verdict at the last scan: {!Health.Wedged} when that
-    scan found a lease pending for [drain_stale] scans and drained the
-    shard.  Diagnostic only: no request path reads it.
+(** The shard's verdict at the last scan of it: {!Health.Wedged} when
+    that scan found a lease pending for {!drain_stale} scans and
+    drained the shard.  Any client's scan updates it.  Diagnostic
+    only: no request path reads it.
     @raise Invalid_argument on a bad shard index. *)
 
 val set_chaos : client -> (string -> unit) option -> unit
@@ -266,7 +268,7 @@ val set_chaos : client -> (string -> unit) option -> unit
     slot.  Owning domain only. *)
 
 type resilience_stats = {
-  scans : int;  (** Reclaimer scans executed (all seat holders). *)
+  scans : int;  (** Reclaimer scans executed (by every client). *)
   deaths : int;  (** Clients declared dead. *)
   reclaimed : int;  (** Leases reclaimed from dead clients. *)
   claims_swept : int;  (** Orphaned source claims cleared. *)
@@ -275,10 +277,9 @@ type resilience_stats = {
           the chaos campaign's time-to-reclaim bound. *)
   drain_heals : int;
       (** Drains the reclaimer ran on a shard where one lease sat
-          pending for [drain_stale] scans.  At the defaults (batch 8 >
+          pending for {!drain_stale} scans.  At the defaults (batch 8 >
           k 4) a shard without admission pressure drains only this way,
           so a fault-free run may count some. *)
-  seat_steals : int;
   fenced : int;  (** Client operations absorbed by an epoch fence. *)
   failovers : int;
       (** Always [0]: an acquire is served on the shard its route picks,

@@ -1,6 +1,6 @@
 (* The resilience layer, checked four ways: exhaustive 2-process
-   interleaving models of the claim gate and the reclaimer seat steal
-   (with seeded mutants that must die), QCheck2 properties of the
+   interleaving models of the claim gate and of a superseded reclaimer
+   scan (with seeded mutants that must die), QCheck2 properties of the
    backoff policy, the wedged-drain judge in isolation, and a one-seed
    smoke of the whole chaos campaign.
 
@@ -11,9 +11,9 @@
    reductions.  What the models pin down is exactly the two arguments
    the server code makes in prose: two clients routed to different
    shards cannot both hold one source because the claim CAS is the
-   gate, not the route; and a
-   deposed seat holder cannot double-retire a slot because the
-   per-slot fence CAS is the gate, not the seat check. *)
+   gate, not the route; and a scan that a newer scan's ticket
+   superseded cannot double-retire a slot because the per-slot fence
+   CAS is the gate, not the scan-id check. *)
 
 (* ----- exhaustive 2-proc interleaving checker ----- *)
 
@@ -100,31 +100,32 @@ let test_mc_claim_gate () =
   | Some _ -> () (* the ungated mutant must be caught *)
   | None -> Alcotest.fail "ungated mutant survived every interleaving"
 
-(* ----- model 2: seat steal vs in-flight retirement ----- *)
+(* ----- model 2: superseded scan vs in-flight retirement ----- *)
 
-(* The deposed holder O is mid-reclaim when S steals the seat and
-   scans the same slot.  Both try to retire it.  Steps for each:
-   check the seat (O only — S just stole it), CAS the slot fence
-   HELD -> RETIRING, then retire.  Correctness: the slot is retired
-   exactly once on every schedule.  The seat check alone cannot give
-   that (O may pass it before the steal); the fence CAS does. *)
-type seat_state = {
-  mutable seat : int; (* holder id *)
+(* Scan O (id 1) is mid-reclaim when S takes the next scan's ticket
+   and scans the same slot.  Both try to retire it.  Steps for each:
+   check the scan id is still the latest (O only — S just took its
+   ticket), CAS the slot fence HELD -> RETIRING, then retire.
+   Correctness: the slot is retired exactly once on every schedule.
+   The scan-id check alone cannot give that (O may pass it before S
+   takes its ticket); the fence CAS does. *)
+type scan_state = {
+  mutable scans : int; (* id of the latest scan *)
   mutable fence : int; (* 0 held, 1 retiring, 2 free *)
   mutable won : bool array; (* per-proc fence CAS result *)
   mutable retired : int;
 }
 
-let seat_clone s = { s with won = Array.copy s.won }
+let scan_clone s = { s with won = Array.copy s.won }
 
-let seat_step ~fenced s i = function
+let scan_step ~fenced s i = function
   | 0 ->
       if i = 0 then
-        (* O re-checks its seat before starting the reclaim *)
-        if s.seat = 0 then Some 1 else None
+        (* O re-checks its scan id before starting the reclaim *)
+        if s.scans = 1 then Some 1 else None
       else begin
-        (* S steals the seat, then scans *)
-        s.seat <- 1;
+        (* S takes the next ticket, then scans *)
+        s.scans <- 2;
         Some 1
       end
   | 1 ->
@@ -145,17 +146,17 @@ let seat_step ~fenced s i = function
       None
   | _ -> None
 
-let seat_violated s =
+let scan_violated s =
   if s.retired <> 1 then
     Some (Printf.sprintf "slot retired %d times" s.retired)
   else None
 
-let test_mc_seat_steal_fence () =
+let test_mc_superseded_scan_fence () =
   let run fenced =
     explore
-      ~init:{ seat = 0; fence = 0; won = [| false; false |]; retired = 0 }
-      ~clone:seat_clone ~step:(seat_step ~fenced) ~procs:2
-      ~violated:seat_violated
+      ~init:{ scans = 1; fence = 0; won = [| false; false |]; retired = 0 }
+      ~clone:scan_clone ~step:(scan_step ~fenced) ~procs:2
+      ~violated:scan_violated
   in
   (match run true with
   | None -> ()
@@ -313,8 +314,8 @@ let () =
       ( "modelcheck",
         [
           Alcotest.test_case "claim gate, 2 procs exhaustive" `Quick test_mc_claim_gate;
-          Alcotest.test_case "seat steal vs retirement fence, 2 procs exhaustive"
-            `Quick test_mc_seat_steal_fence;
+          Alcotest.test_case "superseded scan vs retirement fence, 2 procs exhaustive"
+            `Quick test_mc_superseded_scan_fence;
         ] );
       ( "backoff",
         [

@@ -462,9 +462,9 @@ let test_fault_campaign_one_shard () =
      requests go nowhere else until the reclaimer frees them, so
      requests arrive at 10k/s per client: a run then lasts 30 ms, past
      the reclaimer's 8 scans at 1 ms.  Scans are paced at 1 ms only if
-     the seat holder checks its seat on every tend: at the default of
-     every 32 tends (16 requests, 1.6 ms) a seat stolen from the
-     crashed victim and 9 scans could land after a survivor's last
+     the survivors look for a due scan on every tend: at the default of
+     every 32 tends (16 requests, 1.6 ms) each survivor looks only
+     every 1.6 ms, and the 8 scans could land after a survivor's last
      request. *)
   let config = cfg ~shards:1 ~k:3 ~warm:1 ~batch:4 ~clients:4 ~s () in
   let config =
@@ -538,6 +538,26 @@ let test_reclaim_crashed_client () =
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
   Alcotest.(check int) "no violations" 0 r.Agg.violations;
   Alcotest.(check int) "leaks reconciled by reclaim" 0 r.Agg.leaked
+
+(* No client owns the scans: once client 0 has scanned and stopped,
+   every due tend of client 1 wins the next scan's ticket at once. *)
+let test_any_client_scans () =
+  let config = cfg ~shards:1 ~k:4 ~clients:2 ~s:16 () in
+  let config =
+    {
+      config with
+      Server.resilience = { Server.scan_interval_ns = 0; tend_every = 1; lease_ttl = 1000 };
+    }
+  in
+  let t = Server.create config in
+  let scans () = (Server.resilience_stats t).Server.scans in
+  Server.scan t (Server.client t 0);
+  let c1 = Server.client t 1 in
+  for i = 1 to 10 do
+    let before = scans () in
+    Server.tend t c1;
+    Alcotest.(check int) (Printf.sprintf "tend %d scans once" i) (before + 1) (scans ())
+  done
 
 (* All of a stress test's domains start together, so the races it
    names really overlap. *)
@@ -801,7 +821,7 @@ let test_regrant_drain_race () =
    tend, so the scanner never judges its own heartbeat.  At batch 8 > k
    a released lease stays PENDING until some drain retires it. *)
 let test_wedged_drain_identity () =
-  let stale = Server.default_resilience.Server.drain_stale in
+  let stale = Server.drain_stale in
   let heals t = (Server.resilience_stats t).Server.drain_heals in
   let grant t c src =
     match Server.acquire t c ~src with
@@ -828,7 +848,7 @@ let test_wedged_drain_identity () =
   done;
   Alcotest.(check int) "healed exactly once" 1 (heals t);
   Alcotest.(check bool) "live again" true (Server.health t 0 = Server.Health.Live);
-  (* the seat scans every millisecond, so a scan allocates nothing *)
+  (* scans run every millisecond, so a scan allocates nothing *)
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
     Server.scan t c
@@ -971,6 +991,7 @@ let () =
         [
           Alcotest.test_case "crashed client reclaimed" `Quick
             test_reclaim_crashed_client;
+          Alcotest.test_case "any client runs a due scan" `Quick test_any_client_scans;
           Alcotest.test_case "release fenced after reclaim" `Quick test_release_fencing;
           Alcotest.test_case "drain vs reclaim exactly-once" `Quick
             test_drain_reclaim_race;
