@@ -40,6 +40,47 @@ module Any = struct
 
   let reset_available (Packed ((module P), _)) =
     match P.reset_footprint with Some _ -> true | None -> false
+
+  (* Entry [i] sits at [i * table_stride]: one entry a line, so writers
+     of different entries never share one.  The array is made by the
+     instance's first grant, from that grant's lease, because a
+     ['l array] can only be made from an ['l]; the CAS keeps one array
+     when two first grants race. *)
+  type table =
+    | Table : {
+        m : (module S with type t = 'a and type lease = 'l);
+        inst : 'a;
+        slots : int;
+        leases : 'l array Atomic.t;
+      }
+        -> table
+
+  let table_stride = Shared_mem.Pad.line_words
+
+  let table (Packed ((module P), inst)) ~slots =
+    if slots < 1 then invalid_arg "Protocol.Any.table: slots < 1";
+    Table
+      { m = (module P); inst; slots; leases = Shared_mem.Pad.copy_as_padded (Atomic.make [||]) }
+
+  let get_into (Table r) i ops =
+    let module P = (val r.m) in
+    let l = P.get_name r.inst ops in
+    let a = Atomic.get r.leases in
+    if Array.length a > 0 then a.(i * table_stride) <- l
+    else begin
+      if i < 0 || i >= r.slots then invalid_arg "Protocol.Any.get_into: bad entry";
+      let fresh = Array.make (r.slots * table_stride) l in
+      if not (Atomic.compare_and_set r.leases a fresh) then
+        (Atomic.get r.leases).(i * table_stride) <- l
+    end;
+    P.name_of r.inst l
+
+  let release_from (Table r) i ops ~reset =
+    let module P = (val r.m) in
+    let l = (Atomic.get r.leases).(i * table_stride) in
+    match P.reset_footprint with
+    | Some reset_footprint when reset -> reset_footprint r.inst ops l
+    | _ -> P.release_name r.inst ops l
 end
 
 module Chain (A : S) (B : S) = struct

@@ -61,6 +61,43 @@ module Any : sig
       [reset_footprint] is statically [Some] (the packed module decides
       at run time, raising [Invalid_argument] when it has none); check
       this before building a reclaimer over a dynamic value. *)
+
+  (** {2 Lease tables}
+
+      [get_name] boxes the packed protocol's lease in an {!lease}
+      value on every call.  A caller that keeps each lease in a fixed
+      place until it releases it (the name server's slots) can keep it
+      in a table instead, in the protocol's own lease type: an [int]
+      lease such as SPLIT's is then stored unboxed, and a cycle through
+      the table allocates nothing but what the protocol itself does. *)
+
+  type table
+  (** Up to [slots] leases of one instance, one per entry, each on a
+      cache line of its own.  An entry keeps its lease after the lease
+      is released, until the next [get_into] of the entry overwrites
+      it. *)
+
+  val table : t -> slots:int -> table
+  (** An empty table over the instance.  The entries' array is made by
+      the table's first [get_into]: that grant allocates
+      [slots × Pad.line_words] words once.
+      @raise Invalid_argument when [slots < 1]. *)
+
+  val get_into : table -> int -> Shared_mem.Store.ops -> int
+  (** [get_into tbl i ops] runs [get_name] and keeps the lease in entry
+      [i], returning the name it holds.  Entry [i] must not hold a
+      lease that has not been released: the table does not check.
+      @raise Invalid_argument when [i] is outside [\[0, slots)]. *)
+
+  val release_from : table -> int -> Shared_mem.Store.ops -> reset:bool -> unit
+  (** Release the lease in entry [i]: through the packed protocol's
+      [reset_footprint] when [reset] is set and the protocol has one
+      (the rules of {!S.reset_footprint} then apply to [ops]), and
+      through [release_name] otherwise — also when [reset] is set and
+      the protocol has no recovery path.  Entry [i] must hold a lease
+      that [get_into] put there and that was not released since: the
+      table does not check.
+      @raise Invalid_argument when no entry was ever filled. *)
 end
 
 (** [Chain (A) (B)] runs [B] on top of [A]: a process first acquires an

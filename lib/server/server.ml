@@ -77,13 +77,14 @@ let fence_retiring = 4
 
 (* A HELD or WARM fence also names the lease's owner and the owner's
    epoch when it took the lease (granted it, or cached it warm):
-   (epoch lsl lease_shift) lor (owner lsl 3) lor state.  A token is
-   held exactly when its fence is HELD under the caller's id and its
-   generation is the slot's: one read of the fence and one of the
-   slot's own line.  A reclaimer CASes from the exact value it read,
-   so it can neither catch a slot re-granted to another client nor a
-   lease its victim took after re-syncing to the epoch that declared
-   it dead — no claimed slot ever has to be handed back. *)
+   (epoch lsl lease_shift) lor (owner lsl 3) lor state.  A token
+   carries its slot and that epoch, so it is held exactly when its
+   slot's fence is HELD under the caller's id at the token's epoch:
+   one read and one compare.  A reclaimer CASes from the exact value
+   it read, so it can neither catch a slot re-granted to another
+   client nor a lease its victim took after re-syncing to the epoch
+   that declared it dead — no claimed slot ever has to be handed
+   back. *)
 let owner_bits = 20
 let owner_mask = (1 lsl owner_bits) - 1
 let lease_shift = 3 + owner_bits
@@ -92,7 +93,10 @@ let fence_state f = f land 7
 let fence_owner f = (f lsr 3) land owner_mask
 let fence_epoch f = f lsr lease_shift
 
-type shard = { inst : Any.t; base : int }
+(* [leases] keeps the lease of each slot of the shard's range, at entry
+   [slot mod k], in the protocol's own lease type: SPLIT's int lease is
+   stored unboxed. *)
+type shard = { inst : Any.t; base : int; leases : Any.table }
 
 (* Built as a {!Pad.copy_as_padded} block: the mutable fields below are
    written on every request, and another client's record may sit next
@@ -148,11 +152,15 @@ type t = {
   slot_f : int array;
       (* per slot, at [slot_stride · slot]: source, owner (-1 once
          retired), global name (shard base + local name) and grant
-         generation *)
-  slot_lease : Any.lease option array;  (* at [slot_stride · slot] *)
+         generation, which only {!Health} reads *)
   slot_warm : outcome array;
-      (* at [slot_stride · slot]: the slot's warm grant, built once at
-         cold grant; a warm hit returns it as is and allocates nothing *)
+      (* at [slot_stride · slot]: the slot's warm grant, taken from
+         [replies] at cold grant; a warm hit returns it as is and
+         allocates nothing *)
+  replies : outcome array;
+      (* per slot, [reply_ways] warm grants from [slot_stride · slot],
+         one per (name, epoch), direct-mapped by name: a cold grant
+         builds one only on a miss *)
   fence : int Atomic.t array;
       (* padded: a client's fence CASes never touch another slot's line *)
   (* liveness + reclamation *)
@@ -181,14 +189,19 @@ type t = {
   flight : Obs.Flight.t option;
 }
 
-(* A token names its slot and the slot's grant generation:
-   (generation lsl token_bits) lor slot.  The generation advances on
-   every cold grant of the slot, so the token of a lease a reclaim
-   retired behind its holder's back never names a later lease of the
-   same slot, even one granted to the same client. *)
+(* A token names its slot and its holder's epoch when the holder took
+   the lease: (epoch lsl token_bits) lor slot.  So a slot's tokens
+   differ across its holder's epochs, not across grants.  A token a
+   reclaim retired behind its holder's back still never names a later
+   lease of the same slot: a reclaim bumps the holder's epoch before it
+   retires anything, and [acquire_cold] re-checks the epoch after
+   admission, so no later grant of that slot to the holder runs under
+   the old epoch.  A second release of a token whose slot was granted
+   to the same client again in the same epoch is not caught.  Epochs
+   grow by one a declared death; 33 bits of them never run out. *)
 let token_bits = 30
 let token_mask = (1 lsl token_bits) - 1
-let gen_mask = max_int lsr token_bits
+let[@inline] token_of (c : client) slot = (c.my_epoch lsl token_bits) lor slot
 
 (* Seed-fixed hash of a source name onto [0, n). *)
 let hash_route src n =
@@ -226,6 +239,7 @@ let[@inline] slot_src t slot = t.slot_f.(slot * slot_stride)
 let[@inline] slot_owner t slot = t.slot_f.((slot * slot_stride) + 1)
 let[@inline] slot_name t slot = t.slot_f.((slot * slot_stride) + 2)
 let[@inline] slot_gen t slot = t.slot_f.((slot * slot_stride) + 3)
+let[@inline] slot_entry t slot = slot mod t.cfg.k_per_shard
 let[@inline] set_slot_src t slot v = t.slot_f.(slot * slot_stride) <- v
 let[@inline] set_slot_owner t slot v = t.slot_f.((slot * slot_stride) + 1) <- v
 let[@inline] set_slot_name t slot v = t.slot_f.((slot * slot_stride) + 2) <- v
@@ -373,9 +387,6 @@ let retire_slot t (c : client) slot ~reset =
   let src = slot_src t slot in
   let owner = slot_owner t slot in
   let name = slot_name t slot in
-  let li = slot * slot_stride in
-  let lease = match t.slot_lease.(li) with Some l -> l | None -> assert false in
-  t.slot_lease.(li) <- None;
   Agg.released t.agg ~name;
   (* Run the protocol release under the original source name.  The
      holder has retired (or been fenced off by its epoch), so no step
@@ -390,9 +401,7 @@ let retire_slot t (c : client) slot ~reset =
      go under the owner's id, so each client's acquisitions and
      releases pair up in the ring *)
   c.flight_pid := owner;
-  (if reset && Any.reset_available sd.inst then
-     (Option.get Any.reset_footprint) sd.inst ops lease
-   else Any.release_name sd.inst ops lease);
+  Any.release_from sd.leases (slot_entry t slot) ops ~reset;
   c.flight_pid := c.id;
   (match c.ring with
   | Some r ->
@@ -545,7 +554,33 @@ let warm_remove c r =
 
 (* ----- the service ----- *)
 
-(* A grant that runs no protocol: [slot]'s prebuilt warm outcome.
+(* The warm grant of [slot]'s lease to [c] under [c]'s epoch, from the
+   slot's replies: built only when the slot has not carried this name
+   in this epoch since the entry was last overwritten.  A slot sees a
+   few names, not its shard's whole name space, so a few ways serve
+   it.  The ways are a prime number: a solo client's slots alternate
+   between SPLIT names 8 apart, which a power of two would map to one
+   way.  Seven ways and the 9 words after them fill one slot stride,
+   so no two slots' replies share a line. *)
+let reply_ways = 7
+
+let warm_reply t (c : client) slot =
+  let name = slot_name t slot in
+  let token = token_of c slot in
+  let i = (slot * slot_stride) + (name mod reply_ways) in
+  match t.replies.(i) with
+  | Granted g as r when g.name = name && g.token = token -> r
+  | _ ->
+      let r = Granted { name; token; warm = true; accesses = 0 } in
+      t.replies.(i) <- r;
+      r
+
+(* Point [slot]'s warm grant at [c]'s epoch.  Only the agent that holds
+   the slot RETIRING may call it: no grant of the slot to another
+   client can then interleave. *)
+let set_warm t c slot = t.slot_warm.(slot * slot_stride) <- warm_reply t c slot
+
+(* A grant that runs no protocol: [slot]'s warm outcome.
    Inlined: as a call, even a tail call, it lengthened warm-pair's p99
    by ~15% (alternating runs on a 2-core host). *)
 let[@inline] warm_grant t c slot =
@@ -569,17 +604,13 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   let t0 = if t0 <> 0 then t0 else jtrack c in
   let ops = c.ops.(sh) in
   ops.pid <- src;
-  let lease = Any.get_name sd.inst ops in
+  let name = sd.base + Any.get_into sd.leases (slot_entry t slot) ops in
   jblame c Obs.Journey.Acquire t0;
   let accesses = Store.tally_since c.tally in
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
-  let name = sd.base + Any.name_of sd.inst lease in
   set_slot_name t slot name;
-  let gen = (slot_gen t slot + 1) land gen_mask in
-  set_slot_gen t slot gen;
-  let token = (gen lsl token_bits) lor slot in
-  t.slot_lease.(slot * slot_stride) <- Some lease;
-  t.slot_warm.(slot * slot_stride) <- Granted { name; token; warm = true; accesses = 0 };
+  set_slot_gen t slot (slot_gen t slot + 1);
+  set_warm t c slot;
   (* publish last: the slot only becomes visible to retirers and
      re-grants once its fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
@@ -592,7 +623,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   c.acquires <- c.acquires + 1;
   c.held_n <- c.held_n + 1;
   hot_observe c h_cold_accesses accesses;
-  Granted { name; token; warm = false; accesses }
+  Granted { name; token = token_of c slot; warm = false; accesses }
 
 let acquire_cold t c ~src =
   let sh = route ~clients:t.cfg.clients ~client:c.id src t.cfg.shards in
@@ -610,6 +641,8 @@ let acquire_cold t c ~src =
         own_pending t c src lo (lo + t.cfg.k_per_shard)
     in
     if slot >= 0 then begin
+      (* the lease may have gone pending under an earlier epoch *)
+      set_warm t c slot;
       Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
       warm_grant t c slot
     end
@@ -667,17 +700,24 @@ let acquire t c ~src =
   else acquire_cold t c ~src
 
 (* The fence value of [c]'s hold on [slot], or [-1] when [c] does not
-   hold the lease [token] names.  The generation is read after the
-   fence: a slot HELD by [c] was last granted by [c] itself, so its
-   generation is [c]'s own write. *)
+   hold the lease [token] names. *)
 let held_fence t (c : client) slot ~token =
   let f = Atomic.get t.fence.(slot) in
-  if
-    fence_state f = fence_held
-    && fence_owner f = c.id
-    && slot_gen t slot = token lsr token_bits
-  then f
-  else -1
+  if f = leased fence_held ~owner:c.id ~epoch:(token lsr token_bits) then f else -1
+
+(* Move [c]'s lease on [slot] from its hold [f] to [c]'s warm cache.  A
+   lease taken before a re-sync changes epoch here, so its warm grant
+   is re-pointed first, while the slot is RETIRING. *)
+let to_warm t (c : client) slot f ~token =
+  if token lsr token_bits = c.my_epoch then
+    Atomic.compare_and_set t.fence.(slot) f (warm_fence c)
+  else
+    Atomic.compare_and_set t.fence.(slot) f fence_retiring
+    && begin
+         set_warm t c slot;
+         Atomic.set t.fence.(slot) (warm_fence c);
+         true
+       end
 
 let release t c ~token =
   let slot = token land token_mask in
@@ -712,7 +752,7 @@ let release t c ~token =
       else invalid_arg "Server.release: not a token this client holds";
       jblame c Obs.Journey.Release jt0
     end
-    else if Atomic.compare_and_set t.fence.(slot) f (warm_fence c) then begin
+    else if to_warm t c slot f ~token then begin
       returned c;
       if t.cfg.warm_capacity > 0 then begin
         let evicted =
@@ -964,7 +1004,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         let layout = Layout.create () in
         let inst = backend layout ~stage:s ~k:cfg.k_per_shard in
         stores.(s) <- Some (Atomic_store.create layout);
-        let sd = { inst; base = !base } in
+        let sd = { inst; base = !base; leases = Any.table inst ~slots:cfg.k_per_shard } in
         base := !base + Any.name_space inst;
         sd)
   in
@@ -1052,8 +1092,8 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     stores;
     claims = Array.init cfg.source_space (fun _ -> Atomic.make 0);
     slot_f = Array.make (cap * slot_stride) (-1);
-    slot_lease = Array.make (cap * slot_stride) None;
     slot_warm = Array.make (cap * slot_stride) Busy;
+    replies = Array.make (cap * slot_stride) Busy;
     fence = Pad.cells (Pad.create cap fence_free);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;

@@ -29,10 +29,19 @@
        fences.  When no slot is FREE the grant flushes its own warm
        leases on the shard, drains it and looks again, up to three
        times, before it answers {!outcome.Shed}.  A request allocates
-       no slab state, the token handed to a client names its slot and
-       the slot's grant generation (so a token a reclaim retired never
-       names a later lease of the same slot), and each slot's fields
-       sit on cache lines of their own.}
+       no slab state: the shard's protocol lease sits in a per-shard
+       {!Renaming.Protocol.Any.table} entry of its slot (SPLIT's int
+       lease unboxed), and a cold grant takes the slot's warm reply
+       from a small per-slot cache, so it allocates only the
+       {!outcome.Granted} it returns.  The token handed to a client
+       names its slot and its holder's epoch when the holder took the
+       lease: a slot's tokens differ across its holder's epochs, not
+       across grants.  A token a reclaim retired still never names a
+       later lease of the same slot, since a reclaim bumps its victim's
+       epoch first.  A second release of a token after the same slot
+       was granted cold to the same client in the same epoch is not
+       caught: it releases the new lease.  Each slot's fields sit on
+       cache lines of their own.}
     {- {b Batched release draining.}  {!release} does not run the
        protocol's [release_name]: the lease parks in the client's warm
        cache or is fenced {e pending} in its slot, and whichever
@@ -306,9 +315,11 @@ val shard_route : shards:int -> clients:int -> client:int -> src:int -> int
     harnesses that need a client's shards before construction. *)
 
 val token_slot : token:int -> int
-(** The slab slot a granted token names.  Tokens of successive cold
-    grants of one slot differ: they carry the slot's grant
-    generation. *)
+(** The slab slot a granted token names.  A token also carries its
+    holder's epoch when the holder took the lease, so a slot's tokens
+    differ across its holder's epochs, not across grants: two cold
+    grants of one slot to one client in one epoch hand out the same
+    token, and a double release across them is not caught. *)
 
 val scoreboard : t -> Runtime.Agg.t
 (** The live uniqueness/concurrency scoreboard (violations, holder

@@ -262,6 +262,60 @@ let law_reclaim_after_crash s =
     Array.iter (fun (ops, l) -> P.Any.release_name proto ops l) leases
   end
 
+(* Law 9: the lease table is the lease API with the leases kept in
+   place.  Two builds of one subject run the same rounds, one through
+   get_name/release_name and one through a table of k entries: every
+   holder gets the same name at the same shared-access cost, all k
+   hold at once, and the releases run in mixed orders.  A recoverable
+   subject also resets one holder's footprint in each round, through
+   [reset_footprint] on one side and [release_from ~reset:true] on the
+   other. *)
+let law_table_matches_leases s =
+  let counted () =
+    let layout, proto, pids = s.build () in
+    let mem = Store.seq_create layout in
+    let c = Store.counter () in
+    let ops = Array.map (fun pid -> Store.counting c (bounded ~limit:budget (Store.seq_ops mem ~pid))) pids in
+    (proto, ops, c)
+  in
+  let proto, ops, c = counted () in
+  let tproto, tops, tc = counted () in
+  let tbl = P.Any.table tproto ~slots:s.k in
+  let n = Array.length ops in
+  List.iteri
+    (fun round order ->
+      let leases =
+        Array.mapi
+          (fun i o ->
+            let a0 = Store.accesses c and t0 = Store.accesses tc in
+            let l = P.Any.get_name proto o in
+            let name = P.Any.get_into tbl i tops.(i) in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: round %d holder %d name" s.label round i)
+              (P.Any.name_of proto l) name;
+            Alcotest.(check int)
+              (Printf.sprintf "%s: round %d holder %d get accesses" s.label round i)
+              (Store.accesses c - a0) (Store.accesses tc - t0);
+            l)
+          ops
+      in
+      List.iter
+        (fun i ->
+          let reset = s.recoverable && i = round mod n in
+          (if reset then
+             match P.Any.reset_footprint with
+             | Some f -> f proto ops.(i) leases.(i)
+             | None -> Alcotest.fail "Any.reset_footprint is statically Some"
+           else P.Any.release_name proto ops.(i) leases.(i));
+          P.Any.release_from tbl i tops.(i) ~reset)
+        order;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: round %d total accesses" s.label round)
+        (Store.accesses c) (Store.accesses tc))
+    (let ids = List.init n Fun.id in
+     let odd i = i mod 2 = 1 in
+     [ ids; List.rev ids; List.filter (Fun.negate odd) ids @ List.filter odd ids ])
+
 let cases law = List.map (fun s -> Alcotest.test_case s.label `Slow (fun () -> law s)) subjects
 
 (* ----- Chain composition regressions (release ordering, recovery
@@ -365,6 +419,53 @@ let chain_reset_none_dynamic () =
         P.chain_all [ with_reset (); without_reset (); with_reset () ] );
     ]
 
+(* [release_from ~reset:true] resets through the protocol's hook when
+   it has one, and releases when it has none. *)
+let table_reset_falls_back () =
+  let log = ref [] in
+  let ops = dummy_ops ~pid:3 in
+  List.iter
+    (fun (label, proto, expected) ->
+      log := [];
+      let tbl = P.Any.table proto ~slots:2 in
+      ignore (P.Any.get_into tbl 1 ops : int);
+      P.Any.release_from tbl 1 ops ~reset:true;
+      Alcotest.(check (list (pair string int))) label expected (List.rev !log))
+    [
+      ( "with a hook, reset",
+        P.Any.pack (module Probe_proto) (Probe_proto.make ~id:"R" ~log ~space:7),
+        [ ("R.get", 3); ("R.reset", 3) ] );
+      ( "without one, release",
+        P.Any.pack (module Probe_noreset) (Probe_proto.make ~id:"N" ~log ~space:7),
+        [ ("N.get", 3); ("N.release", 3) ] );
+    ]
+
+(* A SPLIT cycle through the table allocates nothing: the int lease is
+   stored unboxed.  Only the table's first grant allocates (its entry
+   array).  The budget of 0.01 words per cycle leaves room only for the
+   measurement. *)
+let table_split_allocation_free () =
+  let layout = Layout.create () in
+  let proto = P.Any.pack (module Renaming.Split) (Renaming.Split.create layout ~k:4) in
+  let ops = Store.seq_ops (Store.seq_create layout) ~pid:123_456_789 in
+  let tbl = P.Any.table proto ~slots:4 in
+  ignore (P.Any.get_into tbl 2 ops : int);
+  P.Any.release_from tbl 2 ops ~reset:false;
+  let cycles = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to cycles do
+    ignore (P.Any.get_into tbl (i land 3) ops : int);
+    P.Any.release_from tbl (i land 3) ops ~reset:(i land 4 = 0)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int cycles in
+  if words >= 0.01 then Alcotest.failf "table cycle allocates %.3f minor words" words
+
+let table_cases =
+  [
+    Alcotest.test_case "reset falls back to release" `Quick table_reset_falls_back;
+    Alcotest.test_case "SPLIT cycle allocates nothing" `Quick table_split_allocation_free;
+  ]
+
 let chain_cases =
   [
     Alcotest.test_case "release ordering + inner pid" `Quick chain_release_order;
@@ -382,5 +483,7 @@ let () =
       ("deterministic", cases law_deterministic);
       ("chainable", cases law_chainable);
       ("reclaim after crash", cases law_reclaim_after_crash);
+      ("lease table matches leases", cases law_table_matches_leases);
       ("chain composition", chain_cases);
+      ("lease table", table_cases);
     ]
