@@ -52,7 +52,7 @@
    median ratio exceeds 1.3x (2.0x under --smoke): what sharing one
    server adds is false sharing between its clients.
    The chaos bench ("chaos") runs the whole-server fault campaign
-   (crash holding leases, crash mid-drain, parked drainer, hot-shard
+   (crash holding leases, crash or park at a retirement, hot-shard
    stall over a 32-seed matrix, 4 under --smoke) plus a clean run;
    its reclaimer scans are run by whichever client first tends after
    each scan interval, so a crashed victim cannot stop them.  It
@@ -488,7 +488,7 @@ let run_trace_bench ~smoke ~rebaseline () =
 (* Sustained acquire/release throughput this machine class must stay
    within 0.4x of; regenerate with [bench server --rebaseline].  The
    generous factor absorbs CI-runner noise — the gate is for
-   order-of-magnitude collapses (a lost batch path, an accidental
+   order-of-magnitude collapses (a lost warm path, an accidental
    global lock), not jitter. *)
 let server_baseline_path = "bench/server_baseline.json"
 
@@ -521,7 +521,7 @@ let run_server_bench ~smoke ~rebaseline () =
   let requests = if smoke then 10_000 else 350_000 in
   let s = 4096 in
   let config =
-    Server.default_config ~shards:4 ~k_per_shard:4 ~warm_capacity:2 ~batch:8 ~clients
+    Server.default_config ~shards:4 ~k_per_shard:4 ~warm_capacity:2 ~clients
       ~source_space:s ()
   in
   let spec client = Workload.server_churn ~s ~requests ~seed:42 ~client () in
@@ -761,7 +761,6 @@ let interference_arm ~shared ~warm_ns ~win_ns srcs =
   in
   let runs = Array.map Domain.join ds in
   let clean (_, srv) =
-    Server.drain_all srv (Server.client srv 0);
     let r = Runtime.Agg.result (Server.scoreboard srv) in
     r.violations = 0 && r.leaked = 0 && Server.outstanding srv = 0
   in
@@ -1009,8 +1008,8 @@ let run_backends_bench ~smoke () =
       else begin
         let source_space = 256 in
         let config =
-          Server.default_config ~shards:2 ~k_per_shard:k ~warm_capacity:2 ~batch:8
-            ~clients:2 ~source_space ()
+          Server.default_config ~shards:2 ~k_per_shard:k ~warm_capacity:2 ~clients:2
+            ~source_space ()
         in
         let backend layout ~stage:_ ~k =
           spec.build layout ~k ~s:source_space

@@ -585,8 +585,8 @@ let observe_tail shards k s clients requests theta seed plan top json out =
       2
   | Ok faults ->
       let config =
-        Server.default_config ~shards ~k_per_shard:k ~warm_capacity:2 ~batch:8
-          ~clients ~source_space:s ()
+        Server.default_config ~shards ~k_per_shard:k ~warm_capacity:2 ~clients
+          ~source_space:s ()
       in
       let bound =
         match bound_for "split" ~k ~s with Some (_, b) -> b | None -> 0
@@ -1325,10 +1325,10 @@ let server_chaos matrix requests json =
   end;
   if ok then 0 else 1
 
-let server shards k s clients requests warm batch theta rate think seed plan policy
+let server shards k s clients requests warm theta rate think seed plan policy
     chaos matrix json metrics_file slo trace_file tick journeys_on =
   let config =
-    Server.default_config ~shards ~k_per_shard:k ~warm_capacity:warm ~batch ~clients
+    Server.default_config ~shards ~k_per_shard:k ~warm_capacity:warm ~clients
       ~source_space:s ()
   in
   match
@@ -1457,16 +1457,15 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
         let rs = report.Churn.resilience and oc = report.Churn.outcomes in
         let resilience_json =
           Printf.sprintf
-            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"drain_heals":%d,"fenced":%d},"settle_scans":%d|}
+            {|,"outcomes":{"issued":%d,"granted":%d,"retried":%d,"deadline":%d,"shed_policy":%d,"shed_early":%d},"resilience":{"scans":%d,"deaths":%d,"reclaimed":%d,"claims_swept":%d,"reclaim_max_scans":%d,"fenced":%d},"settle_scans":%d|}
             oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
             oc.Churn.shed_policy oc.Churn.shed_early rs.Server.scans
             rs.Server.deaths rs.Server.reclaimed rs.Server.claims_swept
-            rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.fenced
-            report.Churn.settle_scans
+            rs.Server.reclaim_max_scans rs.Server.fenced report.Churn.settle_scans
         in
         Fmt.pr
-          {|{"schema":"renaming.server/v1","config":{"shards":%d,"k_per_shard":%d,"source_space":%d,"warm_capacity":%d,"batch":%d,"clients":%d},"requests_per_client":%d,"cycles":%d,"elapsed_s":%.6f,"acquires_per_sec":%.0f,"acquires":%d,"warm_hits":%d,"busy":%d,"shed":%d,"drains":%d,"drained_releases":%d,"latency_ns":%s,"latency_open_ns":%s,"latency_closed_ns":%s,"cold_accesses":%s,"warm_accesses":%s,"violations":%d,"leaked":%d,"outstanding":%d,"sampler_ticks":%d%s%s%s}@.|}
-          shards k s warm batch clients requests report.Churn.cycles
+          {|{"schema":"renaming.server/v1","config":{"shards":%d,"k_per_shard":%d,"source_space":%d,"warm_capacity":%d,"clients":%d},"requests_per_client":%d,"cycles":%d,"elapsed_s":%.6f,"acquires_per_sec":%.0f,"acquires":%d,"warm_hits":%d,"busy":%d,"shed":%d,"drains":%d,"drained_releases":%d,"latency_ns":%s,"latency_open_ns":%s,"latency_closed_ns":%s,"cold_accesses":%s,"warm_accesses":%s,"violations":%d,"leaked":%d,"outstanding":%d,"sampler_ticks":%d%s%s%s}@.|}
+          shards k s warm clients requests report.Churn.cycles
           report.Churn.elapsed_s report.Churn.throughput report.Churn.acquires
           report.Churn.warm_hits report.Churn.busy report.Churn.shed
           report.Churn.drains report.Churn.drained_releases
@@ -1488,8 +1487,7 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
         Fmt.pr "warm hits      : %d of %d acquires@." report.Churn.warm_hits
           report.Churn.acquires;
         Fmt.pr "busy / shed    : %d / %d@." report.Churn.busy report.Churn.shed;
-        Fmt.pr "drains         : %d (%d batched releases)@." report.Churn.drains
-          report.Churn.drained_releases;
+        Fmt.pr "retired        : %d leases@." report.Churn.drained_releases;
         let l = report.Churn.latency in
         Fmt.pr "latency ns     : p50=%d p95=%d p99=%d p100=%d (open-loop)@." l.p50
           l.p95 l.p99 l.p100;
@@ -1507,9 +1505,9 @@ let server shards k s clients requests warm batch theta rate think seed plan pol
           oc.Churn.issued oc.Churn.granted oc.Churn.retried oc.Churn.deadline
           oc.Churn.shed_policy oc.Churn.shed_early;
         Fmt.pr "resilience     : %d scans, %d deaths, %d reclaimed (max %d \
-                scans), %d heals, %d fenced@."
+                scans), %d fenced@."
           rs.Server.scans rs.Server.deaths rs.Server.reclaimed
-          rs.Server.reclaim_max_scans rs.Server.drain_heals rs.Server.fenced;
+          rs.Server.reclaim_max_scans rs.Server.fenced;
         Fmt.pr "violations     : %d@." r.violations;
         (match r.first_violation with
         | Some m -> Fmt.pr "first violation: %s@." m
@@ -1579,8 +1577,6 @@ let server_cmd =
                       ~doc:"Acquire/release requests per client.") in
   let warm = Arg.(value & opt int 2 & info [ "warm" ] ~docv:"N"
                   ~doc:"Warm leases cached per client (0 disables).") in
-  let batch = Arg.(value & opt int 8 & info [ "batch" ] ~docv:"N"
-                   ~doc:"Pending releases that trip a shard drain.") in
   let theta = Arg.(value & opt float 0.99 & info [ "theta" ] ~docv:"T"
                    ~doc:"Zipf skew of the source names (0 < $(docv) < 1).") in
   let rate = Arg.(value & opt float 0. & info [ "rate" ] ~docv:"R"
@@ -1604,7 +1600,7 @@ let server_cmd =
   let chaos = Arg.(value & flag & info [ "chaos" ]
                    ~doc:"Run the seeded chaos campaign instead of a churn run: a \
                          matrix of whole-server fault plans (crash holding leases, \
-                         crash mid-drain, parked drainer, hot-shard stall) \
+                         crash or park at a retirement, hot-shard stall) \
                          asserting zero violations, bounded reclamation, and \
                          an availability floor. Exits nonzero if any cell \
                          fails.") in
@@ -1636,9 +1632,9 @@ let server_cmd =
                             captured journey to explain it.") in
   Cmd.v
     (Cmd.info "server"
-       ~doc:"Serve renaming as a service: sharded protocol pool, batched releases, \
-             warm-name cache, driven by Zipf churn across OS domains")
-    Term.(const server $ shards $ k $ s $ clients $ requests $ warm $ batch $ theta
+       ~doc:"Serve renaming as a service: sharded protocol pool, warm-name cache, \
+             driven by Zipf churn across OS domains")
+    Term.(const server $ shards $ k $ s $ clients $ requests $ warm $ theta
           $ rate $ think $ seed $ plan $ policy $ chaos $ matrix $ json
           $ metrics_arg $ slo $ trace $ tick $ journeys)
 

@@ -719,8 +719,8 @@ let report_json ?crash ~seeds outcomes =
    The third discrimination axis: whole-server fault plans against the
    resilient [Server]/[Churn] stack on real domains.  Where the crash
    campaign kills simulated processes around one protocol instance,
-   chaos kills {e service} roles — a client holding leases, a drainer
-   mid-walk, a hot shard's tenant — and asserts the self-healing
+   chaos kills {e service} roles — a client holding leases, a client
+   retiring one, a hot shard's tenant — and asserts the self-healing
    contract: no uniqueness violation ever, every leaked lease
    reclaimed within two lease TTLs of scans, and the live clients'
    availability above a floor.  Everything derives from the same seed
@@ -759,7 +759,7 @@ let chaos_resilience = { Server.scan_interval_ns = 100_000; lease_ttl = 30; tend
 let chaos_sources = 128
 
 let chaos_config =
-  Server.default_config ~shards:2 ~k_per_shard:4 ~warm_capacity:1 ~batch:4
+  Server.default_config ~shards:2 ~k_per_shard:4 ~warm_capacity:1
     ~resilience:chaos_resilience ~clients:4 ~source_space:chaos_sources ()
 
 let chaos_victim = 1

@@ -219,10 +219,12 @@ val report_json : ?crash:crash_outcome list -> seeds:int list -> outcome list ->
 type chaos_fault =
   | Crash_holding  (** Victim crashes holding the name one request
                        was granted, leaking it with its warm lease. *)
-  | Crash_mid_drain  (** Victim crashes half way through draining a
-                         shard, leaving the rest of its range pending. *)
-  | Park_drainer  (** Victim parks mid-drain until every normal client
-                      finishes — the wedged drainer. *)
+  | Crash_mid_drain  (** Victim crashes at one of its first four
+                         retirements, leaving that lease warm or held
+                         for the reclaimer. *)
+  | Park_drainer  (** Victim parks at one of its first four
+                      retirements until every normal client
+                      finishes. *)
   | Stall_hot_shard  (** Every client's sources pinned to the same
                          half of the source space; the victim stalls
                          400k spins holding one of them on its shard,

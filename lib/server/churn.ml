@@ -150,11 +150,11 @@ let park_body server c (spec : Workload.server_spec) agg =
 
 exception Crashed
 
-(* Drain-boundary fault hooks: the server calls them at every slot of
-   a range it drains, before that slot's retirement fence, so a crash
-   here leaves the rest of the range pending (the next drain of the
-   shard, or the reclaimer's wedged-drain heal, retires it) but never
-   half-retires a slot. *)
+(* Retirement fault hooks: the server calls them before each retirement
+   the client runs of a lease it gives up, before that slot's retirement
+   fence, so a crash here leaves the lease warm or held under the
+   victim (the reclaim retires it once the victim is declared dead) but
+   never half-retires a slot. *)
 let install_chaos c fault agg =
   match fault with
   | Some (Crash_in_drain { drain }) ->
@@ -386,7 +386,6 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy
   in
   Array.iter Domain.join domains;
   let c0 = Server.client server 0 in
-  Server.drain_all server c0;
   let elapsed_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
   (* Settle: whatever crashed clients leaked is reclaimed here, by
      scanning directly from the (now single-threaded) epilogue rather
@@ -397,8 +396,7 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy
   let settle = ref 0 in
   while Server.outstanding server > 0 && !settle < settle_budget do
     incr settle;
-    Server.scan server c0;
-    Server.drain_all server c0
+    Server.scan server c0
   done;
   Option.iter Obs.Sampler.stop handle;
   Server.merge_flight server;
@@ -514,7 +512,7 @@ let run ?registry ?flight ?journeys ?backend ?(faults = []) ?policy
 
 let run_bare ?registry ?flight ?faults ?backend ~k ~s ~pids ~cycles () =
   let config =
-    Server.default_config ~shards:1 ~k_per_shard:k ~warm_capacity:0 ~batch:1
+    Server.default_config ~shards:1 ~k_per_shard:k ~warm_capacity:0
       ~resilience:{ Server.default_resilience with scan_interval_ns = max_int }
       ~clients:(Array.length pids) ~source_space:s ()
   in

@@ -43,13 +43,15 @@ type fault =
           meanwhile.  The victim completes [request] cycles when every
           earlier request was granted. *)
   | Crash_in_drain of { drain : int }
-      (** Crash at the [drain]-th drained slot this client reaches: the
-          rest of the shard's range stays pending until another drain
-          scans it (or the reclaimer's wedged-drain heal does). *)
+      (** Crash at the [drain]-th retirement (counted from 0) this
+          client runs of a lease it gives up, before its fence is
+          taken: the lease stays warm or held under the victim until
+          the reclaimer retires it. *)
   | Park_in_drain of { drain : int }
       (** Park (until every normal client finishes) at the [drain]-th
-          drained slot, then resume — the wedged drainer the per-shard
-          drain-staleness healing exists for. *)
+          retirement, then resume: the lease waits under a silent owner
+          until the reclaimer declares it dead and retires it, and the
+          resumed client's own retirement is fenced. *)
 
 val of_plan : Sim.Faults.plan -> (int * fault) list
 (** Map a simulator fault plan onto client faults: victims become
@@ -65,7 +67,7 @@ val of_plan : Sim.Faults.plan -> (int * fault) list
     {!Server} probes on a dedicated domain.  Canonical series names —
     ["latency"], ["attempts"], ["attempts_failed"], ["grants"],
     ["warm"], ["sheds"], and each sampler source (e.g.
-    ["shard0.pending"], ["slab.free"]) — are what {!Obs.Slo} clauses
+    ["shard0.warm"], ["slab.free"]) — are what {!Obs.Slo} clauses
     bind to. *)
 type telemetry = {
   window_ns : int;
@@ -109,7 +111,7 @@ type report = {
   shed : int;
   drains : int;
   drained_releases : int;
-  elapsed_s : float;  (** Spawn to post-join drain, on {!Obs.Clock}. *)
+  elapsed_s : float;  (** Spawn to join, on {!Obs.Clock}. *)
   throughput : float;  (** [cycles /. elapsed_s]. *)
   latency : Obs.Histogram.snap;
       (** Open-loop: nanoseconds from scheduled arrival (equals
@@ -121,7 +123,7 @@ type report = {
   cold_accesses : Obs.Histogram.snap;  (** Shared accesses per cold grant. *)
   warm_accesses : Obs.Histogram.snap;  (** Per warm grant — all zero. *)
   outstanding : int;
-      (** Names still held after drain {e and} settle: true leaks. *)
+      (** Names still held after the join {e and} settle: true leaks. *)
   telemetry : telemetry;
   outcomes : outcomes;
   resilience : Server.resilience_stats;
@@ -147,9 +149,9 @@ val run :
   unit ->
   report
 (** [run ~config ~spec ()] creates the server, spawns [config.clients]
-    domains (client [i] driven by [spec i]), joins them, flushes and
-    drains every batched release, settles leaked leases through the
-    reclaimer, merges flight rings, and reports.
+    domains (client [i] driven by [spec i]), each of which flushes its
+    warm cache when its requests are done, joins them, settles leaked
+    leases through the reclaimer, merges flight rings, and reports.
 
     Without [?policy], [Busy]/[Shed] outcomes consume the request slot
     without a retry — counted (in [busy]/[shed] and the
@@ -178,7 +180,7 @@ val run_bare :
   unit ->
   report
 (** A bare protocol across real domains: {!run} over the degenerate
-    server of one shard of [k], no warm cache and batch 1, so every
+    server of one shard of [k] and no warm cache, so every
     grant is cold and runs the protocol's [get_name], and every
     release runs its [release_name] at once ([backend] as in
     {!Server.create}, {!Renaming.Split} by default).  Client [i] asks for

@@ -24,56 +24,57 @@ module Any = Renaming.Protocol.Any
 module Pad = Shared_mem.Pad
 module Agg = Runtime.Agg
 module Atomic_store = Runtime.Atomic_store
-module Health = Health
 module Policy = Policy
+
+(* Kept for perfbench until ROADMAP item 4: no shard is ever judged. *)
+module Health = struct
+  type state = Live
+
+  let to_string Live = "live"
+end
 
 type resilience = { scan_interval_ns : int; lease_ttl : int; tend_every : int }
 
 let default_resilience = { scan_interval_ns = 1_000_000; lease_ttl = 8; tend_every = 32 }
-let drain_stale = 4
 
 type config = {
   shards : int;
   k_per_shard : int;
   source_space : int;
   warm_capacity : int;
-  batch : int;
+  batch : int;  (* always 1; kept for perfbench until ROADMAP item 4 *)
   clients : int;
   resilience : resilience;
 }
 
-let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2) ?(batch = 8)
+let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2)
     ?(resilience = default_resilience) ~clients ~source_space () =
-  { shards; k_per_shard; source_space; warm_capacity; batch; clients; resilience }
+  { shards; k_per_shard; source_space; warm_capacity; batch = 1; clients; resilience }
 
 (* Shard [sh] owns the slots [sh·k, sh·k + k), and the range is the
    shard's admission: a grant is admitted by taking a FREE fence of it,
-   so the shard never runs more than k leases (held, warm or pending)
-   and needs no counter beside its fences.
+   so the shard never runs more than k leases (held or warm) and needs
+   no counter beside its fences.
 
    Per-slot fence.  Every change of a slot's lease goes through one CAS
-   on it, and every lease retirement — batched drain or lease reclaim —
-   must win the CAS into [fence_retiring], so a pending release can
-   never be both drained and reclaimed, nor drained and re-granted.
-   States:
+   on it, and every lease retirement — by the owner giving the lease up
+   or by a reclaim — must win the CAS into [fence_retiring], so no lease
+   is ever retired twice.  States:
 
      0 FREE      takeable by a grant of its shard: that CAS admits it
      1 HELD      granted, client holds the token
      2 WARM      released into the owner's warm cache (still leased)
-     3 PENDING   released, awaiting a drain of its shard (still leased:
-                 its owner may take it back)
-     4 RETIRING  one agent owns it: a retirer (next FREE), a grant
-                 filling its fields or the owner re-granting it (next
-                 HELD), or a re-grant probe undoing a miss (next PENDING)
+     3 RETIRING  one agent owns it: a retirer (next FREE), a grant
+                 filling its fields, or an owner re-pointing a lease
+                 of an earlier epoch into its cache (next WARM)
 
-   No crash point exists while a slot is RETIRING (the chaos hooks fire
-   only at drain slot boundaries, crashes at request boundaries), so
+   No crash point exists while a slot is RETIRING (the chaos hook fires
+   before the retirement CAS, crashes at request boundaries), so
    RETIRING is always transient. *)
 let fence_free = 0
 let fence_held = 1
 let fence_warm = 2
-let fence_pending = 3
-let fence_retiring = 4
+let fence_retiring = 3
 
 (* A HELD or WARM fence also names the lease's owner and the owner's
    epoch when it took the lease (granted it, or cached it warm):
@@ -128,14 +129,14 @@ type client = {
   mutable stale_n : int;  (* tokens out from before it: maybe reclaimed *)
   mutable tend_count : int;
   mutable chaos : (string -> unit) option;
-      (* fault-injection hook, called at drain slot boundaries; set
-         only by the owning domain (Churn's chaos plans) *)
+      (* fault-injection hook, called before each retirement this
+         client runs of a lease it gives up; set only by the owning
+         domain (Churn's chaos plans) *)
   mutable acquires : int;
   mutable warm_hits : int;
   mutable busy : int;
   mutable shed : int;
-  mutable drains : int;
-  mutable drained : int;
+  mutable retired : int;
   mutable fenced : int;
 }
 
@@ -151,8 +152,7 @@ type t = {
   claims : int Atomic.t array;  (* per source: 0 free, else client+1 *)
   slot_f : int array;
       (* per slot, at [slot_stride · slot]: source, owner (-1 once
-         retired), global name (shard base + local name) and grant
-         generation, which only {!Health} reads *)
+         retired) and global name (shard base + local name) *)
   slot_warm : outcome array;
       (* at [slot_stride · slot]: the slot's warm grant, taken from
          [replies] at cold grant; a warm hit returns it as is and
@@ -171,8 +171,6 @@ type t = {
      outlasts [scan_interval_ns] may overlap the next one, which is
      benign — a superseded scan starts no reclaim, every retirement is
      fence-guarded, and these are bookkeeping) *)
-  hx : Health.t array;  (* per shard *)
-  snap : int array;  (* one shard's pending leases, fed to its [hx] *)
   last_hb : int array;  (* per client *)
   stale : int array;
   dead : bool array;
@@ -182,7 +180,6 @@ type t = {
   rs_reclaimed : int Atomic.t;
   rs_claims_swept : int Atomic.t;
   rs_reclaim_max : int Atomic.t;
-  rs_drain_heals : int Atomic.t;
   agg : Agg.t;
   total_space : int;
   clients_tbl : client array;
@@ -229,8 +226,8 @@ let route ~clients ~client src shards =
 let slot_shard t slot = slot / t.cfg.k_per_shard
 
 (* Each slot's fields sit [slot_stride] words after the previous
-   slot's, in every per-slot array.  A slot's four int fields span 32
-   bytes, so at two lines' stride the next slot's fields start 96
+   slot's, in every per-slot array.  A slot's three int fields span 24
+   bytes, so at two lines' stride the next slot's fields start 104
    bytes after them: no two slots share a 64-byte line, wherever the
    line boundaries fall in the array.  A grant and a retirement then
    write only their own slot's lines. *)
@@ -238,17 +235,14 @@ let slot_stride = 2 * Pad.line_words
 let[@inline] slot_src t slot = t.slot_f.(slot * slot_stride)
 let[@inline] slot_owner t slot = t.slot_f.((slot * slot_stride) + 1)
 let[@inline] slot_name t slot = t.slot_f.((slot * slot_stride) + 2)
-let[@inline] slot_gen t slot = t.slot_f.((slot * slot_stride) + 3)
 let[@inline] slot_entry t slot = slot mod t.cfg.k_per_shard
 let[@inline] set_slot_src t slot v = t.slot_f.(slot * slot_stride) <- v
 let[@inline] set_slot_owner t slot v = t.slot_f.((slot * slot_stride) + 1) <- v
 let[@inline] set_slot_name t slot v = t.slot_f.((slot * slot_stride) + 2) <- v
-let[@inline] set_slot_gen t slot v = t.slot_f.((slot * slot_stride) + 3) <- v
 
 (* The fences of shard [sh]'s range whose state is [st].  The range is
    the shard's census: k minus its FREE fences is its admission
-   occupancy, and its PENDING fences are the releases awaiting a
-   drain. *)
+   occupancy. *)
 let count_fences t sh st =
   let lo = sh * t.cfg.k_per_shard in
   let n = ref 0 in
@@ -271,8 +265,8 @@ let published : (string * (client -> int)) array =
     ("server.warm_hits", fun c -> c.warm_hits);
     ("server.busy", fun c -> c.busy);
     ("server.shed", fun c -> c.shed);
-    ("server.drains", fun c -> c.drains);
-    ("server.drained", fun c -> c.drained);
+    ("server.drains", fun c -> c.retired);
+    ("server.drained", fun c -> c.retired);
     ("server.fenced", fun c -> c.fenced);
   |]
 
@@ -314,8 +308,8 @@ let mark c tag v =
    [jtrack] opens a timed section (0 = journeys off, making the pair
    free on unwired servers); [jblame] closes it.  Work done inside a
    live journey becomes that journey's stage dwell; work done outside
-   one (drains on behalf of others, reclaimer scans, the settle
-   epilogue) is window-level interference blame.
+   one (reclaimer scans, the settle epilogue) is window-level
+   interference blame.
 
    A clock read costs ~40ns — comparable to the O(1) sections being
    metered — so back-to-back sections chain: [jblame_t] returns the
@@ -337,44 +331,6 @@ let jblame_t c stage t0 =
     | None -> 0
 
 let jblame c stage t0 = ignore (jblame_t c stage t0 : int)
-
-(* ----- epoch fencing -----
-
-   A client's epoch advances when a scan declares it dead.
-   Any surviving warm lease is pushed to pending (the fence CAS
-   filters the ones that really were reclaimed), the cache is dropped,
-   and the client carries on — its outstanding tokens were retired on
-   its behalf, so a later release of one is silently fenced rather
-   than double-retired. *)
-
-(* Every entry of [c]'s warm cache carries this fence: entries are
-   cached under the current epoch, and a re-sync drops them all. *)
-let warm_fence (c : client) = leased fence_warm ~owner:c.id ~epoch:c.my_epoch
-
-let resync t (c : client) e =
-  let w = warm_fence c in
-  for r = 0 to c.warm_n - 1 do
-    let slot = c.warm_slot.(r) in
-    ignore (Atomic.compare_and_set t.fence.(slot) w fence_pending : bool)
-  done;
-  c.warm_n <- 0;
-  c.stale_n <- c.stale_n + c.held_n;
-  c.held_n <- 0;
-  c.my_epoch <- e
-
-(* One of the client's tokens came back. *)
-let returned (c : client) =
-  if c.held_n > 0 then c.held_n <- c.held_n - 1
-  else if c.stale_n > 0 then c.stale_n <- c.stale_n - 1
-
-let check_epoch t (c : client) =
-  let e = Pad.get t.epoch c.id in
-  if e = c.my_epoch then false
-  else begin
-    resync t c e;
-    c.fenced <- c.fenced + 1;
-    true
-  end
 
 (* ----- retirement (the only way a lease returns to the protocol) ----- *)
 
@@ -414,72 +370,70 @@ let retire_slot t (c : client) slot ~reset =
   (* gives the shard's admission back *)
   Atomic.set t.fence.(slot) fence_free
 
-(* Retire every PENDING slot in shard [sh]'s range.  Drainers, the
-   owner's re-grant and the reclaimer race only on the slots' fences,
-   so each lease retires exactly once, and a drainer that stops half
-   way leaves the rest for whichever drain scans the range next.  A
-   range with no PENDING fence is left alone, so the chaos hooks and
-   the journey clock only run for a real drain; one that retires
-   nothing (another drain got there first) is not counted. *)
-let drain_shard ?(t0 = 0) t (c : client) sh =
-  if count_fences t sh fence_pending > 0 then begin
-    let t0 = if t0 <> 0 then t0 else jtrack c in
-    let lo = sh * t.cfg.k_per_shard in
-    let n = ref 0 in
-    for slot = lo to lo + t.cfg.k_per_shard - 1 do
-      (match c.chaos with Some f -> f "drain" | None -> ());
-      if
-        Atomic.get t.fence.(slot) = fence_pending
-        && Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
-      then begin
-        retire_slot t c slot ~reset:false;
-        incr n
-      end
-    done;
-    if !n > 0 then begin
-      c.drains <- c.drains + 1;
-      c.drained <- c.drained + !n;
-      mark c "drain" !n;
-      jblame c Obs.Journey.Drain t0
-    end
+(* Retire the lease [c] gives up on [slot], from the fence value [f]
+   under which [c] holds it (HELD) or caches it (WARM).  The chaos hook
+   fires first, so a client that crashes or parks there leaves the
+   lease as it was, for [reclaim_client] to retire.  False when a
+   reclaim took the lease first: it is retired already. *)
+let retire_own t (c : client) slot f =
+  (match c.chaos with Some h -> h "retire" | None -> ());
+  Atomic.compare_and_set t.fence.(slot) f fence_retiring
+  && begin
+       retire_slot t c slot ~reset:false;
+       c.retired <- c.retired + 1;
+       true
+     end
+
+(* ----- epoch fencing -----
+
+   A client's epoch advances when a scan declares it dead.  Any
+   surviving warm lease is retired (the fence CAS filters the ones that
+   really were reclaimed), the cache is dropped, and the client carries
+   on — its outstanding tokens were retired on its behalf, so a later
+   release of one is silently fenced rather than double-retired. *)
+
+(* Every entry of [c]'s warm cache carries this fence: entries are
+   cached under the current epoch, and a re-sync drops them all. *)
+let warm_fence (c : client) = leased fence_warm ~owner:c.id ~epoch:c.my_epoch
+
+let resync t (c : client) e =
+  let w = warm_fence c in
+  for r = 0 to c.warm_n - 1 do
+    ignore (retire_own t c c.warm_slot.(r) w : bool)
+  done;
+  c.warm_n <- 0;
+  c.stale_n <- c.stale_n + c.held_n;
+  c.held_n <- 0;
+  c.my_epoch <- e
+
+(* One of the client's tokens came back. *)
+let returned (c : client) =
+  if c.held_n > 0 then c.held_n <- c.held_n - 1
+  else if c.stale_n > 0 then c.stale_n <- c.stale_n - 1
+
+let check_epoch t (c : client) =
+  let e = Pad.get t.epoch c.id in
+  if e = c.my_epoch then false
+  else begin
+    resync t c e;
+    c.fenced <- c.fenced + 1;
+    true
   end
 
-(* Batch 1 retires the release at once, by the releaser: no other
-   client's drain can be left holding it, so the releaser may re-claim
-   its source the moment [release] returns.  A larger batch drains the
-   shard once that many of its fences are PENDING; a range of k fences
-   never holds more than k, so a batch above k skips the count. *)
-let pending_release ?(t0 = 0) t c slot =
-  let t0 = if t0 <> 0 then t0 else jtrack c in
-  if t.cfg.batch = 1 then begin
-    if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then
-      retire_slot t c slot ~reset:false;
-    jblame c Obs.Journey.Retire t0
-  end
-  else begin
-    let te = jblame_t c Obs.Journey.Pending t0 in
-    let sh = slot_shard t slot in
-    if
-      t.cfg.batch <= t.cfg.k_per_shard
-      && count_fences t sh fence_pending >= t.cfg.batch
-    then drain_shard ~t0:te t c sh
-  end
+(* Retire the lease [c] caches warm on [slot]; one a reclaim took out
+   of the cache first is fenced. *)
+let retire_warm t c slot =
+  if not (retire_own t c slot (warm_fence c)) then c.fenced <- c.fenced + 1
 
 (* ----- admission: taking a FREE fence of the shard's range ----- *)
 
-(* Flush this client's own warm leases that live on shard [sh] —
+(* Retire this client's own warm leases that live on shard [sh] —
    reclaiming admission capacity it is hoarding before giving up. *)
 let flush_warm_shard t c sh =
-  let wf = warm_fence c in
   let w = ref 0 in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if slot_shard t slot = sh then begin
-      if not (Atomic.compare_and_set t.fence.(slot) wf fence_pending) then begin
-        (* reclaimed from the cache behind our back — already retired *)
-        c.fenced <- c.fenced + 1
-      end
-    end
+    if slot_shard t slot = sh then retire_warm t c slot
     else begin
       c.warm_src.(!w) <- c.warm_src.(r);
       c.warm_slot.(!w) <- slot;
@@ -503,42 +457,14 @@ let take_slot t sh =
   let lo = sh * t.cfg.k_per_shard in
   take_free t lo (lo + t.cfg.k_per_shard)
 
-(* A full shard: flush this client's own warm leases on it, drain it
-   and look again, up to [tries] times.  [tc] is the chained journey
-   stamp from the claim section ([0] when journeys are off).  Returns
-   the slot taken, or [-1] — an int rather than an option, so the cold
-   path stays allocation-free. *)
-let rec admit_retry t c sh tries tc =
-  if tries = 0 then -1
-  else begin
-    let t0 = if tc <> 0 then tc else jtrack c in
-    flush_warm_shard t c sh;
-    let te = jblame_t c Obs.Journey.Admission t0 in
-    drain_shard ~t0:te t c sh;
-    let slot = take_slot t sh in
-    if slot >= 0 then slot else admit_retry t c sh (tries - 1) 0
-  end
-
-(* The caller's own PENDING lease of [src] in the range [slot, hi),
-   taken into RETIRING, or [-1].  The fields read before the CAS may
-   belong to a lease retired and re-granted since; only a grant that
-   took the slot from FREE writes them, so once the CAS is won they
-   are stable and checked again, and a slot that is not ours after all
-   goes back to PENDING. *)
-let rec own_pending t (c : client) src slot hi =
-  if slot = hi then -1
-  else if
-    Atomic.get t.fence.(slot) = fence_pending
-    && slot_src t slot = src
-    && slot_owner t slot = c.id
-    && Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
-  then
-    if slot_src t slot = src && slot_owner t slot = c.id then slot
-    else begin
-      Atomic.set t.fence.(slot) fence_pending;
-      own_pending t c src (slot + 1) hi
-    end
-  else own_pending t c src (slot + 1) hi
+(* A full shard: retire this client's own warm leases on it and look
+   again.  [tc] is the chained journey stamp from the claim section
+   ([0] when journeys are off).  Returns the slot taken, or [-1] — an
+   int rather than an option, so the cold path stays allocation-free. *)
+let admit_retry t c sh tc =
+  flush_warm_shard t c sh;
+  jblame c Obs.Journey.Admission tc;
+  take_slot t sh
 
 (* ----- warm cache (client-local; shared state only in the fences) ----- *)
 
@@ -609,10 +535,9 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   let accesses = Store.tally_since c.tally in
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
   set_slot_name t slot name;
-  set_slot_gen t slot (slot_gen t slot + 1);
   set_warm t c slot;
-  (* publish last: the slot only becomes visible to retirers and
-     re-grants once its fields are in place *)
+  (* publish last: the slot only becomes visible to retirers once its
+     fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
   Agg.acquired t.agg ~worker:c.id ~name;
   (match c.ring with
@@ -631,42 +556,25 @@ let acquire_cold t c ~src =
   let claimed = Atomic.compare_and_set t.claims.(src) 0 (c.id + 1) in
   let tc = jblame_t c Obs.Journey.Claim t0 in
   if not claimed then begin
-    (* Our own claim can be held by our own PENDING lease of [src]:
-       never returned to the protocol, so taking it back is as
-       uniqueness-trivial as a warm hit.  Only other clients are Busy. *)
-    let slot =
-      if Atomic.get t.claims.(src) <> c.id + 1 then -1
-      else
-        let lo = sh * t.cfg.k_per_shard in
-        own_pending t c src lo (lo + t.cfg.k_per_shard)
-    in
-    if slot >= 0 then begin
-      (* the lease may have gone pending under an earlier epoch *)
-      set_warm t c slot;
-      Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
-      warm_grant t c slot
-    end
-    else begin
-      c.busy <- c.busy + 1;
-      Busy
-    end
+    c.busy <- c.busy + 1;
+    Busy
   end
   else
     (* the claim-end stamp chains through admission into the acquire
        section: an uncontended cold grant costs three clock reads
        total (claim open, claim close = acquire open, acquire close);
-       a full shard's retries stamp their own sections *)
+       a full shard's retry stamps its own section *)
     let first = take_slot t sh in
-    let slot = if first >= 0 then first else admit_retry t c sh 3 tc in
+    let slot = if first >= 0 then first else admit_retry t c sh tc in
     if slot < 0 then begin
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       c.shed <- c.shed + 1;
       Shed
     end
     else if Pad.get t.epoch c.id <> c.my_epoch then begin
-      (* We may have spent a long time in [admit_retry]'s drains; if
-         a scan declared us dead meanwhile our claim may already be
-         swept — back out rather than run the protocol without it. *)
+      (* A scan may have declared us dead since the claim, and then our
+         claim may already be swept — back out rather than run the
+         protocol without it. *)
       Atomic.set t.fence.(slot) fence_free;
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (check_epoch t c : bool);
@@ -724,19 +632,21 @@ let release t c ~token =
   if token < 0 || slot >= Array.length t.fence then
     invalid_arg "Server.release: not a token this client holds";
   (* the Release dwell covers the fence transition and warm-cache
-     bookkeeping only; it closes before any [pending_release], whose
-     Pending/Drain stamps take over, so the stages partition *)
+     bookkeeping only; a retirement stamps its own Retire dwell after
+     it, so the stages partition *)
   let jt0 = jtrack c in
   if check_epoch t c then begin
     (* Declared dead while holding: if the reclaimer got to the slot
-       first it is already retired (the fence CAS below fails); if it
-       didn't, retire it through pending ourselves.  Either way the
-       caller's token dies silently — it was fenced, not mis-used. *)
+       first it is already retired (the fence CAS fails); if it didn't,
+       retire it ourselves.  Either way the caller's token dies
+       silently — it was fenced, not mis-used. *)
     returned c;
     let f = held_fence t c slot ~token in
-    if f >= 0 && Atomic.compare_and_set t.fence.(slot) f fence_pending then
-      pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c slot
-    else jblame c Obs.Journey.Release jt0
+    let te = jblame_t c Obs.Journey.Release jt0 in
+    if f >= 0 then begin
+      ignore (retire_own t c slot f : bool);
+      jblame c Obs.Journey.Retire te
+    end
   end
   else
     let f = held_fence t c slot ~token in
@@ -752,63 +662,53 @@ let release t c ~token =
       else invalid_arg "Server.release: not a token this client holds";
       jblame c Obs.Journey.Release jt0
     end
+    else if t.cfg.warm_capacity = 0 then begin
+      returned c;
+      let te = jblame_t c Obs.Journey.Release jt0 in
+      (* a reclaim between grant and release retired it already (we
+         were falsely expired and re-synced meanwhile) *)
+      if not (retire_own t c slot f) then c.fenced <- c.fenced + 1;
+      jblame c Obs.Journey.Retire te
+    end
     else if to_warm t c slot f ~token then begin
       returned c;
-      if t.cfg.warm_capacity > 0 then begin
-        let evicted =
-          c.warm_n = t.cfg.warm_capacity
-          &&
-          let old = c.warm_slot.(0) in
-          warm_remove c 0;
-          if Atomic.compare_and_set t.fence.(old) (warm_fence c) fence_pending then begin
-            pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c old;
-            true
-          end
-          else begin
-            c.fenced <- c.fenced + 1;
-            false
-          end
-        in
-        c.warm_src.(c.warm_n) <- slot_src t slot;
-        c.warm_slot.(c.warm_n) <- slot;
-        c.warm_n <- c.warm_n + 1;
-        if not evicted then jblame c Obs.Journey.Release jt0
-      end
-      else if Atomic.compare_and_set t.fence.(slot) (warm_fence c) fence_pending then
-        pending_release ~t0:(jblame_t c Obs.Journey.Release jt0) t c slot
-      else begin
-        c.fenced <- c.fenced + 1;
-        jblame c Obs.Journey.Release jt0
+      (* a full cache evicts its oldest lease, which retires at once *)
+      let evicted = if c.warm_n = t.cfg.warm_capacity then c.warm_slot.(0) else -1 in
+      if evicted >= 0 then warm_remove c 0;
+      c.warm_src.(c.warm_n) <- slot_src t slot;
+      c.warm_slot.(c.warm_n) <- slot;
+      c.warm_n <- c.warm_n + 1;
+      let te = jblame_t c Obs.Journey.Release jt0 in
+      if evicted >= 0 then begin
+        retire_warm t c evicted;
+        jblame c Obs.Journey.Retire te
       end
     end
     else begin
-      (* reclaimed between grant and release (we were falsely expired
-         and re-synced meanwhile) — the lease is already retired *)
+      (* reclaimed between grant and release — already retired *)
       returned c;
       c.fenced <- c.fenced + 1;
       jblame c Obs.Journey.Release jt0
     end
 
-let drain_all t c =
-  for sh = 0 to t.cfg.shards - 1 do
-    drain_shard t c sh
-  done
+(* Kept for perfbench until ROADMAP item 4: nothing is ever parked. *)
+let drain_all _ _ = ()
 
 let flush t c =
   ignore (check_epoch t c : bool);
-  for sh = 0 to t.cfg.shards - 1 do
-    flush_warm_shard t c sh
+  for r = 0 to c.warm_n - 1 do
+    retire_warm t c c.warm_slot.(r)
   done;
-  drain_all t c
+  c.warm_n <- 0
 
 let outstanding t =
   Array.fold_left (fun n f -> if Atomic.get f = fence_free then n else n + 1) 0 t.fence
 
 (* ----- the reclaimer scan -----
 
-   One leaderless duty: scan heartbeats, expire dead clients' leases
+   One leaderless duty: scan heartbeats and expire dead clients' leases
    (epoch bump first, heartbeat double-check, then fence-guarded
-   retirement) and drain wedged pending slots.  Whichever tending
+   retirement).  Whichever tending
    client wins the scan ticket runs the scan, so no client owns the
    duty and a dead one cannot hold it up.  Each scan's id is its
    ticket from [rs_scans]; a scan that a newer one superseded starts no
@@ -843,7 +743,7 @@ let reclaim_client t (c : client) j =
       end
     done;
     (* sweep claims with no backing slot: a death inside an admission
-       drain leaves claims.(src) = j+1 and nothing else — without this
+       retry leaves claims.(src) = j+1 and nothing else — without this
        sweep that source name is Busy forever *)
     for src = 0 to t.cfg.source_space - 1 do
       if Atomic.get t.claims.(src) = j + 1 then begin
@@ -866,8 +766,8 @@ let reclaim_client t (c : client) j =
 
 let do_scan t (c : client) =
   let id = 1 + Atomic.fetch_and_add t.rs_scans 1 in
-  (* 1. liveness: stale heartbeats become reclaims (ticket-fenced: a
-     superseded scan starts no new reclaim) *)
+  (* stale heartbeats become reclaims (ticket-fenced: a superseded
+     scan starts no new reclaim) *)
   for j = 0 to t.cfg.clients - 1 do
     if j <> c.id then begin
       let h = Pad.get t.hb j in
@@ -888,25 +788,6 @@ let do_scan t (c : client) =
           jblame c Obs.Journey.Reclaim t0
         end
       end
-    end
-  done;
-  (* 2. wedged drains: heal a shard on which one lease has sat PENDING
-     for [drain_stale] scans (its drainer crashed or parked, or nothing
-     released on the shard since).  A lease is known by its slot's
-     grant generation, so a slot refilled between scans is a new one.
-     A slot refilled between the fence read and the generation read is
-     judged by its new lease, which may then age one scan early; a heal
-     only drains, and any drain is safe. *)
-  let k = t.cfg.k_per_shard in
-  for sh = 0 to t.cfg.shards - 1 do
-    for i = 0 to k - 1 do
-      let slot = (sh * k) + i in
-      t.snap.(i) <-
-        (if Atomic.get t.fence.(slot) = fence_pending then slot_gen t slot else -1)
-    done;
-    if Health.observe t.hx.(sh) t.snap = Health.Wedged then begin
-      drain_shard t c sh;
-      Atomic.incr t.rs_drain_heals
     end
   done
 
@@ -931,9 +812,9 @@ let scan t (c : client) =
   do_scan t c
 
 let set_chaos (c : client) f = c.chaos <- f
-let health t sh =
-  if sh < 0 || sh >= t.cfg.shards then invalid_arg "Server.health: bad shard";
-  Health.state t.hx.(sh)
+
+(* Kept for perfbench until ROADMAP item 4. *)
+let health _ _ = Health.Live
 
 type resilience_stats = {
   scans : int;
@@ -954,7 +835,7 @@ let resilience_stats t =
     reclaimed = Atomic.get t.rs_reclaimed;
     claims_swept = Atomic.get t.rs_claims_swept;
     reclaim_max_scans = Atomic.get t.rs_reclaim_max;
-    drain_heals = Atomic.get t.rs_drain_heals;
+    drain_heals = 0;
     fenced;
     failovers = 0;
   }
@@ -988,7 +869,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
   if cfg.k_per_shard < 1 then invalid_arg "Server.create: k_per_shard < 1";
   if cfg.source_space < 1 then invalid_arg "Server.create: source_space < 1";
   if cfg.warm_capacity < 0 then invalid_arg "Server.create: warm_capacity < 0";
-  if cfg.batch < 1 then invalid_arg "Server.create: batch < 1";
   if cfg.clients < 1 then invalid_arg "Server.create: clients < 1";
   if cfg.clients > owner_mask - 1 then
     invalid_arg "Server.create: clients exceed fence owner encoding";
@@ -1073,8 +953,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
               warm_hits = 0;
               busy = 0;
               shed = 0;
-              drains = 0;
-              drained = 0;
+              retired = 0;
               fenced = 0;
             }
         in
@@ -1098,10 +977,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;
     last_scan_ns = Atomic.make 0;
-    hx =
-      Array.init cfg.shards (fun _ ->
-          Health.create ~drain_stale ~slots:cfg.k_per_shard);
-    snap = Array.make cfg.k_per_shard (-1);
     last_hb = Array.make cfg.clients min_int;
     stale = Array.make cfg.clients 0;
     dead = Array.make cfg.clients false;
@@ -1110,7 +985,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     rs_reclaimed = Atomic.make 0;
     rs_claims_swept = Atomic.make 0;
     rs_reclaim_max = Atomic.make 0;
-    rs_drain_heals = Atomic.make 0;
     agg;
     total_space = !base;
     clients_tbl;
@@ -1138,8 +1012,8 @@ let client_stats (c : client) =
     warm_hits = c.warm_hits;
     busy = c.busy;
     shed = c.shed;
-    drains = c.drains;
-    drained_releases = c.drained;
+    drains = c.retired;
+    drained_releases = c.retired;
     fenced = c.fenced;
     accesses = Store.tally_total c.tally;
   }
@@ -1161,7 +1035,7 @@ let probe_shard t sh =
   if sh < 0 || sh >= t.cfg.shards then invalid_arg "Server.probe_shard: bad shard";
   {
     admitted = in_use t sh;
-    pending = count_fences t sh fence_pending;
+    pending = 0;
     warm = count_fences t sh fence_warm;
   }
 
@@ -1180,8 +1054,6 @@ let sampler_sources t =
            [
              { Obs.Sampler.name = "shard" ^ p ^ ".admitted";
                read = (fun () -> in_use t sh) };
-             { Obs.Sampler.name = "shard" ^ p ^ ".pending";
-               read = (fun () -> count_fences t sh fence_pending) };
              { Obs.Sampler.name = "shard" ^ p ^ ".warm";
                read = (fun () -> count_fences t sh fence_warm) };
            ]))
@@ -1190,6 +1062,6 @@ let sampler_sources t =
   @ [
       { Obs.Sampler.name = "slab.free"; read = (fun () -> probe_free t) };
       { Obs.Sampler.name = "claims.held"; read = (fun () -> probe_claims t) };
-      { Obs.Sampler.name = "seat.scans"; read = (fun () -> Atomic.get t.rs_scans) };
+      { Obs.Sampler.name = "scans"; read = (fun () -> Atomic.get t.rs_scans) };
       { Obs.Sampler.name = "reclaimed"; read = (fun () -> Atomic.get t.rs_reclaimed) };
     ]

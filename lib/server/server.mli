@@ -1,5 +1,4 @@
-(** Renaming as a service: a sharded, batched, {e self-healing} name
-    server.
+(** Renaming as a service: a sharded, {e self-healing} name server.
 
     The paper's {e long-lived} property — names can be acquired and
     released forever, at a cost independent of the unbounded source
@@ -25,10 +24,10 @@
        shard [sh] owns the range [\[sh·k, sh·k + k)].  The range {e is}
        the shard's admission: a grant is admitted by one CAS that takes
        a FREE slot of it, so a shard never carries more than [k] leases
-       (held, warm or pending) and keeps no counter beside its slots'
-       fences.  When no slot is FREE the grant flushes its own warm
-       leases on the shard, drains it and looks again, up to three
-       times, before it answers {!outcome.Shed}.  A request allocates
+       (held or warm) and keeps no counter beside its slots' fences.
+       When no slot is FREE the grant retires its own warm leases on
+       the shard and looks once more before it answers
+       {!outcome.Shed}.  A request allocates
        no slab state: the shard's protocol lease sits in a per-shard
        {!Renaming.Protocol.Any.table} entry of its slot (SPLIT's int
        lease unboxed), and a cold grant takes the slot's warm reply
@@ -42,42 +41,38 @@
        was granted cold to the same client in the same epoch is not
        caught: it releases the new lease.  Each slot's fields sit on
        cache lines of their own.}
-    {- {b Batched release draining.}  {!release} does not run the
-       protocol's [release_name]: the lease parks in the client's warm
-       cache or is fenced {e pending} in its slot, and whichever
-       client trips the [batch] threshold (or needs admission
-       capacity, or calls {!flush} or {!drain_all}) drains the shard
-       by scanning its range and retiring every pending slot —
-       releases are executed off the acquire path, in batches.}
-    {- {b Re-granting leases the server still holds.}  A released name
-       stays {e held} from the protocol's point of view until a drain
-       retires it, whether it sits in its client's warm cache or
-       pending in its slot.  A re-acquire of the same source name by
-       the same client takes it back with {b zero} protocol (store)
-       accesses: from the cache, or from the shard's range when the
-       lease is pending.  This is legal {e precisely because renaming
-       is long-lived}: the server never returned the name, it merely
-       held it longer — §2's uniqueness condition cannot be violated
-       by re-granting a name to the process that already holds it.
-       The claim table keeps every {e other} client out
-       ({!outcome.Busy}) until the lease is actually drained.}
-    {- {b Resilience.}  Every lease retirement — batched drain or
+    {- {b Retirement at once.}  A released lease goes into the
+       client's warm cache.  When it leaves the cache — evicted by a
+       newer release, retired to make room on a full shard, dropped by
+       a re-sync or by {!flush} — the client that gives it up runs the
+       protocol's [release_name] on the spot.  With caching off
+       ([warm_capacity = 0]) every release does so.  No lease is ever
+       parked between the cache and the protocol, and no other client
+       retires a live client's lease.}
+    {- {b Re-granting warm leases.}  A released name stays {e held}
+       from the protocol's point of view while it sits in its client's
+       warm cache.  A re-acquire of the same source name by the same
+       client takes it back with {b zero} protocol (store) accesses.
+       This is legal {e precisely because renaming is long-lived}: the
+       server never returned the name, it merely held it longer — §2's
+       uniqueness condition cannot be violated by re-granting a name to
+       the process that already holds it.  The claim table keeps every
+       {e other} client out ({!outcome.Busy}) until the lease leaves the
+       cache and is retired.}
+    {- {b Resilience.}  Every lease retirement — by its owner or by a
        crash reclaim — must win a CAS on the slot's {e retirement
-       fence}, so it happens exactly once no matter how drains,
+       fence}, so it happens exactly once no matter how owners,
        reclaims and fenced clients interleave.  Liveness rides on
        {!tend}: clients heartbeat, and whichever client finds a scan
-       due and wins its {e ticket} scans — for dead clients (reclaiming
-       their leases through the protocol's [reset_footprint] and
-       sweeping their claims) and for wedged drains: when per-shard
-       {!Health} sees one lease sit pending for {!drain_stale} scans,
-       the scan drains that shard.  No client leads, and no shard is
-       ever taken out of service or routed around: uniqueness rests on
-       the per-source claim table alone, so the route carries no
-       safety, and a crashed client's leases come back through the
-       reclaim.  A
-       client declared dead by mistake is {e fenced} by its epoch: it
-       re-syncs and carries on, its stale tokens dying silently rather
-       than double-retiring.}}
+       due and wins its {e ticket} scans for dead clients, reclaiming
+       their held and warm leases through the protocol's
+       [reset_footprint] and sweeping their claims.  No client leads,
+       and no shard is ever taken out of service or routed around:
+       uniqueness rests on the per-source claim table alone, so the
+       route carries no safety, and a crashed client's leases come back
+       through the reclaim.  A client declared dead by mistake is
+       {e fenced} by its epoch: it re-syncs and carries on, its stale
+       tokens dying silently rather than double-retiring.}}
 
     Uniqueness is monitored on-line through a {!Runtime.Agg}
     scoreboard, and when a registry / flight ring is supplied every
@@ -86,10 +81,16 @@
     the client that owns the lease, whichever client retires it — so
     the whole [lib/obs] stack (occupancy, provenance, Perfetto export)
     applies to server runs unchanged.  A bare
-    protocol run is the degenerate config of one shard, no warm cache
-    and batch 1 ({!Churn.run_bare}). *)
+    protocol run is the degenerate config of one shard and no warm
+    cache ({!Churn.run_bare}). *)
 
-module Health = Health
+(** Kept for perfbench until ROADMAP item 4: every shard is [Live]. *)
+module Health : sig
+  type state = Live
+
+  val to_string : state -> string
+end
+
 module Policy = Policy
 
 type resilience = {
@@ -116,26 +117,17 @@ type resilience = {
 val default_resilience : resilience
 (** [scan_interval_ns = 1ms], [lease_ttl = 8], [tend_every = 32]. *)
 
-val drain_stale : int
-(** Scans one lease may sit pending before a scan drains its shard
-    (see {!Health}): 4. *)
-
 type config = {
   shards : int;  (** Protocol instances in the pool. *)
   k_per_shard : int;
-      (** Slots in each shard's range: the shard's leases, held, warm
-          or pending, never exceed it. *)
+      (** Slots in each shard's range: the shard's leases, held or
+          warm, never exceed it. *)
   source_space : int;  (** Size [S] of the source name space. *)
   warm_capacity : int;  (** Warm leases cached per client ([0] disables). *)
   batch : int;
-      (** PENDING slots on a shard that trip its drain: a release that
-          leaves [batch] of the shard's fences PENDING drains it; [1]
-          retires each release at once, by the releaser.  A range of
-          [k_per_shard] fences never holds more, so a batch above
-          [k_per_shard] never trips: such a shard drains only under
-          admission pressure, in {!flush} or {!drain_all}, or by the
-          reclaimer's wedged-drain heal.  Until then its owner can
-          re-grant a pending lease. *)
+      (** Always [1], and read by no server code: a lease is retired
+          the moment it leaves the warm cache.  Kept for perfbench
+          until ROADMAP item 4. *)
   clients : int;  (** Registered client handles (one per domain). *)
   resilience : resilience;
 }
@@ -144,13 +136,12 @@ val default_config :
   ?shards:int ->
   ?k_per_shard:int ->
   ?warm_capacity:int ->
-  ?batch:int ->
   ?resilience:resilience ->
   clients:int ->
   source_space:int ->
   unit ->
   config
-(** Defaults: 4 shards of [k = 4], warm capacity 2, batch 8,
+(** Defaults: 4 shards of [k = 4], warm capacity 2,
     {!default_resilience}. *)
 
 type t
@@ -162,13 +153,14 @@ type outcome =
           back to {!release}.  [warm] grants cost [accesses = 0];
           cold grants report the protocol's shared-access count. *)
   | Busy
-      (** The source name is claimed by another client (held, warm, or
-          pending drain) — the renaming precondition that distinct
+      (** The source name is claimed: held by a client, or warm in
+          another client's cache — the renaming precondition that distinct
           concurrent participants carry distinct source names, served
           as first-come-first-served admission. *)
   | Shed
-      (** The shard is at its [k] capacity even after draining — the
-          server refuses rather than break the protocol's bound. *)
+      (** The shard is at its [k] capacity even after the client
+          retired its own warm leases on it — the server refuses rather
+          than break the protocol's bound. *)
 
 val create :
   ?registry:Obs.Registry.t ->
@@ -185,8 +177,8 @@ val create :
     to the {!Runtime.Agg} scoreboard.  [journeys] wires one
     per-request journey recorder per client (same index as client
     ids): the server stamps stage dwells — claim CAS, admission
-    flushes, drains, the protocol acquire with its access count,
-    release/pending fencing, reclaimer work — into whichever journey
+    flushes, the protocol acquire with its access count, release
+    fencing, retirements, reclaimer work — into whichever journey
     the owning domain has in flight, and attributes out-of-journey
     work as window interference.
     @raise Invalid_argument on a non-positive dimension, a bad
@@ -198,18 +190,16 @@ val client : t -> int -> client
 
 val acquire : t -> client -> src:int -> outcome
 (** Serve one acquire request for source name [src]: warm from the
-    client's cache or from its own pending lease of [src] on the
-    shard {!shard_of} routes it to, else cold through the protocol on
-    that shard.
+    client's cache, else cold through the protocol on the shard
+    {!shard_of} routes it to.
     @raise Invalid_argument when [src] is outside [\[0, source_space)]. *)
 
 val release : t -> client -> token:int -> unit
-(** Give a granted name back: into the warm cache (evicting the
-    oldest warm lease to pending when full), or straight to pending
-    when caching is off.  A pending lease stays re-grantable by this
-    client until a drain retires it; other clients get
-    {!outcome.Busy} for its source meanwhile.  Drains the shard when
-    the batch threshold trips.  A client that was declared dead and
+(** Give a granted name back: into the warm cache, where a full cache
+    evicts its oldest lease and this client retires it through the
+    protocol at once; with caching off, the release itself is retired
+    at once.  Other clients get {!outcome.Busy} for a cached lease's
+    source until it is retired.  A client that was declared dead and
     fenced does {e not} raise here: its token was retired on its
     behalf (or is now), and the release is absorbed silently — also
     when the client re-synced in an earlier call, for as many releases
@@ -218,24 +208,22 @@ val release : t -> client -> token:int -> unit
     holds. *)
 
 val flush : t -> client -> unit
-(** Move every warm lease this client caches to pending and drain
-    every shard — call in a client's epilogue so no release can be
-    lost at the join.  Only the owning client may flush its cache (it
-    is domain-local state). *)
-
-val drain_all : t -> client -> unit
-(** Drain every shard's pending slots, [client] doing the work — call
-    after the join to retire batched releases other clients left
-    behind.  Cannot flush other clients' warm caches (see {!flush});
-    anything still warm after a crash stays held until {!scan}
+(** Retire every warm lease this client caches — call in a client's
+    epilogue so no release can be lost at the join.  Only the owning
+    client may flush its cache (it is domain-local state); anything
+    still warm in a crashed client's cache stays held until {!scan}
     reclaims it, and shows up in {!outstanding} meanwhile — exactly a
     leak. *)
 
-val outstanding : t -> int
-(** Names currently held, warm, or pending drain, across all shards:
-    the slab's slots whose fence is not FREE. *)
+val drain_all : t -> client -> unit
+(** Does nothing: no lease is ever parked.  Kept for perfbench until
+    ROADMAP item 4. *)
 
-(** {1 Liveness: heartbeats, scan tickets, wedged drains}
+val outstanding : t -> int
+(** Names currently held or warm across all shards: the slab's slots
+    whose fence is not FREE. *)
+
+(** {1 Liveness: heartbeats and scan tickets}
 
     Crash tolerance is cooperative and leaderless: no external
     reclaimer process exists, and no client holds the duty.  Clients
@@ -262,19 +250,16 @@ val scan : t -> client -> unit
     {!tend}-paced scan comes [scan_interval_ns] after this one. *)
 
 val health : t -> int -> Health.state
-(** The shard's verdict at the last scan of it: {!Health.Wedged} when
-    that scan found a lease pending for {!drain_stale} scans and
-    drained the shard.  Any client's scan updates it.  Diagnostic
-    only: no request path reads it.
-    @raise Invalid_argument on a bad shard index. *)
+(** Always {!Health.Live}.  Kept for perfbench until ROADMAP item 4. *)
 
 val set_chaos : client -> (string -> unit) option -> unit
-(** Install a fault-injection hook on a client handle; it fires at
-    every slot of a range being drained (tag ["drain"]) {e before} the
-    slot's retirement fence is attempted, so a hook that raises or
-    parks models a drainer that stops half way, leaving the rest of
-    the range pending for the next drain, but never half-retires a
-    slot.  Owning domain only. *)
+(** Install a fault-injection hook on a client handle; it fires once
+    before each retirement the client runs of a lease it gives up (tag
+    ["retire"]), {e before} the slot's retirement fence is attempted.
+    A hook that raises or parks there leaves that lease held or warm
+    under the client, for a reclaim to retire once the client is
+    declared dead, and never half-retires a slot.  Owning domain
+    only. *)
 
 type resilience_stats = {
   scans : int;  (** Reclaimer scans executed (by every client). *)
@@ -285,10 +270,8 @@ type resilience_stats = {
       (** Worst staleness (in scans) at which a lease was reclaimed —
           the chaos campaign's time-to-reclaim bound. *)
   drain_heals : int;
-      (** Drains the reclaimer ran on a shard where one lease sat
-          pending for {!drain_stale} scans.  At the defaults (batch 8 >
-          k 4) a shard without admission pressure drains only this way,
-          so a fault-free run may count some. *)
+      (** Always [0]: nothing is parked, so nothing needs a heal.  Kept
+          for perfbench until ROADMAP item 4. *)
   fenced : int;  (** Client operations absorbed by an epoch fence. *)
   failovers : int;
       (** Always [0]: an acquire is served on the shard its route picks,
@@ -339,8 +322,8 @@ type client_stats = {
   warm_hits : int;
   busy : int;
   shed : int;
-  drains : int;  (** Times this client drained a shard. *)
-  drained_releases : int;  (** Protocol releases it executed doing so. *)
+  drains : int;  (** Leases this client retired, giving them up. *)
+  drained_releases : int;  (** The same count as [drains]. *)
   fenced : int;  (** Operations absorbed by this client's epoch fence. *)
   accesses : int;
       (** Shared accesses made through this client's stores: its cold
@@ -369,10 +352,10 @@ val client_obs : client -> Obs.Registry.shard option
 type shard_probe = {
   admitted : int;
       (** Admission occupancy: the range's slots not FREE — held, warm,
-          pending, or being granted or retired; at most [k]. *)
+          or being granted or retired; at most [k]. *)
   pending : int;
-      (** PENDING slots: released leases awaiting a drain of this
-          shard; each is re-grantable by its owner meanwhile. *)
+      (** Always [0]: nothing is parked.  Kept for perfbench until
+          ROADMAP item 4. *)
   warm : int;  (** WARM slots: leases parked in clients' warm caches. *)
 }
 
@@ -388,6 +371,6 @@ val probe_claims : t -> int
 
 val sampler_sources : t -> Obs.Sampler.source list
 (** The canonical gauge set for {!Obs.Sampler.create}: per shard
-    [shardN.admitted] / [shardN.pending] / [shardN.warm] (the
-    {!shard_probe} fence counts), plus [slab.free],
-    [claims.held], [seat.scans] and [reclaimed]. *)
+    [shardN.admitted] / [shardN.warm] (the {!shard_probe} fence
+    counts), plus [slab.free], [claims.held], [scans] and
+    [reclaimed]. *)

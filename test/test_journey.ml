@@ -250,7 +250,7 @@ let test_merge_shape_mismatch () =
    leaving a retained tail that no stage can be blamed for. *)
 let test_cold_dwell_resolved () =
   let config =
-    Server.default_config ~shards:1 ~k_per_shard:2 ~warm_capacity:0 ~batch:1 ~clients:1
+    Server.default_config ~shards:1 ~k_per_shard:2 ~warm_capacity:0 ~clients:1
       ~source_space:16 ()
   in
   let j = J.create ~seed:3 () in
@@ -280,8 +280,7 @@ let test_cold_dwell_resolved () =
 
 let test_parked_holder_blamed_tail () =
   let config =
-    Server.default_config ~shards:2 ~k_per_shard:3 ~warm_capacity:1 ~batch:4
-      ~clients:3 ~source_space:64 ()
+    Server.default_config ~shards:2 ~k_per_shard:3 ~warm_capacity:1 ~clients:3 ~source_space:64 ()
   in
   let plan = Result.get_ok (Sim.Faults.of_string "park@p1:acc1") in
   let faults = Churn.of_plan plan in

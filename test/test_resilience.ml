@@ -1,8 +1,7 @@
-(* The resilience layer, checked four ways: exhaustive 2-process
+(* The resilience layer, checked three ways: exhaustive 2-process
    interleaving models of the claim gate and of a superseded reclaimer
    scan (with seeded mutants that must die), QCheck2 properties of the
-   backoff policy, the wedged-drain judge in isolation, and a one-seed
-   smoke of the whole chaos campaign.
+   backoff policy, and a one-seed smoke of the whole chaos campaign.
 
    The interleaving models are hand-rolled: each process is a small
    program counter over atomic steps on a shared record, and the
@@ -220,78 +219,6 @@ let test_backoff_caps_out () =
         (Server.Policy.backoff_spins p ~client:3 ~attempt))
     [ 6; 10; 20; 40; 1000 ]
 
-(* ----- the wedged-drain judge ----- *)
-
-let stale = 3
-
-(* A snapshot of a 3-slot range holds each slot's pending lease, by its
-   grant generation, or -1 where the fence is not PENDING. *)
-let observe = Server.Health.observe
-
-let test_judge_wedged_drain () =
-  let h = Server.Health.create ~drain_stale:stale ~slots:3 in
-  Alcotest.(check bool) "starts live" true (Server.Health.state h = Live);
-  (* the first sighting only records the lease; staleness counts the
-     scans after it that still find it pending *)
-  for _ = 1 to stale do
-    ignore (observe h [| -1; 7; -1 |])
-  done;
-  Alcotest.(check bool) "not yet wedged" true (Server.Health.state h = Live);
-  Alcotest.(check bool) "a wedged drain" true (observe h [| -1; 7; -1 |] = Wedged);
-  (* the verdict restarts every clock: the drained shard is judged afresh *)
-  Alcotest.(check bool) "judged afresh" true (observe h [| -1; 7; -1 |] = Live);
-  (* a slow drain retires each lease before it has sat [stale] scans;
-     the pending count of 3, 2, 1, 1 would not move it either *)
-  let h2 = Server.Health.create ~drain_stale:stale ~slots:3 in
-  List.iter
-    (fun snap ->
-      Alcotest.(check bool) "a slow drain is not a wedged drain" true
-        (observe h2 snap = Live))
-    [ [| 4; 5; 6 |]; [| -1; 5; 6 |]; [| -1; -1; 6 |]; [| 8; -1; -1 |]; [| 8; 9; -1 |] ]
-
-let test_judge_new_lease () =
-  (* one lease pending at every scan, but a new one each time: the
-     count reads 1 throughout and would judge the drain wedged *)
-  let h = Server.Health.create ~drain_stale:stale ~slots:3 in
-  for gen = 1 to 4 * stale do
-    Alcotest.(check bool) "a new lease in the same slot restarts the clock" true
-      (observe h [| -1; -1; gen |] = Live)
-  done;
-  (* a lease its owner re-grants and parks again between scans keeps
-     its generation: it is the same lease, and it ages on *)
-  for _ = 1 to stale do
-    ignore (observe h [| -1; -1; 99 |])
-  done;
-  Alcotest.(check bool) "re-parked lease ages on" true (observe h [| -1; -1; 99 |] = Wedged)
-
-let test_judge_stuck_beside_moving () =
-  (* slot 0 holds one lease throughout while slots 1 and 2 retire and
-     replace theirs at every scan.  The pending count reads 2, 3, 2, ...
-     and, moving every scan, would never judge the drain wedged; the
-     stuck lease does *)
-  let h = Server.Health.create ~drain_stale:stale ~slots:3 in
-  let snaps =
-    List.init (stale + 1) (fun i ->
-        if i land 1 = 0 then [| 7; 10 + i; -1 |] else [| 7; 20 + i; 30 + i |])
-  in
-  let verdicts = List.map (fun snap -> observe h snap) snaps in
-  Alcotest.(check (list string)) "wedged once the stuck lease has aged"
-    (List.init (stale + 1) (fun i -> if i = stale then "wedged" else "live"))
-    (List.map Server.Health.to_string verdicts)
-
-let test_judge_rejects_empty () =
-  let rejects what f =
-    match f () with
-    | _ -> Alcotest.failf "%s accepted" what
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "drain_stale 0" (fun () -> Server.Health.create ~drain_stale:0 ~slots:3);
-  rejects "slots 0" (fun () -> Server.Health.create ~drain_stale:stale ~slots:0);
-  (* a judge of one scan flags a lease the scan after it first sees it *)
-  let h = Server.Health.create ~drain_stale:1 ~slots:1 in
-  Alcotest.(check bool) "first sighting" true (observe h [| 0 |] = Live);
-  Alcotest.(check bool) "seen again" true (observe h [| 0 |] = Wedged)
-
 (* ----- one-seed chaos smoke ----- *)
 
 let test_chaos_smoke () =
@@ -323,16 +250,6 @@ let () =
           test_backoff_deterministic;
           test_backoff_seeds_differ;
           Alcotest.test_case "clamps to the cap" `Quick test_backoff_caps_out;
-        ] );
-      ( "health",
-        [
-          Alcotest.test_case "wedged drain" `Quick test_judge_wedged_drain;
-          Alcotest.test_case "a new lease in the same slot restarts the clock" `Quick
-            test_judge_new_lease;
-          Alcotest.test_case "a stuck lease beside moving ones is wedged" `Quick
-            test_judge_stuck_beside_moving;
-          Alcotest.test_case "rejects an empty range or zero staleness" `Quick
-            test_judge_rejects_empty;
         ] );
       ( "chaos",
         [ Alcotest.test_case "one-seed campaign" `Quick test_chaos_smoke ] );

@@ -1,12 +1,10 @@
-(* The sharded name server: routing, warm-cache legality, batched
-   release survival across the join, and fault-campaign pressure. *)
+(* The sharded name server: routing, warm-cache legality, release
+   survival across the join, and fault-campaign pressure. *)
 
 module Agg = Runtime.Agg
 
-let cfg ?(shards = 4) ?(k = 4) ?(warm = 2) ?(batch = 8) ?(clients = 2) ?(s = 1024) ()
-    =
-  Server.default_config ~shards ~k_per_shard:k ~warm_capacity:warm ~batch ~clients
-    ~source_space:s ()
+let cfg ?(shards = 4) ?(k = 4) ?(warm = 2) ?(clients = 2) ?(s = 1024) () =
+  Server.default_config ~shards ~k_per_shard:k ~warm_capacity:warm ~clients ~source_space:s ()
   |> fun c -> { c with Server.shards; k_per_shard = k }
 
 (* --- shard routing --- *)
@@ -104,25 +102,6 @@ let test_busy_and_shed () =
   Server.flush t c1;
   Alcotest.(check int) "drained" 0 (Server.outstanding t)
 
-let test_batch_drain () =
-  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:0 ~batch:3 ~clients:1 ()) in
-  let c = Server.client t 0 in
-  let grant src =
-    match Server.acquire t c ~src with
-    | Server.Granted g -> g.token
-    | _ -> Alcotest.fail "not granted"
-  in
-  let t1 = grant 1 and t2 = grant 2 and t3 = grant 3 in
-  Server.release t c ~token:t1;
-  Server.release t c ~token:t2;
-  Alcotest.(check int) "two releases still pending" 3 (Server.outstanding t);
-  Server.release t c ~token:t3;
-  (* the third release trips the batch and drains all three *)
-  Alcotest.(check int) "batch drained" 0 (Server.outstanding t);
-  let stats = Server.client_stats c in
-  Alcotest.(check int) "one drain" 1 stats.Server.drains;
-  Alcotest.(check int) "three releases executed" 3 stats.Server.drained_releases
-
 let test_double_release_rejected () =
   let t = Server.create (cfg ~clients:1 ()) in
   let c = Server.client t 0 in
@@ -134,56 +113,17 @@ let test_double_release_rejected () =
         (fun () -> Server.release t c ~token:g.token)
   | _ -> Alcotest.fail "not granted"
 
-(* A released lease the server still holds pending is its owner's to
-   take back: the same name and token, warm, at 0 accesses, with no
-   protocol cycle and no change in what the server holds.  Any other
-   client is still Busy on its source. *)
-let test_pending_regrant () =
-  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:0 ~batch:8 ~clients:2 ()) in
-  let c0 = Server.client t 0 and c1 = Server.client t 1 in
-  let src = 11 in
-  let name, token =
-    match Server.acquire t c0 ~src with
-    | Server.Granted g -> (g.name, g.token)
-    | _ -> Alcotest.fail "first acquire not granted"
-  in
-  Server.release t c0 ~token;
-  let held = Server.outstanding t in
-  (match Server.acquire t c1 ~src with
-  | Server.Busy -> ()
-  | _ -> Alcotest.fail "another client's pending lease must be Busy");
-  (match Server.acquire t c0 ~src with
-  | Server.Granted g ->
-      Alcotest.(check bool) "re-grant is warm" true g.warm;
-      Alcotest.(check int) "re-grant is free" 0 g.accesses;
-      Alcotest.(check int) "same name" name g.name;
-      Alcotest.(check int) "same token" token g.token;
-      Alcotest.(check int) "nothing more held" held (Server.outstanding t);
-      (match Server.acquire t c1 ~src with
-      | Server.Busy -> ()
-      | _ -> Alcotest.fail "another client must stay Busy");
-      Server.release t c0 ~token:g.token
-  | _ -> Alcotest.fail "own pending lease not re-granted");
-  Server.flush t c0;
-  let stats = Server.client_stats c0 in
-  Alcotest.(check int) "counted as a warm hit" 1 stats.Server.warm_hits;
-  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
-  let r = Agg.result (Server.scoreboard t) in
-  Alcotest.(check int) "no violations" 0 r.Agg.violations;
-  Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked
-
 (* Every census is a count of the shard's fences.  Step by step, the
-   probes must match a hand count of the fence states: held, warm
-   (in the owner's cache) and pending (awaiting a drain) are all
-   admitted; only FREE fences are free. *)
+   probes must match a hand count of the fence states: held and warm
+   (in the owner's cache) are admitted; only FREE fences are free, and
+   a lease evicted from the cache is FREE again at once. *)
 let test_probe_census () =
-  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:1 ~batch:8 ~clients:1 ()) in
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:1 ~clients:1 ()) in
   let c = Server.client t 0 in
-  let expect step ~held ~warm ~pending =
+  let expect step ~held ~warm =
     let p = Server.probe_shard t 0 in
-    let admitted = held + warm + pending in
+    let admitted = held + warm in
     Alcotest.(check int) (step ^ ": admitted") admitted p.Server.admitted;
-    Alcotest.(check int) (step ^ ": pending") pending p.Server.pending;
     Alcotest.(check int) (step ^ ": warm") warm p.Server.warm;
     Alcotest.(check int) (step ^ ": outstanding") admitted (Server.outstanding t);
     Alcotest.(check int) (step ^ ": free") (4 - admitted) (Server.probe_free t);
@@ -192,7 +132,6 @@ let test_probe_census () =
         let want =
           match src.name with
           | "shard0.admitted" -> Some admitted
-          | "shard0.pending" -> Some pending
           | "shard0.warm" -> Some warm
           | "slab.free" -> Some (4 - admitted)
           | _ -> None
@@ -206,33 +145,35 @@ let test_probe_census () =
     | Server.Granted g -> g.token
     | _ -> Alcotest.fail "not granted"
   in
-  expect "empty" ~held:0 ~warm:0 ~pending:0;
+  expect "empty" ~held:0 ~warm:0;
   let a = grant 1 in
   let b = grant 2 in
   let d = grant 3 in
-  expect "three granted" ~held:3 ~warm:0 ~pending:0;
+  expect "three granted" ~held:3 ~warm:0;
   Server.release t c ~token:a;
-  expect "one warm" ~held:2 ~warm:1 ~pending:0;
-  (* the cache holds one: caching b evicts a to pending *)
+  expect "one warm" ~held:2 ~warm:1;
+  (* the cache holds one: caching b evicts a, which retires *)
   Server.release t c ~token:b;
-  expect "one pended" ~held:1 ~warm:1 ~pending:1;
-  (* a is re-granted from its slot, b from the cache *)
+  expect "one evicted" ~held:1 ~warm:1;
+  (* a is granted afresh, b from the cache *)
   let a = grant 1 in
-  expect "pending re-granted" ~held:2 ~warm:1 ~pending:0;
+  expect "evicted granted cold" ~held:2 ~warm:1;
   let b = grant 2 in
-  expect "warm re-granted" ~held:3 ~warm:0 ~pending:0;
+  expect "warm re-granted" ~held:3 ~warm:0;
   List.iter (fun token -> Server.release t c ~token) [ a; b; d ];
-  expect "all released" ~held:0 ~warm:1 ~pending:2;
+  expect "all released" ~held:0 ~warm:1;
   Server.flush t c;
-  expect "flushed" ~held:0 ~warm:0 ~pending:0
+  expect "flushed" ~held:0 ~warm:0;
+  Alcotest.(check (list string)) "no parked-lease series" []
+    (List.filter_map
+       (fun (src : Obs.Sampler.source) ->
+         if Filename.check_suffix src.name ".pending" then Some src.name else None)
+       (Server.sampler_sources t))
 
 (* A warm cycle allocates nothing: the grant is built once per slot at
-   cold grant, and release, tend, the warm-cache lookup and the
-   re-grant of a pending lease are allocation-free.  Two inputs: warm
-   hits from the cache (default config), and re-grants of pending
-   leases (warm cache off, batch above k, so releases stay pending).
-   The budget of 0.01 words per cycle leaves room only for the
-   measurement itself. *)
+   cold grant, and release, tend and the warm-cache lookup are
+   allocation-free.  The budget of 0.01 words per cycle leaves room
+   only for the measurement itself. *)
 let test_warm_path_allocation_free () =
   let cycles_on label config =
     let t = Server.create config in
@@ -262,8 +203,7 @@ let test_warm_path_allocation_free () =
     Server.flush t c;
     Alcotest.(check int) (label ^ ": all names returned") 0 (Server.outstanding t)
   in
-  cycles_on "warm cache" (Server.default_config ~clients:1 ~source_space:64 ());
-  cycles_on "pending re-grant" (cfg ~shards:1 ~k:4 ~warm:0 ~batch:8 ~clients:1 ~s:64 ())
+  cycles_on "warm cache" (Server.default_config ~clients:1 ~source_space:64 ())
 
 (* A cold cycle allocates only the [Granted] record it returns (5
    words).  The int SPLIT lease is kept unboxed in the shard's lease
@@ -392,14 +332,14 @@ end
    runs [lease_ttl + 2] scans of client 0 inside the protocol: client 1
    is declared dead and its epoch bumped, but nothing is reclaimed, so
    it holds the lease across the re-sync that follows. *)
-let held_across_resync ~warm src =
+let held_across_resync src =
   let hooked = ref None in
   let backend layout ~stage ~k =
     let h = { Hooked.split = Renaming.Split.create ~stage layout ~k; hook = ignore } in
     hooked := Some h;
     Renaming.Protocol.Any.pack (module Hooked) h
   in
-  let config = cfg ~shards:1 ~k:4 ~warm ~batch:8 ~clients:2 ~s:64 () in
+  let config = cfg ~shards:1 ~k:4 ~warm:2 ~clients:2 ~s:64 () in
   let config =
     { config with Server.resilience = { config.Server.resilience with Server.tend_every = 1 } }
   in
@@ -435,7 +375,7 @@ let expect_clean t =
    second release is rejected as a token the client does not hold. *)
 let test_held_across_resync () =
   let src = 5 in
-  let t, c1, token = held_across_resync ~warm:2 src in
+  let t, c1, token = held_across_resync src in
   Server.tend t c1;
   let fenced = (Server.client_stats c1).Server.fenced in
   Server.release t c1 ~token;
@@ -449,50 +389,6 @@ let test_held_across_resync () =
   Alcotest.(check int) "no token fenced" fenced (Server.client_stats c1).Server.fenced;
   expect_clean t
 
-(* A lease pushed PENDING by a re-sync is re-granted to its owner with
-   a token of the new epoch, and that token releases.  Two ways in,
-   with the warm cache off: the holder's release re-syncs and parks the
-   lease PENDING, or the lease is PENDING already when its owner is
-   declared dead (a reclaim takes only held and warm leases). *)
-let test_pending_across_resync () =
-  let regrant t c1 src ~token =
-    match Server.acquire t c1 ~src with
-    | Server.Granted g ->
-        Alcotest.(check bool) "re-granted warm" true g.warm;
-        Alcotest.(check bool) "a token of the new epoch" true (g.token <> token);
-        let fenced = (Server.client_stats c1).Server.fenced in
-        Server.release t c1 ~token:g.token;
-        Alcotest.(check int) "the re-granted token releases" fenced
-          (Server.client_stats c1).Server.fenced
-    | _ -> Alcotest.fail "own pending lease not re-granted"
-  in
-  let src = 5 in
-  let t, c1, token = held_across_resync ~warm:0 src in
-  Server.release t c1 ~token;
-  regrant t c1 src ~token;
-  expect_clean t;
-  (* a death after one silent scan: the wedged-drain heal would drain
-     the pending lease after [drain_stale] *)
-  let config = cfg ~shards:1 ~k:4 ~warm:0 ~batch:8 ~clients:2 ~s:64 () in
-  let config =
-    { config with Server.resilience = { config.Server.resilience with Server.lease_ttl = 1 } }
-  in
-  let t = Server.create config in
-  let c0 = Server.client t 0 and c1 = Server.client t 1 in
-  let token =
-    match Server.acquire t c1 ~src with
-    | Server.Granted g -> g.token
-    | _ -> Alcotest.fail "not granted"
-  in
-  Server.release t c1 ~token;
-  for _ = 1 to 2 do
-    Server.scan t c0
-  done;
-  Alcotest.(check int) "declared dead" 1 (Server.resilience_stats t).Server.deaths;
-  Alcotest.(check int) "its pending lease stays" 1 (Server.outstanding t);
-  regrant t c1 src ~token;
-  expect_clean t
-
 (* --- warm-cache uniqueness with a concurrent stealer --- *)
 
 (* Both clients on one shard, in rounds that start behind a gate:
@@ -504,7 +400,7 @@ let test_pending_across_resync () =
    keep the name changing hands even when the host runs both domains on
    one core, where a holder is descheduled still holding the name. *)
 let test_warm_vs_stealer () =
-  let config = cfg ~shards:1 ~k:3 ~warm:2 ~batch:4 ~clients:2 ~s:64 () in
+  let config = cfg ~shards:1 ~k:3 ~warm:2 ~clients:2 ~s:64 () in
   let t = Server.create config in
   let hot = 11 in
   let arrived = Atomic.make 0 and stop = Atomic.make false in
@@ -549,7 +445,6 @@ let test_warm_vs_stealer () =
   in
   Domain.join owner;
   Domain.join stealer;
-  Server.drain_all t (Server.client t 0);
   let r = Agg.result (Server.scoreboard t) in
   Alcotest.(check int) "uniqueness holds under warm hits + stealing" 0
     r.Agg.violations;
@@ -560,12 +455,13 @@ let test_warm_vs_stealer () =
   Alcotest.(check bool) "the stealer was refused" true (!refused > 0);
   Alcotest.(check bool) "the stealer was granted" true (!stolen > 0)
 
-(* --- batched releases survive the join --- *)
+(* --- releases survive the join --- *)
 
-let test_join_drain () =
-  (* batch far above anything the run trips: releases pile up pending
-     and must all be retired by the post-join drain *)
-  let config = cfg ~shards:2 ~k:4 ~warm:1 ~batch:1_000_000 ~clients:3 ~s:256 () in
+(* Each client flushes its own warm cache when its requests are done,
+   and that alone returns every name: the run's epilogue needs no
+   settle scan. *)
+let test_join_flush () =
+  let config = cfg ~shards:2 ~k:4 ~warm:1 ~clients:3 ~s:256 () in
   let report =
     Churn.run ~config
       ~spec:(fun client ->
@@ -573,7 +469,8 @@ let test_join_drain () =
       ()
   in
   Alcotest.(check int) "no violations" 0 report.Churn.result.Agg.violations;
-  Alcotest.(check int) "no leaks after drain" 0 report.Churn.outstanding;
+  Alcotest.(check int) "nothing outstanding after the flushes" 0 report.Churn.outstanding;
+  Alcotest.(check int) "no settle scan needed" 0 report.Churn.settle_scans;
   Alcotest.(check int) "scoreboard agrees" 0 report.Churn.result.Agg.leaked;
   Alcotest.(check bool) "cycles completed" true (report.Churn.cycles > 0);
   (* warm hits re-grant a lease the server still holds, so protocol
@@ -595,7 +492,7 @@ let test_fault_campaign_one_shard () =
      every 32 tends (16 requests, 1.6 ms) each survivor looks only
      every 1.6 ms, and the 8 scans could land after a survivor's last
      request. *)
-  let config = cfg ~shards:1 ~k:3 ~warm:1 ~batch:4 ~clients:4 ~s () in
+  let config = cfg ~shards:1 ~k:3 ~warm:1 ~clients:4 ~s () in
   let config =
     {
       config with
@@ -686,7 +583,14 @@ let test_any_client_scans () =
     let before = scans () in
     Server.tend t c1;
     Alcotest.(check int) (Printf.sprintf "tend %d scans once" i) (before + 1) (scans ())
-  done
+  done;
+  (* scans run every millisecond, so a scan allocates nothing *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 500 do
+    Server.scan t c1
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 10. then Alcotest.failf "a scan allocates %.1f minor words" words
 
 (* All of a stress test's domains start together, so the races it
    names really overlap. *)
@@ -698,15 +602,13 @@ let start_gate n =
       Domain.cpu_relax ()
     done
 
-(* After a stress run's join: scan and drain until nothing is
-   outstanding. *)
+(* After a stress run's join: scan until nothing is outstanding. *)
 let settle t =
   let c0 = Server.client t 0 in
   let settle = ref 0 in
   while Server.outstanding t > 0 && !settle < 64 do
     incr settle;
-    Server.scan t c0;
-    Server.drain_all t c0
+    Server.scan t c0
   done
 
 let sum_stats t ids f =
@@ -716,8 +618,8 @@ let sum_stats t ids f =
    sit in padded blocks of its own: the registry must read those, not
    blocks the server stopped writing.  Two clients share one server and
    a registry; even requests re-ask a source of their own (warm hits),
-   odd ones draw from a shared range (cold grants, Busy and drains of
-   the other's releases). *)
+   odd ones draw from a shared range (cold grants, Busy, and evictions
+   that retire at once). *)
 let test_hot_metrics_reach_registry () =
   let registry = Obs.Registry.create () in
   let t = Server.create ~registry (cfg ~clients:2 ~s:256 ()) in
@@ -780,17 +682,26 @@ let test_hot_metrics_reach_registry () =
            [ "server.acquire.accesses.cold"; "server.acquire.accesses.warm" ]))
     [ 0; 1 ]
 
-let test_drain_reclaim_race () =
-  (* regression: pending slots drained by a live drainer while the
-     reclaimer drains the same shard must retire each exactly once.  A
-     double retirement frees a slot twice or double-releases on the
-     scoreboard — both visible below.  The scanner also races liveness
-     itself: the churners tend, but on an oversubscribed host they
-     still get declared dead under the short TTL, so the false-expiry
-     path (epoch fence + re-sync) is exercised too. *)
-  let config = cfg ~shards:1 ~k:4 ~warm:1 ~batch:2 ~clients:3 ~s:32 () in
+(* An owner evicting a warm lease and a reclaimer taking it race on one
+   WARM fence, and exactly one of them may retire it.  Two churners on
+   one shard cache one lease each, so nearly every release evicts the
+   one before it; a scanner declares them dead after one silent scan
+   and reclaims their held and warm leases while they run.  A double
+   retirement frees a slot twice or double-releases on the scoreboard,
+   and a lost one leaves a name outstanding: each cold grant must be
+   retired exactly once, by its owner or by a reclaim.  The churners
+   never scan, so the scanner is the only reclaimer. *)
+let test_evict_reclaim_race () =
+  let config = cfg ~shards:1 ~k:4 ~warm:1 ~clients:3 ~s:32 () in
+  let config =
+    {
+      config with
+      Server.resilience = { Server.scan_interval_ns = 0; lease_ttl = 1; tend_every = max_int };
+    }
+  in
   let t = Server.create config in
   let gate = start_gate 3 in
+  let running = Atomic.make 2 in
   let churn id cycles =
     Domain.spawn (fun () ->
         let c = Server.client t id in
@@ -803,47 +714,51 @@ let test_drain_reclaim_race () =
           | Server.Busy | Server.Shed -> ());
           Server.tend t c
         done;
-        Server.flush t c)
+        Server.flush t c;
+        Atomic.decr running)
   in
   let d0 = churn 0 20_000 and d1 = churn 1 20_000 in
   let scanner =
     Domain.spawn (fun () ->
         let c = Server.client t 2 in
         gate ();
-        for _ = 1 to 400 do
-          Server.scan t c;
-          Server.drain_all t c
+        while Atomic.get running > 0 do
+          Server.scan t c
         done)
   in
   Domain.join d0;
   Domain.join d1;
   Domain.join scanner;
-  (* witnesses, read before the settle adds drains of its own: Busy
-     needs both churners live at once, and a scanner drain retires
-     leases it never held *)
-  let busy = sum_stats t [ 0; 1 ] (fun s -> s.Server.busy) in
-  let cross = (Server.client_stats (Server.client t 2)).Server.drained_releases in
+  (* witnesses, read before the settle reclaims anything of its own:
+     the reclaimer took leases from live churners, and the churners
+     retired leases of their own *)
+  let reclaimed = (Server.resilience_stats t).Server.reclaimed in
+  let retired = sum_stats t [ 0; 1 ] (fun s -> s.Server.drained_releases) in
   settle t;
   let rs = Server.resilience_stats t in
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
-  Alcotest.(check int) "no violations under drain/reclaim races" 0 r.Agg.violations;
-  Alcotest.(check int) "every slot retired exactly once" 0 (Server.outstanding t);
+  Alcotest.(check int) "no violations under evict/reclaim races" 0 r.Agg.violations;
+  Alcotest.(check int) "every slot retired" 0 (Server.outstanding t);
   Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
-  Alcotest.(check bool) "the churners overlapped (Busy) or the scanner drained theirs"
-    true (busy > 0 || cross > 0)
+  let sum = sum_stats t [ 0; 1 ] in
+  Alcotest.(check int) "every cold grant retired exactly once"
+    (sum (fun s -> s.Server.acquires - s.Server.warm_hits))
+    (sum (fun s -> s.Server.drained_releases) + rs.Server.reclaimed);
+  Alcotest.(check bool) "the reclaimer took leases from live churners" true (reclaimed > 0);
+  Alcotest.(check bool) "the churners retired their own" true (retired > 0)
 
 (* Forced false deaths: three live churners on one shard, each tending
    after every request, with a scan at every tend and a client declared
    dead after one scan without a heartbeat.  A churner that misses one
    scan is reclaimed while it runs, re-syncs and carries on, so leases
    are reclaimed through [reset_footprint] from under live holders,
-   and stale tokens, pending re-grants and warm releases cross epochs
-   all the time.  Every 256th request a churner holds its name until
+   and stale tokens, evictions and warm releases cross epochs all the
+   time.  Every 256th request a churner holds its name until
    two more scans have run (or a spin budget runs out), as a churner
    descheduled while holding would.  Nothing may be violated or
    leaked, and every churner must still be granted names. *)
 let test_forced_false_deaths () =
-  let config = cfg ~shards:1 ~k:4 ~warm:1 ~batch:2 ~clients:3 ~s:32 () in
+  let config = cfg ~shards:1 ~k:4 ~warm:1 ~clients:3 ~s:32 () in
   let config =
     {
       config with
@@ -892,13 +807,12 @@ let test_forced_false_deaths () =
 
 (* Admission is taking a FREE fence of the shard's range.  Two
    churners on one shard of k = 2 each hold two names at a time and
-   cache one warm, so the range is often full: a grant then flushes
-   its own warm leases, drains and retries, and sheds while the other
-   churner holds both slots.  Batch 2 <= k, so releases also trip the
-   fence-counted drain.  A scanner runs the reclaimer and [drain_all]
-   beside them. *)
+   cache one warm, so the range is often full: a grant then retires
+   its own warm leases and looks again, and sheds while the other
+   churner holds both slots.  A scanner runs the reclaimer beside
+   them. *)
 let test_admission_contention () =
-  let config = cfg ~shards:1 ~k:2 ~warm:1 ~batch:2 ~clients:3 ~s:32 () in
+  let config = cfg ~shards:1 ~k:2 ~warm:1 ~clients:3 ~s:32 () in
   let t = Server.create config in
   let gate = start_gate 3 in
   let churn id cycles =
@@ -929,8 +843,7 @@ let test_admission_contention () =
         let c = Server.client t 2 in
         gate ();
         for _ = 1 to 400 do
-          Server.scan t c;
-          Server.drain_all t c
+          Server.scan t c
         done)
   in
   Domain.join d0;
@@ -946,119 +859,28 @@ let test_admission_contention () =
   Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
   Alcotest.(check int) "every slot free" 2 (Server.probe_free t);
   Alcotest.(check bool) "a full range shed a grant" true (shed > 0);
-  Alcotest.(check bool) "releases were drained" true (drains > 0)
+  Alcotest.(check bool) "releases were retired" true (drains > 0)
 
-(* Owners re-granting their pending leases race drains by the other
-   churner (batch 4 trips once all four slots are pending) and by a
-   scanner running the reclaimer and [drain_all].  Each pending lease
-   must go exactly one way: re-granted, drained or reclaimed.  With the
-   warm cache off, every warm hit is a re-grant, so [warm_hits > 0]
-   shows the path ran under the race. *)
-let test_regrant_drain_race () =
-  let config = cfg ~shards:1 ~k:4 ~warm:0 ~batch:4 ~clients:3 ~s:32 () in
-  let t = Server.create config in
-  let gate = start_gate 3 in
-  let churn id cycles =
-    Domain.spawn (fun () ->
-        let c = Server.client t id in
-        gate ();
-        let seed = ref (id + 1) in
-        for _ = 1 to cycles do
-          seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
-          (match Server.acquire t c ~src:((!seed lsr 8) land 7) with
-          | Server.Granted g -> Server.release t c ~token:g.token
-          | Server.Busy | Server.Shed -> ());
-          Server.tend t c
-        done;
-        Server.flush t c)
+(* A victim crashes at its first retirement, before it takes the fence
+   of the lease it gives up: that lease stays warm under the victim.
+   Once the reclaimer has declared the victim dead it retires the lease,
+   and nothing leaks. *)
+let test_crash_at_retirement () =
+  let requests = 300 in
+  let config = cfg ~shards:1 ~k:4 ~warm:1 ~clients:3 ~s:32 () in
+  let report =
+    Churn.run ~config ~sampler_interval_ns:0
+      ~faults:[ (1, Churn.Crash_in_drain { drain = 0 }) ]
+      ~spec:(fun client -> Workload.server_churn ~s:32 ~requests ~seed:3 ~client ())
+      ()
   in
-  let d0 = churn 0 20_000 and d1 = churn 1 20_000 in
-  let scanner =
-    Domain.spawn (fun () ->
-        let c = Server.client t 2 in
-        gate ();
-        for _ = 1 to 400 do
-          Server.scan t c;
-          Server.drain_all t c
-        done)
-  in
-  Domain.join d0;
-  Domain.join d1;
-  Domain.join scanner;
-  settle t;
-  let rs = Server.resilience_stats t in
-  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
-  Alcotest.(check int) "no violations under re-grant/drain races" 0 r.Agg.violations;
-  Alcotest.(check int) "every slot retired exactly once" 0 (Server.outstanding t);
-  Alcotest.(check int) "scoreboard agrees" 0 r.Agg.leaked;
-  let sum = sum_stats t [ 0; 1; 2 ] in
-  let acquires = sum (fun s -> s.Server.acquires)
-  and warm_hits = sum (fun s -> s.Server.warm_hits)
-  and drained = sum (fun s -> s.Server.drained_releases) in
-  (* as in "releases survive the join": a re-grant retires nothing, so
-     protocol releases match cold grants; a churner the scanner falsely
-     declares dead on a busy host has its leases retired by reclaim *)
-  Alcotest.(check int) "every cold grant retired once" (acquires - warm_hits)
-    (drained + rs.Server.reclaimed);
-  Alcotest.(check bool) "pending leases were re-granted" true (warm_hits > 0)
-
-(* --- wedged drains, judged by lease identity --- *)
-
-(* One client on one shard, driven only by [Server.scan]: no domain, no
-   tend, so the scanner never judges its own heartbeat.  At batch 8 > k
-   a released lease stays PENDING until some drain retires it. *)
-let test_wedged_drain_identity () =
-  let stale = Server.drain_stale in
-  let heals t = (Server.resilience_stats t).Server.drain_heals in
-  let grant t c src =
-    match Server.acquire t c ~src with
-    | Server.Granted g -> g.token
-    | _ -> Alcotest.fail "not granted"
-  in
-  (* one lease parked PENDING is healed once, [drain_stale] scans after
-     the scan that first saw it *)
-  let t = Server.create (cfg ~shards:1 ~k:1 ~warm:0 ~batch:8 ~clients:1 ~s:8 ()) in
-  let c = Server.client t 0 in
-  Server.release t c ~token:(grant t c 3);
-  for _ = 0 to stale - 1 do
-    Server.scan t c
-  done;
-  Alcotest.(check int) "not healed before drain_stale scans" 0 (heals t);
-  Alcotest.(check int) "still pending" 1 (Server.outstanding t);
-  Server.scan t c;
-  Alcotest.(check int) "healed" 1 (heals t);
-  Alcotest.(check bool) "the healing scan judged the shard wedged" true
-    (Server.health t 0 = Server.Health.Wedged);
-  Alcotest.(check int) "the heal drained it" 0 (Server.outstanding t);
-  for _ = 1 to 3 * stale do
-    Server.scan t c
-  done;
-  Alcotest.(check int) "healed exactly once" 1 (heals t);
-  Alcotest.(check bool) "live again" true (Server.health t 0 = Server.Health.Live);
-  (* scans run every millisecond, so a scan allocates nothing *)
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    Server.scan t c
-  done;
-  let words = Gc.minor_words () -. w0 in
-  if words >= 10. then Alcotest.failf "a scan allocates %.1f minor words" words;
-  (* the shard's one slot always holds one PENDING lease at a scan, but
-     a new one each time: each acquire of the other source finds the
-     range full, drains the old lease and grants a new one.  The
-     pending count reads 1 at every scan; the lease never repeats. *)
-  let t = Server.create (cfg ~shards:1 ~k:1 ~warm:0 ~batch:8 ~clients:1 ~s:8 ()) in
-  let c = Server.client t 0 in
-  for r = 1 to 4 * stale do
-    Server.release t c ~token:(grant t c (r land 1));
-    Alcotest.(check int) "one lease pending" 1 (Server.outstanding t);
-    Server.scan t c
-  done;
-  Alcotest.(check int) "a replaced lease is never healed" 0 (heals t);
-  Alcotest.(check int) "each acquire drained the last lease" (4 * stale - 1)
-    (Server.client_stats c).Server.drained_releases;
-  Server.flush t c;
-  let r = Agg.result (Server.scoreboard t) in
+  let r = report.Churn.result and rs = report.Churn.resilience in
+  Alcotest.(check bool) "the victim crashed before its last request" true
+    (report.Churn.outcomes.Churn.issued < 3 * requests);
   Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check bool) "the victim was declared dead" true (rs.Server.deaths > 0);
+  Alcotest.(check bool) "its leases were reclaimed" true (rs.Server.reclaimed > 0);
+  Alcotest.(check int) "nothing outstanding" 0 report.Churn.outstanding;
   Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked
 
 (* --- bare protocol runs: the one-shard, cold-only server --- *)
@@ -1104,11 +926,10 @@ let check_ring label ring ~clients ~cold =
       (count pid (function Obs.Flight.Released _ -> true | _ -> false))
   done
 
-(* Warm caching off and batch 1: each release is retired by its own
-   client. *)
+(* Warm caching off: each release is retired by its own client. *)
 let test_flight_ring_analyzable () =
   let ring = Obs.Flight.create () in
-  let config = cfg ~shards:2 ~k:3 ~warm:0 ~batch:1 ~clients:3 ~s:64 () in
+  let config = cfg ~shards:2 ~k:3 ~warm:0 ~clients:3 ~s:64 () in
   let report =
     Churn.run ~flight:ring ~sampler_interval_ns:0 ~config
       ~spec:(fun client -> Workload.server_churn ~s:64 ~requests:100 ~seed:5 ~client ())
@@ -1116,36 +937,36 @@ let test_flight_ring_analyzable () =
   in
   check_ring "own retirement" ring ~clients:3
     ~cold:(report.Churn.acquires - report.Churn.warm_hits);
-  (* The defaults (warm 2, batch 8) with two clients on one shard, in
-     turn: client 0's releases go warm, then pending as its cache
-     evicts them, and client 1's drains retire them.  Client 1 keeps
-     one name of its own, so the shard of k = 4 never fills and client
-     0 never drains for admission. *)
+  (* The defaults (warm 2) with two clients on one shard: client 1
+     holds one name and caches another, then falls silent, and client
+     0's scans reclaim both while it cycles names of its own.  The
+     reclaimed releases are client 1's, run by client 0. *)
   let ring = Obs.Flight.create () in
-  let t = Server.create ~flight:ring (cfg ~shards:1 ~clients:2 ~s:64 ()) in
+  let config = cfg ~shards:1 ~clients:2 ~s:64 () in
+  let t = Server.create ~flight:ring config in
   let c0 = Server.client t 0 and c1 = Server.client t 1 in
-  let cycle c src =
+  let grant c src =
     match Server.acquire t c ~src with
-    | Server.Granted g -> Server.release t c ~token:g.token
+    | Server.Granted g -> g.token
     | _ -> Alcotest.fail "scripted acquire refused"
   in
-  for i = 0 to 19 do
-    cycle c0 (i mod 8);
-    Server.drain_all t c1;
-    cycle c1 32
+  ignore (grant c1 32 : int);
+  Server.release t c1 ~token:(grant c1 33);
+  for i = 0 to config.Server.resilience.Server.lease_ttl + 2 do
+    Server.release t c0 ~token:(grant c0 (i mod 8));
+    Server.scan t c0
   done;
-  Alcotest.(check int) "client 0 drained nothing" 0
-    (Server.client_stats c0).Server.drained_releases;
-  Alcotest.(check bool) "client 1 drained client 0's releases" true
-    ((Server.client_stats c1).Server.drained_releases > 0);
+  Alcotest.(check int) "client 1 retired nothing" 0
+    (Server.client_stats c1).Server.drained_releases;
+  Alcotest.(check int) "client 0 reclaimed client 1's leases" 2
+    (Server.resilience_stats t).Server.reclaimed;
   Server.flush t c0;
-  Server.flush t c1;
   Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
   Server.merge_flight t;
   let cold =
     sum_stats t [ 0; 1 ] (fun s -> s.Server.acquires - s.Server.warm_hits)
   in
-  check_ring "cross-client drains" ring ~clients:2 ~cold
+  check_ring "cross-client reclaims" ring ~clients:2 ~cold
 
 let () =
   Alcotest.run "server"
@@ -1156,9 +977,7 @@ let () =
         [
           Alcotest.test_case "warm hit is free" `Quick test_warm_hit;
           Alcotest.test_case "busy and shed" `Quick test_busy_and_shed;
-          Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
-          Alcotest.test_case "own pending lease re-granted" `Quick test_pending_regrant;
           Alcotest.test_case "probes count fences" `Quick test_probe_census;
           Alcotest.test_case "warm path allocates nothing" `Quick
             test_warm_path_allocation_free;
@@ -1168,7 +987,7 @@ let () =
       ( "concurrency",
         [
           Alcotest.test_case "warm cache vs stealer" `Quick test_warm_vs_stealer;
-          Alcotest.test_case "releases survive the join" `Quick test_join_drain;
+          Alcotest.test_case "releases survive the join" `Quick test_join_flush;
           Alcotest.test_case "hot metrics reach the registry" `Quick
             test_hot_metrics_reach_registry;
           Alcotest.test_case "fault campaign on one shard" `Quick
@@ -1181,17 +1000,13 @@ let () =
           Alcotest.test_case "any client runs a due scan" `Quick test_any_client_scans;
           Alcotest.test_case "release fenced after reclaim" `Quick test_release_fencing;
           Alcotest.test_case "held lease crosses a re-sync" `Quick test_held_across_resync;
-          Alcotest.test_case "pending lease crosses a re-sync" `Quick
-            test_pending_across_resync;
           Alcotest.test_case "forced false deaths" `Quick test_forced_false_deaths;
           Alcotest.test_case "drain vs reclaim exactly-once" `Quick
-            test_drain_reclaim_race;
-          Alcotest.test_case "re-grant vs drain vs reclaim" `Quick
-            test_regrant_drain_race;
+            test_evict_reclaim_race;
           Alcotest.test_case "admission under contention" `Quick
             test_admission_contention;
-          Alcotest.test_case "wedged drain judged by lease identity" `Quick
-            test_wedged_drain_identity;
+          Alcotest.test_case "crash at a retirement leaks nothing" `Quick
+            test_crash_at_retirement;
         ] );
       ( "bare",
         [
