@@ -883,6 +883,256 @@ let test_crash_at_retirement () =
   Alcotest.(check int) "nothing outstanding" 0 report.Churn.outstanding;
   Alcotest.(check int) "nothing leaked" 0 r.Agg.leaked
 
+(* --- retirement at once: a lease that leaves the warm cache goes
+   straight back to the protocol, retired by the client giving it up --- *)
+
+let grant_token t c src =
+  match Server.acquire t c ~src with
+  | Server.Granted g -> g.token
+  | _ -> Alcotest.failf "source %d not granted" src
+
+let drains c = (Server.client_stats c).Server.drains
+
+let expect_no_violations t =
+  let rs = Server.resilience_stats t in
+  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
+  Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check int) "no leaks" 0 r.Agg.leaked
+
+(* Caching [b] in a cache of one evicts [a], which its client retires
+   in the same release: the other client is granted [a]'s source at
+   once, while [b] stays Busy for it in the cache. *)
+let test_eviction_retires () =
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:1 ~clients:2 ~s:64 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let a = grant_token t c0 1 in
+  let b = grant_token t c0 2 in
+  Server.release t c0 ~token:a;
+  (match Server.acquire t c1 ~src:1 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "a cached source must be Busy");
+  Server.release t c0 ~token:b;
+  Alcotest.(check int) "the evicted lease retired" 1 (drains c0);
+  Alcotest.(check int) "counted as a retired release" 1
+    (Server.client_stats c0).Server.drained_releases;
+  Alcotest.(check int) "only the cached lease is left" 1 (Server.outstanding t);
+  Alcotest.(check int) "one warm slot" 1 (Server.probe_shard t 0).Server.warm;
+  (match Server.acquire t c1 ~src:1 with
+  | Server.Granted g ->
+      Alcotest.(check bool) "granted cold" false g.warm;
+      Server.release t c1 ~token:g.token
+  | _ -> Alcotest.fail "an evicted source must be grantable at once");
+  (match Server.acquire t c1 ~src:2 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "the cached source must stay Busy");
+  Server.flush t c0;
+  Server.flush t c1;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  expect_no_violations t
+
+(* With caching off, every release is retired by its own client before
+   it returns, so the source is free for the next client at once. *)
+let test_uncached_release_retires () =
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:0 ~clients:2 ~s:64 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  for i = 1 to 5 do
+    (match Server.acquire t c0 ~src:7 with
+    | Server.Granted g ->
+        Alcotest.(check bool) "every grant cold" false g.warm;
+        Server.release t c0 ~token:g.token
+    | _ -> Alcotest.fail "c0 not granted");
+    Alcotest.(check int) "retired before the release returns" 0 (Server.outstanding t);
+    Alcotest.(check int) "one retirement per release" i (drains c0);
+    Alcotest.(check int) "nothing warm" 0 (Server.probe_shard t 0).Server.warm;
+    Server.release t c1 ~token:(grant_token t c1 7);
+    Alcotest.(check int) "the other client's release retired too" i (drains c1)
+  done;
+  expect_no_violations t
+
+(* A full shard: the grant retires the client's own warm leases on it
+   and takes a slot they freed, rather than shedding. *)
+let test_full_shard_retires_own_warm () =
+  let t = Server.create (cfg ~shards:1 ~k:2 ~warm:2 ~clients:1 ~s:64 ()) in
+  let c = Server.client t 0 in
+  let a = grant_token t c 1 in
+  let b = grant_token t c 2 in
+  Server.release t c ~token:a;
+  Server.release t c ~token:b;
+  Alcotest.(check int) "the range is full of warm leases" 2 (Server.probe_shard t 0).Server.warm;
+  (match Server.acquire t c ~src:3 with
+  | Server.Granted g ->
+      Alcotest.(check bool) "admitted cold" false g.warm;
+      Alcotest.(check int) "both warm leases retired" 2 (drains c);
+      Alcotest.(check int) "nothing shed" 0 (Server.client_stats c).Server.shed;
+      Alcotest.(check int) "only the new lease held" 1 (Server.outstanding t);
+      Alcotest.(check int) "nothing warm" 0 (Server.probe_shard t 0).Server.warm;
+      Server.release t c ~token:g.token
+  | _ -> Alcotest.fail "own warm leases must make room");
+  (match Server.acquire t c ~src:1 with
+  | Server.Granted g ->
+      Alcotest.(check bool) "a retired source comes back cold" false g.warm;
+      Server.release t c ~token:g.token
+  | _ -> Alcotest.fail "a retired source must be grantable");
+  Server.flush t c;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  expect_no_violations t
+
+(* No client retires a live client's lease: another client's warm
+   leases fill the range, so a grant sheds and they stay warm. *)
+let test_foreign_warm_untouched () =
+  let t = Server.create (cfg ~shards:1 ~k:2 ~warm:2 ~clients:2 ~s:64 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  Server.release t c0 ~token:(grant_token t c0 1);
+  Server.release t c0 ~token:(grant_token t c0 2);
+  (match Server.acquire t c1 ~src:3 with
+  | Server.Shed -> ()
+  | _ -> Alcotest.fail "another client's warm leases must not make room");
+  (match Server.acquire t c1 ~src:1 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "another client's warm source must be Busy");
+  Alcotest.(check int) "c1 retired nothing" 0 (drains c1);
+  Alcotest.(check int) "c0 retired nothing" 0 (drains c0);
+  Alcotest.(check int) "both leases still warm" 2 (Server.probe_shard t 0).Server.warm;
+  (match Server.acquire t c0 ~src:1 with
+  | Server.Granted g ->
+      Alcotest.(check bool) "still a warm hit for its owner" true g.warm;
+      Server.release t c0 ~token:g.token
+  | _ -> Alcotest.fail "owner's warm lease not re-granted");
+  Server.flush t c0;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  expect_no_violations t
+
+(* A client's source it holds is claimed by itself: asking for it again
+   is Busy, and takes no slot. *)
+let test_own_held_source_busy () =
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:2 ~clients:2 ~s:64 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let token = grant_token t c0 3 in
+  (match Server.acquire t c0 ~src:3 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "a held source must be Busy to its holder");
+  (match Server.acquire t c1 ~src:3 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "a held source must be Busy to another client");
+  Alcotest.(check int) "the holder's refusal counted" 1 (Server.client_stats c0).Server.busy;
+  Alcotest.(check int) "no slot taken by a refusal" 1 (Server.outstanding t);
+  Server.release t c0 ~token;
+  Server.flush t c0;
+  Server.release t c1 ~token:(grant_token t c1 3);
+  Server.flush t c1;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  expect_no_violations t
+
+(* [flush] retires each warm lease exactly once; a second flush finds
+   nothing to retire. *)
+let test_flush_retires_once () =
+  let t = Server.create (cfg ~shards:2 ~k:4 ~warm:3 ~clients:1 ~s:64 ()) in
+  let c = Server.client t 0 in
+  List.iter (fun src -> Server.release t c ~token:(grant_token t c src)) [ 1; 2; 3 ];
+  Alcotest.(check int) "three warm" 3 (Server.outstanding t);
+  Alcotest.(check int) "nothing retired while cached" 0 (drains c);
+  Server.flush t c;
+  Alcotest.(check int) "each warm lease retired" 3 (drains c);
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  Server.flush t c;
+  Alcotest.(check int) "a second flush retires nothing" 3 (drains c);
+  expect_no_violations t
+
+(* The chaos hook fires once before each retirement a client runs, and
+   never on a warm hit or a release into a cache with room. *)
+let test_chaos_hook_per_retirement () =
+  let t = Server.create (cfg ~shards:1 ~k:4 ~warm:1 ~clients:1 ~s:64 ()) in
+  let c = Server.client t 0 in
+  let tags = ref [] in
+  Server.set_chaos c (Some (fun tag -> tags := tag :: !tags));
+  Server.release t c ~token:(grant_token t c 1);
+  Alcotest.(check int) "a release into a cache with room" 0 (List.length !tags);
+  Server.release t c ~token:(grant_token t c 1);
+  Alcotest.(check int) "a warm hit" 0 (List.length !tags);
+  for i = 0 to 19 do
+    Server.release t c ~token:(grant_token t c (2 + (i mod 3)))
+  done;
+  Server.flush t c;
+  Alcotest.(check int) "once per retirement" (drains c) (List.length !tags);
+  Alcotest.(check int) "every eviction and the flush retired" 21 (drains c);
+  Alcotest.(check (list string)) "tagged as a retirement" []
+    (List.filter (fun tag -> tag <> "retire") !tags);
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  expect_no_violations t
+
+(* A crash at an eviction's retirement leaves the evicted lease warm
+   under the victim, never half-retired: its source stays Busy until a
+   reclaim retires it with the victim's other lease. *)
+let test_crash_mid_retirement_sequential () =
+  let config = cfg ~shards:1 ~k:4 ~warm:1 ~clients:2 ~s:64 () in
+  let t = Server.create config in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  Server.release t c1 ~token:(grant_token t c1 5);
+  let token = grant_token t c1 6 in
+  Server.set_chaos c1 (Some (fun _ -> raise Exit));
+  Alcotest.check_raises "the victim crashes at the eviction" Exit (fun () ->
+      Server.release t c1 ~token);
+  Alcotest.(check int) "nothing retired" 0 (drains c1);
+  Alcotest.(check int) "both leases still warm" 2 (Server.probe_shard t 0).Server.warm;
+  (match Server.acquire t c0 ~src:5 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "the evicted source must stay Busy until reclaimed");
+  for _ = 1 to config.Server.resilience.Server.lease_ttl + 2 do
+    Server.scan t c0
+  done;
+  let rs = Server.resilience_stats t in
+  Alcotest.(check int) "the victim declared dead" 1 rs.Server.deaths;
+  Alcotest.(check int) "both leases reclaimed" 2 rs.Server.reclaimed;
+  Alcotest.(check int) "nothing outstanding" 0 (Server.outstanding t);
+  Server.release t c0 ~token:(grant_token t c0 5);
+  Server.flush t c0;
+  expect_no_violations t
+
+(* A client declared dead while it holds a lease no reclaim caught
+   retires that lease in its next release, before it returns. *)
+let test_dead_release_retires () =
+  let src = 5 in
+  let t, c1, token = held_across_resync src in
+  let c0 = Server.client t 0 in
+  Alcotest.(check int) "the lease is held" 1 (Server.outstanding t);
+  let fenced = (Server.client_stats c1).Server.fenced in
+  Server.release t c1 ~token;
+  Alcotest.(check int) "retired by its holder" 1 (drains c1);
+  Alcotest.(check int) "the re-sync counted as fenced" (fenced + 1)
+    (Server.client_stats c1).Server.fenced;
+  Alcotest.(check int) "nothing outstanding" 0 (Server.outstanding t);
+  (match Server.acquire t c0 ~src with
+  | Server.Granted g -> Server.release t c0 ~token:g.token
+  | _ -> Alcotest.fail "the retired source must be grantable at once");
+  Server.flush t c0;
+  expect_clean t
+
+(* The members kept for the benchmark harness hold their constants
+   whatever the server does. *)
+let test_perfbench_stubs () =
+  let config = Server.default_config ~clients:2 ~source_space:64 () in
+  Alcotest.(check int) "batch is one" 1 config.Server.batch;
+  let t = Server.create config in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  Server.release t c1 ~token:(grant_token t c1 9);
+  let before = Server.outstanding t in
+  Server.drain_all t c1;
+  Alcotest.(check int) "drain_all retires nothing" before (Server.outstanding t);
+  Alcotest.(check int) "drain_all counts nothing" 0 (drains c1);
+  for _ = 1 to config.Server.resilience.Server.lease_ttl + 2 do
+    Server.scan t c0
+  done;
+  let rs = Server.resilience_stats t in
+  Alcotest.(check int) "a reclaim ran" 1 rs.Server.reclaimed;
+  Alcotest.(check int) "no drain heals" 0 rs.Server.drain_heals;
+  Alcotest.(check int) "no failovers" 0 rs.Server.failovers;
+  for sh = 0 to Server.shards t - 1 do
+    Alcotest.(check int) (Printf.sprintf "shard %d pending" sh) 0
+      (Server.probe_shard t sh).Server.pending;
+    Alcotest.(check string) (Printf.sprintf "shard %d live" sh) "live"
+      (Server.Health.to_string (Server.health t sh))
+  done
+
 (* --- bare protocol runs: the one-shard, cold-only server --- *)
 
 (* The victim dies holding the name of its third request; the settle
@@ -1007,6 +1257,24 @@ let () =
             test_admission_contention;
           Alcotest.test_case "crash at a retirement leaks nothing" `Quick
             test_crash_at_retirement;
+        ] );
+      ( "retirement",
+        [
+          Alcotest.test_case "eviction retires at once" `Quick test_eviction_retires;
+          Alcotest.test_case "uncached release retires at once" `Quick
+            test_uncached_release_retires;
+          Alcotest.test_case "full shard retires own warm leases" `Quick
+            test_full_shard_retires_own_warm;
+          Alcotest.test_case "another client's warm leases untouched" `Quick
+            test_foreign_warm_untouched;
+          Alcotest.test_case "own held source is Busy" `Quick test_own_held_source_busy;
+          Alcotest.test_case "flush retires each lease once" `Quick test_flush_retires_once;
+          Alcotest.test_case "chaos hook fires once per retirement" `Quick
+            test_chaos_hook_per_retirement;
+          Alcotest.test_case "crash at an eviction is reclaimed" `Quick
+            test_crash_mid_retirement_sequential;
+          Alcotest.test_case "dead client's release retires" `Quick test_dead_release_retires;
+          Alcotest.test_case "benchmark stubs are constant" `Quick test_perfbench_stubs;
         ] );
       ( "bare",
         [
