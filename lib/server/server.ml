@@ -158,9 +158,9 @@ type t = {
          [replies] at cold grant; a warm hit returns it as is and
          allocates nothing *)
   replies : outcome array;
-      (* per slot, [reply_ways] warm grants from [slot_stride · slot],
-         one per (name, epoch), direct-mapped by name: a cold grant
-         builds one only on a miss *)
+      (* per slot, [reply_ways] grants from [reply_stride · slot], warm
+         and cold alike, keyed by every field: a grant builds one only
+         on a miss *)
   fence : int Atomic.t array;
       (* padded: a client's fence CASes never touch another slot's line *)
   (* liveness + reclamation *)
@@ -266,7 +266,6 @@ let published : (string * (client -> int)) array =
     ("server.busy", fun c -> c.busy);
     ("server.shed", fun c -> c.shed);
     ("server.drains", fun c -> c.retired);
-    ("server.drained", fun c -> c.retired);
     ("server.fenced", fun c -> c.fenced);
   |]
 
@@ -480,31 +479,52 @@ let warm_remove c r =
 
 (* ----- the service ----- *)
 
-(* The warm grant of [slot]'s lease to [c] under [c]'s epoch, from the
-   slot's replies: built only when the slot has not carried this name
-   in this epoch since the entry was last overwritten.  A slot sees a
-   few names, not its shard's whole name space, so a few ways serve
-   it.  The ways are a prime number: a solo client's slots alternate
-   between SPLIT names 8 apart, which a power of two would map to one
-   way.  Seven ways and the 9 words after them fill one slot stride,
-   so no two slots' replies share a line. *)
-let reply_ways = 7
+(* The grant of [slot]'s lease to [c] under [c]'s epoch, from the
+   slot's replies: a reply is immutable, so one [Granted] serves every
+   grant with the same four fields, and one is built only on a miss.
+   Warm and cold grants share the ways.  The key holds [accesses]: a
+   cold reply reports its own grant's count, which callers check
+   against the protocol's bound.  A slot sees a few names and a few
+   access counts per name.  A key sits in way [(31·name + 2·accesses +
+   warm) mod 29] or in the way after it, so the ways span 30 words of a
+   slot's two strides.  Direct-mapped, the same ways allocated 0.28
+   words per cold grant when another client's request lands inside
+   grants' protocol runs (test_server "cold replies repeat the grant"),
+   and 0.0004 with the second way.  Neighbouring slots' ways may share
+   a line, but a way is written only on a miss.  Only the agent that
+   holds the slot RETIRING reads or writes its ways. *)
+let reply_ways = 29
+let reply_stride = 2 * slot_stride
 
-let warm_reply t (c : client) slot =
-  let name = slot_name t slot in
+let[@inline] is_reply r ~name ~token ~warm ~accesses =
+  match r with
+  | Granted g -> g.name = name && g.token = token && g.warm = warm && g.accesses = accesses
+  | Busy | Shed -> false
+
+let empty_way = function Granted _ -> false | Busy | Shed -> true
+
+let reply t (c : client) slot ~name ~warm ~accesses =
   let token = token_of c slot in
-  let i = (slot * slot_stride) + (name mod reply_ways) in
-  match t.replies.(i) with
-  | Granted g as r when g.name = name && g.token = token -> r
-  | _ ->
-      let r = Granted { name; token; warm = true; accesses = 0 } in
-      t.replies.(i) <- r;
-      r
+  let way = ((31 * name) + (2 * accesses) + if warm then 1 else 0) mod reply_ways in
+  let i = (slot * reply_stride) + way in
+  let r = t.replies.(i) in
+  if is_reply r ~name ~token ~warm ~accesses then r
+  else
+    let next = t.replies.(i + 1) in
+    if is_reply next ~name ~token ~warm ~accesses then next
+    else begin
+      (* a miss fills the second way if only it is empty, else the first *)
+      let fresh = Granted { name; token; warm; accesses } in
+      t.replies.(if (not (empty_way r)) && empty_way next then i + 1 else i) <- fresh;
+      fresh
+    end
 
 (* Point [slot]'s warm grant at [c]'s epoch.  Only the agent that holds
    the slot RETIRING may call it: no grant of the slot to another
    client can then interleave. *)
-let set_warm t c slot = t.slot_warm.(slot * slot_stride) <- warm_reply t c slot
+let set_warm t c slot =
+  t.slot_warm.(slot * slot_stride) <-
+    reply t c slot ~name:(slot_name t slot) ~warm:true ~accesses:0
 
 (* A grant that runs no protocol: [slot]'s warm outcome.
    Inlined: as a call, even a tail call, it lengthened warm-pair's p99
@@ -518,7 +538,9 @@ let[@inline] warm_grant t c slot =
   mark c "warm" (slot_name t slot);
   t.slot_warm.(slot * slot_stride)
 
-(* [slot] is the one admission took from FREE for this grant. *)
+(* [slot] is the one admission took from FREE for this grant.  Its
+   warm grant and the reply returned here both come from the slot's
+   replies, before HELD is published. *)
 let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   (* the slot is ours until HELD is published; naming its source and
      owner first backs our claim against the reclaimer's claim sweep
@@ -536,6 +558,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
   set_slot_name t slot name;
   set_warm t c slot;
+  let granted = reply t c slot ~name ~warm:false ~accesses in
   (* publish last: the slot only becomes visible to retirers once its
      fields are in place *)
   Atomic.set t.fence.(slot) (leased fence_held ~owner:c.id ~epoch:c.my_epoch);
@@ -548,7 +571,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   c.acquires <- c.acquires + 1;
   c.held_n <- c.held_n + 1;
   hot_observe c h_cold_accesses accesses;
-  Granted { name; token = token_of c slot; warm = false; accesses }
+  granted
 
 let acquire_cold t c ~src =
   let sh = route ~clients:t.cfg.clients ~client:c.id src t.cfg.shards in
@@ -972,7 +995,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     claims = Array.init cfg.source_space (fun _ -> Atomic.make 0);
     slot_f = Array.make (cap * slot_stride) (-1);
     slot_warm = Array.make (cap * slot_stride) Busy;
-    replies = Array.make (cap * slot_stride) Busy;
+    replies = Array.make (cap * reply_stride) Busy;
     fence = Pad.cells (Pad.create cap fence_free);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;

@@ -30,17 +30,18 @@
        {!outcome.Shed}.  A request allocates
        no slab state: the shard's protocol lease sits in a per-shard
        {!Renaming.Protocol.Any.table} entry of its slot (SPLIT's int
-       lease unboxed), and a cold grant takes the slot's warm reply
-       from a small per-slot cache, so it allocates only the
-       {!outcome.Granted} it returns.  The token handed to a client
-       names its slot and its holder's epoch when the holder took the
-       lease: a slot's tokens differ across its holder's epochs, not
+       lease unboxed).  Each slot caches the {!outcome.Granted} replies
+       it hands out, warm and cold alike, keyed by all four fields, so
+       a grant allocates only when its slot's cache misses.  The token
+       handed to a client names its slot and its holder's epoch when
+       the holder took the lease: a slot's tokens differ across its holder's epochs, not
        across grants.  A token a reclaim retired still never names a
        later lease of the same slot, since a reclaim bumps its victim's
        epoch first.  A second release of a token after the same slot
        was granted cold to the same client in the same epoch is not
        caught: it releases the new lease.  Each slot's fields sit on
-       cache lines of their own.}
+       cache lines of their own; its cached replies may share a line
+       with a neighbour's, written only on a miss.}
     {- {b Retirement at once.}  A released lease goes into the
        client's warm cache.  When it leaves the cache — evicted by a
        newer release, retired to make room on a full shard, dropped by
@@ -151,7 +152,10 @@ type outcome =
   | Granted of { name : int; token : int; warm : bool; accesses : int }
       (** [name] is global (shard base + local name); pass [token]
           back to {!release}.  [warm] grants cost [accesses = 0];
-          cold grants report the protocol's shared-access count. *)
+          cold grants report the protocol's shared-access count.  A
+          [Granted] may be a cached value shared with other grants of
+          the same four fields: compare it structurally, never with
+          [==]. *)
   | Busy
       (** The source name is claimed: held by a client, or warm in
           another client's cache — the renaming precondition that distinct
