@@ -1339,8 +1339,10 @@ let server shards k s clients requests warm theta rate think seed plan policy
   | Error e ->
       Fmt.epr "bad --policy: %s@." e;
       2
-  | Ok policy when chaos ->
-      ignore (policy : Server.Policy.t option);
+  | Ok (Some _) when chaos ->
+      Fmt.epr "--policy does not apply to --chaos: the chaos matrix runs its own plans@.";
+      2
+  | Ok _ when chaos ->
       server_chaos matrix (if requests = 10_000 then None else Some requests) json
   | Ok policy -> (
   match

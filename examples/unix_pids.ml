@@ -37,7 +37,7 @@ let () =
     let pids = slot_pids i in
     let c = Store.counter () in
     for cycle = 0 to (3 * per_slot) - 1 do
-      let ops = Store.counting c { ops with pid = pids.(cycle mod per_slot) } in
+      let ops = Store.counting c (Store.with_pid ops pids.(cycle mod per_slot)) in
       Store.reset c;
       let lease = Pipeline.get_name protocol ops in
       Sim.Sched.emit (Sim.Event.Acquired (Pipeline.name_of protocol lease));

@@ -490,7 +490,7 @@ let crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
             (* ownership moves before the reset makes the name grantable
                again *)
             Sim.Sched.emit (Sim.Event.Note ("reclaimed", P.name_of inst lease));
-            reset_footprint inst { ops with pid = pids.(w) } lease
+            reset_footprint inst (Store.with_pid ops pids.(w)) lease
       in
       (* never a legal source name here, and the reclaimer never acquires *)
       let reclaimer_pid = 1 + Array.fold_left max 0 pids in
@@ -502,7 +502,7 @@ let crash_config (type a) (module P : Renaming.Protocol.S with type t = a)
           decr budget;
           (* the idle read guarantees one shared access per iteration,
              so the loop always yields to the scheduler *)
-          ignore (ops.read work);
+          ignore (Store.read ops work);
           List.iter (reclaim ops) (corpses ())
         done
       in

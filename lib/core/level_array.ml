@@ -32,7 +32,7 @@ let create layout ~k =
 let k t = t.k
 let name_space t = t.total
 let levels t = Array.length t.levels + 1
-let test_and_set (ops : Store.ops) c = ops.rmw c (fun _ -> 1) = 0
+let test_and_set (ops : Store.ops) c = Store.rmw ops c (fun _ -> 1) = 0
 
 (* Lowest-slot-first probing with a per-level failure budget of half the
    level's capacity.  Every failure — a set bit skipped, or a lost
@@ -56,7 +56,7 @@ let get_name t (ops : Store.ops) =
         if s >= cap || budget = 0 then level (i + 1)
         else begin
           incr accesses;
-          if ops.read arr.(s) <> 0 then slot (s + 1) (budget - 1)
+          if Store.read ops arr.(s) <> 0 then slot (s + 1) (budget - 1)
           else begin
             incr accesses;
             if test_and_set ops arr.(s) then
@@ -70,7 +70,7 @@ let get_name t (ops : Store.ops) =
   and backstop j =
     let s = j mod t.k in
     incr accesses;
-    if ops.read t.backstop.(s) <> 0 then backstop (j + 1)
+    if Store.read ops t.backstop.(s) <> 0 then backstop (j + 1)
     else begin
       incr accesses;
       if test_and_set ops t.backstop.(s) then
@@ -91,7 +91,7 @@ let cell_of t lease =
   if lease.level < Array.length t.levels then t.levels.(lease.level).(lease.slot)
   else t.backstop.(lease.slot)
 
-let release_name t (ops : Store.ops) lease = ops.write (cell_of t lease) 0
+let release_name t (ops : Store.ops) lease = Store.write ops (cell_of t lease) 0
 
 (* The whole footprint of a holder is its one set bit. *)
 let reset_footprint = Some release_name

@@ -18,7 +18,7 @@
     [prop_level_adaptive] property suite).
 
     Like {!Tas_baseline} this uses the stronger test&set primitive
-    ([ops.rmw]) rather than reads and writes alone; it is the
+    ([Store.rmw]) rather than reads and writes alone; it is the
     "practical multicore" point of comparison for the paper's
     read/write protocols, not one of them.  Long-lived: release clears
     the claimed bit.  [reset_footprint] is total — a holder's whole

@@ -37,21 +37,21 @@ let get_name t (ops : Store.ops) =
     let i = index ~k:t.k ~r ~c in
     if r + c = t.k - 1 then begin
       (* diagonal: at most one process can be here at a time *)
-      ops.write t.y.(i).(p) 1;
+      Store.write ops t.y.(i).(p) 1;
       { name = i; row = r; col = c }
     end
     else begin
-      ops.write t.x.(i) p;
+      Store.write ops t.x.(i) p;
       let occupied = ref false in
       for q = 0 to t.s - 1 do
-        if ops.read t.y.(i).(q) = 1 then occupied := true
+        if Store.read ops t.y.(i).(q) = 1 then occupied := true
       done;
       if !occupied then move r (c + 1)
       else begin
-        ops.write t.y.(i).(p) 1;
-        if ops.read t.x.(i) = p then { name = i; row = r; col = c }
+        Store.write ops t.y.(i).(p) 1;
+        if Store.read ops t.x.(i) = p then { name = i; row = r; col = c }
         else begin
-          ops.write t.y.(i).(p) 0;
+          Store.write ops t.y.(i).(p) 0;
           move (r + 1) c
         end
       end
@@ -62,7 +62,7 @@ let get_name t (ops : Store.ops) =
 let name_of _ lease = lease.name
 
 let release_name t (ops : Store.ops) lease =
-  ops.write t.y.(index ~k:t.k ~r:lease.row ~c:lease.col).(ops.pid) 0
+  Store.write ops t.y.(index ~k:t.k ~r:lease.row ~c:lease.col).(ops.pid) 0
 
 (* the footprint is exactly the presence bit release clears, keyed by
    the (dead) holder's pid *)

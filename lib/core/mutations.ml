@@ -17,38 +17,38 @@ module Mutant_mutex = struct
     match t.variant with
     | Read_before_write ->
         (* refuted reconstruction #1: look, then leap *)
-        let opp = ops.read t.r.(1 - dir) in
+        let opp = Store.read ops t.r.(1 - dir) in
         let own = if is_present opp then dir lxor turn_bit opp else dir in
-        ops.write t.r.(dir) (present own);
+        Store.write ops t.r.(dir) (present own);
         own
     | Turn_lost_on_release ->
         (* publish before reading, but the turn bit does not survive
            release (see [release]) *)
-        ops.write t.r.(dir) (present dir);
-        let opp = ops.read t.r.(1 - dir) in
+        Store.write ops t.r.(dir) (present dir);
+        let opp = Store.read ops t.r.(1 - dir) in
         if is_present opp then begin
           let own = dir lxor turn_bit opp in
-          ops.write t.r.(dir) (present own);
+          Store.write ops t.r.(dir) (present own);
           own
         end
         else dir
     | No_yield ->
         (* claims the combined turn points at the opponent *)
-        let t_own = turn_bit (ops.read t.r.(dir)) in
-        ops.write t.r.(dir) (present t_own);
-        let opp = ops.read t.r.(1 - dir) in
+        let t_own = turn_bit (Store.read ops t.r.(dir)) in
+        Store.write ops t.r.(dir) (present t_own);
+        let opp = Store.read ops t.r.(1 - dir) in
         let own = (1 - dir) lxor turn_bit opp in
-        ops.write t.r.(dir) (present own);
+        Store.write ops t.r.(dir) (present own);
         own
 
   let check t (ops : Store.ops) ~dir own =
-    let opp = ops.read t.r.(1 - dir) in
+    let opp = Store.read ops t.r.(1 - dir) in
     (not (is_present opp)) || own lxor turn_bit opp <> dir
 
   let release t (ops : Store.ops) ~dir own =
     match t.variant with
-    | Turn_lost_on_release -> ops.write t.r.(dir) 0 (* drops the turn bit *)
-    | Read_before_write | No_yield -> ops.write t.r.(dir) (own land 1)
+    | Turn_lost_on_release -> Store.write ops t.r.(dir) 0 (* drops the turn bit *)
+    | Read_before_write | No_yield -> Store.write ops t.r.(dir) (own land 1)
 end
 
 module Mutant_splitter = struct
@@ -67,25 +67,25 @@ module Mutant_splitter = struct
     }
 
   let enter t (ops : Store.ops) =
-    ops.write t.last ops.pid;
-    let a = ops.read t.advice1 in
-    let a = if a = bottom then ops.read t.advice2 else a in
+    Store.write ops t.last ops.pid;
+    let a = Store.read ops t.advice1 in
+    let a = if a = bottom then Store.read ops t.advice2 else a in
     let advice_out = match t.variant with No_advice_flip -> a | No_interference_check -> -a in
-    ops.write t.advice1 advice_out;
-    let adv2 = ops.read t.last = ops.pid in
-    if adv2 then ops.write t.advice2 advice_out;
+    Store.write ops t.advice1 advice_out;
+    let adv2 = Store.read ops t.last = ops.pid in
+    if adv2 then Store.write ops t.advice2 advice_out;
     let direction =
       match t.variant with
       | No_interference_check -> a (* line 7 dropped: never returns 0 *)
-      | No_advice_flip -> if ops.read t.last = ops.pid then a else 0
+      | No_advice_flip -> if Store.read ops t.last = ops.pid then a else 0
     in
     { advice = a; adv2; direction }
 
   let direction tok = tok.direction
 
   let release t (ops : Store.ops) tok =
-    if ops.read t.last = ops.pid then ops.write t.advice1 tok.advice;
-    if not tok.adv2 then ops.write t.advice1 bottom
+    if Store.read ops t.last = ops.pid then Store.write ops t.advice1 tok.advice;
+    if not tok.adv2 then Store.write ops t.advice1 bottom
 end
 
 module Mutant_costly = struct
@@ -107,7 +107,7 @@ module Mutant_costly = struct
   let get_name t (ops : Store.ops) =
     let lease = Ma.get_name t.ma ops in
     for _ = 1 to t.extra do
-      ignore (ops.read t.pad)
+      ignore (Store.read ops t.pad)
     done;
     lease
 
@@ -135,8 +135,8 @@ module Mutant_level = struct
   let get_name t (ops : Store.ops) =
     let rec probe j =
       let s = j mod t.k in
-      if ops.read t.bits.(s) = 0 then begin
-        ops.write t.bits.(s) 1;
+      if Store.read ops t.bits.(s) = 0 then begin
+        Store.write ops t.bits.(s) 1;
         { name = s }
       end
       else probe (j + 1)
@@ -144,7 +144,7 @@ module Mutant_level = struct
     probe 0
 
   let name_of _ lease = lease.name
-  let release_name t (ops : Store.ops) lease = ops.write t.bits.(lease.name) 0
+  let release_name t (ops : Store.ops) lease = Store.write ops t.bits.(lease.name) 0
   let reset_footprint = None
 end
 
@@ -192,18 +192,18 @@ module Mutant_ma = struct
     let rec move r c =
       let i = index ~k:t.k ~r ~c in
       if r + c = t.k - 1 then begin
-        ops.write t.y.(i).(ops.pid) 1;
+        Store.write ops t.y.(i).(ops.pid) 1;
         { name = i; row = r; col = c }
       end
       else begin
-        ops.write t.x.(i) ops.pid;
+        Store.write ops t.x.(i) ops.pid;
         let occupied = ref false in
         for q = 0 to t.s - 1 do
-          if ops.read t.y.(i).(q) = 1 then occupied := true
+          if Store.read ops t.y.(i).(q) = 1 then occupied := true
         done;
         if !occupied then move r (c + 1)
         else begin
-          ops.write t.y.(i).(ops.pid) 1;
+          Store.write ops t.y.(i).(ops.pid) 1;
           match t.variant with
           | No_recheck ->
               (* stop without re-reading X: racing entrants collide *)
@@ -216,7 +216,7 @@ module Mutant_ma = struct
   let name_of _ lease = lease.name
 
   let release_name t (ops : Store.ops) lease =
-    ops.write t.y.(index ~k:t.k ~r:lease.row ~c:lease.col).(ops.pid) 0
+    Store.write ops t.y.(index ~k:t.k ~r:lease.row ~c:lease.col).(ops.pid) 0
 
   let reset_footprint = None
 end

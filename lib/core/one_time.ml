@@ -24,11 +24,11 @@ let get_name t (ops : Store.ops) =
     let i = index ~k:t.k ~r ~c in
     if r + c = t.k - 1 then i (* diagonal block: at most one arrival *)
     else begin
-      ops.write t.x.(i) ops.pid;
-      if ops.read t.y.(i) = 1 then move r (c + 1)
+      Store.write ops t.x.(i) ops.pid;
+      if Store.read ops t.y.(i) = 1 then move r (c + 1)
       else begin
-        ops.write t.y.(i) 1;
-        if ops.read t.x.(i) = ops.pid then i else move (r + 1) c
+        Store.write ops t.y.(i) 1;
+        if Store.read ops t.x.(i) = ops.pid then i else move (r + 1) c
       end
     end
   in

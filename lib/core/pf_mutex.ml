@@ -39,21 +39,21 @@ let enter t (ops : Store.ops) ~dir =
   (* Recover the persisted turn bit (a previous process may have used
      this direction), raise presence without disturbing it, then point
      the combined turn at ourselves — yielding to any opponent. *)
-  let t_own = turn_bit (ops.read t.r.(dir)) in
-  ops.write t.r.(dir) (present t_own);
-  let opp = ops.read t.r.(1 - dir) in
+  let t_own = turn_bit (Store.read ops t.r.(dir)) in
+  Store.write ops t.r.(dir) (present t_own);
+  let opp = Store.read ops t.r.(1 - dir) in
   let t_new = dir lxor turn_bit opp in
-  ops.write t.r.(dir) (present t_new);
+  Store.write ops t.r.(dir) (present t_new);
   t_new
 
 let check t (ops : Store.ops) ~dir own =
-  let opp = ops.read t.r.(1 - dir) in
+  let opp = Store.read ops t.r.(1 - dir) in
   let ok = (not (is_present opp)) || own lxor turn_bit opp <> dir in
   if not (Obs.Probe.is_null ops.probe) then ops.probe (Obs.Probe.Check (t.loc, ok));
   ok
 
 let release t (ops : Store.ops) ~dir own =
-  ops.write t.r.(dir) (absent own);
+  Store.write ops t.r.(dir) (absent own);
   if not (Obs.Probe.is_null ops.probe) then ops.probe (Obs.Probe.Release t.loc)
 
 let reset t (ops : Store.ops) ~dir =
@@ -62,6 +62,6 @@ let reset t (ops : Store.ops) ~dir =
      register — it must survive the reset exactly as it survives an
      ordinary release (clearing it re-admits the Turn_lost_on_release
      interleavings). *)
-  let v = ops.read t.r.(dir) in
-  ops.write t.r.(dir) (absent (turn_bit v));
+  let v = Store.read ops t.r.(dir) in
+  Store.write ops t.r.(dir) (absent (turn_bit v));
   if not (Obs.Probe.is_null ops.probe) then ops.probe (Obs.Probe.Release t.loc)

@@ -94,14 +94,14 @@ module Chain (A : S) (B : S) = struct
 
   let get_name t (ops : Shared_mem.Store.ops) =
     let la = A.get_name t.a ops in
-    let inner = { ops with pid = A.name_of t.a la } in
+    let inner = Shared_mem.Store.with_pid ops (A.name_of t.a la) in
     let lb = B.get_name t.b inner in
     { la; lb }
 
   let name_of t l = B.name_of t.b l.lb
 
   let release_name t (ops : Shared_mem.Store.ops) l =
-    let inner = { ops with pid = A.name_of t.a l.la } in
+    let inner = Shared_mem.Store.with_pid ops (A.name_of t.a l.la) in
     B.release_name t.b inner l.lb;
     A.release_name t.a ops l.la
 
@@ -112,7 +112,7 @@ module Chain (A : S) (B : S) = struct
     | Some reset_a, Some reset_b ->
         Some
           (fun t (ops : Shared_mem.Store.ops) l ->
-            let inner = { ops with pid = A.name_of t.a l.la } in
+            let inner = Shared_mem.Store.with_pid ops (A.name_of t.a l.la) in
             reset_b t.b inner l.lb;
             reset_a t.a ops l.la)
     | _ -> None

@@ -46,20 +46,22 @@ let name_of t lease =
   done;
   !name
 
-(* Hand each level's token to [step], deepest splitter first:
-   Using(child) must end before Inside(parent).  The descent is
+(* Release (or, with [reset], reset) each level's splitter, deepest
+   first: Using(child) must end before Inside(parent).  The descent is
    replayed once to find the deepest node; the walk back up uses
-   parent = (i-1)/3. *)
-let unwind step t ops lease =
+   parent = (i-1)/3.  A flag, not a [step] closure, so that each
+   splitter call is a direct one. *)
+let unwind ~reset t ops lease =
   let idx = ref 0 in
   for h = 0 to t.k - 3 do
     idx := (3 * !idx) + Splitter.direction (token lease h) + 2
   done;
   for h = t.k - 2 downto 0 do
-    step t.nodes.(!idx) ops (token lease h);
+    let node = t.nodes.(!idx) and tok = token lease h in
+    if reset then Splitter.reset node ops tok else Splitter.release node ops tok;
     idx := (!idx - 1) / 3
   done
 
-let release_name t ops lease = unwind Splitter.release t ops lease
-let reset_footprint = Some (fun t ops lease -> unwind Splitter.reset t ops lease)
+let release_name t ops lease = unwind ~reset:false t ops lease
+let reset_footprint = Some (fun t ops lease -> unwind ~reset:true t ops lease)
 let path_string t lease = Array.init (t.k - 1) (fun h -> Splitter.direction (token lease h))

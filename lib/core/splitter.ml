@@ -36,19 +36,19 @@ let loc t = t.loc
 
 let enter t (ops : Store.ops) =
   if not (Obs.Probe.is_null ops.probe) then ops.probe t.enter_ev;
-  ops.write t.last ops.pid;
+  Store.write ops t.last ops.pid;
   (* 1 *)
-  let a = ops.read t.advice1 in
+  let a = Store.read ops t.advice1 in
   (* 2 *)
-  let a = if a = bottom then ops.read t.advice2 else a in
+  let a = if a = bottom then Store.read ops t.advice2 else a in
   (* 3 *)
-  ops.write t.advice1 (-a);
+  Store.write ops t.advice1 (-a);
   (* 4 *)
-  let adv2 = ops.read t.last = ops.pid in
+  let adv2 = Store.read ops t.last = ops.pid in
   (* 5 *)
-  if adv2 then ops.write t.advice2 (-a);
+  if adv2 then Store.write ops t.advice2 (-a);
   (* 6 *)
-  let direction = if ops.read t.last = ops.pid then a else 0 in
+  let direction = if Store.read ops t.last = ops.pid then a else 0 in
   (* 7 *)
   if not (Obs.Probe.is_null ops.probe) then ops.probe t.exit_ev.(direction + 1);
   (direction + 1) lor (if a < 0 then 4 else 0) lor if adv2 then 8 else 0
@@ -58,9 +58,9 @@ let advice tok = if tok land 4 <> 0 then -1 else 1
 let adv2 tok = tok land 8 <> 0
 
 let release t (ops : Store.ops) tok =
-  if ops.read t.last = ops.pid then (* 9 *)
-    ops.write t.advice1 (advice tok) (* 10 *);
-  if not (adv2 tok) then ops.write t.advice1 bottom (* 11 *);
+  if Store.read ops t.last = ops.pid then (* 9 *)
+    Store.write ops t.advice1 (advice tok) (* 10 *);
+  if not (adv2 tok) then Store.write ops t.advice1 bottom (* 11 *);
   if not (Obs.Probe.is_null ops.probe) then ops.probe t.release_ev
 
 let reset t (ops : Store.ops) tok =
@@ -69,9 +69,9 @@ let reset t (ops : Store.ops) tok =
      leaving a dead pid in [LAST] is safe for entrants (they overwrite
      it) but would keep pointing the interference check at a process
      that can never answer. *)
-  if ops.read t.last = ops.pid then begin
-    ops.write t.advice1 (advice tok);
-    ops.write t.last (-1)
+  if Store.read ops t.last = ops.pid then begin
+    Store.write ops t.advice1 (advice tok);
+    Store.write ops t.last (-1)
   end;
-  if not (adv2 tok) then ops.write t.advice1 bottom;
+  if not (adv2 tok) then Store.write ops t.advice1 bottom;
   if not (Obs.Probe.is_null ops.probe) then ops.probe t.release_ev

@@ -9,7 +9,7 @@ let create layout ~k =
 
 let name_space t = t.k
 
-let test_and_set (ops : Store.ops) c = ops.rmw c (fun _ -> 1) = 0
+let test_and_set (ops : Store.ops) c = Store.rmw ops c (fun _ -> 1) = 0
 
 let get_name t (ops : Store.ops) =
   (* start the probe cycle at a pid-dependent offset to spread load *)
@@ -21,6 +21,6 @@ let get_name t (ops : Store.ops) =
   probe 0
 
 let name_of _ lease = lease.name
-let release_name t (ops : Store.ops) lease = ops.write t.bits.(lease.name) 0
+let release_name t (ops : Store.ops) lease = Store.write ops t.bits.(lease.name) 0
 let reset_footprint = Some release_name
 let probes lease = lease.lease_probes

@@ -193,7 +193,7 @@ let e3_mutex () =
           ()
         done;
         Sim.Sched.emit (Sim.Event.Note ("cs", input));
-        ignore (ops.read work);
+        ignore (Store.read ops work);
         Sim.Sched.emit (Sim.Event.Note ("cs_exit", input));
         Tournament.release t ops pos
       done
@@ -767,17 +767,17 @@ let e10_filter_rounds () =
         checks := Filter.checks lease :: !checks;
         advances := Filter.advances lease :: !advances)
       (module Filter) f ~work ~cycles:6 ops;
-    ops.write victim_done 1
+    Store.write ops victim_done 1
   in
   let opponent_body pool (ops : Store.ops) =
     let c = ref 0 in
-    while ops.read victim_done = 0 do
-      let ops = { ops with pid = pool.(!c mod Array.length pool) } in
+    while Store.read ops victim_done = 0 do
+      let ops = Store.with_pid ops pool.(!c mod Array.length pool) in
       incr c;
       let lease = Filter.get_name f ops in
       Sim.Sched.emit (Sim.Event.Acquired (Filter.name_of f lease));
       for _ = 1 to 3 do
-        ignore (ops.read work)
+        ignore (Store.read ops work)
       done;
       Sim.Sched.emit (Sim.Event.Released (Filter.name_of f lease));
       Filter.release_name f ops lease
@@ -824,7 +824,7 @@ let e10_filter_rounds () =
       List.iter
         (fun pid ->
           Workload.protocol_body ~on_get:second_round (module Filter) f ~work ~cycles:1
-            { ops with pid })
+            (Store.with_pid ops pid))
         (if rotate then [ pid0; (if pid0 = 2 then 3 else 2) ] else [ pid0; pid0 ])
     in
     {
@@ -1079,7 +1079,7 @@ let e13_name_distribution () =
         Hashtbl.replace freq n (1 + Option.value ~default:0 (Hashtbl.find_opt freq n));
         incr total;
         Sim.Sched.emit (Sim.Event.Acquired n);
-        ignore (ops.read work);
+        ignore (Store.read ops work);
         Sim.Sched.emit (Sim.Event.Released n);
         P.release_name inst ops lease
       done

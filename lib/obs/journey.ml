@@ -2,15 +2,13 @@ type stage =
   | Backoff
   | Admission
   | Claim
-  | Drain
   | Acquire
   | Release
-  | Pending
   | Retire
   | Reclaim
 
 let stages =
-  [| Backoff; Admission; Claim; Drain; Acquire; Release; Pending; Retire; Reclaim |]
+  [| Backoff; Admission; Claim; Acquire; Release; Retire; Reclaim |]
 
 let nstages = Array.length stages
 
@@ -18,21 +16,17 @@ let stage_index = function
   | Backoff -> 0
   | Admission -> 1
   | Claim -> 2
-  | Drain -> 3
-  | Acquire -> 4
-  | Release -> 5
-  | Pending -> 6
-  | Retire -> 7
-  | Reclaim -> 8
+  | Acquire -> 3
+  | Release -> 4
+  | Retire -> 5
+  | Reclaim -> 6
 
 let stage_name = function
   | Backoff -> "backoff"
   | Admission -> "admission"
   | Claim -> "claim"
-  | Drain -> "drain"
   | Acquire -> "acquire"
   | Release -> "release"
-  | Pending -> "pending"
   | Retire -> "retire"
   | Reclaim -> "reclaim"
 

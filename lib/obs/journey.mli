@@ -4,7 +4,7 @@
     A {e journey} follows one request end-to-end through the name
     server: arrival, backoff/retry waits, admission, claim CAS,
     protocol acquire (with its shared-access count), grant, and the
-    release half (release, pending, drain, retire).  Each client
+    release half (release, retire).  Each client
     domain owns one single-writer {!t}; the in-flight journey is a
     scratch row of a preallocated flat int arena (same pattern as the
     span ring and access tallies from the telemetry PR), so stamping
@@ -25,19 +25,18 @@
     Recorders merge at join ({!merge}): commutative and associative
     over the same window geometry, like {!Timeseries}. *)
 
-(** The stages a request can spend time in.  The first five are the
-    acquire half, stamped per journey; [Release]/[Pending] are the
-    release half; [Drain]/[Retire]/[Reclaim] are mostly {e
-    interference} — work a domain performs on behalf of others'
-    tokens, attributed to the window via {!interfere}. *)
+(** The stages a request can spend time in.  The first four are the
+    acquire half, stamped per journey; [Release]/[Retire] are the
+    release half, a lease that leaves the warm cache being retired at
+    once; [Retire]/[Reclaim] are also {e interference} — work a domain
+    performs on behalf of others' tokens, attributed to the window via
+    {!interfere}. *)
 type stage =
   | Backoff  (** Policy retry waits between attempts. *)
   | Admission  (** Spinning for an admission slot (cap busy). *)
   | Claim  (** Claim-table CAS contention. *)
-  | Drain  (** Draining pending releases (own admit or interference). *)
   | Acquire  (** Protocol acquire: the paper-bounded accesses. *)
   | Release  (** Fence transition on the release path. *)
-  | Pending  (** Enqueueing onto the pending ring. *)
   | Retire  (** Slot retirement fencing. *)
   | Reclaim  (** Reclaimer scans and lease takeover. *)
 
@@ -94,7 +93,7 @@ val active : t -> bool
 
 val interfere : t -> stage -> now:int -> int -> unit
 (** Attribute [ns] of [stage] work done at [now] on behalf of {e
-    other} requests (drain walking, retirement, reclaimer scans) to
+    other} requests (retirement, reclaimer scans) to
     the window's blame profile, outside any journey. *)
 
 (** {1 Views} *)

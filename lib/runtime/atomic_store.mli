@@ -15,10 +15,12 @@ val create : Shared_mem.Layout.t -> t
     done and before spawning domains. *)
 
 val ops : ?tally:Shared_mem.Store.tally -> t -> pid:int -> Shared_mem.Store.ops
-(** Capability for one worker; safe to use from any domain.  With
-    [tally], each access is counted into it inside the same closure
-    that touches the register — one indirect call per access either
-    way.  The tally is single-writer: give each domain its own. *)
+(** Capability for one worker; safe to use from any domain.  It is
+    {!Shared_mem.Store}'s direct arm: [Store.read] and its siblings
+    index the registers themselves, with no closure call.  With
+    [tally], every register of the layout is registered in it now and
+    each access is counted into it with two plain increments.  The
+    tally is single-writer: give each domain its own. *)
 
 val get : t -> Shared_mem.Cell.t -> int
 (** Direct read (monitoring; itself atomic). *)

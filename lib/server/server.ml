@@ -13,10 +13,12 @@
    Every padded block is built by [create], in the domain that builds
    the server, and its padding is part of the block, so the rule
    survives promotion into any pool, and no client domain allocates
-   one.  Two exceptions, measured and left alone: a source's claim is
-   written by whichever client claims it (shared by design), and each
-   client's per-shard [ops] records.  The scan state is written once
-   per scan, not per request. *)
+   one.  That includes each client's per-shard [ops] records: every
+   register access reads one (its direct arm: the shard's registers
+   and the client's tally), and the client re-binds its [pid] per
+   request.  One exception, measured and left alone: a source's claim
+   is written by whichever client claims it (shared by design).  The
+   scan state is written once per scan, not per request. *)
 
 module Store = Shared_mem.Store
 module Layout = Shared_mem.Layout
@@ -114,7 +116,7 @@ type client = {
       (* per-request journey recorder (single writer: this domain);
          the workload harness starts/finishes journeys, the server
          stamps the stage dwells it alone can see *)
-  ops : Store.ops array;  (* per shard; [pid] re-bound per request *)
+  ops : Store.ops array;  (* per shard, padded; [pid] re-bound per request *)
   tally : Store.tally;
       (* one arena serves the per-operation cost (mark/since), the
          flight clock (running total) and — when a registry is wired —
@@ -351,7 +353,7 @@ let retire_slot t (c : client) slot ~reset =
      execute the register operations on the holder's behalf is the
      same handoff long-lived reclamation relies on. *)
   let ops = c.ops.(ssh) in
-  ops.pid <- src;
+  Store.set_pid ops src;
   (* the release is the owner's, whoever runs it: its flight records
      go under the owner's id, so each client's acquisitions and
      releases pair up in the ring *)
@@ -551,7 +553,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh ~slot =
   Store.tally_mark c.tally;
   let t0 = if t0 <> 0 then t0 else jtrack c in
   let ops = c.ops.(sh) in
-  ops.pid <- src;
+  Store.set_pid ops src;
   let name = sd.base + Any.get_into sd.leases (slot_entry t slot) ops in
   jblame c Obs.Journey.Acquire t0;
   let accesses = Store.tally_since c.tally in
@@ -946,7 +948,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           Array.map
             (fun store ->
               let o = Atomic_store.ops ~tally store ~pid:0 in
-              match probe with Some p -> Store.probed p o | None -> o)
+              Pad.copy_as_padded (match probe with Some p -> Store.probed p o | None -> o))
             stores
         in
         let hot_hists =

@@ -15,7 +15,7 @@ let alloc_array t ?(name = "r") len init =
   Array.init len (fun i -> alloc t ~name:(Printf.sprintf "%s[%d]" name i) init)
 
 let size t = t.count
-let cells t = List.sort Cell.compare t.cells
+let cells t = List.rev t.cells (* ids are allocated in order *)
 
 let initial_values t =
   let a = Array.make t.count 0 in

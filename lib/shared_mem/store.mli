@@ -9,41 +9,18 @@
     The [pid] field is the process's {e source name} — the identity in
     [{0, …, S-1}] that the renaming protocols reduce. *)
 
-type ops = {
-  mutable pid : int;
-      (** Source name of the executing process.  Mutable so that an
-          agent running protocol steps on behalf of several sources (the
-          name server, one client's ops per shard) can re-bind it per
-          request without copying the record.  Only the owner of an
-          [ops] value may set it, and never while a protocol call on it
-          is in flight. *)
-  read : Cell.t -> int;  (** Atomic read of a register. *)
-  write : Cell.t -> int -> unit;  (** Atomic write of a register. *)
-  rmw : Cell.t -> (int -> int) -> int;
-      (** [rmw c f] atomically replaces the contents [v] of [c] by
-          [f v] and returns [v].  This is a {e stronger} primitive than
-          the paper's read/write registers (consensus number > 1); the
-          core protocols never use it — it exists for the Test&Set
-          baseline ({!Renaming.Tas_baseline}) that the paper contrasts
-          against, and costs one shared access. *)
-  probe : Obs.Probe.t;
-      (** Structural-event hook: protocol code reports its traced
-          steps (splitter enter/exit, mutex enter/check/release) here.
-          Defaults to {!Obs.Probe.null} in every backend; install a
-          recording probe with {!probed}.  Emitting costs no shared
-          access. *)
-}
-
 (** {1:arena The access arena}
 
     A {!tally} is one process's flat, preallocated access ledger:
     per-register-kind counts indexed by dense {!Cell.id} plus a
     running total, all plain int-array stores.  It is not a wrapper:
-    a store's own [ops] closures count into it ({!seq_ops},
-    [Runtime.Atomic_store.ops] with [?tally]), so a counted access
-    costs one indirect call, as a bare one does.  One arena serves
-    per-group registry metrics ({e deferred}: deltas are pushed only
-    when a snapshot runs), per-operation access counts
+    the store counts into it on the access path itself.  A direct
+    store ({!atomic}, with [?tally]) registers every cell of its
+    layout when its [ops] are built, so {!read} counts an access with
+    two plain increments and no check; a closure store ({!seq_ops})
+    registers a cell on its first access.  One arena serves per-group
+    registry metrics ({e deferred}: deltas are pushed only when a
+    snapshot runs), per-operation access counts
     ([tally_mark]/[tally_since]) and the flight recorder's logical
     clock ([tally_total]).  Several [ops] may share one tally (e.g. one
     per server shard store).  Single-writer, like every registry
@@ -63,13 +40,6 @@ val tally : ?shard:Obs.Registry.shard -> unit -> tally
     [shard], the counts serve {!tally_total} and {!tally_since}
     only. *)
 
-val tally_count : tally -> Cell.t -> int -> int -> unit
-(** [tally_count t cell id kind] counts one access of [kind] ([0]
-    read, [1] write, [2] rmw) to [cell], whose {!Cell.id} is [id],
-    registering [cell] on its first access.  For store
-    implementations: call it from the closure that performs the
-    access, passing the id that closure indexes its storage with. *)
-
 val tally_total : tally -> int
 (** Every access since creation — never reset; the flight recorder's
     logical clock. *)
@@ -84,6 +54,94 @@ val tally_flush : tally -> unit
     an unbound tally).  Registered automatically via
     {!Obs.Registry.on_snapshot}, so explicit calls are rarely
     needed. *)
+
+(** {1 The capability}
+
+    An {!ops} value is the capability a single process uses to touch
+    shared memory.  It has two arms, fixed when it is built:
+    - {e direct}: built by {!atomic} over an [int Atomic.t] array.
+      {!read}, {!write} and {!rmw} index that array themselves, so an
+      access is one [Atomic] operation plus the tally's two increments;
+    - {e closures}: built by {!make}, for stores that must intercept
+      each access (the simulator's effect store, {!seq_ops},
+      {!counting}, test wrappers).  {!read} calls the [read] field.
+
+    Protocol code calls {!read}, {!write} and {!rmw}, never the fields,
+    so the same source runs on both arms.  The record is private: only
+    this module builds one, so a wrapper can not copy an [ops] and keep
+    its direct arm while replacing an accessor. *)
+
+type ops = private {
+  mutable pid : int;
+      (** Source name of the executing process, set with {!set_pid}:
+          an agent running protocol steps on behalf of several
+          sources (the name server, one client's ops per shard)
+          re-binds it per request without copying the record.  Only
+          the owner of an [ops] value may set it, and never while a
+          protocol call on it is in flight. *)
+  read : Cell.t -> int;
+      (** Atomic read of a register, as a closure.  On either arm it
+          does what {!read} does, for callers that want a function
+          value. *)
+  write : Cell.t -> int -> unit;  (** Atomic write, as a closure. *)
+  rmw : Cell.t -> (int -> int) -> int;
+      (** [rmw c f] atomically replaces the contents [v] of [c] by
+          [f v] and returns [v].  This is a {e stronger} primitive than
+          the paper's read/write registers (consensus number > 1); the
+          core protocols never use it — it exists for the Test&Set
+          baseline ({!Renaming.Tas_baseline}) that the paper contrasts
+          against, and costs one shared access. *)
+  probe : Obs.Probe.t;
+      (** Structural-event hook: protocol code reports its traced
+          steps (splitter enter/exit, mutex enter/check/release) here.
+          Defaults to {!Obs.Probe.null} in every backend; install a
+          recording probe with {!probed}.  Emitting costs no shared
+          access. *)
+  regs : int Atomic.t array;  (** The direct arm's registers; empty on the closure arm. *)
+  counts : tally;  (** The direct arm's tally. *)
+}
+
+val read : ops -> Cell.t -> int
+(** Atomic read of a register: one shared access. *)
+
+val write : ops -> Cell.t -> int -> unit
+(** Atomic write of a register: one shared access. *)
+
+val rmw : ops -> Cell.t -> (int -> int) -> int
+(** Atomic read-modify-write (see the [rmw] field): one shared
+    access. *)
+
+val make :
+  ?probe:Obs.Probe.t ->
+  pid:int ->
+  read:(Cell.t -> int) ->
+  write:(Cell.t -> int -> unit) ->
+  rmw:(Cell.t -> (int -> int) -> int) ->
+  unit ->
+  ops
+(** A closure store: every access calls the given function.  A wrapper
+    forwards to the store it wraps with {!read}/{!write}/{!rmw}. *)
+
+val atomic : ?tally:tally -> cells:Cell.t array -> int Atomic.t array -> pid:int -> ops
+(** [atomic ~cells regs ~pid] is a direct store over [regs], the
+    registers of the layout whose cells are [cells] ([regs.(Cell.id c)]
+    holds [c]).  With [tally], every cell is registered in it now and
+    every access is counted into it.  For store implementations
+    ([Runtime.Atomic_store.ops]). *)
+
+val set_pid : ops -> int -> unit
+(** Re-bind the source name in place (see the [pid] field). *)
+
+val with_pid : ops -> int -> ops
+(** A copy of [ops] with another source name, on the same arm and with
+    the same probe (pipeline chaining, crash recovery). *)
+
+val probed : Obs.Probe.t -> ops -> ops
+(** [probed p ops] is [ops] with [p] installed as the structural
+    probe.  The probe closure should capture the process identity it
+    attributes events to at wrap time — {!with_pid} re-labelling
+    carries the probe along unchanged, so attribution stays with the
+    original process. *)
 
 (** {1 Sequential store}
 
@@ -134,10 +192,3 @@ val reset : counter -> unit
 val group : Cell.t -> string
 (** The register-group key used by a bound {!tally}: the cell's name
     up to the first ['[']. *)
-
-val probed : Obs.Probe.t -> ops -> ops
-(** [probed p ops] is [ops] with [p] installed as the structural
-    probe.  The probe closure should capture the process identity it
-    attributes events to at wrap time — [{ ops with pid }] re-labelling
-    (pipeline chaining, crash recovery) carries the probe along
-    unchanged, so attribution stays with the original process. *)

@@ -54,16 +54,14 @@ let monitor ?on_event ?on_access ?on_step () =
     on_step = pick3 no_monitor.on_step on_step;
   }
 
-let ops_for t i : Store.ops =
-  {
-    pid = t.pids.(i);
-    read = (fun c -> Effect.perform (Sread c));
-    write = (fun c v -> Effect.perform (Swrite (c, v)));
-    rmw = (fun c f -> Effect.perform (Srmw (c, f)));
-    (* probes perform no effect, so they are invisible to schedules
-       and partial-order reduction; Flight_rec installs a recorder *)
-    probe = Obs.Probe.null;
-  }
+(* probes perform no effect, so they are invisible to schedules and
+   partial-order reduction; Flight_rec installs a recorder *)
+let ops_for t i =
+  Store.make ~pid:t.pids.(i)
+    ~read:(fun c -> Effect.perform (Sread c))
+    ~write:(fun c v -> Effect.perform (Swrite (c, v)))
+    ~rmw:(fun c f -> Effect.perform (Srmw (c, f)))
+    ()
 
 let emit ev = Effect.perform (Semit ev)
 

@@ -134,7 +134,7 @@ let pin ~sources spec =
 
 let idle (ops : Shared_mem.Store.ops) ~work n =
   for _ = 1 to n do
-    ignore (ops.read work)
+    ignore (Shared_mem.Store.read ops work)
   done
 
 type costs = { mutable get : int list; mutable release : int list }
@@ -189,7 +189,7 @@ let rotating_body (type a) (module P : Renaming.Protocol.S with type t = a) (ins
   let n = Array.length pids in
   if n = 0 then invalid_arg "Workload.rotating_body: no pids";
   for i = 0 to spec.cycles - 1 do
-    run_cycle (module P) inst ~work spec i { ops with pid = pids.(i mod n) }
+    run_cycle (module P) inst ~work spec i (Shared_mem.Store.with_pid ops pids.(i mod n))
   done
 
 (* ----- checking harnesses ----- *)

@@ -261,6 +261,15 @@ let test_trace_default_dump () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "trace dump" out "accesses total"
 
+(* ----- server: option combinations ----- *)
+
+(* --chaos runs its own plans; a --policy beside it would be dropped
+   without a word, so the combination is refused before any run *)
+let test_server_chaos_policy () =
+  let code, out = run "server --chaos --matrix 1 --policy retries=3" in
+  Alcotest.(check int) "--chaos with --policy => exit 2" 2 code;
+  check_contains "server --chaos --policy" out "--policy does not apply to --chaos"
+
 let () =
   Alcotest.run "cli"
     [
@@ -312,4 +321,5 @@ let () =
           Alcotest.test_case "server --journeys" `Quick test_server_journeys;
           Alcotest.test_case "server --journeys json" `Quick test_server_journeys_json;
         ] );
+      ("server", [ Alcotest.test_case "--chaos --policy" `Quick test_server_chaos_policy ]);
     ]

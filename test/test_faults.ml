@@ -363,7 +363,7 @@ let test_sim_reacquire_after_reclaim () =
         let n = Split.name_of sp lease in
         push (`Reclaim n);
         Sim.Sched.emit (Sim.Event.Note ("reclaimed", n));
-        reset sp { ops with pid = victim_pid } lease;
+        reset sp (Store.with_pid ops victim_pid) lease;
         reclaimed := true
   in
   let u = Sim.Checks.uniqueness ~name_space:(Split.name_space sp) () in

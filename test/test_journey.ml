@@ -63,15 +63,15 @@ let test_lifecycle () =
 
 let test_interference () =
   let t = J.create ~window_ns:ms () in
-  (* drain work on behalf of others lands in window blame, not in any
-     journey or the completion count *)
-  J.interfere t J.Drain ~now:(ms / 2) 700;
+  (* reclaim work on behalf of others lands in window blame, not in
+     any journey or the completion count *)
+  J.interfere t J.Reclaim ~now:(ms / 2) 700;
   let s = J.snapshot t in
   Alcotest.(check int) "nothing completed" 0 s.J.completed;
-  Alcotest.(check int) "blame attributed" 700 s.J.blame.(J.stage_index J.Drain);
+  Alcotest.(check int) "blame attributed" 700 s.J.blame.(J.stage_index J.Reclaim);
   let w = List.hd s.J.windows in
   Alcotest.(check int) "window blame attributed" 700
-    w.J.blame.(J.stage_index J.Drain);
+    w.J.blame.(J.stage_index J.Reclaim);
   Alcotest.(check int) "no journey rows" 0 (List.length w.J.slowest)
 
 let test_waterfall () =

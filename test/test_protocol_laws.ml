@@ -65,12 +65,11 @@ let bounded ~limit (ops : Store.ops) =
     incr n;
     if !n > limit then Alcotest.failf "access budget %d exceeded (leaked name?)" limit
   in
-  {
-    ops with
-    read = (fun c -> tick (); ops.read c);
-    write = (fun c v -> tick (); ops.write c v);
-    rmw = (fun c f -> tick (); ops.rmw c f);
-  }
+  Store.make ~pid:ops.pid ~probe:ops.probe
+    ~read:(fun c -> tick (); Store.read ops c)
+    ~write:(fun c v -> tick (); Store.write ops c v)
+    ~rmw:(fun c f -> tick (); Store.rmw ops c f)
+    ()
 
 let budget = 100_000
 
@@ -316,6 +315,73 @@ let law_table_matches_leases s =
      let odd i = i mod 2 = 1 in
      [ ids; List.rev ids; List.filter (Fun.negate odd) ids @ List.filter odd ids ])
 
+(* Law 10: both access arms of [Store] run the protocol the same way.
+   One instance runs on [Atomic_store] ops, the direct arm; a twin runs
+   on the same kind of store wrapped by [Store.counting], the closure
+   arm.  Names and per-operation access counts must agree, and so must
+   the per-group registry counters each arm's bound tally feeds.  The
+   counting wrapper counts on its own, so a direct arm that skipped
+   its tally would read 0 here against the wrapper's count. *)
+let law_direct_matches_counting s =
+  let arm () =
+    let layout, proto, pids = s.build () in
+    let store = Runtime.Atomic_store.create layout in
+    let reg = Obs.Registry.create () in
+    let tally = Store.tally ~shard:(Obs.Registry.shard reg) () in
+    let ops = Array.map (fun pid -> Runtime.Atomic_store.ops ~tally store ~pid) pids in
+    (proto, ops, tally, reg)
+  in
+  let proto, dops, dtally, dreg = arm () in
+  let tproto, tops, ttally, treg = arm () in
+  let c = Store.counter () in
+  let cops = Array.map (Store.counting c) tops in
+  let step what i f g =
+    Store.tally_mark dtally;
+    Store.tally_mark ttally;
+    let a0 = Store.accesses c in
+    let x = f dops.(i) and y = g cops.(i) in
+    let d = Store.tally_since dtally and w = Store.accesses c - a0 in
+    Alcotest.(check int) (Printf.sprintf "%s: %s %d accesses" s.label what i) w d;
+    Alcotest.(check int)
+      (Printf.sprintf "%s: %s %d wrapped tally" s.label what i)
+      w (Store.tally_since ttally);
+    (x, y)
+  in
+  let n = Array.length dops in
+  for round = 1 to 3 do
+    let leases =
+      Array.init n (fun i ->
+          let l, tl = step "get" i (P.Any.get_name proto) (P.Any.get_name tproto) in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: round %d holder %d name" s.label round i)
+            (P.Any.name_of proto l) (P.Any.name_of tproto tl);
+          (l, tl))
+    in
+    Array.iteri
+      (fun j _ ->
+        let i = (j + round) mod n in
+        let l, tl = leases.(i) in
+        ignore
+          (step "release" i
+             (fun o -> P.Any.release_name proto o l)
+             (fun o -> P.Any.release_name tproto o tl)))
+      leases
+  done;
+  let store_counters reg =
+    List.filter
+      (fun (name, _) -> String.length name > 6 && String.sub name 0 6 = "store.")
+      (Obs.Registry.snapshot reg).counters
+  in
+  let direct = store_counters dreg in
+  Alcotest.(check (list (pair string int)))
+    (s.label ^ ": store.* counters") (store_counters treg) direct;
+  let total name = Option.value ~default:0 (List.assoc_opt name direct) in
+  Alcotest.(check int) (s.label ^ ": store.reads = wrapper reads") (Store.reads c) (total "store.reads");
+  Alcotest.(check int)
+    (s.label ^ ": store.writes + store.rmws = wrapper writes")
+    (Store.writes c)
+    (total "store.writes" + total "store.rmws")
+
 let cases law = List.map (fun s -> Alcotest.test_case s.label `Slow (fun () -> law s)) subjects
 
 (* ----- Chain composition regressions (release ordering, recovery
@@ -484,6 +550,7 @@ let () =
       ("chainable", cases law_chainable);
       ("reclaim after crash", cases law_reclaim_after_crash);
       ("lease table matches leases", cases law_table_matches_leases);
+      ("direct arm matches counting", cases law_direct_matches_counting);
       ("chain composition", chain_cases);
       ("lease table", table_cases);
     ]

@@ -276,17 +276,15 @@ module Counted = struct
   let wrap t ops =
     let counter = Store.counter () in
     let w = Store.counting counter ops in
-    ( {
-        w with
-        read =
-          (fun cell ->
-            tick t;
-            w.read cell);
-        write =
-          (fun cell v ->
-            tick t;
-            w.write cell v);
-      },
+    ( Store.make ~pid:w.pid ~probe:w.probe
+        ~read:(fun cell ->
+          tick t;
+          Store.read w cell)
+        ~write:(fun cell v ->
+          tick t;
+          Store.write w cell v)
+        ~rmw:w.rmw
+        (),
       counter )
 
   let rec wrapper t ops = function
@@ -299,7 +297,7 @@ module Counted = struct
 
   let get_name t (ops : Store.ops) =
     let w, counter = wrapper t ops t.wrapped in
-    w.pid <- ops.pid;
+    Store.set_pid w ops.pid;
     Store.reset counter;
     let l = S.get_name t.split w in
     t.accesses <- Store.accesses counter;
