@@ -113,10 +113,9 @@ let no_tally =
 
 let no_regs : int Atomic.t array = [||]
 
-(* Unsafe indexing: a direct store registers every cell of its layout
-   in [counts] before it runs, and each access indexes [regs] (one per
-   layout cell) with a bounds check first, so [3 * id + kind] is in
-   [t.slots]. *)
+(* Unsafe indexing: [atomic] makes room in [counts] for every register
+   before the store runs, and each access indexes [regs] with a bounds
+   check first, so [3 * id + kind] is in [t.slots]. *)
 let[@inline] count t id kind =
   if t != no_tally then begin
     t.total <- t.total + 1;
@@ -170,6 +169,9 @@ let atomic ?tally ~cells regs ~pid =
     | None -> no_tally
     | Some t ->
         Array.iter (tally_register t) cells;
+        (* [count]'s unsafe indexing needs a slot for every register *)
+        if Array.length t.cells < Array.length regs then
+          invalid_arg "Store.atomic: fewer cells than registers";
         t
   in
   {

@@ -127,7 +127,9 @@ val atomic : ?tally:tally -> cells:Cell.t array -> int Atomic.t array -> pid:int
     registers of the layout whose cells are [cells] ([regs.(Cell.id c)]
     holds [c]).  With [tally], every cell is registered in it now and
     every access is counted into it.  For store implementations
-    ([Runtime.Atomic_store.ops]). *)
+    ([Runtime.Atomic_store.ops]).
+    @raise Invalid_argument when [tally] is given and [cells] does not
+    cover every index of [regs]. *)
 
 val set_pid : ops -> int -> unit
 (** Re-bind the source name in place (see the [pid] field). *)

@@ -47,6 +47,22 @@ let test_counting () =
   Store.reset c;
   Alcotest.(check int) "reset" 0 (Store.accesses c)
 
+(* the direct arm counts with unchecked indexing, so a tallied atomic
+   store must be given a cell for every register *)
+let test_atomic_needs_cells () =
+  let l = Layout.create () in
+  let cells = Layout.alloc_array l 3 0 in
+  let regs = Array.init 3 (fun _ -> Atomic.make 0) in
+  Alcotest.check_raises "missing cells"
+    (Invalid_argument "Store.atomic: fewer cells than registers") (fun () ->
+      ignore (Store.atomic ~tally:(Store.tally ()) ~cells:[||] regs ~pid:0));
+  let tally = Store.tally () in
+  let ops = Store.atomic ~tally ~cells regs ~pid:0 in
+  Store.write ops cells.(2) 4;
+  Alcotest.(check int) "direct write lands" 4 (Atomic.get regs.(2));
+  Alcotest.(check int) "direct read" 4 (Store.read ops cells.(2));
+  Alcotest.(check int) "both counted" 2 (Store.tally_total tally)
+
 let prop_layout_initials =
   Test_util.qtest "initial_values reflects every alloc"
     QCheck2.Gen.(list_size (int_range 1 100) (int_range (-1000) 1000))
@@ -84,6 +100,7 @@ let () =
         [
           Alcotest.test_case "seq store" `Quick test_seq_store;
           Alcotest.test_case "counting wrapper" `Quick test_counting;
+          Alcotest.test_case "atomic needs every cell" `Quick test_atomic_needs_cells;
         ] );
       ("property", [ prop_layout_initials; prop_seq_store_last_write_wins ]);
     ]
